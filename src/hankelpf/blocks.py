@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BoundsError, NotAPermutation, OddBlockLength
+from .errors import BoundsError, NotAPermutation
 
 
 @dataclass(frozen=True)
@@ -87,29 +87,16 @@ def _tail_inversions(block, rest) -> int:
     return count
 
 
-def _blocks_rec(pool, l, first_fixed, sign):
-    """Yield (blocks, sign) partitions of the sorted tuple `pool`.
-
-    first_fixed pins pool[0] into the current block, which restricts the
-    stream to partitions whose blocks are ordered by minimal element.
-    """
+def _blocks_rec(pool, l, sign):
+    """Yield (blocks, sign) partitions of the sorted tuple `pool`."""
     if not pool:
         yield (), sign
         return
-    if first_fixed:
-        head = pool[0]
-        for tail in itertools.combinations(pool[1:], l - 1):
-            block = (head,) + tail
-            rest = tuple(x for x in pool if x not in block)
-            s = sign if _tail_inversions(block, rest) % 2 == 0 else -sign
-            for blocks, total in _blocks_rec(rest, l, True, s):
-                yield (block,) + blocks, total
-    else:
-        for block in itertools.combinations(pool, l):
-            rest = tuple(x for x in pool if x not in block)
-            s = sign if _tail_inversions(block, rest) % 2 == 0 else -sign
-            for blocks, total in _blocks_rec(rest, l, False, s):
-                yield (block,) + blocks, total
+    for block in itertools.combinations(pool, l):
+        rest = tuple(x for x in pool if x not in block)
+        s = sign if _tail_inversions(block, rest) % 2 == 0 else -sign
+        for blocks, total in _blocks_rec(rest, l, s):
+            yield (block,) + blocks, total
 
 
 def enum_block_perms(l: int, n: int):
@@ -120,31 +107,5 @@ def enum_block_perms(l: int, n: int):
     if l < 1 or n < 1:
         raise BoundsError(f"need l >= 1 and n >= 1, got l={l}, n={n}")
     pool = tuple(range(1, l * n + 1))
-    for blocks, sign in _blocks_rec(pool, l, False, 1):
+    for blocks, sign in _blocks_rec(pool, l, 1):
         yield SignedBlockPermutation(blocks, sign)
-
-
-def enum_canonical_blocks(l: int, n: int):
-    """Partitions whose blocks are sorted by minimal entry, with signs.
-
-    This is the 1/n!-quotiented family the hyperpfaffian engine sums
-    over. Reordering the blocks of an even-length partition never flips
-    the sign, so the quotient is well defined only for even l.
-    """
-    if l % 2 != 0:
-        raise OddBlockLength(
-            f"canonical blocks need even block length, got l={l}")
-    if l < 1 or n < 1:
-        raise BoundsError(f"need l >= 1 and n >= 1, got l={l}, n={n}")
-    pool = tuple(range(1, l * n + 1))
-    for blocks, sign in _blocks_rec(pool, l, True, 1):
-        yield SignedBlockPermutation(blocks, sign)
-
-
-def _canonical_blocks_unsigned(l: int, n: int):
-    """Min-ordered partitions without signs; any l. Used by hafnians."""
-    if l < 1 or n < 1:
-        raise BoundsError(f"need l >= 1 and n >= 1, got l={l}, n={n}")
-    pool = tuple(range(1, l * n + 1))
-    for blocks, _ in _blocks_rec(pool, l, True, 1):
-        yield blocks

@@ -4,21 +4,24 @@ summation construction.
 
 Design notes that matter for reading this file:
 
+* One kernel, `_block_sum`, computes the determinant, hyperdeterminant,
+  Pfaffian, hyperpfaffian and hyperhafnian: each is a sum over m-tuples
+  of ordered block partitions, read as a dynamic program over free-point
+  bitmasks.
 * No division anywhere. Scalars may be polynomials, so all algorithms
   are expansion-based; the usual 1/n! prefactors are removed by fixing
-  the block order of the first summation slot (see hyperpfaffian).
+  the block order of the first summation slot (see `_block_sum`).
 * Integer entries stay plain ints throughout. The engines only use +,
-  *, and negation, so exact types never degrade and int inputs never
-  get wrapped in Fraction.
-* Signs are ints multiplied in separately, never scalar powers.
+  -, and *, so exact types never degrade and int inputs never get
+  wrapped in Fraction.
+* Signs are applied by negating or subtracting, never by scalar powers.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
-from .blocks import (_canonical_blocks_unsigned, enum_block_perms,
-                     enum_canonical_blocks)
 from .errors import (BoundsError, CardinalityMismatch,
                      CardinalityNotMultipleOfL, OddBlockLength, OddDimension,
                      OddSize, ShapeMismatch)
@@ -32,56 +35,82 @@ def _cubic_size(A: Tensor) -> int:
     return sizes.pop()
 
 
+@functools.lru_cache(maxsize=4096)
+def _slot_options(free, l, head):
+    """The blocks one slot can take next, given its free-point mask.
+
+    A tuple of (block, mask left free, sign flip). With `head` only the
+    blocks that hold the lowest free point qualify. The flip is the
+    parity of the pairs (x in the block, y free after it, y < x): a
+    block whose k-th point (from 0) has i_k free points below it makes
+    sum(i_k) - k of them. Cached because the options depend on the
+    mask alone, and the same masks recur across states and calls.
+    """
+    indexed = list(enumerate(p for p in range(1, free.bit_length())
+                             if free >> p & 1))
+    if head:
+        blocks = (indexed[:1] + list(c)
+                  for c in itertools.combinations(indexed[1:], l - 1))
+    else:
+        blocks = itertools.combinations(indexed, l)
+    shift = l * (l - 1) // 2
+    opts = []
+    for blk in blocks:
+        below, blk = zip(*blk)
+        rest = free - sum(1 << p for p in blk)
+        opts.append((blk if l > 1 else blk[0], rest, (sum(below) - shift) & 1))
+    return tuple(opts)
+
+
+def _block_sum(entries, l, m, points, signed=True):
+    """Sum over m-tuples of ordered partitions of [points] into l-blocks.
+
+    `entries` maps m-tuples of blocks to values; a block is a sorted
+    l-tuple of points, or the bare point when l = 1, and missing keys
+    are zero. Each term is the product of the values read slot by slot
+    down the partitions. The first slot is pinned to blocks ordered by
+    their minima, which removes the 1/n! of the defining sums. With
+    `signed` each term also carries the product of the slot-word signs.
+
+    A dynamic program over states that hold one bitmask of free points
+    per slot (bit p for point p). Each step gives every slot its next
+    block: the first slot the block holding its lowest free point, the
+    others any free block (`_slot_options`). Summing the sign flips of
+    the steps counts the inversions of each slot word.
+    """
+    slot_args = ((l,) * m, (True,) + (False,) * (m - 1))
+    cur = {((1 << points + 1) - 2,) * m: 1}
+    for _ in range(points // l):
+        nxt: dict = {}
+        for state, acc in cur.items():
+            for combo in itertools.product(
+                    *map(_slot_options, state, *slot_args)):
+                key, rest, flips = zip(*combo)
+                v = entries.get(key)
+                if v is None:
+                    continue
+                term = acc * v
+                old = nxt.get(rest)
+                if signed and sum(flips) & 1:
+                    nxt[rest] = -term if old is None else old - term
+                else:
+                    nxt[rest] = term if old is None else old + term
+        cur = nxt
+    return cur.get((0,) * m, 0)
+
+
 def hyperdet(A: Tensor):
     """Even-dimensional hyperdeterminant.
 
     Sum over (m-1)-tuples of permutations of the column axes, sign of
     their product, times the diagonal-style product down the first
-    axis. Implemented as a dynamic program over tuples of column
-    bitmasks, one mask per column axis, filling rows top to bottom.
+    axis: the l = 1 case of `_block_sum`, whose pinned first slot is
+    the row axis.
     """
     m = A.m
     if m % 2 != 0:
         raise OddDimension(f"hyperdeterminant needs even dimension, got m={m}")
-    n = _cubic_size(A)
-    rows: list[list] = [[] for _ in range(n + 1)]
-    for idx, v in A.entries.items():
-        rows[idx[0]].append((idx[1:], v))
-    slots = m - 1
-    cur = {(0,) * slots: 1}
-    for i in range(1, n + 1):
-        nxt: dict = {}
-        row = rows[i]
-        if not row:
-            return 0
-        for state, acc in cur.items():
-            for cols, v in row:
-                sign = 1
-                new_state = list(state)
-                ok = True
-                for k in range(slots):
-                    j = cols[k] - 1
-                    mask = new_state[k]
-                    bit = 1 << j
-                    if mask & bit:
-                        ok = False
-                        break
-                    if (mask >> (j + 1)).bit_count() & 1:
-                        sign = -sign
-                    new_state[k] = mask | bit
-                if not ok:
-                    continue
-                term = acc * v
-                if sign < 0:
-                    term = -term
-                key = tuple(new_state)
-                if key in nxt:
-                    nxt[key] = nxt[key] + term
-                else:
-                    nxt[key] = term
-        cur = nxt
-    full = (1 << n) - 1
-    return cur.get((full,) * slots, 0)
+    return _block_sum(A.entries, 1, m, _cubic_size(A))
 
 
 def det_matrix(rows):
@@ -89,28 +118,9 @@ def det_matrix(rows):
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ShapeMismatch("determinant needs a square matrix")
-    cur = {0: 1}
-    for i in range(n):
-        nxt: dict = {}
-        row = rows[i]
-        for mask, acc in cur.items():
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                v = row[j]
-                if v == 0:
-                    continue
-                term = acc * v
-                if (mask >> (j + 1)).bit_count() & 1:
-                    term = -term
-                key = mask | bit
-                if key in nxt:
-                    nxt[key] = nxt[key] + term
-                else:
-                    nxt[key] = term
-        cur = nxt
-    return cur.get((1 << n) - 1, 0)
+    entries = {(i, j): v for i, row in enumerate(rows, start=1)
+               for j, v in enumerate(row, start=1) if v != 0}
+    return _block_sum(entries, 1, 2, n)
 
 
 class ExteriorElement:
@@ -289,7 +299,7 @@ def _upper_from_input(M, size):
 
 
 def pfaffian(M, size=None):
-    """Classical Pfaffian, memoized expansion along the smallest index.
+    """Classical Pfaffian: `_block_sum` with one slot of pairs.
 
     Accepts an upper-triangle dict {(i,j): value} with i<j, a square
     antisymmetric matrix (upper triangle read), or a one-slot 2-block
@@ -301,30 +311,8 @@ def pfaffian(M, size=None):
     for (i, j) in upper:
         if j > n:
             raise BoundsError(f"entry ({i},{j}) outside size {n}")
-    memo = {0: 1}
-
-    def pf(mask):
-        if mask in memo:
-            return memo[mask]
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & ~(1 << low)
-        total = 0
-        sign = 1
-        sub = rest
-        while sub:
-            j = (sub & -sub).bit_length() - 1
-            sub &= sub - 1
-            v = upper.get((low + 1, j + 1))
-            if v is not None and v != 0:
-                term = v * pf(rest & ~(1 << j))
-                if sign < 0:
-                    term = -term
-                total = total + term
-            sign = -sign
-        memo[mask] = total
-        return total
-
-    return pf((1 << n) - 1)
+    entries = {(blk,): v for blk, v in upper.items() if v != 0}
+    return _block_sum(entries, 2, 1, n)
 
 
 def _require_even_block(B: BlockArray, signed: bool):
@@ -339,83 +327,23 @@ def _require_even_block(B: BlockArray, signed: bool):
 def hyperpfaffian(B: BlockArray):
     """Signed block-partition expansion of a block array.
 
-    The defining sum carries 1/n!; here the first slot runs over block
-    orders sorted by minimum instead, which picks exactly one member of
-    each n!-orbit. Valid because reordering the blocks of an even-l
-    partition never changes its sign (tested exhaustively against the
-    literal definition).
+    The defining sum carries 1/n!; `_block_sum` instead runs the first
+    slot over block orders sorted by minimum, which picks exactly one
+    member of each n!-orbit. Valid because reordering the blocks of an
+    even-l partition never changes its sign (tested against the literal
+    definition).
     """
     if _require_even_block(B, signed=True):
         return 0
-    n = B.n
-    if n == 0:
-        return 1
-    entries = B.entries
-    total = 0
-    if B.m == 1:
-        for bp in enum_canonical_blocks(B.l, n):
-            prod = bp.sign
-            for blk in bp.blocks:
-                v = entries.get((blk,))
-                if v is None:
-                    prod = None
-                    break
-                prod = prod * v
-            if prod is not None:
-                total = total + prod
-        return total
-    rest_list = list(enum_block_perms(B.l, n))
-    for bp1 in enum_canonical_blocks(B.l, n):
-        for others in itertools.product(rest_list, repeat=B.m - 1):
-            sign = bp1.sign
-            for o in others:
-                sign *= o.sign
-            prod = sign
-            for k in range(n):
-                key = (bp1.blocks[k],) + tuple(o.blocks[k] for o in others)
-                v = entries.get(key)
-                if v is None:
-                    prod = None
-                    break
-                prod = prod * v
-            if prod is not None:
-                total = total + prod
-    return total
+    return _block_sum(B.entries, B.l, B.m, B.l * B.n)
 
 
 def hyperhafnian(B: BlockArray):
     """Unsigned companion of hyperpfaffian; any block length."""
-    n = B.n
-    if n == 0:
-        return 1
     entries = B.entries
-    total = 0
-    if B.m == 1:
-        for blocks in _canonical_blocks_unsigned(B.l, n):
-            prod = 1
-            for blk in blocks:
-                v = entries.get((blk,))
-                if v is None:
-                    prod = None
-                    break
-                prod = prod * v
-            if prod is not None:
-                total = total + prod
-        return total
-    rest_list = [bp.blocks for bp in enum_block_perms(B.l, n)]
-    for blocks1 in _canonical_blocks_unsigned(B.l, n):
-        for others in itertools.product(rest_list, repeat=B.m - 1):
-            prod = 1
-            for k in range(n):
-                key = (blocks1[k],) + tuple(o[k] for o in others)
-                v = entries.get(key)
-                if v is None:
-                    prod = None
-                    break
-                prod = prod * v
-            if prod is not None:
-                total = total + prod
-    return total
+    if B.l == 1:
+        entries = {tuple(p for (p,) in key): v for key, v in entries.items()}
+    return _block_sum(entries, B.l, B.m, B.l * B.n, signed=False)
 
 
 def restrict_block_array(B: BlockArray, subsets) -> BlockArray:

@@ -27,7 +27,7 @@ __all__ = [
     "jackson_numeric", "jackson_two_sided_numeric",
     "DiscreteMeasure", "measure_to_json", "measure_from_json",
     "discrete_moment", "discrete_cube_integral", "discrete_ordered_integral",
-    "mp_const", "mp_monomial", "mp_add", "mp_mul", "mp_pow",
+    "mp_const", "mp_monomial", "mp_mul", "mp_pow",
     "delta_product",
     "SelbergParams", "selberg_closed", "selberg_bruteforce",
     "aomoto_closed", "aomoto_bruteforce", "selberg_phi_bridge",
@@ -259,18 +259,6 @@ def mp_const(nvars: int, c):
 
 def mp_monomial(exps, c):
     return {} if is_zero(c) else {tuple(exps): c}
-
-
-def mp_add(p, r):
-    out = dict(p)
-    for e, c in r.items():
-        if e in out:
-            c = out[e] + c
-        if is_zero(c):
-            out.pop(e, None)
-        else:
-            out[e] = c
-    return out
 
 
 def mp_mul(p, r):

@@ -226,6 +226,14 @@ def _ext_context(doc):
     return QuadContext(ext["letter"], Fraction(ext["p"]), Fraction(ext["r"]))
 
 
+def _field(doc, key, what):
+    """doc[key], or a ParseError naming the missing field."""
+    try:
+        return doc[key]
+    except (KeyError, TypeError):
+        raise ParseError(f"{what} is missing the {key!r} field") from None
+
+
 def tensor_to_json(t: Tensor) -> dict:
     doc = {"kind": "tensor", "m": t.m}
     try:
@@ -243,16 +251,19 @@ def tensor_to_json(t: Tensor) -> dict:
 def tensor_from_json(doc: dict) -> Tensor:
     if doc.get("kind") != "tensor":
         raise ParseError(f"expected kind 'tensor', got {doc.get('kind')!r}")
+    m = _field(doc, "m", "tensor")
     if "shape" in doc:
         shape = tuple(doc["shape"])
     else:
-        shape = (doc["n"],) * doc["m"]
-    if len(shape) != doc["m"]:
+        shape = (_field(doc, "n", "tensor without 'shape'"),) * m
+    if len(shape) != m:
         raise ParseError("tensor shape does not match m")
     ctx = _ext_context(doc)
     t = Tensor(shape)
     for e in doc.get("entries", []):
-        t.set(tuple(e["idx"]), parse_scalar(e["value"], ctx))
+        idx = _field(e, "idx", "tensor entry")
+        value = _field(e, "value", "tensor entry")
+        t.set(tuple(idx), parse_scalar(value, ctx))
     return t
 
 
@@ -274,10 +285,16 @@ def block_array_to_json(b: BlockArray) -> dict:
 def block_array_from_json(doc: dict) -> BlockArray:
     if doc.get("kind") != "block_array":
         raise ParseError(f"expected kind 'block_array', got {doc.get('kind')!r}")
-    size = doc["size"] if "size" in doc else doc["l"] * doc["n"]
+    l = _field(doc, "l", "block_array")
+    m = _field(doc, "m", "block_array")
+    if "size" in doc:
+        size = doc["size"]
+    else:
+        size = l * _field(doc, "n", "block_array without 'size'")
     ctx = _ext_context(doc)
-    b = BlockArray(doc["l"], doc["m"], size)
+    b = BlockArray(l, m, size)
     for e in doc.get("entries", []):
-        b.set(tuple(tuple(blk) for blk in e["idx"]),
-              parse_scalar(e["value"], ctx))
+        idx = _field(e, "idx", "block_array entry")
+        value = _field(e, "value", "block_array entry")
+        b.set(tuple(tuple(blk) for blk in idx), parse_scalar(value, ctx))
     return b

@@ -1,4 +1,4 @@
-"""Subset streams, signed block permutations, canonical subfamily."""
+"""Subset streams and signed block permutations."""
 
 import itertools
 import math
@@ -6,9 +6,8 @@ import math
 import pytest
 
 from hankelpf.blocks import (SignedBlockPermutation, complement_with_sign,
-                             enum_block_perms, enum_canonical_blocks,
-                             enum_subsets, perm_sign)
-from hankelpf.errors import BoundsError, NotAPermutation, OddBlockLength
+                             enum_block_perms, enum_subsets, perm_sign)
+from hankelpf.errors import BoundsError, NotAPermutation
 
 
 def test_enum_subsets_small():
@@ -94,34 +93,18 @@ def test_block_perms_lex_order():
     assert len(set(words)) == len(words)
 
 
-def test_canonical_blocks_2_2():
-    got = [(bp.blocks, bp.sign) for bp in enum_canonical_blocks(2, 2)]
-    assert got == [
-        (((1, 2), (3, 4)), 1),
-        (((1, 3), (2, 4)), -1),
-        (((1, 4), (2, 3)), 1),
-    ]
-
-
-def test_canonical_counts():
-    assert sum(1 for _ in enum_canonical_blocks(2, 3)) == 15
-    assert sum(1 for _ in enum_canonical_blocks(4, 2)) == 35
-
-
-def test_canonical_rejects_odd_block_length():
-    with pytest.raises(OddBlockLength):
-        list(enum_canonical_blocks(3, 2))
-    with pytest.raises(OddBlockLength):
-        list(enum_canonical_blocks(1, 4))
-
-
 @pytest.mark.parametrize("l,n", [(2, 2), (2, 3), (4, 2)])
 def test_canonical_times_reorderings_reconstructs_full_family(l, n):
     full = {}
     for bp in enum_block_perms(l, n):
         full[bp.blocks] = bp.sign
     rebuilt = {}
-    for bp in enum_canonical_blocks(l, n):
+    # the min-ordered partitions: the family the engines' pinned first
+    # slot runs over
+    for bp in enum_block_perms(l, n):
+        mins = [blk[0] for blk in bp.blocks]
+        if mins != sorted(mins):
+            continue
         for order in itertools.permutations(range(n)):
             blocks = tuple(bp.blocks[i] for i in order)
             rebuilt[blocks] = bp.sign
@@ -134,5 +117,3 @@ def test_bounds_errors():
         list(enum_block_perms(0, 2))
     with pytest.raises(BoundsError):
         list(enum_block_perms(2, 0))
-    with pytest.raises(BoundsError):
-        list(enum_canonical_blocks(2, 0))

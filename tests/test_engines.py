@@ -3,10 +3,11 @@ summation, flattening, and the JSON container formats."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
-from hankelpf.blocks import enum_block_perms
+from hankelpf.blocks import enum_block_perms, perm_sign
 from hankelpf.errors import (BoundsError, CardinalityMismatch,
                              CardinalityNotMultipleOfL, OddBlockLength,
                              OddDimension, OddSize, ShapeMismatch)
@@ -15,14 +16,35 @@ from hankelpf.engines import (det_matrix, flatten_matsumoto, hyperdet,
                               hyperhafnian, hyperpfaffian, minor_tensor,
                               msf_build_Q, msf_lhs, pfaffian,
                               restrict_block_array, subhyperpfaffian)
-from hankelpf.scalars import derive_rng, omega, poly_gen, unipoly
+from hankelpf.scalars import derive_rng, omega, poly_gen, quadext, unipoly
 from hankelpf.tensors import (BlockArray, Tensor, block_array_from_json,
                               block_array_to_json, tensor_from_json,
                               tensor_to_json)
 
 
-def _random_tensor(rng, m, n, lo=-3, hi=3):
-    return Tensor.from_function((n,) * m, lambda *i: rng.randint(lo, hi))
+KINDS = ("int", "fraction", "unipoly", "quadext")
+
+
+def _random_scalar(rng, kind, lo=-3, hi=3):
+    a, b = rng.randint(lo, hi), rng.randint(lo, hi)
+    if kind == "int":
+        return a
+    if kind == "fraction":
+        return Fraction(a, rng.randint(1, 4))
+    if kind == "unipoly":
+        return unipoly("x", [a, b])
+    return quadext(-1, -1, a, b)
+
+
+def _check_type(value, kind):
+    # int entries must give a plain int, never a Fraction or a bool
+    if kind == "int":
+        assert type(value) is int
+
+
+def _random_tensor(rng, m, n, lo=-3, hi=3, kind="int"):
+    return Tensor.from_function((n,) * m,
+                                lambda *i: _random_scalar(rng, kind, lo, hi))
 
 
 def _random_block_array(rng, l, m, size, lo=-3, hi=3):
@@ -36,6 +58,19 @@ def test_hyperdet_is_determinant_for_m2():
     assert hyperdet(A) == -2
     B = Tensor.from_matrix([[2, 0, 1], [1, 1, 1], [0, 3, -1]])
     assert hyperdet(B) == det_matrix([[2, 0, 1], [1, 1, 1], [0, 3, -1]]) == -5
+    for kind, n in itertools.product(KINDS, range(1, 5)):
+        rng = derive_rng("det-leibniz", kind, str(n))
+        rows = [[_random_scalar(rng, kind) for _ in range(n)]
+                for _ in range(n)]
+        leibniz = 0
+        for perm in itertools.permutations(range(n)):
+            term = perm_sign([j + 1 for j in perm])
+            for i, j in enumerate(perm):
+                term = term * rows[i][j]
+            leibniz = leibniz + term
+        d = det_matrix(rows)
+        assert d == leibniz == hyperdet(Tensor.from_matrix(rows))
+        _check_type(d, kind)
 
 
 def test_hyperdet_diagonal_m4():
@@ -83,12 +118,13 @@ def test_hyperdet_needs_cubic():
 
 
 def test_hyperdet_three_way_oracle_agreement():
-    rng = derive_rng("hyperdet-oracles")
-    for trial in range(50):
+    for kind, trial in itertools.product(KINDS, range(50)):
+        rng = derive_rng("hyperdet-oracles", kind, str(trial))
         m = 2 if trial % 2 else 4
         n = 2 + (trial % 3 == 0)
-        A = _random_tensor(rng, m, n)
+        A = _random_tensor(rng, m, n, kind=kind)
         d = hyperdet(A)
+        _check_type(d, kind)
         assert hyperdet_via_exterior(A) == d
         subset_size = rng.randint(0, n)
         subset = tuple(sorted(rng.sample(range(1, n + 1), subset_size)))
@@ -207,15 +243,18 @@ def test_pfaffian_matches_general_engine():
 
 
 def test_pfaffian_squares_to_determinant():
-    rng = derive_rng("pf-square-det")
-    for two_n in (2, 4, 6):
-        upper = {(i, j): rng.randint(-4, 4)
+    for kind, two_n in itertools.product(KINDS, (2, 4, 6)):
+        rng = derive_rng("pf-square-det", kind, str(two_n))
+        upper = {(i, j): _random_scalar(rng, kind, -4, 4)
                  for i in range(1, two_n + 1) for j in range(i + 1, two_n + 1)}
         rows = [[0] * two_n for _ in range(two_n)]
         for (i, j), v in upper.items():
             rows[i - 1][j - 1] = v
             rows[j - 1][i - 1] = -v
-        assert pfaffian(upper, size=two_n) ** 2 == det_matrix(rows)
+        pf = pfaffian(upper, size=two_n)
+        assert pf ** 2 == det_matrix(rows)
+        assert pfaffian(rows) == pf
+        _check_type(pf, kind)
 
 
 # ------------------------------------------------- hyperpfaffian / hafnian
@@ -242,7 +281,8 @@ def test_hyperpfaffian_odd_block_rules():
 
 
 @pytest.mark.parametrize("l,m,n", [(2, 1, 1), (2, 1, 2), (2, 1, 3),
-                                   (2, 2, 2), (4, 1, 2)])
+                                   (2, 2, 2), (4, 1, 2), (2, 3, 2),
+                                   (4, 2, 2)])
 def test_hyperpfaffian_matches_literal_definition(l, m, n):
     rng = derive_rng("pf-literal", str(l), str(m), str(n))
     B = _random_block_array(rng, l, m, l * n)
@@ -256,10 +296,13 @@ def test_hyperpfaffian_matches_literal_definition(l, m, n):
         for k in range(n):
             term = term * B.entries.get(tuple(bp.blocks[k] for bp in combo), 0)
         literal += term
-    assert math.factorial(n) * hyperpfaffian(B) == literal
+    value = hyperpfaffian(B)
+    assert math.factorial(n) * value == literal
+    _check_type(value, "int")
 
 
-@pytest.mark.parametrize("l,m,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2)])
+@pytest.mark.parametrize("l,m,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2),
+                                   (3, 2, 2), (2, 3, 2), (1, 2, 3)])
 def test_hyperhafnian_matches_literal_definition(l, m, n):
     rng = derive_rng("hf-literal", str(l), str(m), str(n))
     B = _random_block_array(rng, l, m, l * n, lo=0, hi=3)
@@ -270,7 +313,9 @@ def test_hyperhafnian_matches_literal_definition(l, m, n):
         for k in range(n):
             term = term * B.entries.get(tuple(bp.blocks[k] for bp in combo), 0)
         literal += term
-    assert math.factorial(n) * hyperhafnian(B) == literal
+    value = hyperhafnian(B)
+    assert math.factorial(n) * value == literal
+    _check_type(value, "int")
 
 
 def test_hyperhafnian_examples():

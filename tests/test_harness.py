@@ -1,10 +1,14 @@
 """Registry sanity, CLI behaviour, report format, and determinism."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import hankelpf
 from hankelpf.errors import UnknownIdentity, UnknownTag
 from hankelpf.harness import (CheckParams, all_identities,
                               filter_identities, get_identity,
@@ -269,6 +273,40 @@ def test_cli_eval_errors(capsys, tmp_path):
     assert main(["eval", "pfaffian", "--input",
                  str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind,doc", [
+    ("hyperpfaffian", {"kind": "block_array"}),
+    ("hyperpfaffian", {"kind": "block_array", "l": 2, "n": 1}),
+    ("hafnian", {"kind": "block_array", "l": 2, "m": 1}),
+    ("hyperpfaffian", {"kind": "block_array", "l": 2, "m": 1, "n": 1,
+                       "entries": [{"idx": [[1, 2]]}]}),
+    ("hyperpfaffian", {"kind": "block_array", "l": 2, "m": 1, "n": 1,
+                       "entries": [{"value": "1"}]}),
+    ("hyperdet", {"kind": "tensor", "n": 2}),
+    ("hyperdet", {"kind": "tensor", "m": 2}),
+    ("hyperdet", {"kind": "tensor", "m": 2, "n": 1, "entries": [[1, 1]]}),
+])
+def test_cli_eval_missing_fields(capsys, tmp_path, kind, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", kind, "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hpf: ParseError:") and err.count("\n") == 1
+
+
+def test_cli_eval_missing_fields_process(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": "block_array"}))
+    src = pathlib.Path(hankelpf.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hankelpf.harness.cli", "eval",
+         "hyperpfaffian", "--input", str(path)],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
 
 
 def test_cli_unknown_identity_and_tag(capsys):
