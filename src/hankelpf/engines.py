@@ -41,10 +41,11 @@ def _slot_options(free, l, head):
 
     A tuple of (block, mask left free, sign flip). With `head` only the
     blocks that hold the lowest free point qualify. The flip is the
-    parity of the pairs (x in the block, y free after it, y < x): a
-    block whose k-th point (from 0) has i_k free points below it makes
-    sum(i_k) - k of them. Cached because the options depend on the
-    mask alone, and the same masks recur across states and calls.
+    parity of the pairs (x in the block, y free after it, y < x). If
+    the k-th point of the block (k from 0) has i_k free points below
+    it, k of those are in the block, so there are sum(i_k - k) pairs.
+    Cached because the options depend on the mask alone, and the same
+    masks recur across states and calls.
     """
     indexed = list(enumerate(p for p in range(1, free.bit_length())
                              if free >> p & 1))
@@ -79,7 +80,7 @@ def _block_sum(entries, l, m, points, signed=True):
     the steps counts the inversions of each slot word.
     """
     slot_args = ((l,) * m, (True,) + (False,) * (m - 1))
-    cur = {((1 << points + 1) - 2,) * m: 1}
+    cur = {((1 << points + 1) - 2,) * m: 1}  # points 1..points all free
     for _ in range(points // l):
         nxt: dict = {}
         for state, acc in cur.items():
