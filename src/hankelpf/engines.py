@@ -306,6 +306,8 @@ def pfaffian(M, size=None):
     antisymmetric matrix (upper triangle read), or a one-slot 2-block
     array. Runs in O(size * 2^size), fine through size 20.
     """
+    if size is not None and size < 0:
+        raise BoundsError(f"pfaffian size must be >= 0, got {size}")
     upper, n = _upper_from_input(M, size)
     if n % 2:
         raise OddSize(f"pfaffian needs even size, got {n}")

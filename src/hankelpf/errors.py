@@ -143,9 +143,5 @@ class UnknownIdentity(HpfError, ValueError):
     """Identity id not present in the registry."""
 
 
-class BudgetExceeded(HpfError):
-    """Check parameters outside the declared desk-scale domain."""
-
-
 class PoleEncountered(HpfError):
     """Random-point check could not avoid poles within the retry limit."""

@@ -7,7 +7,7 @@ from ..engines import hyperhafnian, hyperpfaffian, pfaffian
 from ..qcalc import (DiscreteMeasure, debruijn_kernel,
                      debruijn_ordered_integral, delta_product,
                      discrete_cube_integral, discrete_moment, q_pochhammer)
-from ..scalars import is_zero, q_gamma_int, sdiv
+from ..scalars import q_gamma_int, sdiv
 from .common import (Outcome, gap_prefactor, moment_block_array, outcome_all,
                      outcome_eq, rand_measure, rand_points, rand_q)
 
@@ -43,7 +43,7 @@ def check_debruijn_discrete(params, rng, opts):
                 v = sum(w * (phi[i - 1](x) * psi[j - 1](x)
                              - phi[j - 1](x) * psi[i - 1](x))
                         for x, w in mu.atoms)
-                if not is_zero(v):
+                if v != 0:
                     entries[(i, j)] = v
         lhs = debruijn_ordered_integral([fam], mu, n)
         return outcome_eq(lhs, pfaffian(entries, size=2 * n),
@@ -214,7 +214,7 @@ def check_pf_delta2(params, rng, opts):
         for j in range(i + 1, 2 * n + 1):
             v = (q ** (i - 1) - q ** (j - 1)) * discrete_moment(
                 mu, i + j + r - 2)
-            if not is_zero(v):
+            if v != 0:
                 entries[(i, j)] = v
     lhs = pfaffian(entries, size=2 * n)
 

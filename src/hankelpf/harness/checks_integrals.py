@@ -7,7 +7,6 @@ from ..qcalc import (QJacobiParams, SelbergParams, aomoto_bruteforce,
                      aomoto_closed, askey_A_n, askey_lhs_exact, lqj_moment,
                      q_pochhammer, selberg_bruteforce, selberg_closed,
                      selberg_phi_bridge)
-from ..scalars import is_zero
 from ..engines import pfaffian
 from .common import outcome_all, outcome_eq, rand_fraction, rand_q
 
@@ -81,7 +80,7 @@ def _lqj_instance(n, r, a, b, q):
     for i in range(1, 2 * n + 1):
         for j in range(i + 1, 2 * n + 1):
             v = (q ** (i - 1) - q ** (j - 1)) * lqj_moment(i + j + r - 2, p)
-            if not is_zero(v):
+            if v != 0:
                 entries[(i, j)] = v
     lhs = pfaffian(entries, size=2 * n)
     e = n * (n - 1) * (4 * n + 1) // 3 + n * (n - 1) * r
@@ -91,7 +90,7 @@ def _lqj_instance(n, r, a, b, q):
         rhs = rhs * q_pochhammer(b * q, q, 2 * (k - 1))
         rhs = rhs * q_pochhammer(q, q, 2 * k - 1)
         den = q_pochhammer(a * b * q * q, q, 2 * (k + n) + r - 3)
-        if is_zero(den):
+        if den == 0:
             raise MomentPole("closed-form denominator vanished")
         rhs = rhs / den
     return lhs, rhs

@@ -17,7 +17,6 @@ from ..blocks import enum_subsets
 from ..engines import hyperpfaffian, pfaffian
 from ..errors import PoleEncountered
 from ..qcalc import DiscreteMeasure, discrete_moment
-from ..scalars import is_zero
 from ..sequences import narayana_poly, sequence_value
 from ..tensors import BlockArray
 
@@ -102,7 +101,7 @@ def seq_pfaffian(seq, shift, n, weight=None):
             v = (j - i) * sequence_value(seq, i + j + shift)
             if weight is not None:
                 v = v * weight(i, j)
-            if not is_zero(v):
+            if v != 0:
                 entries[(i, j)] = v
     return pfaffian(entries, size=2 * n)
 
@@ -111,7 +110,7 @@ def moment_block_array(mu, l, ln, u, prefactor):
     entries = {}
     for I in enum_subsets(ln, l):
         v = prefactor(I) * discrete_moment(mu, sum(I) + u - l)
-        if not is_zero(v):
+        if v != 0:
             entries[(I,)] = v
     return BlockArray(l, 1, ln, entries)
 
@@ -125,7 +124,7 @@ def narayana_block_pf(X, l, n, r, a):
         poly = narayana_poly(X, sum(I) + r - l)
         val = poly.evaluate(a) if hasattr(poly, "evaluate") else poly
         v = gap_prefactor(I) * val
-        if not is_zero(v):
+        if v != 0:
             entries[(I,)] = v
     return hyperpfaffian(BlockArray(l, 1, l * n, entries))
 

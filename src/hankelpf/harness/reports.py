@@ -64,7 +64,6 @@ class CheckParams:
     trials: int = 5
     tolerance: float = 1e-6
     max_n: int = 0
-    budget_s: float = 0.0
     timing: bool = False
 
 

@@ -10,7 +10,7 @@ import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from ..errors import BudgetExceeded, PoleEncountered, SizeBudgetExceeded
+from ..errors import PoleEncountered, SizeBudgetExceeded
 from ..scalars.sampling import derive_rng
 from .registry import GATING_STATUSES, filter_identities, get_identity
 from .reports import (CheckParams, CheckReport, canonical_params,
@@ -26,7 +26,7 @@ def run_check(p: CheckParams) -> CheckReport:
     start = time.perf_counter()
     try:
         outcome = spec.check(dict(p.params), rng, p)
-    except (SizeBudgetExceeded, BudgetExceeded, PoleEncountered) as exc:
+    except (SizeBudgetExceeded, PoleEncountered) as exc:
         outcome = None
         status, lhs, rhs, terms = "budget-exceeded", "", "", 0
         note = f"{type(exc).__name__}: {exc}"

@@ -17,8 +17,8 @@ from .engines import det_matrix
 from .errors import (GeometricPole, HpfError, MomentPole, NonconvergentTail,
                      PoleInNegativeRange, ShapeMismatch, SizeBudgetExceeded,
                      UnsupportedArgument, ZeroCoordinate)
-from .scalars import (HalfGamma, format_scalar, gamma_exact, is_zero,
-                      parse_scalar, q_gamma_int, scalar_eq, sdiv)
+from .scalars import (HalfGamma, format_scalar, gamma_exact, parse_scalar,
+                      q_gamma_int, sdiv)
 from .tensors import BlockArray
 
 __all__ = [
@@ -68,7 +68,7 @@ def q_pochhammer(a, q, n: int):
     for _ in range(-n):
         factor = sdiv(factor, q)
         term = 1 - factor
-        if is_zero(term):
+        if term == 0:
             raise PoleInNegativeRange(
                 f"(a;q)_{n} hit the vanishing factor 1 - a*q^k")
         denom = denom * term
@@ -104,7 +104,7 @@ def jackson_monomial(a, q, m: int):
     if m < 0:
         raise UnsupportedArgument("jackson_monomial needs m >= 0")
     denom = 1 - q ** (m + 1)
-    if is_zero(denom):
+    if denom == 0:
         raise GeometricPole(f"q^{m + 1} = 1 makes the geometric sum diverge")
     return sdiv(a ** (m + 1) * (1 - q), denom)
 
@@ -191,7 +191,7 @@ class DiscreteMeasure:
         object.__setattr__(self, "atoms", atoms)
         for i in range(len(atoms)):
             for j in range(i + 1, len(atoms)):
-                if scalar_eq(atoms[i][0], atoms[j][0]):
+                if atoms[i][0] == atoms[j][0]:
                     raise UnsupportedArgument(
                         "repeated support point "
                         f"{format_scalar(atoms[i][0])}")
@@ -254,11 +254,11 @@ def discrete_ordered_integral(mu: DiscreteMeasure, n: int, f):
 # --------------------------------------------------------------------------
 
 def mp_const(nvars: int, c):
-    return {} if is_zero(c) else {(0,) * nvars: c}
+    return {} if c == 0 else {(0,) * nvars: c}
 
 
 def mp_monomial(exps, c):
-    return {} if is_zero(c) else {tuple(exps): c}
+    return {} if c == 0 else {tuple(exps): c}
 
 
 def mp_mul(p, r):
@@ -270,7 +270,7 @@ def mp_mul(p, r):
             if e in out:
                 c = out[e] + c
             out[e] = c
-    return {e: c for e, c in out.items() if not is_zero(c)}
+    return {e: c for e, c in out.items() if c != 0}
 
 
 def mp_pow(p, e: int):
@@ -319,7 +319,7 @@ def delta_product(x, q, k: int, variant: str):
         raise UnsupportedArgument("delta_product needs k >= 0")
     if variant in ("D0", "Dsym"):
         for xi in xs:
-            if is_zero(xi):
+            if xi == 0:
                 raise ZeroCoordinate(f"{variant} divides by every coordinate")
         if variant == "D0":
             return _delta0(xs, q, k)
@@ -588,7 +588,7 @@ def lqj_moment(n: int, p: QJacobiParams):
     if n < 0:
         raise UnsupportedArgument("lqj_moment needs n >= 0")
     den = q_pochhammer(p.a * p.b * p.q * p.q, p.q, n)
-    if is_zero(den):
+    if den == 0:
         raise MomentPole(f"(abq^2;q)_{n} vanished")
     return sdiv(q_pochhammer(p.a * p.q, p.q, n), den)
 
@@ -633,7 +633,7 @@ def debruijn_kernel(families, mu: DiscreteMeasure) -> BlockArray:
                 prod = prod * det_matrix(
                     [tables[t][s][i - 1] for i in subset])
             total = total + prod
-        if not is_zero(total):
+        if total != 0:
             entries[key] = total
     return BlockArray(l, r, rows, entries)
 

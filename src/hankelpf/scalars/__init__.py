@@ -1,8 +1,9 @@
-"""Exact scalar arithmetic: rationals, polynomials, Laurent polynomials,
-rational functions, quadratic extensions, truncated series, gamma values.
+"""Exact scalar arithmetic: rationals, polynomials, rational functions in
+one variable, quadratic extensions, truncated series, gamma values.
 
 Everything here is exact. The only floating point in the package lives in
-the numeric quadrature helpers, far away from these types.
+the numeric quadrature helpers, far away from these types. Scalars combine
+with the plain operators; `sdiv` is the one helper, for division.
 """
 
 from fractions import Fraction
@@ -10,85 +11,40 @@ from fractions import Fraction
 from ..errors import DivisionByZero, IncompatibleTags
 from .gammas import HalfGamma, gamma_exact, q_gamma_int
 from .grammar import QuadContext, format_scalar, parse_scalar
-from .poly import (RATIONAL_TYPES, LaurentPoly, RatFunc, UniPoly, laurent,
-                   laurent_gen, poly_gen, ratfunc, unipoly)
+from .poly import RATIONAL_TYPES, RatFunc, UniPoly, poly_gen, ratfunc, unipoly
 from .quadext import QuadExt, omega, quadext, sqrt2
 from .sampling import derive_rng, sample_rational
 from .series import TruncSeries, series_div, series_sqrt
 
 __all__ = [
     "Fraction", "RATIONAL_TYPES",
-    "UniPoly", "RatFunc", "LaurentPoly", "unipoly", "ratfunc", "laurent",
-    "poly_gen", "laurent_gen",
+    "UniPoly", "RatFunc", "unipoly", "ratfunc", "poly_gen",
     "QuadExt", "quadext", "omega", "sqrt2",
     "TruncSeries", "series_sqrt", "series_div",
     "HalfGamma", "gamma_exact", "q_gamma_int",
     "QuadContext", "format_scalar", "parse_scalar",
     "derive_rng", "sample_rational",
-    "sadd", "ssub", "smul", "sdiv", "sneg", "spow",
-    "scalar_arith", "is_zero", "scalar_eq",
+    "sdiv",
 ]
 
 
-def scalar_arith(op, *args):
-    """Run `op` on scalars, turning TypeError into IncompatibleTags.
-
-    Mixing polynomials in different variables, or a series with a
-    quadratic extension, has no defined result; the operator methods
-    signal that by returning NotImplemented, which Python surfaces as
-    TypeError. Callers who want a domain error get one here.
-    """
-    try:
-        out = op(*args)
-    except TypeError as exc:
-        raise IncompatibleTags(str(exc)) from None
-    except DivisionByZero:
-        raise
-    except ZeroDivisionError as exc:
-        raise DivisionByZero(str(exc) or "division by zero") from None
-    if out is NotImplemented:
-        raise IncompatibleTags(
-            f"{op.__name__} undefined for "
-            + ", ".join(type(a).__name__ for a in args))
-    return out
-
-
-def sadd(a, b):
-    return scalar_arith(lambda x, y: x + y, a, b)
-
-
-def ssub(a, b):
-    return scalar_arith(lambda x, y: x - y, a, b)
-
-
-def smul(a, b):
-    return scalar_arith(lambda x, y: x * y, a, b)
-
-
 def sdiv(a, b):
-    """Exact division. int/int yields a Fraction, never a float."""
+    """Exact division a / b.
+
+    int/int yields a Fraction, never a float. Division by zero raises
+    DivisionByZero, and a quotient the operand types do not define (two
+    different variables or extensions, a series by a quadratic extension)
+    raises IncompatibleTags.
+    """
     if isinstance(a, int) and isinstance(b, int):
         if b == 0:
             raise DivisionByZero("integer division by zero")
         return Fraction(a, b)
-    return scalar_arith(lambda x, y: x / y, a, b)
-
-
-def sneg(a):
-    return scalar_arith(lambda x: -x, a)
-
-
-def spow(a, e: int):
-    return scalar_arith(lambda x: x ** e, a)
-
-
-def is_zero(x) -> bool:
-    return x == 0
-
-
-def scalar_eq(a, b) -> bool:
-    """Equality that treats 2, Fraction(2), and constant polys alike."""
     try:
-        return bool(a == b)
-    except TypeError:
-        return False
+        return a / b
+    except DivisionByZero:
+        raise
+    except ZeroDivisionError as exc:
+        raise DivisionByZero(str(exc) or "division by zero") from None
+    except TypeError as exc:
+        raise IncompatibleTags(str(exc)) from None

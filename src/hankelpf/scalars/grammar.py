@@ -3,7 +3,8 @@
 Grammar by example:
     rationals                "7", "-3/4"
     polynomials              "a^2 + 2*a - 1/2"   (single letter, * required)
-    Laurent exponents        "q^-1"
+    negative exponents       "q^-1"              (a rational function,
+                                                  printed "(1)/(q)")
     quadratic extension      "1 + 2*w"           (letter declared by context)
     truncated series         "[1, -2, -2, -4] @z up to 3"
     rational functions       "(a^2 - 1)/(a + 2)"
@@ -19,8 +20,7 @@ from fractions import Fraction
 
 from ..errors import ParseError
 from .gammas import HalfGamma
-from .poly import RATIONAL_TYPES, LaurentPoly, RatFunc, UniPoly, laurent, \
-    unipoly
+from .poly import RATIONAL_TYPES, RatFunc, UniPoly, ratfunc, unipoly
 from .quadext import QuadExt
 from .series import TruncSeries
 
@@ -66,9 +66,6 @@ def format_scalar(x) -> str:
     if isinstance(x, UniPoly):
         return _fmt_terms([(e, c) for e, c in enumerate(x.coeffs) if c != 0],
                           x.var)
-    if isinstance(x, LaurentPoly):
-        return _fmt_terms([(x.min_exp + k, c)
-                           for k, c in enumerate(x.coeffs) if c != 0], x.var)
     if isinstance(x, QuadExt):
         return _fmt_terms([(e, c) for e, c in ((0, x.u), (1, x.v)) if c != 0],
                           x.sym)
@@ -173,5 +170,5 @@ def parse_scalar(text: str, ext: QuadContext | None = None):
     lo, hi = min(exps), max(exps)
     coeffs = [exps.get(e, Fraction(0)) for e in range(lo, hi + 1)]
     if lo < 0:
-        return laurent(letter, lo, coeffs)
+        return ratfunc(letter, coeffs, [0] * (-lo) + [1])
     return unipoly(letter, [Fraction(0)] * lo + coeffs)

@@ -1,17 +1,16 @@
-"""Dense univariate polynomials, Laurent polynomials, and rational functions.
+"""Dense univariate polynomials and rational functions.
 
 Every coefficient is a Fraction.  The factory functions (`unipoly`,
-`laurent`, `ratfunc`) trim zeros and demote degenerate values one step down
-the chain
+`ratfunc`) trim zeros and demote degenerate values one step down the chain
 
     Rational -> UniPoly -> RatFunc
-    Rational -> LaurentPoly -> RatFunc
 
 so canonical forms are unique and `==` is structural.  Operations accept
-plain ints and Fractions on either side; mixing two different variables, or
-a UniPoly with a LaurentPoly, raises IncompatibleTags.  Division promotes
-along the chain (a quotient of polynomials that does not divide exactly
-becomes a RatFunc with monic, gcd-reduced denominator).
+plain ints and Fractions on either side; mixing two different variables
+raises IncompatibleTags.  Division promotes along the chain (a quotient of
+polynomials that does not divide exactly becomes a RatFunc with monic,
+gcd-reduced denominator).  A Laurent polynomial such as q^-1 + 1 is the
+RatFunc (q + 1)/(q).
 """
 
 from __future__ import annotations
@@ -286,12 +285,6 @@ class RatFunc:
                 raise IncompatibleTags(
                     f"rational function in {self.var!r} vs {other.var!r}")
             return list(other.coeffs), [Fraction(1)]
-        if isinstance(other, LaurentPoly):
-            if other.var != self.var:
-                raise IncompatibleTags(
-                    f"rational function in {self.var!r} vs {other.var!r}")
-            n, d = other._as_num_den()
-            return n, d
         if isinstance(other, RatFunc):
             if other.var != self.var:
                 raise IncompatibleTags(
@@ -387,177 +380,3 @@ class RatFunc:
     def __str__(self):
         from .grammar import format_scalar
         return format_scalar(self)
-
-
-# -- LaurentPoly -------------------------------------------------------------
-
-def laurent(var: str, min_exp: int, coeffs):
-    """Build a Laurent polynomial, demoting constants to Fraction."""
-    cs = [_frac(c) for c in coeffs]
-    while cs and cs[0] == 0:
-        cs.pop(0)
-        min_exp += 1
-    _trim(cs)
-    if not cs:
-        return Fraction(0)
-    if len(cs) == 1 and min_exp == 0:
-        return cs[0]
-    return LaurentPoly(var, min_exp, cs)
-
-
-class LaurentPoly:
-    """Finite Laurent polynomial; coeffs[k] multiplies var^(min_exp+k)."""
-
-    __slots__ = ("var", "min_exp", "coeffs")
-
-    def __init__(self, var, min_exp, coeffs):
-        self.var = var
-        self.min_exp = min_exp
-        self.coeffs = tuple(_frac(c) for c in coeffs)
-
-    def coefficient(self, e: int) -> Fraction:
-        k = e - self.min_exp
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
-    def _as_num_den(self):
-        """Represent as polynomial pair (num, var^k)."""
-        if self.min_exp >= 0:
-            return [Fraction(0)] * self.min_exp + list(self.coeffs), [Fraction(1)]
-        den = [Fraction(0)] * (-self.min_exp) + [Fraction(1)]
-        return list(self.coeffs), den
-
-    def _pair(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return 0, [_frac(other)]
-        if isinstance(other, LaurentPoly):
-            if other.var != self.var:
-                raise IncompatibleTags(
-                    f"Laurent polynomials in {self.var!r} and {other.var!r}")
-            return other.min_exp, list(other.coeffs)
-        return None
-
-    def __add__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        m2, c2 = p
-        m = min(self.min_exp, m2)
-        top = max(self.min_exp + len(self.coeffs), m2 + len(c2))
-        out = [Fraction(0)] * (top - m)
-        for i, c in enumerate(self.coeffs):
-            out[self.min_exp - m + i] += c
-        for i, c in enumerate(c2):
-            out[m2 - m + i] += c
-        return laurent(self.var, m, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly(self.var, self.min_exp, _pneg(self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return self.__add__(-other)
-        if isinstance(other, LaurentPoly):
-            return self.__add__(other.__neg__())
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            if other == 0:
-                return Fraction(0)
-            return laurent(self.var, self.min_exp,
-                           [c * other for c in self.coeffs])
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        m2, c2 = p
-        return laurent(self.var, self.min_exp + m2, _pmul(self.coeffs, c2))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e >= 0:
-            out = laurent(self.var, 0, [Fraction(1)])
-            base = self
-            while e:
-                if e & 1:
-                    out = base * out
-                base = base * base
-                e >>= 1
-            return out
-        if len(self.coeffs) == 1:
-            return laurent(self.var, self.min_exp * e,
-                           [self.coeffs[0] ** e])
-        n, d = self._as_num_den()
-        return ratfunc(self.var, n, d) ** e
-
-    def __truediv__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            if other == 0:
-                raise DivisionByZero("Laurent polynomial divided by zero")
-            inv = Fraction(1) / _frac(other)
-            return laurent(self.var, self.min_exp,
-                           [c * inv for c in self.coeffs])
-        if isinstance(other, LaurentPoly):
-            if other.var != self.var:
-                raise IncompatibleTags(
-                    f"Laurent polynomials in {self.var!r} and {other.var!r}")
-            if len(other.coeffs) == 1:
-                inv = Fraction(1) / other.coeffs[0]
-                return laurent(self.var, self.min_exp - other.min_exp,
-                               [c * inv for c in self.coeffs])
-            n1, d1 = self._as_num_den()
-            n2, d2 = other._as_num_den()
-            return ratfunc(self.var, _pmul(n1, d2), _pmul(d1, n2))
-        if isinstance(other, RatFunc):
-            return other.__rtruediv__(self)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            n, d = self._as_num_den()
-            return ratfunc(self.var, _pmul([_frac(other)], d), n)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return (len(self.coeffs) == 1 and self.min_exp == 0
-                    and self.coeffs[0] == other)
-        if isinstance(other, LaurentPoly):
-            return (self.var == other.var and self.min_exp == other.min_exp
-                    and self.coeffs == other.coeffs)
-        return NotImplemented
-
-    __hash__ = None
-
-    def evaluate(self, x):
-        x = _frac(x) if isinstance(x, RATIONAL_TYPES) else x
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        if self.min_exp >= 0:
-            return acc * x ** self.min_exp
-        if x == 0:
-            raise DivisionByZero("Laurent polynomial evaluated at 0")
-        return acc / x ** (-self.min_exp)
-
-    def __repr__(self):
-        return (f"LaurentPoly({self.var!r}, {self.min_exp}, "
-                f"{list(self.coeffs)!r})")
-
-    def __str__(self):
-        from .grammar import format_scalar
-        return format_scalar(self)
-
-
-def laurent_gen(var: str) -> LaurentPoly:
-    """The generator `var` as a Laurent polynomial (so var**-1 works)."""
-    return LaurentPoly(var, 1, [Fraction(1)])

@@ -262,6 +262,18 @@ def test_cli_eval_pfaffian(capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_cli_eval_negative_exponents(capsys, tmp_path):
+    path = tmp_path / "laurent.json"
+    entries = [([[1, 2]], "q^-1"), ([[1, 3]], "1"), ([[1, 4]], "q"),
+               ([[2, 3]], "q^-1 + 1"), ([[2, 4]], "2"), ([[3, 4]], "q^-2")]
+    path.write_text(json.dumps({
+        "kind": "block_array", "l": 2, "m": 1, "n": 2,
+        "entries": [{"idx": idx, "value": v} for idx, v in entries]}))
+    assert main(["eval", "pfaffian", "--input", str(path)]) == 0
+    # q^-3 - 2 + (1 + q^-1) q
+    assert capsys.readouterr().out.strip() == "(q^4 - q^3 + 1)/(q^3)"
+
+
 def test_cli_eval_errors(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "tensor", not json')
@@ -313,6 +325,13 @@ def test_cli_unknown_identity_and_tag(capsys):
     assert main(["verify", "no-such-id"]) == 2
     assert main(["list", "--filter", "no-such-tag"]) == 2
     capsys.readouterr()
+
+
+def test_cli_verify_negative_size(capsys):
+    assert main(["verify", "motzkin-pf", "--param", "n=-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("hpf: BoundsError:")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_cli_bad_param_syntax(capsys):
