@@ -4,16 +4,22 @@ summation construction.
 
 Design notes that matter for reading this file:
 
-* One kernel, `_block_sum`, computes the determinant, hyperdeterminant,
-  Pfaffian, hyperpfaffian and hyperhafnian: each is a sum over m-tuples
-  of ordered block partitions, read as a dynamic program over free-point
-  bitmasks.
-* No division anywhere. Scalars may be polynomials, so all algorithms
-  are expansion-based; the usual 1/n! prefactors are removed by fixing
-  the block order of the first summation slot (see `_block_sum`).
-* Integer entries stay plain ints throughout. The engines only use +,
-  -, and *, so exact types never degrade and int inputs never get
-  wrapped in Fraction.
+* One kernel, `_expand`, computes the determinant, hyperdeterminant,
+  Pfaffian, hyperpfaffian and hyperhafnian (through `_block_sum`) and
+  every minor of one row set at once (through `_row_minors`): each is a
+  sum over m-tuples of ordered block partitions, read as a dynamic
+  program over free-point bitmasks.
+* No division inside the expansion. Scalars may be polynomials, so all
+  algorithms are expansion-based; the usual 1/n! prefactors are removed
+  by fixing the block order of the first summation slot (see
+  `_block_sum`).
+* Exact types never degrade. The expansion only uses +, - and *, so int
+  entries give a plain int. When every entry is exactly a Fraction, the
+  entries are scaled to ints by the lcm D of their denominators and each
+  result is returned as Fraction(total, D**steps): a Fraction even when
+  whole or zero, and int 0 only when no term has all its entries
+  present. Mixed int/Fraction, UniPoly and QuadExt entries are expanded
+  as they are.
 * Signs are applied by negating or subtracting, never by scalar powers.
 """
 
@@ -21,6 +27,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from fractions import Fraction
 
 from .errors import (BoundsError, CardinalityMismatch,
                      CardinalityNotMultipleOfL, OddBlockLength, OddDimension,
@@ -36,6 +44,12 @@ def _cubic_size(A: Tensor) -> int:
 
 
 @functools.lru_cache(maxsize=4096)
+def _points(mask):
+    """The points whose bits are set in `mask`, ascending."""
+    return tuple(p for p in range(1, mask.bit_length()) if mask >> p & 1)
+
+
+@functools.lru_cache(maxsize=4096)
 def _slot_options(free, l, head):
     """The blocks one slot can take next, given its free-point mask.
 
@@ -47,8 +61,7 @@ def _slot_options(free, l, head):
     Cached because the options depend on the mask alone, and the same
     masks recur across states and calls.
     """
-    indexed = list(enumerate(p for p in range(1, free.bit_length())
-                             if free >> p & 1))
+    indexed = list(enumerate(_points(free)))
     if head:
         blocks = (indexed[:1] + list(c)
                   for c in itertools.combinations(indexed[1:], l - 1))
@@ -63,25 +76,34 @@ def _slot_options(free, l, head):
     return tuple(opts)
 
 
-def _block_sum(entries, l, m, points, signed=True):
-    """Sum over m-tuples of ordered partitions of [points] into l-blocks.
+def _expand(entries, l, m, start, steps, signed):
+    """Run `steps` block steps from the free masks `start`, one per slot.
 
     `entries` maps m-tuples of blocks to values; a block is a sorted
     l-tuple of points, or the bare point when l = 1, and missing keys
-    are zero. Each term is the product of the values read slot by slot
-    down the partitions. The first slot is pinned to blocks ordered by
-    their minima, which removes the 1/n! of the defining sums. With
-    `signed` each term also carries the product of the slot-word signs.
+    are zero. A state holds one bitmask of free points per slot (bit p
+    for point p). Each step gives every slot its next block: the first
+    slot the block holding its lowest free point, the others any free
+    block (`_slot_options`), and multiplies by the entry those blocks
+    key. With `signed` the sign flips of the steps are summed, which
+    counts, per slot, the pairs (x chosen, y still free, y < x).
 
-    A dynamic program over states that hold one bitmask of free points
-    per slot (bit p for point p). Each step gives every slot its next
-    block: the first slot the block holding its lowest free point, the
-    others any free block (`_slot_options`). Summing the sign flips of
-    the steps counts the inversions of each slot word.
+    Returns the whole final {state: value} table; a state no path
+    reaches is absent (zero). When every entry is exactly a Fraction,
+    the entries are scaled by the lcm D of their denominators and the
+    steps run over plain ints; each term is a product of `steps`
+    entries, so the table is then divided by D**steps.
     """
+    scale = None
+    if steps and entries and all(type(v) is Fraction
+                                 for v in entries.values()):
+        D = math.lcm(*(v.denominator for v in entries.values()))
+        entries = {key: v.numerator * (D // v.denominator)
+                   for key, v in entries.items()}
+        scale = D ** steps
     slot_args = ((l,) * m, (True,) + (False,) * (m - 1))
-    cur = {((1 << points + 1) - 2,) * m: 1}  # points 1..points all free
-    for _ in range(points // l):
+    cur = {start: 1}
+    for _ in range(steps):
         nxt: dict = {}
         for state, acc in cur.items():
             for combo in itertools.product(
@@ -97,7 +119,57 @@ def _block_sum(entries, l, m, points, signed=True):
                 else:
                     nxt[rest] = term if old is None else old + term
         cur = nxt
-    return cur.get((0,) * m, 0)
+    if scale is not None:
+        return {state: Fraction(v, scale) for state, v in cur.items()}
+    return cur
+
+
+def _block_sum(entries, l, m, points, signed=True):
+    """Sum over m-tuples of ordered partitions of [points] into l-blocks.
+
+    Each term is the product of the values read slot by slot down the
+    partitions. The first slot is pinned to blocks ordered by their
+    minima, which removes the 1/n! of the defining sums. With `signed`
+    each term also carries the product of the slot-word signs: when
+    every point starts free, the flips of `_expand` count exactly the
+    inversions of each slot word.
+    """
+    full = (1 << points + 1) - 2  # points 1..points all free
+    return _expand(entries, l, m, (full,) * m, points // l,
+                   signed).get((0,) * m, 0)
+
+
+def _require_even_order(A: Tensor):
+    if A.m % 2 != 0:
+        raise OddDimension(
+            f"hyperdeterminant needs even dimension, got m={A.m}")
+
+
+def _row_minors(A: Tensor, rows):
+    """Hyperdeterminant of every minor of A on the first-axis rows `rows`.
+
+    Returns {(S_2, ..., S_m): value} with one sorted index tuple per
+    other axis, |S_k| = len(rows); minors that are absent are zero. One
+    `_expand` pass: the first slot starts from the row mask, the others
+    from the full mask of their axis, and len(rows) steps are run, so
+    the final state (0, rest_2, ..., rest_m) holds the minor on the
+    columns S_k = full_k - rest_k, read from A's own entries.
+
+    The flips there also count the free points outside S_k below each
+    chosen point: sum(S_k) - |S_k|(|S_k|+1)/2 of them per axis, which
+    depends on S_k alone and is undone here.
+    """
+    _require_even_order(A)
+    r = len(rows)
+    full = tuple((1 << s + 1) - 2 for s in A.shape[1:])
+    fixed = (A.m - 1) * (r * (r + 1) // 2)
+    out = {}
+    for state, v in _expand(A.entries, 1, A.m,
+                            (sum(1 << i for i in rows),) + full, r,
+                            True).items():
+        cols = tuple(_points(f ^ rest) for f, rest in zip(full, state[1:]))
+        out[cols] = -v if (sum(map(sum, cols)) - fixed) & 1 else v
+    return out
 
 
 def hyperdet(A: Tensor):
@@ -108,10 +180,8 @@ def hyperdet(A: Tensor):
     axis: the l = 1 case of `_block_sum`, whose pinned first slot is
     the row axis.
     """
-    m = A.m
-    if m % 2 != 0:
-        raise OddDimension(f"hyperdeterminant needs even dimension, got m={m}")
-    return _block_sum(A.entries, 1, m, _cubic_size(A))
+    _require_even_order(A)
+    return _block_sum(A.entries, 1, A.m, _cubic_size(A))
 
 
 def det_matrix(rows):
@@ -182,11 +252,9 @@ def hyperdet_via_exterior(A: Tensor):
     Builds one generator per row, multiplies them in the (m-1)-fold
     exterior product, and reads off the coefficient of the full wedge.
     """
-    m = A.m
-    if m % 2 != 0:
-        raise OddDimension(f"hyperdeterminant needs even dimension, got m={m}")
+    _require_even_order(A)
     n = _cubic_size(A)
-    slots = m - 1
+    slots = A.m - 1
     rows: list[dict] = [dict() for _ in range(n + 1)]
     for idx, v in A.entries.items():
         key = tuple((j,) for j in idx[1:])
@@ -232,38 +300,29 @@ def hyperdet_laplace(A: Tensor, subset):
     """Hyperdeterminant via expansion along the row subset `subset`.
 
     Splits the rows into `subset` and its complement, sums minor times
-    signed complementary minor over all column-axis subsets.
+    signed complementary minor over all column-axis subsets. Both
+    minor tables come from one `_row_minors` pass each.
     """
-    m = A.m
-    if m % 2 != 0:
-        raise OddDimension(f"hyperdeterminant needs even dimension, got m={m}")
+    _require_even_order(A)
     n = _cubic_size(A)
     subset = tuple(subset)
     seen = set()
-    weight = 0
     for j in subset:
         if not isinstance(j, int) or not 1 <= j <= n or j in seen:
             raise BoundsError(f"{subset} is not a subset of [{n}]")
         seen.add(j)
-        weight += j
-    rest = tuple(j for j in range(1, n + 1) if j not in seen)
-    r = len(subset)
+    points = range(1, n + 1)
+    co_minors = _row_minors(A, [j for j in points if j not in seen])
     total = 0
-    col_subsets = list(itertools.combinations(range(1, n + 1), r))
-    for combo in itertools.product(col_subsets, repeat=m - 1):
-        a = hyperdet(minor_tensor(A, (subset,) + combo))
+    for cols, a in _row_minors(A, subset).items():
         if a == 0:
             continue
-        sign = weight
-        co_axes = [rest]
-        for cols in combo:
-            sign += sum(cols)
-            co_axes.append(tuple(j for j in range(1, n + 1) if j not in cols))
-        cof = hyperdet(minor_tensor(A, co_axes))
+        cof = co_minors.get(tuple(tuple(j for j in points if j not in S)
+                                  for S in cols), 0)
         if cof == 0:
             continue
         term = a * cof
-        if sign % 2:
+        if (sum(subset) + sum(map(sum, cols))) % 2:
             term = -term
         total = total + term
     return total
@@ -435,25 +494,26 @@ def msf_build_Q(A: BlockArray, H) -> BlockArray:
     """The pairing array Q of the minor summation identity.
 
     Q(I-blocks) sums A(K-blocks) against products of hyperdeterminant
-    minors of the rectangular tensors, one minor per slot of A.
+    minors of the rectangular tensors, one minor per slot of A. The
+    minors of each tensor come from one `_row_minors` pass per
+    first-axis block I_1.
     """
-    r, m, ln, N = _check_msf_shapes(A, H)
+    r, m, ln, _ = _check_msf_shapes(A, H)
     l = A.l
     i_combos = list(itertools.product(
         itertools.combinations(range(1, ln + 1), l), repeat=m - 1))
-    k_subsets = list(itertools.combinations(range(1, N + 1), l))
     tables = []
-    for s in range(r):
+    for h in H:
         tbl = {}
-        for ic in i_combos:
-            for K in k_subsets:
-                tbl[(ic, K)] = hyperdet(minor_tensor(H[s], ic + (K,)))
+        for rows in itertools.combinations(range(1, ln + 1), l):
+            for cols, d in _row_minors(h, rows).items():
+                tbl[((rows,) + cols[:-1], cols[-1])] = d
         tables.append(tbl)
     q_entries: dict = {}
     for keyA, a in A.entries.items():
         if a == 0:
             continue
-        vecs = [[tables[s][(ic, keyA[s])] for ic in i_combos]
+        vecs = [[tables[s].get((ic, keyA[s]), 0) for ic in i_combos]
                 for s in range(r)]
         for choice in itertools.product(range(len(i_combos)), repeat=r):
             prod = a
@@ -478,27 +538,16 @@ def msf_build_Q(A: BlockArray, H) -> BlockArray:
 
 def msf_lhs(A: BlockArray, H):
     """Direct enumeration side of the minor summation identity."""
-    r, m, ln, N = _check_msf_shapes(A, H)
+    ln = _check_msf_shapes(A, H)[2]
     full = tuple(range(1, ln + 1))
-    p_subsets = list(itertools.combinations(range(1, N + 1), ln))
-    det_tables = []
-    for s in range(r):
-        det_tables.append({
-            P: hyperdet(minor_tensor(H[s], (full,) * (m - 1) + (P,)))
-            for P in p_subsets})
+    det_tables = [[(cols[-1], d)
+                   for cols, d in _row_minors(h, full).items()
+                   if d != 0]
+                  for h in H]
     total = 0
-    for Ps in itertools.product(p_subsets, repeat=r):
-        prod = None
-        for s in range(r):
-            d = det_tables[s][Ps[s]]
-            if d == 0:
-                prod = None
-                break
-            prod = d if prod is None else prod * d
-        if prod is None:
-            continue
-        pf = subhyperpfaffian(A, Ps)
+    for choice in itertools.product(*det_tables):
+        pf = subhyperpfaffian(A, [P for P, _ in choice])
         if pf == 0:
             continue
-        total = total + pf * prod
+        total = total + pf * math.prod(d for _, d in choice)
     return total

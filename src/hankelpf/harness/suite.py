@@ -6,11 +6,12 @@ hashing that triple, results are aggregated in registry order, and
 elapsed_ms stays 0 unless wall-clock timing is requested explicitly.
 """
 
+import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from ..errors import PoleEncountered, SizeBudgetExceeded
+from ..errors import BoundsError, PoleEncountered, SizeBudgetExceeded
 from ..scalars.sampling import derive_rng
 from .registry import GATING_STATUSES, filter_identities, get_identity
 from .reports import (CheckParams, CheckReport, canonical_params,
@@ -71,11 +72,18 @@ def suite_tasks(level="smoke", filter_tag=None, seed=0, trials=5,
 
 def run_suite(level="smoke", filter_tag=None, jobs=1, seed=0, trials=5,
               tolerance=1e-6, timing=False):
-    """Run every applicable check, preserving registry order."""
+    """Run every applicable check, preserving registry order.
+
+    `jobs` (>= 1) caps the worker processes; no more are started than
+    there are tasks or CPUs, and one worker means a serial run.
+    """
+    if not isinstance(jobs, int) or jobs < 1:
+        raise BoundsError(f"jobs must be an integer >= 1, got {jobs!r}")
     tasks = suite_tasks(level=level, filter_tag=filter_tag, seed=seed,
                         trials=trials, tolerance=tolerance, timing=timing)
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_task, tasks))
     else:
         reports = [run_check(p) for p in tasks]

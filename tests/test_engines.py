@@ -11,9 +11,10 @@ from hankelpf.blocks import enum_block_perms, perm_sign
 from hankelpf.errors import (BoundsError, CardinalityMismatch,
                              CardinalityNotMultipleOfL, OddBlockLength,
                              OddDimension, OddSize, ShapeMismatch)
-from hankelpf.engines import (det_matrix, flatten_matsumoto, hyperdet,
-                              hyperdet_laplace, hyperdet_via_exterior,
-                              hyperhafnian, hyperpfaffian, minor_tensor,
+from hankelpf.engines import (_row_minors, det_matrix, flatten_matsumoto,
+                              hyperdet, hyperdet_laplace,
+                              hyperdet_via_exterior, hyperhafnian,
+                              hyperpfaffian, minor_tensor,
                               msf_build_Q, msf_lhs, pfaffian,
                               restrict_block_array, subhyperpfaffian)
 from hankelpf.scalars import derive_rng, omega, poly_gen, quadext, unipoly
@@ -132,17 +133,21 @@ def test_hyperdet_three_way_oracle_agreement():
 
 
 def test_hyperdet_laplace_every_row_subset():
-    rng = derive_rng("laplace-all-subsets")
-    A = _random_tensor(rng, 4, 3)
-    d = hyperdet(A)
-    for r in range(4):
-        for subset in itertools.combinations(range(1, 4), r):
-            assert hyperdet_laplace(A, subset) == d
+    # the empty and the full subset included, on every entry kind
+    for kind, m in itertools.product(KINDS, (2, 4)):
+        rng = derive_rng("laplace-all-subsets", kind, str(m))
+        A = _random_tensor(rng, m, 3, kind=kind)
+        d = hyperdet(A)
+        for r in range(4):
+            for subset in itertools.combinations(range(1, 4), r):
+                assert hyperdet_laplace(A, subset) == d
 
 
 def test_hyperdet_laplace_examples():
     A = Tensor.from_matrix([[1, 2], [3, 4]])
     assert hyperdet_laplace(A, (1,)) == -2
+    # a row subset is a set: listing it out of order changes nothing
+    assert hyperdet_laplace(A, (2, 1)) == -2
     D = Tensor.cube(4, 2, {(i, i, i, i): 1 for i in (1, 2)})
     assert hyperdet_laplace(D, (1,)) == 1
     with pytest.raises(BoundsError):
@@ -156,6 +161,28 @@ def test_hyperdet_polynomial_entries():
 
 
 # -------------------------------------------------------------------- minors
+
+def test_row_minors_match_minor_tensor():
+    # every minor sharing one first-axis row set, read off one kernel
+    # pass, against the hyperdeterminant of the copied minor; keys the
+    # pass leaves out must be zero minors
+    for kind, m, l in itertools.product(KINDS, (2, 4), (1, 2, 4)):
+        rng = derive_rng("row-minors", kind, str(m), str(l))
+        ln = l * rng.randint(1, 4 // l) if m == 2 else (3 if l == 1 else l)
+        N = rng.randint(ln, 6 if m == 2 else 4)
+        H = Tensor.from_function((ln,) * (m - 1) + (N,),
+                                 lambda *i: _random_scalar(rng, kind))
+        blocks = list(itertools.combinations(range(1, ln + 1), l))
+        keys = [ic + (K,) for ic in itertools.product(blocks, repeat=m - 2)
+                for K in itertools.combinations(range(1, N + 1), l)]
+        for rows in blocks:
+            table = _row_minors(H, rows)
+            assert set(table) <= set(keys)
+            for key in keys:
+                d = table.get(key, 0)
+                assert d == hyperdet(minor_tensor(H, (rows,) + key))
+                _check_type(d, kind)
+
 
 def test_minor_tensor_examples():
     A = Tensor.from_matrix([[1, 2], [3, 4]])
@@ -255,6 +282,106 @@ def test_pfaffian_squares_to_determinant():
         assert pf ** 2 == det_matrix(rows)
         assert pfaffian(rows) == pf
         _check_type(pf, kind)
+
+
+# ------------------------------------------------ Fraction entries over ints
+
+def _literal_block_sum(entries, l, m, n, signed=True):
+    # the defining sum over m-tuples of ordered partitions, with its 1/n!
+    total = 0
+    for combo in itertools.product(list(enum_block_perms(l, n)), repeat=m):
+        term = Fraction(math.prod(perm_sign(list(itertools.chain(*bp.blocks)))
+                                  for bp in combo) if signed else 1,
+                        math.factorial(n))
+        for k in range(n):
+            key = tuple(bp.blocks[k] if l > 1 else bp.blocks[k][0]
+                        for bp in combo)
+            term = term * entries.get(key, 0)
+        total += term
+    return total
+
+
+# name -> (l, m, n, signed, engine on an entries dict)
+FRACTION_ENGINES = {
+    "det_matrix": (1, 2, 3, True, lambda e: det_matrix(
+        [[e.get((i, j), 0) for j in range(1, 4)] for i in range(1, 4)])),
+    "hyperdet": (1, 4, 3, True, lambda e: hyperdet(Tensor.cube(4, 3, e))),
+    "pfaffian": (2, 1, 3, True, lambda e: pfaffian(
+        {blk: v for (blk,), v in e.items()}, size=6)),
+    "hyperpfaffian": (2, 2, 2, True,
+                      lambda e: hyperpfaffian(BlockArray(2, 2, 4, e))),
+    "hyperhafnian": (2, 2, 2, False,
+                     lambda e: hyperhafnian(BlockArray(2, 2, 4, e))),
+}
+
+
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+# all-Fraction inputs whose terms cancel to zero
+ZERO_BY_CANCELLATION = {
+    "det_matrix": {(i, j): _HALF for i in (1, 2) for j in (1, 2, 3)}
+                  | {(3, 3): _THIRD},
+    "hyperdet": {k: _HALF for k in itertools.product((1, 2), repeat=4)}
+                | {(3, 3, 3, 3): _THIRD},
+    "pfaffian": {((1, 3),): _HALF, ((2, 3),): _HALF, ((1, 4),): 2 * _HALF,
+                 ((2, 4),): 2 * _HALF, ((5, 6),): _THIRD},
+    "hyperpfaffian": {((1, 2), (1, 2)): _HALF, ((3, 4), (3, 4)): _HALF,
+                      ((1, 3), (1, 2)): _HALF, ((2, 4), (3, 4)): _HALF},
+    "hyperhafnian": {((1, 2), (1, 2)): _HALF, ((3, 4), (3, 4)): _HALF,
+                     ((1, 3), (1, 3)): _HALF, ((2, 4), (2, 4)): -_HALF},
+}
+
+
+def _all_keys(l, m, n):
+    if l == 1:
+        return list(itertools.product(range(1, n + 1), repeat=m))
+    blocks = list(itertools.combinations(range(1, l * n + 1), l))
+    return list(itertools.product(blocks, repeat=m))
+
+
+@pytest.mark.parametrize("name", sorted(FRACTION_ENGINES))
+def test_fraction_entries_value_and_type(name):
+    l, m, n, signed, engine = FRACTION_ENGINES[name]
+    keys = _all_keys(l, m, n)
+    rng = derive_rng("fraction-contract", name)
+    for trial in range(4):
+        # mixed denominators; the trial-1 entries are all whole, so the
+        # value is whole and must still come back as a Fraction
+        entries = {k: Fraction(rng.randint(-4, 4),
+                               1 if trial == 1 else rng.choice((1, 2, 3, 6)))
+                   for k in keys}
+        entries = {k: v for k, v in entries.items() if v}
+        value = engine(entries)
+        assert value == _literal_block_sum(entries, l, m, n, signed)
+        assert type(value) is Fraction
+    # a value that cancels to zero is still a Fraction
+    zero = ZERO_BY_CANCELLATION[name]
+    value = engine(zero)
+    assert value == 0 == _literal_block_sum(zero, l, m, n, signed)
+    assert type(value) is Fraction
+    # no partition has all of its entries present: plain int 0
+    assert type(engine({keys[0]: Fraction(1, 2)})) is int
+    assert engine({keys[0]: Fraction(1, 2)}) == 0
+    # int entries stay int
+    ints = {k: rng.randint(-4, 4) or 1 for k in keys}
+    value = engine(ints)
+    assert value == _literal_block_sum(ints, l, m, n, signed)
+    assert type(value) is int
+
+
+def test_mixed_int_fraction_entries_keep_their_type():
+    # mixed entries are expanded as they are: a term with a Fraction
+    # factor makes the sum a Fraction, int-only terms stay int
+    half = Fraction(1, 2)
+    assert type(det_matrix([[half, 1], [1, 2]])) is Fraction
+    assert det_matrix([[half, 1], [1, 2]]) == 0
+    assert type(det_matrix([[1, half], [0, 3]])) is int
+    assert det_matrix([[1, half], [0, 3]]) == 3
+    assert type(pfaffian({(1, 2): 2, (3, 4): 3, (1, 3): half})) is int
+    assert type(pfaffian({(1, 2): 2, (3, 4): 3, (2, 4): half,
+                          (1, 3): 4})) is Fraction
+    B = BlockArray(2, 2, 4, {((1, 2), (1, 2)): 2, ((3, 4), (3, 4)): half})
+    assert hyperpfaffian(B) == 1 and type(hyperpfaffian(B)) is Fraction
+    assert hyperhafnian(B) == 1 and type(hyperhafnian(B)) is Fraction
 
 
 # ------------------------------------------------- hyperpfaffian / hafnian

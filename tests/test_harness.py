@@ -14,6 +14,7 @@ from hankelpf.harness import (CheckParams, all_identities,
                               filter_identities, get_identity,
                               report_from_json, run_check, run_suite,
                               suite_exit_code, summarize)
+from hankelpf.harness import suite
 from hankelpf.harness.cli import coerce_param, main
 from hankelpf.harness.registry import GATING_STATUSES, STATUSES
 from hankelpf.harness.reports import REPORT_KEYS, dump_reports
@@ -184,6 +185,71 @@ def test_suite_json_document():
         ["rs-moment-u", "bf-u-integral"]
     assert set(doc["summary"].keys()) == \
         {"verified", "failed", "conjecture_ranges"}
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps
+    in-process, so no worker is ever started."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    monkeypatch.setattr(suite, "ProcessPoolExecutor", _RecordingPool)
+    return _RecordingPool.made
+
+
+def test_run_suite_caps_workers(recording_pool, monkeypatch):
+    monkeypatch.setattr(suite, "run_check", lambda p: p.identity)
+    monkeypatch.setattr(suite.os, "cpu_count", lambda: 8)
+    # one task runs serially whatever --jobs says
+    assert run_suite(filter_tag="ahk", jobs=64) == ["ahk"]
+    assert recording_pool == []
+    # never more workers than tasks
+    assert run_suite(filter_tag="numeric", jobs=64) == \
+        ["rs-moment-u", "bf-u-integral"]
+    assert recording_pool == [2]
+    # never more workers than CPUs; one CPU (or an unknown count) is serial
+    for cpus in (1, None):
+        monkeypatch.setattr(suite.os, "cpu_count", lambda: cpus)
+        run_suite(filter_tag="numeric", jobs=2)
+    assert recording_pool == [2]
+    # the full grid keeps the two workers it asks for
+    monkeypatch.setattr(suite.os, "cpu_count", lambda: 2)
+    ids = run_suite(level="full", jobs=2)
+    assert ids == [p.identity for p in suite.suite_tasks(level="full")]
+    assert recording_pool == [2, 2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_suite_rejects_nonpositive_jobs(recording_pool, capsys, jobs):
+    assert main(["suite", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("hpf: BoundsError:")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert recording_pool == []
+
+
+def test_suite_reports_identical_across_jobs():
+    # a real pool of at most two workers
+    serial = run_suite(level="smoke", filter_tag="structural", jobs=1)
+    pooled = run_suite(level="smoke", filter_tag="structural", jobs=2)
+    assert dump_reports(pooled, summarize(pooled)) == \
+        dump_reports(serial, summarize(serial))
 
 
 def test_gating_statuses():
