@@ -2,13 +2,16 @@
 Rogers-Szego entries, the moment-polynomial recurrence, the ternary-tree
 Pfaffian conjectures, and floating-point checks of the two biorthogonal
 integral evaluations on [a, 1].
+Their loop-invariant work is hoisted out of the per-point and per-pair
+loops without changing a single float.
 """
 
 import math
 from fractions import Fraction
 
 from ..engines import pfaffian
-from ..qcalc import delta_product, q_binomial, q_pochhammer
+from ..errors import UnsupportedArgument
+from ..qcalc import q_binomial, q_pochhammer, q_powers
 from ..scalars import poly_gen
 from ..sequences import (ftilde, ftilde_recurrence,
                          gx_hypergeometric_series, rogers_szego,
@@ -169,34 +172,68 @@ def check_gx_defs(params, rng, opts):
 
 # -------------------------------------------------------- numeric integrals
 
-def _jackson_atoms(a, q, K):
-    """Support points and weights of the two-sided Jackson sum on [a, 1],
-    truncated after K powers of q, as floats."""
-    atoms = []
-    power = 1.0
-    for _ in range(K + 1):
-        atoms.append((power, (1.0 - q) * power))
-        atoms.append((a * power, -a * (1.0 - q) * power))
-        power *= q
-    return atoms
+def _float_params(params, defaults):
+    """The float checks' parameters: a and q exact, then as floats under
+    "af" and "qf". Bad values raise UnsupportedArgument before any work
+    starts."""
+    out = dict(defaults)
+    out.update((key, params[key]) for key in defaults if key in params)
+    try:
+        a, q = Fraction(out["a"]), Fraction(out["q"])
+        af, qf = float(a), float(q)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UnsupportedArgument(f"a and q must be rational: {exc}") \
+            from None
+    if af == 0.0:
+        raise UnsupportedArgument("the [a, 1] weight divides by a; "
+                                  f"got a = {a}")
+    if not 0 < q < 1:
+        raise UnsupportedArgument(f"need 0 < q < 1, got q = {q}")
+    for key, value in out.items():
+        if key not in ("a", "q") and (not isinstance(value, int)
+                                      or value < 0):
+            raise UnsupportedArgument(
+                f"{key} must be a non-negative integer, got {value!r}")
+    out.update(a=a, q=q, af=af, qf=qf)
+    return out
 
 
-def _weight_u(x, a, q, nfactors=400):
-    """Truncation of the biorthogonality weight
+def _weighted_atoms(a, q, K, nfactors=400):
+    """Support points and weights, as two lists of floats, of the
+    two-sided Jackson sum on [a, 1] truncated after K powers of q, each
+    weight multiplied by a truncation of the biorthogonality weight
     (qx;q)_inf (qx/a;q)_inf / ((1-a) (q;q)_inf (aq;q)_inf (q/a;q)_inf).
 
     The (1-a) makes the weight integrate to exactly (1-q) over [a, 1],
     which is what the moment identity needs; the two-product Jackson
     integral evaluates to (1-q)(1-a) times the three infinite products.
+    The x-independent denominator is formed once, and the numerators of
+    all points advance together one factor at a time, each product taken
+    in the order of the per-point formula, so every weight is the same
+    float. A vanishing denominator (a = 1 or a = q^j) raises
+    UnsupportedArgument.
     """
-    num = 1.0
+    ps = [1.0]
+    for _ in range(nfactors - 1):
+        ps.append(ps[-1] * q)
     den = 1.0 - a
-    p = 1.0
-    for _ in range(nfactors):
-        num *= (1.0 - q * x * p) * (1.0 - q * x / a * p)
+    for p in ps:
         den *= (1.0 - q * p) * (1.0 - a * q * p) * (1.0 - q / a * p)
-        p *= q
-    return num / den
+    if den == 0.0:
+        raise UnsupportedArgument(f"the [a, 1] weight has a pole at a = {a}")
+    xs, ws = [], []
+    power = 1.0
+    for _ in range(K + 1):
+        xs += [power, a * power]
+        ws += [(1.0 - q) * power, -a * (1.0 - q) * power]
+        power *= q
+    qxs = [q * x for x in xs]
+    qxas = [qx / a for qx in qxs]
+    nums = [1.0] * len(xs)
+    for p in ps:
+        nums = [num * ((1.0 - qx * p) * (1.0 - qxa * p))
+                for num, qx, qxa in zip(nums, qxs, qxas)]
+    return xs, [w * (num / den) for w, num in zip(ws, nums)]
 
 
 def _relerr(got, want):
@@ -207,17 +244,14 @@ def _relerr(got, want):
 def check_rs_moment_u(params, rng, opts):
     """Moments of the discrete weight on [a, 1] against (1-q) times the
     Rogers-Szego polynomial, in floating point."""
-    a = Fraction(params.get("a", Fraction(-1, 2)))
-    q = Fraction(params.get("q", Fraction(1, 2)))
-    max_m = params.get("max_m", 4)
-    K = params.get("K", 200)
-    af, qf = float(a), float(q)
-    atoms = [(x, w * _weight_u(x, af, qf)) for x, w in
-             _jackson_atoms(af, qf, K)]
+    p = _float_params(params, {"a": Fraction(-1, 2), "q": Fraction(1, 2),
+                               "max_m": 4, "K": 200})
+    a, q, max_m = p["a"], p["q"], p["max_m"]
+    xs, ws = _weighted_atoms(p["af"], p["qf"], p["K"])
     worst = 0.0
     lhs = rhs = 0.0
     for m in range(max_m + 1):
-        lhs = math.fsum(w * x ** m for x, w in atoms)
+        lhs = math.fsum(w * x ** m for x, w in zip(xs, ws))
         poly = rogers_szego("F", m, q)
         value = poly.evaluate(a) if hasattr(poly, "evaluate") else poly
         rhs = float((1 - q) * value)
@@ -227,29 +261,40 @@ def check_rs_moment_u(params, rng, opts):
                    f"max relative error {worst:.2e} over m<={max_m}")
 
 
+def _d2_rows(xs, q, k):
+    """For each x1 in xs, the list of delta_product((x1, x2), q, k, "D2")
+    over x2 in xs, as floats.
+
+    Each pair factor x1 - q^v x2 is rounded exactly as delta_product
+    rounds it, and the factors multiply left to right in the same v
+    order, so every value is the same float; q^v x2 is formed once per
+    point rather than once per pair.
+    """
+    cols = [[p * x2 for x2 in xs]
+            for p in q_powers(q, -k + 1, k + 1).values()]
+    for x1 in xs:
+        row = [1] * len(xs)
+        for col in cols:
+            row = [d * (x1 - c) for d, c in zip(row, col)]
+        yield row
+
+
 def check_bf_u_integral(params, rng, opts):
     """The n-fold interaction integral of the [a, 1] weight against its
     closed form, in floating point."""
-    a = Fraction(params.get("a", Fraction(-1, 2)))
-    q = Fraction(params.get("q", Fraction(1, 2)))
-    n = params.get("n", 2)
-    k = params.get("k", 1)
-    K = params.get("K", 200)
-    af, qf = float(a), float(q)
-    atoms = [(x, w * _weight_u(x, af, qf)) for x, w in
-             _jackson_atoms(af, qf, K)]
+    p = _float_params(params, {"a": Fraction(-1, 2), "q": Fraction(1, 2),
+                               "n": 2, "k": 1, "K": 200})
+    a, q, n, k = p["a"], p["q"], p["n"], p["k"]
+    if n not in (1, 2):
+        raise UnsupportedArgument(f"float check supports n in {{1, 2}}, "
+                                  f"got n = {n}")
+    xs, ws = _weighted_atoms(p["af"], p["qf"], p["K"])
     if n == 1:
-        lhs = math.fsum(w for _, w in atoms)
-    elif n == 2:
-        parts = []
-        for x1, w1 in atoms:
-            row = math.fsum(
-                w2 * delta_product((x1, x2), qf, k, "D2")
-                for x2, w2 in atoms)
-            parts.append(w1 * row)
-        lhs = math.fsum(parts)
+        lhs = math.fsum(ws)
     else:
-        raise KeyError("float check supports n in {1, 2}")
+        lhs = math.fsum(
+            w1 * math.fsum([w2 * d for w2, d in zip(ws, row)])
+            for w1, row in zip(ws, _d2_rows(xs, p["qf"], k)))
     pref = ((1 - q) ** n * (-a) ** (k * n * (n - 1) // 2)
             * _int_qpow(q, k * k * math.comb(n, 3)
                         - (k * (k - 1) // 2) * math.comb(n, 2)))
@@ -259,5 +304,5 @@ def check_bf_u_integral(params, rng, opts):
     rhs = float(pref * prod)
     err = _relerr(lhs, rhs)
     status = "numeric-pass" if err <= opts.tolerance else "numeric-fail"
-    return Outcome(status, lhs, rhs, len(atoms) ** n,
+    return Outcome(status, lhs, rhs, len(xs) ** n,
                    f"relative error {err:.2e}")

@@ -3,7 +3,10 @@ measures, and beta-type integral closed forms.
 
 Everything is exact except the two numeric quadratures, which truncate
 infinite q-grids and raise NonconvergentTail when the dropped tail is
-not demonstrably small.
+not demonstrably small. The exact q-Selberg integral (askey_lhs_exact)
+expands only its pair part and integrates the one-variable factors
+coordinate by coordinate. q_powers is the one table of q^v, v of
+either sign, that delta_product and its fast float loops share.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ from .tensors import BlockArray
 
 __all__ = [
     "q_pochhammer", "q_binomial",
-    "jackson_monomial", "jackson_poly_exact",
+    "jackson_monomial",
     "jackson_numeric", "jackson_two_sided_numeric",
     "DiscreteMeasure", "measure_to_json", "measure_from_json",
     "discrete_moment", "discrete_cube_integral", "discrete_ordered_integral",
     "mp_const", "mp_monomial", "mp_mul", "mp_pow",
-    "delta_product",
+    "q_powers", "delta_product",
     "SelbergParams", "selberg_closed", "selberg_bruteforce",
     "aomoto_closed", "aomoto_bruteforce", "selberg_phi_bridge",
     "askey_A_n", "askey_lhs_exact",
@@ -107,28 +110,6 @@ def jackson_monomial(a, q, m: int):
     if denom == 0:
         raise GeometricPole(f"q^{m + 1} = 1 makes the geometric sum diverge")
     return sdiv(a ** (m + 1) * (1 - q), denom)
-
-
-def jackson_poly_exact(p, a, q):
-    """Termwise n-fold Jackson integral of a polynomial over [0, a]^n.
-
-    p is either a constant or a dict mapping exponent tuples to
-    coefficients; the tuple length fixes the number of variables.
-    """
-    if not isinstance(p, dict):
-        p = {(0,): p}
-    if not p:
-        return 0
-    cache = {}
-    total = 0
-    for exps in sorted(p):
-        term = p[exps]
-        for m in exps:
-            if m not in cache:
-                cache[m] = jackson_monomial(a, q, m)
-            term = term * cache[m]
-        total = total + term
-    return total
 
 
 def jackson_numeric(f, a: float, q: float, K: int = 200, tol: float = 1e-8):
@@ -295,6 +276,11 @@ def mp_pow(p, e: int):
 # Delta products
 # --------------------------------------------------------------------------
 
+def q_powers(q, lo: int, hi: int) -> dict:
+    """The table {v: q^v} for lo <= v < hi; negative powers divide exactly."""
+    return {v: _signed_power(q, v) for v in range(lo, hi)}
+
+
 def _delta0(xs, q, k):
     total = 1
     for i in range(len(xs)):
@@ -329,8 +315,7 @@ def delta_product(x, q, k: int, variant: str):
         return sdiv(total, math.factorial(n))
     if variant == "D1":
         total = 1
-        powers = {v: _signed_power(q, v) for v in range(-k + 1, k)} if k \
-            else {}
+        powers = q_powers(q, -k + 1, k)
         for i in range(n):
             for j in range(i + 1, n):
                 for v in range(k):
@@ -339,7 +324,7 @@ def delta_product(x, q, k: int, variant: str):
         return total
     if variant == "D2":
         total = 1
-        powers = {v: _signed_power(q, v) for v in range(-k + 1, k + 1)}
+        powers = q_powers(q, -k + 1, k + 1)
         for i in range(n):
             for j in range(i + 1, n):
                 for v in range(-k + 1, k + 1):
@@ -542,12 +527,25 @@ def askey_A_n(n: int, x: int, y: int, k: int, q):
     return sdiv(num, den)
 
 
-def askey_lhs_exact(n: int, x: int, y: int, k: int, q):
-    """Exact n-fold Jackson integral of the q-Selberg integrand.
+def _linear_product(cs):
+    """Coefficients of prod_c (1 - c t), lowest power of t first."""
+    out = [1]
+    for c in cs:
+        out = [a - c * b for a, b in zip(out + [0], [0] + out)]
+    return out
 
-    The integrand expands to a genuine polynomial: the pair part is
-    prod_{i<j} prod_{v=1-k..k} (t_i - q^v t_j) and each coordinate
-    carries t^(x-1) (tq;q)_{y-1}.
+
+def askey_lhs_exact(n: int, x: int, y: int, k: int, q):
+    """Exact n-fold Jackson integral over [0, 1]^n of the q-Selberg
+    integrand Pair(t) prod_i u(t_i).
+
+    Only the pair part prod_{i<j} prod_{v=1-k..k} (t_i - q^v t_j) is
+    expanded into monomials c_e t^e, one pair factor
+    sum_r P_r t_i^(2k-r) t_j^r at a time. The one-variable factor
+    u(t) = t^(x-1) (tq;q)_{y-1} = sum_j u_j t^(x-1+j) never is: each
+    monomial integrates coordinate by coordinate, so the integral is
+    sum_e c_e prod_i L(e_i) with L(e) = sum_j u_j J(e + x - 1 + j) and
+    J(m) the Jackson integral of t^m over [0, 1].
     """
     n = _positive_int(n, "n")
     x = _positive_int(x, "x")
@@ -556,24 +554,27 @@ def askey_lhs_exact(n: int, x: int, y: int, k: int, q):
     if n > 3 or k > 2:
         raise SizeBudgetExceeded(
             f"exact expansion capped at n=3, k=2; got n={n}, k={k}")
-    poly = mp_const(n, 1)
+    P = _linear_product(q_powers(q, -k + 1, k + 1).values())
+    pair = mp_const(n, 1)
     for i in range(n):
         for j in range(i + 1, n):
-            ei = tuple(1 if t == i else 0 for t in range(n))
-            ej = tuple(1 if t == j else 0 for t in range(n))
-            for v in range(-k + 1, k + 1):
-                poly = mp_mul(poly, {ei: 1, ej: -_signed_power(q, v)})
-    zero = (0,) * n
-    for i in range(n):
-        ei = tuple(1 if t == i else 0 for t in range(n))
-        if x > 1:
-            poly = mp_mul(poly, mp_monomial(
-                tuple((x - 1) * e for e in ei), 1))
-        qs = 1
-        for _ in range(1, y):
-            qs = qs * q
-            poly = mp_mul(poly, {zero: 1, ei: -qs})
-    return jackson_poly_exact(poly, 1, q)
+            factor = {}
+            for r, c in enumerate(P):
+                exps = [0] * n
+                exps[i], exps[j] = 2 * k - r, r
+                factor[tuple(exps)] = c
+            pair = mp_mul(pair, factor)
+    u = _linear_product(q ** s for s in range(1, y))
+    top = 2 * k * (n - 1)   # highest power of one variable in the pair part
+    J = [jackson_monomial(1, q, m) for m in range(x + top + y - 1)]
+    L = [sum(uj * J[e + x - 1 + j] for j, uj in enumerate(u))
+         for e in range(top + 1)]
+    total = 0
+    for exps, term in pair.items():
+        for e in exps:
+            term = term * L[e]
+        total = total + term
+    return total
 
 
 @dataclass(frozen=True)

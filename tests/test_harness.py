@@ -14,10 +14,11 @@ from hankelpf.harness import (CheckParams, all_identities,
                               filter_identities, get_identity,
                               report_from_json, run_check, run_suite,
                               suite_exit_code, summarize)
-from hankelpf.harness import suite
+from hankelpf.harness import checks_qpoly, suite
 from hankelpf.harness.cli import coerce_param, main
 from hankelpf.harness.registry import GATING_STATUSES, STATUSES
 from hankelpf.harness.reports import REPORT_KEYS, dump_reports
+from hankelpf.qcalc import delta_product
 
 # the ids the battery must cover, grouped the way the layers stack
 CORE_IDS = [
@@ -403,3 +404,54 @@ def test_cli_verify_negative_size(capsys):
 def test_cli_bad_param_syntax(capsys):
     assert main(["verify", "motzkin-pf", "--param", "n3"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("identity,param", [
+    ("bf-u-integral", "n=3"), ("bf-u-integral", "n=0"),
+    ("bf-u-integral", "a=0"), ("rs-moment-u", "a=0"),
+    ("bf-u-integral", "K=-1"), ("rs-moment-u", "K=-1"),
+    ("bf-u-integral", "q=2"), ("rs-moment-u", "q=2"),
+    ("rs-moment-u", "max_m=-1"), ("bf-u-integral", "a=1"),
+])
+def test_cli_float_checks_reject_bad_input(capsys, identity, param):
+    assert main(["verify", identity, "--param", param]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("hpf: UnsupportedArgument:")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def _per_point_weight(x, a, q, nfactors=400):
+    # the [a, 1] weight as a per-point product, denominator included
+    num = 1.0
+    den = 1.0 - a
+    p = 1.0
+    for _ in range(nfactors):
+        num *= (1.0 - q * x * p) * (1.0 - q * x / a * p)
+        den *= (1.0 - q * p) * (1.0 - a * q * p) * (1.0 - q / a * p)
+        p *= q
+    return num / den
+
+
+def test_weighted_atoms_match_per_point_formula():
+    for a, q, K in ((-0.5, 0.5, 200), (-2 / 3, 1 / 3, 60), (0.3, 0.7, 40)):
+        atoms = []
+        power = 1.0
+        for _ in range(K + 1):
+            atoms.append((power, (1.0 - q) * power))
+            atoms.append((a * power, -a * (1.0 - q) * power))
+            power *= q
+        want = [(x, w * _per_point_weight(x, a, q)) for x, w in atoms]
+        assert list(zip(*checks_qpoly._weighted_atoms(a, q, K))) == want
+
+
+def test_d2_rows_match_delta_product():
+    # q = 1/2 is the registered case; at a = -2/3, q = 1/3 the pair
+    # factors round, so a change in their order would show
+    for a, q in ((-0.5, 0.5), (-2 / 3, 1 / 3)):
+        xs, _ = checks_qpoly._weighted_atoms(a, q, 10)
+        for k in (1, 2):
+            rows = list(checks_qpoly._d2_rows(xs, q, k))
+            assert len(rows) == len(xs)
+            for x1, row in zip(xs, rows):
+                assert row == [delta_product((x1, x2), q, k, "D2")
+                               for x2 in xs]

@@ -20,11 +20,11 @@ from hankelpf.qcalc import (DiscreteMeasure, QJacobiParams, SelbergParams,
                             debruijn_ordered_integral, delta_product,
                             discrete_cube_integral, discrete_moment,
                             discrete_ordered_integral, jackson_monomial,
-                            jackson_numeric, jackson_poly_exact,
-                            jackson_two_sided_numeric, lqj_moment,
-                            measure_from_json, measure_to_json, mp_const,
-                            mp_monomial, mp_mul, mp_pow, q_binomial,
-                            q_pochhammer, selberg_bruteforce, selberg_closed,
+                            jackson_numeric, jackson_two_sided_numeric,
+                            lqj_moment, measure_from_json, measure_to_json,
+                            mp_const, mp_monomial, mp_mul, mp_pow,
+                            q_binomial, q_pochhammer, q_powers,
+                            selberg_bruteforce, selberg_closed,
                             selberg_phi_bridge)
 from hankelpf.scalars import (HalfGamma, derive_rng, gamma_exact, poly_gen,
                               q_gamma_int, sdiv)
@@ -128,14 +128,6 @@ def test_jackson_monomial_pole():
         jackson_monomial(1, -1, 1)  # q^2 = 1
 
 
-def test_jackson_poly_exact_examples():
-    assert jackson_poly_exact(1, A, F(1, 3)) == A
-    assert jackson_poly_exact({}, 1, Q) == 0
-    assert jackson_poly_exact({(1, 1): 1}, 1, Q) == sdiv(1, (1 + Q) ** 2)
-    p = mp_mul({(1, 0): 1, (0, 1): -1}, {(1, 0): 1, (0, 1): -Q})
-    assert jackson_poly_exact(p, 1, Q) == sdiv(Q, (1 + Q) * (1 + Q + Q ** 2))
-
-
 def test_jackson_numeric_matches_exact():
     assert abs(jackson_numeric(lambda t: 1.0, 1.0, 0.5, K=60) - 1) < 1e-12
     assert abs(jackson_numeric(lambda t: t, 1.0, 0.5, K=60) - 2 / 3) < 1e-12
@@ -211,6 +203,32 @@ def test_delta_basic_values():
         delta_product([F(0), F(1)], F(1, 2), 1, "D0")
     with pytest.raises(UnsupportedArgument):
         delta_product([F(1), F(2)], F(1, 2), 1, "D7")
+
+
+def test_q_powers_table():
+    assert q_powers(F(2, 3), -2, 3) == {-2: F(9, 4), -1: F(3, 2), 0: 1,
+                                        1: F(2, 3), 2: F(4, 9)}
+    assert q_powers(Q, 1, 1) == {}
+
+
+def test_delta_d1_d2_literal_products():
+    # the docstring's products written out, on Fraction, UniPoly and
+    # float points, k = 0 included
+    cases = [([F(3), F(5, 2), F(-1, 3)], F(2, 7)),
+             ([Q, 2 * Q + 1, Q ** 2], Q),
+             ([0.75, -0.5, 0.125], 0.5)]
+    for xs, q in cases:
+        for k in (0, 1, 2):
+            d1 = d2 = 1
+            for i, j in itertools.combinations(range(3), 2):
+                for v in range(k):
+                    d1 = d1 * (xs[j] - q ** v * xs[i])
+                    d1 = d1 * (xs[j] - sdiv(1, q ** v) * xs[i])
+                for v in range(-k + 1, k + 1):
+                    qv = q ** v if v >= 0 else sdiv(1, q ** -v)
+                    d2 = d2 * (xs[i] - qv * xs[j])
+            assert delta_product(xs, q, k, "D1") == d1
+            assert delta_product(xs, q, k, "D2") == d2
 
 
 def test_delta_symmetrization_closed_form():
@@ -434,6 +452,38 @@ def test_askey_identity_rational_grid():
                     pref = q ** (k * x * math.comb(n, 2)
                                  + 2 * k * k * math.comb(n, 3))
                     assert lhs == pref * askey_A_n(n, x, y, k, q)
+
+
+def _askey_full_expansion(n, x, y, k, q):
+    """The q-Selberg integral with the whole integrand multiplied out,
+    then integrated monomial by monomial."""
+    unit = [tuple(int(t == i) for t in range(n)) for i in range(n)]
+    zero = (0,) * n
+    poly = mp_const(n, 1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for v in range(-k + 1, k + 1):
+                poly = mp_mul(poly, {unit[i]: 1, unit[j]: -(q ** v)})
+    for i in range(n):
+        poly = mp_mul(poly, mp_monomial(
+            tuple((x - 1) * e for e in unit[i]), 1))
+        for s in range(1, y):
+            poly = mp_mul(poly, {zero: 1, unit[i]: -(q ** s)})
+    total = 0
+    for exps, c in poly.items():
+        for m in exps:
+            c = c * jackson_monomial(1, q, m)
+        total = total + c
+    return total
+
+
+def test_askey_lhs_matches_full_expansion():
+    for q in (F(1, 2), F(3, 7), F(8, 13)):
+        for n, k, x, y in itertools.product((1, 2, 3), (1, 2), (1, 2, 3),
+                                            (1, 2, 3)):
+            got = askey_lhs_exact(n, x, y, k, q)
+            want = _askey_full_expansion(n, x, y, k, q)
+            assert got == want and type(got) is type(want), (n, k, x, y, q)
 
 
 def test_lqj_moment_values():
