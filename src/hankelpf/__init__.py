@@ -5,7 +5,7 @@ The subpackages build on each other in this order:
 
     scalars     exact coefficient arithmetic (Fraction and friends)
     blocks      ordered set partitions, signs, block permutations
-    tensors     dense tensors, antisymmetric block arrays, JSON IO
+    tensors     dense tensors, antisymmetric block arrays, JSON readers
     engines     hyperdeterminants, (hyper)pfaffians, minor summation
     qcalc       q-Pochhammer, Jackson integrals, Selberg/Aomoto values
     sequences   Narayana polynomials, lattice-path sequences, 2F1

@@ -61,20 +61,6 @@ def perm_sign(word) -> int:
     return sign
 
 
-def complement_with_sign(subset, n: int):
-    """([n] minus subset, (-1)^(sum of the subset's elements))."""
-    subset = tuple(subset)
-    chosen = set()
-    total = 0
-    for j in subset:
-        if not isinstance(j, int) or not 1 <= j <= n or j in chosen:
-            raise BoundsError(f"{subset} is not a subset of [{n}]")
-        chosen.add(j)
-        total += j
-    rest = tuple(j for j in range(1, n + 1) if j not in chosen)
-    return rest, (-1) ** (total & 1)
-
-
 def _tail_inversions(block, rest) -> int:
     """Inversions between a sorted block and the sorted pool after it."""
     count = 0

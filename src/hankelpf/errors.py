@@ -29,10 +29,6 @@ class ZeroConstantDenominator(HpfError, ZeroDivisionError):
     """series_div requires a denominator with nonzero constant term."""
 
 
-class ExhaustedAfterKRetries(HpfError):
-    """The rational sampler could not satisfy the avoid-predicate."""
-
-
 class UnsupportedArgument(HpfError, ValueError):
     """Argument outside the supported exact domain (e.g. gamma at 1/3)."""
 
@@ -91,10 +87,6 @@ class GeometricPole(HpfError, ZeroDivisionError):
     """Jackson integral of x^m with q^(m+1) = 1."""
 
 
-class NonconvergentTail(HpfError):
-    """Truncated numeric sum whose tail estimate exceeds tolerance."""
-
-
 class ZeroCoordinate(HpfError, ZeroDivisionError):
     """Delta-product variant dividing by a zero coordinate."""
 
@@ -119,10 +111,6 @@ class ZeroDenominatorBinomial(HpfError, ZeroDivisionError):
 
 class ZeroQForG(HpfError, ZeroDivisionError):
     """The G-type Rogers-Szego polynomial needs q invertible."""
-
-
-class ZeroT(HpfError, ZeroDivisionError):
-    """gtilde needs t invertible."""
 
 
 class NonTerminating(HpfError, ValueError):

@@ -7,16 +7,11 @@ three r-general displays, and the generating-function layer.
 import math
 from fractions import Fraction
 
-from ..scalars import omega, poly_gen, sqrt2
+from ..scalars import omega, poly_at, poly_gen, sqrt2
 from ..sequences import (narayana_gf_series, narayana_poly,
                          omega_specialization, phi_product, sequence_value)
 from .common import (Outcome, factorial_tower, narayana_block_pf,
                      outcome_all, outcome_eq, rand_fraction, seq_pfaffian)
-
-
-def _nar_at(X, n, a):
-    poly = narayana_poly(X, n)
-    return poly.evaluate(a) if hasattr(poly, "evaluate") else poly
 
 
 def _tail_sum(n, m2, t0, b0, base):
@@ -283,7 +278,7 @@ def check_gf_narayana(params, rng, opts):
     series = narayana_gf_series(X, a, order)
     pairs = []
     for k in range(order + 1):
-        pairs.append((series[k], _nar_at(X, k, a)))
+        pairs.append((series[k], poly_at(narayana_poly(X, k), a)))
     return outcome_all(pairs, note=f"a = {a}")
 
 
@@ -293,22 +288,22 @@ def check_special(params, rng, opts):
     max_n = params.get("max_n", 10)
     pairs = []
     if which == "cat":
-        pairs = [(_nar_at("A", k, Fraction(1)), sequence_value("catalan", k))
-                 for k in range(max_n + 1)]
+        pairs = [(poly_at(narayana_poly("A", k), Fraction(1)),
+                  sequence_value("catalan", k)) for k in range(max_n + 1)]
     elif which == "sch":
-        pairs = [(_nar_at("A", k, Fraction(2)),
+        pairs = [(poly_at(narayana_poly("A", k), Fraction(2)),
                   sequence_value("schroeder", k)) for k in range(max_n + 1)]
     elif which == "cbc":
-        pairs = [(_nar_at("B", k, Fraction(1)), sequence_value("cbc", k))
-                 for k in range(max_n + 1)]
+        pairs = [(poly_at(narayana_poly("B", k), Fraction(1)),
+                  sequence_value("cbc", k)) for k in range(max_n + 1)]
     elif which == "del":
-        pairs = [(_nar_at("B", k, Fraction(2)),
+        pairs = [(poly_at(narayana_poly("B", k), Fraction(2)),
                   sequence_value("delannoy", k)) for k in range(max_n + 1)]
     elif which == "dcount":
-        pairs = [(_nar_at("D", k, Fraction(1)),
+        pairs = [(poly_at(narayana_poly("D", k), Fraction(1)),
                   (3 * k - 2) * sequence_value("catalan", k - 1))
                  for k in range(2, max_n + 1)]
-        pairs.append((_nar_at("D", 1, Fraction(1)), 1))
+        pairs.append((poly_at(narayana_poly("D", 1), Fraction(1)), 1))
     elif which == "motzkin":
         pairs = [(omega_specialization("motzkin", k),
                   sequence_value("motzkin", k)) for k in range(max_n + 1)]

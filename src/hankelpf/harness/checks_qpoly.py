@@ -12,7 +12,7 @@ from fractions import Fraction
 from ..engines import pfaffian
 from ..errors import UnsupportedArgument
 from ..qcalc import q_binomial, q_pochhammer, q_powers
-from ..scalars import poly_gen
+from ..scalars import poly_at, poly_gen
 from ..sequences import (ftilde, ftilde_recurrence,
                          gx_hypergeometric_series, rogers_szego,
                          sequence_value)
@@ -41,9 +41,8 @@ def check_asc(params, rng, opts):
     kept symbolic in a and spot-checked at random rational q."""
     variant, n = params["variant"], params["n"]
     a = poly_gen("a")
-    trials = max(1, opts.trials)
     lhs = rhs = None
-    for _ in range(trials):
+    for _ in range(opts.trials):
         q = rand_q(rng)
         base = a ** (n * (n - 1))
         for k in range(1, n + 1):
@@ -71,7 +70,7 @@ def check_asc(params, rng, opts):
         if not lhs == rhs:
             return Outcome("counterexample", lhs, rhs, n, f"q = {q}")
     return Outcome("verified", lhs, rhs, n,
-                   f"symbolic in a at {trials} random rational q")
+                   f"symbolic in a at {opts.trials} random rational q")
 
 
 def check_ftilde_rec(params, rng, opts):
@@ -79,7 +78,7 @@ def check_ftilde_rec(params, rng, opts):
     recurrence, at random rational parameter values."""
     max_i = params.get("max_i", 6)
     pairs = []
-    for _ in range(max(1, opts.trials)):
+    for _ in range(opts.trials):
         t = rand_fraction(rng, lo=-2, hi=2, den=5,
                           avoid=lambda v: v == 0)
         for i in range(max_i + 1):
@@ -142,7 +141,7 @@ def check_gx(params, rng, opts):
     """Conjectured Hankel-type Pfaffian evaluation for one of the five
     ternary-tree sequences; reports the verified range of n."""
     i = params["index"]
-    max_n = opts.max_n or params.get("max_n", 3)
+    max_n = params.get("max_n", 3)
     shift = _GX_SHIFT[i]
     good = 0
     lhs = rhs = Fraction(1)
@@ -252,9 +251,7 @@ def check_rs_moment_u(params, rng, opts):
     lhs = rhs = 0.0
     for m in range(max_m + 1):
         lhs = math.fsum(w * x ** m for x, w in zip(xs, ws))
-        poly = rogers_szego("F", m, q)
-        value = poly.evaluate(a) if hasattr(poly, "evaluate") else poly
-        rhs = float((1 - q) * value)
+        rhs = float((1 - q) * poly_at(rogers_szego("F", m, q), a))
         worst = max(worst, _relerr(lhs, rhs))
     status = "numeric-pass" if worst <= opts.tolerance else "numeric-fail"
     return Outcome(status, lhs, rhs, max_m + 1,

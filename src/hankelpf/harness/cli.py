@@ -76,7 +76,7 @@ def _cmd_verify(args):
     params.update(_parse_param_overrides(args.param))
     p = CheckParams(identity=spec.id, params=params, seed=args.seed,
                     trials=args.trials, tolerance=args.tolerance,
-                    max_n=args.max_n, timing=args.timing)
+                    timing=args.timing)
     report = run_check(p)
     print(format_report_line(report))
     if args.json:
@@ -158,7 +158,6 @@ def build_parser():
                           help="override a parameter (repeatable)")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=5)
-    p_verify.add_argument("--max-n", type=int, default=0, dest="max_n")
     p_verify.add_argument("--tolerance", type=float, default=1e-6)
     p_verify.add_argument("--timing", action="store_true",
                           help="record wall-clock elapsed_ms (breaks "

@@ -17,6 +17,7 @@ from ..blocks import enum_subsets
 from ..engines import hyperpfaffian, pfaffian
 from ..errors import PoleEncountered
 from ..qcalc import DiscreteMeasure, discrete_moment
+from ..scalars import poly_at
 from ..sequences import narayana_poly, sequence_value
 from ..tensors import BlockArray
 
@@ -121,9 +122,7 @@ def narayana_block_pf(X, l, n, r, a):
     (sum I) + r - l evaluated at a."""
     entries = {}
     for I in enum_subsets(l * n, l):
-        poly = narayana_poly(X, sum(I) + r - l)
-        val = poly.evaluate(a) if hasattr(poly, "evaluate") else poly
-        v = gap_prefactor(I) * val
+        v = gap_prefactor(I) * poly_at(narayana_poly(X, sum(I) + r - l), a)
         if v != 0:
             entries[(I,)] = v
     return hyperpfaffian(BlockArray(l, 1, l * n, entries))

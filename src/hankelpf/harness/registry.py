@@ -55,11 +55,9 @@ _TILDEN_FULL_FIXED = (
 )
 
 
-def _tilden_grid(case, smoke_extra=None, full_extra=None):
-    smoke = ({"case": case, "l": 2, "n": 2, **(smoke_extra or {})},)
-    full = tuple({"case": case, **inst, **(full_extra or {}).get(
-        (inst["l"], inst["n"]), (full_extra or {}).get(inst["l"], {}))}
-        for inst in _TILDEN_FULL_FIXED)
+def _tilden_grid(case):
+    smoke = ({"case": case, "l": 2, "n": 2},)
+    full = tuple({"case": case, **inst} for inst in _TILDEN_FULL_FIXED)
     return smoke, full
 
 

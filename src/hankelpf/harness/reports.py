@@ -9,7 +9,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..errors import ParseError
+from ..errors import BoundsError, ParseError
 from ..scalars import format_scalar
 
 REPORT_KEYS = ("identity", "params", "status", "lhs", "rhs", "terms",
@@ -63,8 +63,12 @@ class CheckParams:
     seed: int = 0
     trials: int = 5
     tolerance: float = 1e-6
-    max_n: int = 0
     timing: bool = False
+
+    def __post_init__(self):
+        if not isinstance(self.trials, int) or self.trials < 1:
+            raise BoundsError(
+                f"trials must be an integer >= 1, got {self.trials!r}")
 
 
 @dataclass

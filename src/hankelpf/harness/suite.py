@@ -55,7 +55,7 @@ def _run_task(p: CheckParams) -> CheckReport:
 
 
 def suite_tasks(level="smoke", filter_tag=None, seed=0, trials=5,
-                tolerance=1e-6, max_n=0, timing=False):
+                tolerance=1e-6, timing=False):
     """The ordered list of CheckParams a suite run will execute."""
     if level not in ("smoke", "full"):
         raise ValueError(f"level must be smoke or full, got {level!r}")
@@ -65,8 +65,7 @@ def suite_tasks(level="smoke", filter_tag=None, seed=0, trials=5,
         for params in grid:
             tasks.append(CheckParams(
                 identity=spec.id, params=dict(params), seed=seed,
-                trials=trials, tolerance=tolerance, max_n=max_n,
-                timing=timing))
+                trials=trials, tolerance=tolerance, timing=timing))
     return tasks
 
 

@@ -1,12 +1,12 @@
 """q-series primitives, Jackson integrals, Delta products, discrete
 measures, and beta-type integral closed forms.
 
-Everything is exact except the two numeric quadratures, which truncate
-infinite q-grids and raise NonconvergentTail when the dropped tail is
-not demonstrably small. The exact q-Selberg integral (askey_lhs_exact)
-expands only its pair part and integrates the one-variable factors
-coordinate by coordinate. q_powers is the one table of q^v, v of
-either sign, that delta_product and its fast float loops share.
+Nothing here truncates an infinite q-grid: the float Jackson sums of
+the two numeric checks live in harness.checks_qpoly. The exact
+q-Selberg integral (askey_lhs_exact) expands only its pair part and
+integrates the one-variable factors coordinate by coordinate. q_powers
+is the one table of q^v, v of either sign, that delta_product and its
+fast float loops share.
 """
 
 from __future__ import annotations
@@ -17,18 +17,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .engines import det_matrix
-from .errors import (GeometricPole, HpfError, MomentPole, NonconvergentTail,
-                     PoleInNegativeRange, ShapeMismatch, SizeBudgetExceeded,
-                     UnsupportedArgument, ZeroCoordinate)
-from .scalars import (HalfGamma, format_scalar, gamma_exact, parse_scalar,
-                      q_gamma_int, sdiv)
+from .errors import (GeometricPole, HpfError, MomentPole, PoleInNegativeRange,
+                     ShapeMismatch, SizeBudgetExceeded, UnsupportedArgument,
+                     ZeroCoordinate)
+from .scalars import HalfGamma, format_scalar, gamma_exact, q_gamma_int, sdiv
 from .tensors import BlockArray
 
 __all__ = [
     "q_pochhammer", "q_binomial",
     "jackson_monomial",
-    "jackson_numeric", "jackson_two_sided_numeric",
-    "DiscreteMeasure", "measure_to_json", "measure_from_json",
+    "DiscreteMeasure",
     "discrete_moment", "discrete_cube_integral", "discrete_ordered_integral",
     "mp_const", "mp_monomial", "mp_mul", "mp_pow",
     "q_powers", "delta_product",
@@ -112,51 +110,6 @@ def jackson_monomial(a, q, m: int):
     return sdiv(a ** (m + 1) * (1 - q), denom)
 
 
-def jackson_numeric(f, a: float, q: float, K: int = 200, tol: float = 1e-8):
-    """Truncated Jackson integral (1-q) a sum_{k=0..K} f(a q^k) q^k.
-
-    The magnitude of the last retained term scaled by (1-q)a serves as
-    the tail estimate; above tol the truncation is rejected.
-    """
-    if not 0.0 < q < 1.0:
-        raise UnsupportedArgument("jackson_numeric needs 0 < q < 1")
-    total = 0.0
-    power = 1.0
-    last = 0.0
-    for _ in range(K + 1):
-        last = f(a * power) * power
-        total += last
-        power *= q
-    estimate = abs((1.0 - q) * a * last)
-    if estimate > tol:
-        raise NonconvergentTail(
-            f"tail estimate {estimate:.3e} exceeds tolerance {tol:.1e}")
-    return (1.0 - q) * a * total
-
-
-def jackson_two_sided_numeric(f, a: float, q: float, K: int = 200,
-                              tol: float = 1e-8):
-    """Truncated Jackson integral over [a, 1]:
-    (1-q) (sum f(q^k) q^k - a sum f(a q^k) q^k)."""
-    if not 0.0 < q < 1.0:
-        raise UnsupportedArgument("jackson_two_sided_numeric needs 0 < q < 1")
-    pos = neg = 0.0
-    last_pos = last_neg = 0.0
-    power = 1.0
-    for _ in range(K + 1):
-        last_pos = f(power) * power
-        pos += last_pos
-        if a != 0.0:
-            last_neg = f(a * power) * power
-            neg += last_neg
-        power *= q
-    estimate = (1.0 - q) * (abs(last_pos) + abs(a * last_neg))
-    if estimate > tol:
-        raise NonconvergentTail(
-            f"tail estimate {estimate:.3e} exceeds tolerance {tol:.1e}")
-    return (1.0 - q) * (pos - a * neg)
-
-
 # --------------------------------------------------------------------------
 # finite measures
 # --------------------------------------------------------------------------
@@ -176,20 +129,6 @@ class DiscreteMeasure:
                     raise UnsupportedArgument(
                         "repeated support point "
                         f"{format_scalar(atoms[i][0])}")
-
-    def __len__(self):
-        return len(self.atoms)
-
-
-def measure_to_json(mu: DiscreteMeasure) -> dict:
-    return {"atoms": [{"x": format_scalar(x), "w": format_scalar(w)}
-                      for x, w in mu.atoms]}
-
-
-def measure_from_json(doc: dict) -> DiscreteMeasure:
-    return DiscreteMeasure(tuple((parse_scalar(atom["x"]),
-                                  parse_scalar(atom["w"]))
-                                 for atom in doc["atoms"]))
 
 
 def discrete_moment(mu: DiscreteMeasure, k: int):

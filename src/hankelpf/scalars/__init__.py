@@ -2,8 +2,9 @@
 one variable, quadratic extensions, truncated series, gamma values.
 
 Everything here is exact. The only floating point in the package lives in
-the numeric quadrature helpers, far away from these types. Scalars combine
-with the plain operators; `sdiv` is the one helper, for division.
+the float Jackson sums of harness.checks_qpoly, far away from these types.
+Scalars combine with the plain operators; `sdiv` is the one helper, for
+division.
 """
 
 from fractions import Fraction
@@ -11,19 +12,20 @@ from fractions import Fraction
 from ..errors import DivisionByZero, IncompatibleTags
 from .gammas import HalfGamma, gamma_exact, q_gamma_int
 from .grammar import QuadContext, format_scalar, parse_scalar
-from .poly import RATIONAL_TYPES, RatFunc, UniPoly, poly_gen, ratfunc, unipoly
+from .poly import (RATIONAL_TYPES, RatFunc, UniPoly, poly_at, poly_gen,
+                   ratfunc, unipoly)
 from .quadext import QuadExt, omega, quadext, sqrt2
-from .sampling import derive_rng, sample_rational
+from .sampling import derive_rng
 from .series import TruncSeries, series_div, series_sqrt
 
 __all__ = [
     "Fraction", "RATIONAL_TYPES",
-    "UniPoly", "RatFunc", "unipoly", "ratfunc", "poly_gen",
+    "UniPoly", "RatFunc", "unipoly", "ratfunc", "poly_gen", "poly_at",
     "QuadExt", "quadext", "omega", "sqrt2",
     "TruncSeries", "series_sqrt", "series_div",
     "HalfGamma", "gamma_exact", "q_gamma_int",
     "QuadContext", "format_scalar", "parse_scalar",
-    "derive_rng", "sample_rational",
+    "derive_rng",
     "sdiv",
 ]
 

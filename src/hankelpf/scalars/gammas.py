@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ..errors import (DivisionByZero, IncompatibleTags, PoleAtQEqualsOne,
-                      UnsupportedArgument)
+from ..errors import DivisionByZero, PoleAtQEqualsOne, UnsupportedArgument
 from .poly import RATIONAL_TYPES, _frac
 
 
@@ -61,15 +60,6 @@ class HalfGamma:
         return NotImplemented
 
     __hash__ = None
-
-    def to_fraction(self) -> Fraction:
-        if self.pi_half_power != 0 and self.coeff != 0:
-            raise IncompatibleTags(
-                f"value carries (sqrt pi)^{self.pi_half_power}")
-        return self.coeff
-
-    def numeric(self) -> float:
-        return float(self.coeff) * math.pi ** (self.pi_half_power / 2)
 
     def __repr__(self):
         return f"HalfGamma({self.coeff!r}, {self.pi_half_power})"

@@ -107,6 +107,11 @@ def unipoly(var: str, coeffs) -> "UniPoly | Fraction":
     return UniPoly(var, cs)
 
 
+def poly_at(p, x):
+    """Value at x of a unipoly result; a constant is returned unchanged."""
+    return p.evaluate(x) if isinstance(p, UniPoly) else p
+
+
 def poly_gen(var: str) -> "UniPoly":
     """The generator polynomial `var` itself."""
     return UniPoly(var, [Fraction(0), Fraction(1)])

@@ -8,7 +8,6 @@ so results like omega**3 compare equal to 1 structurally.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 
 from ..errors import DivisionByZero, IncompatibleTags
@@ -140,12 +139,6 @@ class QuadExt:
         return NotImplemented
 
     __hash__ = None
-
-    def numeric(self) -> complex:
-        """Float value with theta the principal root of t^2 = p t + r."""
-        disc = self.p * self.p + 4 * self.r
-        theta = (float(self.p) + cmath.sqrt(float(disc))) / 2
-        return float(self.u) + float(self.v) * theta
 
     def __repr__(self):
         return f"QuadExt(p={self.p}, r={self.r}, u={self.u}, v={self.v})"

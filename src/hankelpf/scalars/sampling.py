@@ -1,12 +1,9 @@
-"""Deterministic pseudo-random rational points for identity testing."""
+"""Seeded random streams for identity testing."""
 
 from __future__ import annotations
 
 import hashlib
 import random
-from fractions import Fraction
-
-from ..errors import ExhaustedAfterKRetries
 
 
 def derive_rng(*parts) -> random.Random:
@@ -15,22 +12,3 @@ def derive_rng(*parts) -> random.Random:
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
-
-def sample_rational(seed: int, index: int, num_bound: int = 10,
-                    den_bound: int = 10, avoid=None,
-                    max_retries: int = 1000) -> Fraction:
-    """Deterministic rational with numerator in [-num_bound, num_bound] and
-    denominator in [1, den_bound], rejecting values where avoid(x) is true.
-    """
-    if num_bound < 1 or den_bound < 1:
-        raise ValueError("bounds must be >= 1")
-    rng = derive_rng("sample_rational", seed, index)
-    for _ in range(max_retries):
-        x = Fraction(rng.randint(-num_bound, num_bound),
-                     rng.randint(1, den_bound))
-        if avoid is not None and avoid(x):
-            continue
-        return x
-    raise ExhaustedAfterKRetries(
-        f"avoid-predicate rejected {max_retries} candidates "
-        f"(seed={seed}, index={index})")

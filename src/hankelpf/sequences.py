@@ -14,10 +14,9 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import (NegativeIndex, NonTerminating, PochhammerPoleInC,
-                     UnsupportedArgument, ZeroDenominatorBinomial, ZeroQForG,
-                     ZeroT)
+                     UnsupportedArgument, ZeroDenominatorBinomial, ZeroQForG)
 from .qcalc import q_binomial
-from .scalars import (RATIONAL_TYPES, TruncSeries, omega, poly_gen,
+from .scalars import (RATIONAL_TYPES, TruncSeries, omega, poly_at, poly_gen,
                       series_div, series_sqrt, unipoly)
 
 
@@ -238,17 +237,6 @@ def ftilde(i: int, t):
     return unipoly("a", coeffs)
 
 
-def gtilde(i: int, t):
-    """Companion of ftilde with the triangular power pulled out front."""
-    if i < 0:
-        raise NegativeIndex(f"index must be nonnegative, got {i}")
-    t = _require_rational(t, "t")
-    if t == 0:
-        raise ZeroT("gtilde needs t != 0")
-    pref = t ** (-(i * (i - 1) // 2))
-    return unipoly("a", [pref * q_binomial(i, j, t) for j in range(i + 1)])
-
-
 def ftilde_recurrence(i: int, t):
     """Same polynomial family built from the three-term recurrence;
     kept as an independent oracle for the closed form."""
@@ -345,12 +333,8 @@ def omega_specialization(seq, n: int):
         return sign * w ** (n + 2) * narayana_poly(
             CoxeterType.A, n + 1).evaluate(w)
     if seq is SequenceId.ctc:
-        poly = narayana_poly(CoxeterType.B, n)
-        val = poly.evaluate(w) if n else Fraction(poly)
-        return sign * w ** n * val
+        return sign * w ** n * poly_at(narayana_poly(CoxeterType.B, n), w)
     if seq is SequenceId.motzkinD:
-        poly = narayana_poly(CoxeterType.D, n)
-        val = poly.evaluate(w) if n else Fraction(poly)
-        return sign * w ** n * val
+        return sign * w ** n * poly_at(narayana_poly(CoxeterType.D, n), w)
     raise UnsupportedArgument(
         f"no cube-root specialization for {seq.value}")

@@ -1,4 +1,4 @@
-"""Sparse exact tensors and antisymmetric block arrays, plus JSON IO.
+"""Sparse exact tensors and antisymmetric block arrays, plus JSON readers.
 
 Both containers keep a dict from 1-based index keys to scalars; missing
 keys mean zero. A BlockArray stores only sorted block keys and
@@ -12,8 +12,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import BoundsError, ParseError, ShapeMismatch
-from .scalars import QuadExt
-from .scalars.grammar import QuadContext, format_scalar, parse_scalar
+from .scalars.grammar import QuadContext, parse_scalar
 
 
 class Tensor:
@@ -207,17 +206,7 @@ class BlockArray:
                 f"{len(self.entries)} entries)")
 
 
-# ------------------------------------------------------------------- JSON IO
-
-def _ext_header(values):
-    exts = {(v.p, v.r, v.sym) for v in values if isinstance(v, QuadExt)}
-    if not exts:
-        return None
-    if len(exts) > 1:
-        raise ShapeMismatch("entries mix different quadratic extensions")
-    p, r, sym = exts.pop()
-    return {"letter": sym, "p": str(p), "r": str(r)}
-
+# -------------------------------------------------------------- JSON readers
 
 def _ext_context(doc):
     ext = doc.get("ext")
@@ -232,20 +221,6 @@ def _field(doc, key, what):
         return doc[key]
     except (KeyError, TypeError):
         raise ParseError(f"{what} is missing the {key!r} field") from None
-
-
-def tensor_to_json(t: Tensor) -> dict:
-    doc = {"kind": "tensor", "m": t.m}
-    try:
-        doc["n"] = t.n
-    except ShapeMismatch:
-        doc["shape"] = list(t.shape)
-    ext = _ext_header(t.entries.values())
-    if ext:
-        doc["ext"] = ext
-    doc["entries"] = [{"idx": list(idx), "value": format_scalar(v)}
-                      for idx, v in sorted(t.entries.items())]
-    return doc
 
 
 def tensor_from_json(doc: dict) -> Tensor:
@@ -265,21 +240,6 @@ def tensor_from_json(doc: dict) -> Tensor:
         value = _field(e, "value", "tensor entry")
         t.set(tuple(idx), parse_scalar(value, ctx))
     return t
-
-
-def block_array_to_json(b: BlockArray) -> dict:
-    doc = {"kind": "block_array", "l": b.l, "m": b.m}
-    if b.size % b.l == 0:
-        doc["n"] = b.size // b.l
-    else:
-        doc["size"] = b.size
-    ext = _ext_header(b.entries.values())
-    if ext:
-        doc["ext"] = ext
-    doc["entries"] = [{"idx": [list(blk) for blk in key],
-                       "value": format_scalar(v)}
-                      for key, v in sorted(b.entries.items())]
-    return doc
 
 
 def block_array_from_json(doc: dict) -> BlockArray:

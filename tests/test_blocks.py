@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from hankelpf.blocks import (SignedBlockPermutation, complement_with_sign,
-                             enum_block_perms, enum_subsets, perm_sign)
+from hankelpf.blocks import (SignedBlockPermutation, enum_block_perms,
+                             enum_subsets, perm_sign)
 from hankelpf.errors import BoundsError, NotAPermutation
 
 
@@ -43,16 +43,6 @@ def test_perm_sign_rejects_non_permutations():
     for bad in [(1, 1, 2), (0, 1, 2), (1, 2, 4), (1, 2, "x")]:
         with pytest.raises(NotAPermutation):
             perm_sign(bad)
-
-
-def test_complement_with_sign():
-    assert complement_with_sign((1, 2), 4) == ((3, 4), -1)
-    assert complement_with_sign((), 3) == ((1, 2, 3), 1)
-    assert complement_with_sign((2,), 2) == ((1,), 1)
-    with pytest.raises(BoundsError):
-        complement_with_sign((5,), 4)
-    with pytest.raises(BoundsError):
-        complement_with_sign((2, 2), 4)
 
 
 def test_block_perms_2_2_elements_and_signs():

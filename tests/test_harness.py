@@ -1,5 +1,6 @@
 """Registry sanity, CLI behaviour, report format, and determinism."""
 
+import importlib
 import json
 import os
 import pathlib
@@ -399,6 +400,25 @@ def test_cli_verify_negative_size(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("hpf: BoundsError:")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "ahk", "--trials", "0"],
+    ["verify", "little-qjacobi-pf", "--trials", "-1"],
+    ["suite", "--level", "smoke", "--trials", "0"],
+])
+def test_cli_rejects_nonpositive_trials(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("hpf: BoundsError:")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("module", [
+    "hankelpf", "hankelpf.scalars", "hankelpf.qcalc", "hankelpf.harness"])
+def test_all_exports_resolve(module):
+    mod = importlib.import_module(module)
+    assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
 
 
 def test_cli_bad_param_syntax(capsys):

@@ -10,19 +10,16 @@ from fractions import Fraction as F
 from hankelpf.blocks import enum_subsets
 from hankelpf.engines import (hyperhafnian, hyperpfaffian, msf_build_Q,
                               pfaffian)
-from hankelpf.errors import (GeometricPole, MomentPole, NonconvergentTail,
-                             PoleInNegativeRange, ShapeMismatch,
-                             SizeBudgetExceeded, UnsupportedArgument,
-                             ZeroCoordinate)
+from hankelpf.errors import (GeometricPole, MomentPole, PoleInNegativeRange,
+                             ShapeMismatch, SizeBudgetExceeded,
+                             UnsupportedArgument, ZeroCoordinate)
 from hankelpf.qcalc import (DiscreteMeasure, QJacobiParams, SelbergParams,
                             aomoto_bruteforce, aomoto_closed, askey_A_n,
                             askey_lhs_exact, debruijn_kernel,
                             debruijn_ordered_integral, delta_product,
                             discrete_cube_integral, discrete_moment,
                             discrete_ordered_integral, jackson_monomial,
-                            jackson_numeric, jackson_two_sided_numeric,
-                            lqj_moment, measure_from_json, measure_to_json,
-                            mp_const, mp_monomial, mp_mul, mp_pow,
+                            lqj_moment, mp_const, mp_monomial, mp_mul, mp_pow,
                             q_binomial, q_pochhammer, q_powers,
                             selberg_bruteforce, selberg_closed,
                             selberg_phi_bridge)
@@ -128,30 +125,6 @@ def test_jackson_monomial_pole():
         jackson_monomial(1, -1, 1)  # q^2 = 1
 
 
-def test_jackson_numeric_matches_exact():
-    assert abs(jackson_numeric(lambda t: 1.0, 1.0, 0.5, K=60) - 1) < 1e-12
-    assert abs(jackson_numeric(lambda t: t, 1.0, 0.5, K=60) - 2 / 3) < 1e-12
-    exact = jackson_monomial(F(3, 4), F(2, 5), 3)
-    approx = jackson_numeric(lambda t: t ** 3, 0.75, 0.4, K=80)
-    assert abs(approx - float(exact)) < 1e-12
-
-
-def test_jackson_numeric_tail_control():
-    with pytest.raises(NonconvergentTail):
-        jackson_numeric(lambda t: 1.0, 1.0, 0.99, K=10)
-    with pytest.raises(UnsupportedArgument):
-        jackson_numeric(lambda t: 1.0, 1.0, 1.5, K=10)
-
-
-def test_jackson_two_sided_examples():
-    assert abs(jackson_two_sided_numeric(lambda t: 1.0, 0.0, 0.5, K=60)
-               - 1.0) < 1e-12
-    assert abs(jackson_two_sided_numeric(lambda t: 1.0, -1.0, 0.5, K=60)
-               - 2.0) < 1e-12
-    assert abs(jackson_two_sided_numeric(lambda t: t, -1.0, 0.5, K=60)
-               - 0.0) < 1e-12
-
-
 # ----------------------------------------------------------------- measures
 
 def test_discrete_measure_moments():
@@ -165,15 +138,6 @@ def test_discrete_measure_moments():
 def test_discrete_measure_rejects_repeats():
     with pytest.raises(UnsupportedArgument):
         DiscreteMeasure(((F(2), F(1)), (F(2), F(5))))
-
-
-def test_measure_json_round_trip():
-    mu = DiscreteMeasure(((F(2), F(1)), (F(3), F(1))))
-    doc = measure_to_json(mu)
-    assert doc == {"atoms": [{"x": "2", "w": "1"}, {"x": "3", "w": "1"}]}
-    assert measure_from_json(doc) == mu
-    mu2 = DiscreteMeasure(((F(1, 2), F(3)), (F(-2, 5), F(1, 7))))
-    assert measure_from_json(measure_to_json(mu2)) == mu2
 
 
 def test_cube_vs_ordered_decomposition():

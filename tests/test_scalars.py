@@ -1,19 +1,18 @@
 """Ring axioms, series recurrences, quadratic extensions, gamma values,
-deterministic sampling, and the scalar text grammar."""
+seeded RNG derivation, and the scalar text grammar."""
 
 from fractions import Fraction
 
 import pytest
 
 from hankelpf.errors import (ConstantTermNotOne, DivisionByZero,
-                             ExhaustedAfterKRetries, IncompatibleTags,
-                             ParseError, PoleAtQEqualsOne,
+                             IncompatibleTags, ParseError, PoleAtQEqualsOne,
                              UnsupportedArgument, ZeroConstantDenominator)
 from hankelpf.scalars import (HalfGamma, QuadExt, RatFunc, TruncSeries,
                               UniPoly, derive_rng, format_scalar, gamma_exact,
                               omega, parse_scalar, poly_gen, q_gamma_int,
-                              quadext, ratfunc, sample_rational, sdiv,
-                              series_div, series_sqrt, sqrt2, unipoly)
+                              quadext, ratfunc, sdiv, series_div, series_sqrt,
+                              sqrt2, unipoly)
 
 
 # ---------------------------------------------------------------- ring axioms
@@ -325,40 +324,11 @@ def test_half_gamma_arithmetic():
     # (3/4)sqrt(pi) * (1/2)sqrt(pi) carries pi^1
     assert g == HalfGamma(Fraction(3, 8), 2)
     assert (g / gamma_exact(Fraction(1, 2)) / gamma_exact(Fraction(1, 2))
-            ).to_fraction() == Fraction(3, 8)
-    with pytest.raises(IncompatibleTags):
-        gamma_exact(Fraction(1, 2)).to_fraction()
+            == Fraction(3, 8))
+    assert gamma_exact(Fraction(1, 2)) != 1
 
 
 # ------------------------------------------------------------------ sampling
-
-def test_sample_rational_deterministic():
-    for index in range(10):
-        x = sample_rational(7, index)
-        y = sample_rational(7, index)
-        assert x == y
-    assert any(sample_rational(7, i) != sample_rational(8, i)
-               for i in range(10))
-
-
-def test_sample_rational_avoid_predicate():
-    for i in range(50):
-        assert sample_rational(3, i, avoid=lambda x: x == 0) != 0
-
-
-def test_sample_rational_hundred_admissible_q_points():
-    bad = {Fraction(0), Fraction(1), Fraction(-1)}
-    vals = [sample_rational(1, i, avoid=lambda x: x in bad)
-            for i in range(100)]
-    assert len(vals) == 100
-    assert all(v not in bad for v in vals)
-    assert all(abs(v.numerator) <= 10 and v.denominator <= 10 for v in vals)
-
-
-def test_sample_rational_exhaustion():
-    with pytest.raises(ExhaustedAfterKRetries):
-        sample_rational(1, 0, avoid=lambda x: True, max_retries=25)
-
 
 def test_derive_rng_stable_streams():
     a = derive_rng("stream", "one")

@@ -6,10 +6,10 @@ from fractions import Fraction as F
 
 from hankelpf.errors import (NegativeIndex, NonTerminating,
                              PochhammerPoleInC, UnsupportedArgument,
-                             ZeroDenominatorBinomial, ZeroQForG, ZeroT)
+                             ZeroDenominatorBinomial, ZeroQForG)
 from hankelpf.scalars import derive_rng, omega, poly_gen, unipoly
 from hankelpf.sequences import (CoxeterType, SequenceId, binomial, ftilde,
-                                ftilde_recurrence, gtilde,
+                                ftilde_recurrence,
                                 gx_hypergeometric_series, hyp2f1_series,
                                 hyp2f1_terminating, narayana_gf_series,
                                 narayana_number, narayana_poly,
@@ -177,14 +177,6 @@ def test_ftilde_matches_recurrence():
         t = F(rng.randint(-6, 6), rng.randint(1, 6))
         for i in range(11):
             assert ftilde(i, t) == ftilde_recurrence(i, t)
-
-
-def test_gtilde_values():
-    t = F(1, 3)
-    assert gtilde(1, t) == 1 + A
-    assert gtilde(2, t) == unipoly("a", [3, 3 * (1 + t), 3])
-    with pytest.raises(ZeroT):
-        gtilde(2, 0)
 
 
 def test_hyp2f1_terminating():
