@@ -3,13 +3,14 @@
 import math
 from fractions import Fraction
 
-from ..engines import hyperhafnian, hyperpfaffian, pfaffian
+from ..engines import hyperhafnian, hyperpfaffian
 from ..qcalc import (DiscreteMeasure, debruijn_kernel,
                      debruijn_ordered_integral, delta_product,
                      discrete_cube_integral, discrete_moment, q_pochhammer)
 from ..scalars import q_gamma_int, sdiv
-from .common import (Outcome, gap_prefactor, moment_block_array, outcome_all,
-                     outcome_eq, rand_measure, rand_points, rand_q)
+from .common import (Outcome, antisym_pfaffian, gap_prefactor,
+                     moment_block_array, outcome_all, outcome_eq,
+                     rand_measure, rand_points, rand_q)
 
 
 def _poly_family(rng, rows, l, deg=2):
@@ -32,25 +33,19 @@ def check_debruijn_discrete(params, rng, opts):
     the kernel to the antisymmetric matrix of 2x2 cross integrals.
     """
     if params.get("classical"):
-        n = params.get("n", 2)
+        n = params["n"]
         phi = [_poly_family(rng, 2 * n, 1)[i][0] for i in range(2 * n)]
         psi = [_poly_family(rng, 2 * n, 1)[i][0] for i in range(2 * n)]
         mu = rand_measure(rng, 2 * n - 1)
         fam = [[phi[i], psi[i]] for i in range(2 * n)]
-        entries = {}
-        for i in range(1, 2 * n + 1):
-            for j in range(i + 1, 2 * n + 1):
-                v = sum(w * (phi[i - 1](x) * psi[j - 1](x)
-                             - phi[j - 1](x) * psi[i - 1](x))
-                        for x, w in mu.atoms)
-                if v != 0:
-                    entries[(i, j)] = v
         lhs = debruijn_ordered_integral([fam], mu, n)
-        return outcome_eq(lhs, pfaffian(entries, size=2 * n),
-                          terms=len(mu.atoms))
+        rhs = antisym_pfaffian(n, lambda i, j: sum(
+            w * (phi[i - 1](x) * psi[j - 1](x) - phi[j - 1](x) * psi[i - 1](x))
+            for x, w in mu.atoms))
+        return outcome_eq(lhs, rhs, terms=len(mu.atoms))
     r, l, n = params["r"], params["l"], params["n"]
     pairs = []
-    for _ in range(params.get("count", 2)):
+    for _ in range(params["count"]):
         fams = [_poly_family(rng, l * n, l) for _ in range(r)]
         mu = rand_measure(rng, n + rng.randint(0, 2))
         Qk = debruijn_kernel(fams, mu)
@@ -153,8 +148,8 @@ def check_delta_relations(params, rng, opts):
     double product, and shifted-factorial form of the one-sided
     product."""
     pairs = []
-    for n in params.get("sizes", (2, 3)):
-        for k in params.get("ks", (1, 2)):
+    for n in params["sizes"]:
+        for k in params["ks"]:
             xs = rand_points(rng, n)
             q = rand_q(rng)
             dsym = delta_product(xs, q, k, "Dsym")
@@ -184,7 +179,7 @@ def check_delta_integral(params, rng, opts):
     """Cube integrals of the two double products differ by the factor
     n! over the q^k-integer factorial of n, measure-independently."""
     n, k = params["n"], params["k"]
-    mu = rand_measure(rng, params.get("atoms", 4))
+    mu = rand_measure(rng, params["atoms"])
     q = rand_q(rng)
     r = rng.randint(0, 2)
 
@@ -209,14 +204,8 @@ def check_pf_delta2(params, rng, opts):
     n, r = params["n"], params["r"]
     mu = rand_measure(rng, max(2, n))
     q = rand_q(rng)
-    entries = {}
-    for i in range(1, 2 * n + 1):
-        for j in range(i + 1, 2 * n + 1):
-            v = (q ** (i - 1) - q ** (j - 1)) * discrete_moment(
-                mu, i + j + r - 2)
-            if v != 0:
-                entries[(i, j)] = v
-    lhs = pfaffian(entries, size=2 * n)
+    lhs = antisym_pfaffian(n, lambda i, j: (q ** (i - 1) - q ** (j - 1))
+                           * discrete_moment(mu, i + j + r - 2))
 
     def f(xs):
         t = delta_product(xs, q, 2, "D2")

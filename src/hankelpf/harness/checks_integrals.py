@@ -7,8 +7,8 @@ from ..qcalc import (QJacobiParams, SelbergParams, aomoto_bruteforce,
                      aomoto_closed, askey_A_n, askey_lhs_exact, lqj_moment,
                      q_pochhammer, selberg_bruteforce, selberg_closed,
                      selberg_phi_bridge)
-from ..engines import pfaffian
-from .common import outcome_all, outcome_eq, rand_fraction, rand_q
+from .common import (antisym_pfaffian, outcome_all, outcome_eq,
+                     rand_fraction, rand_q)
 
 import math
 
@@ -76,13 +76,8 @@ def check_little_qjacobi(params, rng, opts):
 
 def _lqj_instance(n, r, a, b, q):
     p = QJacobiParams(a, b, q)
-    entries = {}
-    for i in range(1, 2 * n + 1):
-        for j in range(i + 1, 2 * n + 1):
-            v = (q ** (i - 1) - q ** (j - 1)) * lqj_moment(i + j + r - 2, p)
-            if v != 0:
-                entries[(i, j)] = v
-    lhs = pfaffian(entries, size=2 * n)
+    lhs = antisym_pfaffian(n, lambda i, j: (q ** (i - 1) - q ** (j - 1))
+                           * lqj_moment(i + j + r - 2, p))
     e = n * (n - 1) * (4 * n + 1) // 3 + n * (n - 1) * r
     rhs = a ** (n * (n - 1)) * q ** e
     for k in range(1, n + 1):

@@ -269,12 +269,12 @@ def check_gf_narayana(params, rng, opts):
     """Series solution of the algebraic generating function against the
     polynomial values, through the declared order."""
     X = params["type"]
-    order = params.get("order", 12)
-    if params.get("a") == "random":
+    order = params["order"]
+    if params["a"] == "random":
         a = rand_fraction(rng, lo=-4, hi=4, den=4,
                           avoid=lambda v: v == 0)
     else:
-        a = Fraction(params.get("a", 1))
+        a = Fraction(params["a"])
     series = narayana_gf_series(X, a, order)
     pairs = []
     for k in range(order + 1):
@@ -285,7 +285,7 @@ def check_gf_narayana(params, rng, opts):
 def check_special(params, rng, opts):
     """One sequence specialization of a Narayana polynomial family."""
     which = params["which"]
-    max_n = params.get("max_n", 10)
+    max_n = params["max_n"]
     pairs = []
     if which == "cat":
         pairs = [(poly_at(narayana_poly("A", k), Fraction(1)),

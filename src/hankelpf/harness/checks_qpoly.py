@@ -9,14 +9,14 @@ loops without changing a single float.
 import math
 from fractions import Fraction
 
-from ..engines import pfaffian
 from ..errors import UnsupportedArgument
 from ..qcalc import q_binomial, q_pochhammer, q_powers
 from ..scalars import poly_at, poly_gen
 from ..sequences import (ftilde, ftilde_recurrence,
                          gx_hypergeometric_series, rogers_szego,
                          sequence_value)
-from .common import Outcome, outcome_all, rand_fraction, rand_q, seq_pfaffian
+from .common import (Outcome, antisym_pfaffian, outcome_all, rand_fraction,
+                     rand_q, seq_pfaffian)
 
 
 def _int_qpow(q, num, den=1):
@@ -28,12 +28,8 @@ def _int_qpow(q, num, den=1):
 
 
 def _rs_pfaffian(kind, shift, n, q):
-    entries = {}
-    for i in range(1, 2 * n + 1):
-        for j in range(i + 1, 2 * n + 1):
-            poly = rogers_szego(kind, i + j + shift, q)
-            entries[(i, j)] = (q ** (i - 1) - q ** (j - 1)) * poly
-    return pfaffian(entries, size=2 * n)
+    return antisym_pfaffian(n, lambda i, j: (q ** (i - 1) - q ** (j - 1))
+                            * rogers_szego(kind, i + j + shift, q))
 
 
 def check_asc(params, rng, opts):
@@ -76,7 +72,7 @@ def check_asc(params, rng, opts):
 def check_ftilde_rec(params, rng, opts):
     """Closed form of the moment polynomials against the three-term
     recurrence, at random rational parameter values."""
-    max_i = params.get("max_i", 6)
+    max_i = params["max_i"]
     pairs = []
     for _ in range(opts.trials):
         t = rand_fraction(rng, lo=-2, hi=2, den=5,
@@ -141,7 +137,10 @@ def check_gx(params, rng, opts):
     """Conjectured Hankel-type Pfaffian evaluation for one of the five
     ternary-tree sequences; reports the verified range of n."""
     i = params["index"]
-    max_n = params.get("max_n", 3)
+    max_n = params["max_n"]
+    if not isinstance(max_n, int) or max_n < 1:
+        raise UnsupportedArgument(
+            f"max_n must be an integer >= 1, got {max_n!r}")
     shift = _GX_SHIFT[i]
     good = 0
     lhs = rhs = Fraction(1)
@@ -160,7 +159,7 @@ def check_gx(params, rng, opts):
 def check_gx_defs(params, rng, opts):
     """Series expansions of the hypergeometric quotients against the
     stored ternary-tree sequences."""
-    order = params.get("order", 8)
+    order = params["order"]
     pairs = []
     for i in range(1, 6):
         series = gx_hypergeometric_series(i, order)
@@ -170,6 +169,11 @@ def check_gx_defs(params, rng, opts):
 
 
 # -------------------------------------------------------- numeric integrals
+
+# relative error bound of the two float checks (registry strategy
+# "numeric(1e-6)")
+TOLERANCE = 1e-6
+
 
 def _float_params(params, defaults):
     """The float checks' parameters: a and q exact, then as floats under
@@ -253,7 +257,7 @@ def check_rs_moment_u(params, rng, opts):
         lhs = math.fsum(w * x ** m for x, w in zip(xs, ws))
         rhs = float((1 - q) * poly_at(rogers_szego("F", m, q), a))
         worst = max(worst, _relerr(lhs, rhs))
-    status = "numeric-pass" if worst <= opts.tolerance else "numeric-fail"
+    status = "numeric-pass" if worst <= TOLERANCE else "numeric-fail"
     return Outcome(status, lhs, rhs, max_m + 1,
                    f"max relative error {worst:.2e} over m<={max_m}")
 
@@ -300,6 +304,6 @@ def check_bf_u_integral(params, rng, opts):
         prod *= q_pochhammer(q, q, k * i) / q_pochhammer(q, q, k)
     rhs = float(pref * prod)
     err = _relerr(lhs, rhs)
-    status = "numeric-pass" if err <= opts.tolerance else "numeric-fail"
+    status = "numeric-pass" if err <= TOLERANCE else "numeric-fail"
     return Outcome(status, lhs, rhs, len(xs) ** n,
                    f"relative error {err:.2e}")

@@ -26,8 +26,8 @@ def check_laplace(params, rng, opts):
     the direct enumeration engine for every sampled subset."""
     pairs = []
     for _ in range(params["count"]):
-        m = rng.choice(params.get("orders", (2, 4)))
-        n = rng.randint(2, params.get("dim", 3))
+        m = rng.choice(params["orders"])
+        n = rng.randint(2, params["dim"])
         A = _random_tensor(rng, m, n)
         d = hyperdet(A)
         size = rng.randint(0, n)
@@ -41,7 +41,7 @@ def check_hyper_minor(params, rng, opts):
     lists reproduce the tensor, and a minor of a minor composes."""
     pairs = []
     for _ in range(params["count"]):
-        m = rng.choice(params.get("orders", (2, 4)))
+        m = rng.choice(params["orders"])
         n = rng.randint(2, 4)
         A = _random_tensor(rng, m, n)
         lists = [tuple(rng.sample(range(1, n + 1), rng.randint(1, n)))
@@ -67,7 +67,7 @@ def check_subpf_indicator(params, rng, opts):
     the index sets made of whole pairs; random arrays restrict
     consistently."""
     pairs = []
-    big_n = params.get("pairs", 3)
+    big_n = params["pairs"]
     A = BlockArray(2, 1, 2 * big_n,
                    {((2 * v - 1, 2 * v),): 1 for v in range(1, big_n + 1)})
     for P in itertools.combinations(range(1, 2 * big_n + 1), 4):
@@ -88,7 +88,7 @@ def check_msf_general(params, rng, opts):
     pairs = []
     for _ in range(params["count"]):
         l, m, r, n = rng.choice(params["shapes"])
-        N = rng.randint(l * n, params.get("max_n", 6))
+        N = rng.randint(l * n, params["max_n"])
         A = random_block_array(rng, l, r, N, lo=-2, hi=2)
         H = [Tensor.from_function((l * n,) * (m - 1) + (N,),
                                   lambda *i: rng.randint(-2, 2))
@@ -126,7 +126,7 @@ def check_pf_hf(params, rng, opts):
     (hafnian) sum."""
     pairs = []
     for _ in range(params["count"]):
-        r = rng.choice(params.get("slot_counts", (1, 2, 3)))
+        r = rng.choice(params["slot_counts"])
         l, n, N = 2, 2, 5
         weights = {K: rng.randint(-3, 3)
                    for K in itertools.combinations(range(1, N + 1), l)}
@@ -151,13 +151,15 @@ def check_pf_hf(params, rng, opts):
     return outcome_all(pairs)
 
 
+_MATSUMOTO_SHAPES = ((2, 2, 4), (2, 2, 2), (2, 3, 4))
+
+
 def check_matsumoto(params, rng, opts):
     """Slot flattening of an even-block multi-array preserves the
     hyperpfaffian."""
     pairs = []
     for _ in range(params["count"]):
-        l, m, size = rng.choice(params.get("shapes",
-                                           ((2, 2, 4), (2, 2, 2), (2, 3, 4))))
+        l, m, size = rng.choice(_MATSUMOTO_SHAPES)
         B = random_block_array(rng, l, m, size)
         F = flatten_matsumoto(B)
         pairs.append((hyperpfaffian(F), hyperpfaffian(B)))
@@ -170,7 +172,7 @@ def check_engine_exterior(params, rng, opts):
     exterior-algebra oracle."""
     pairs = []
     for _ in range(params["count"]):
-        m = rng.choice(params.get("orders", (2, 4)))
+        m = rng.choice(params["orders"])
         n = rng.randint(2, 3 if m == 4 else 4)
         A = _random_tensor(rng, m, n)
         pairs.append((hyperdet_via_exterior(A), hyperdet(A)))
@@ -183,7 +185,7 @@ def check_pf_definition(params, rng, opts):
     from ..engines import det_matrix
     pairs = []
     for _ in range(params["count"]):
-        n = rng.randint(1, params.get("max_pairs", 3))
+        n = rng.randint(1, params["max_pairs"])
         B = random_block_array(rng, 2, 1, 2 * n)
         literal = 0
         for bp in enum_block_perms(2, n):

@@ -75,8 +75,7 @@ def _cmd_verify(args):
     params = dict(spec.smoke[0])
     params.update(_parse_param_overrides(args.param))
     p = CheckParams(identity=spec.id, params=params, seed=args.seed,
-                    trials=args.trials, tolerance=args.tolerance,
-                    timing=args.timing)
+                    trials=args.trials, timing=args.timing)
     report = run_check(p)
     print(format_report_line(report))
     if args.json:
@@ -88,7 +87,7 @@ def _cmd_verify(args):
 def _cmd_suite(args):
     reports = run_suite(level=args.level, filter_tag=args.filter,
                         jobs=args.jobs, seed=args.seed, trials=args.trials,
-                        tolerance=args.tolerance, timing=args.timing)
+                        timing=args.timing)
     print(format_report_table(reports))
     summary = summarize(reports)
     print(f"verified {summary['verified']}  failed {summary['failed']}  "
@@ -158,7 +157,6 @@ def build_parser():
                           help="override a parameter (repeatable)")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=5)
-    p_verify.add_argument("--tolerance", type=float, default=1e-6)
     p_verify.add_argument("--timing", action="store_true",
                           help="record wall-clock elapsed_ms (breaks "
                                "byte-for-byte reproducibility)")
@@ -174,7 +172,6 @@ def build_parser():
     p_suite.add_argument("--jobs", type=int, default=1)
     p_suite.add_argument("--seed", type=int, default=0)
     p_suite.add_argument("--trials", type=int, default=5)
-    p_suite.add_argument("--tolerance", type=float, default=1e-6)
     p_suite.add_argument("--timing", action="store_true")
     p_suite.add_argument("--json", metavar="FILE")
     p_suite.set_defaults(func=_cmd_suite)

@@ -91,20 +91,27 @@ def gap_prefactor(I):
     return pref
 
 
+def antisym_pfaffian(n, entry):
+    """Pf of the 2n x 2n antisymmetric matrix with entry(i, j) above the
+    diagonal (1 <= i < j <= 2n); zero entries are left out."""
+    entries = {}
+    for i in range(1, 2 * n + 1):
+        for j in range(i + 1, 2 * n + 1):
+            v = entry(i, j)
+            if v != 0:
+                entries[(i, j)] = v
+    return pfaffian(entries, size=2 * n)
+
+
 def seq_pfaffian(seq, shift, n, weight=None):
     """Pf of the antisymmetric matrix (j-i) * w(i,j) * seq(i+j+shift).
 
     weight defaults to 1; the matrix has size 2n.
     """
-    entries = {}
-    for i in range(1, 2 * n + 1):
-        for j in range(i + 1, 2 * n + 1):
-            v = (j - i) * sequence_value(seq, i + j + shift)
-            if weight is not None:
-                v = v * weight(i, j)
-            if v != 0:
-                entries[(i, j)] = v
-    return pfaffian(entries, size=2 * n)
+    def entry(i, j):
+        v = (j - i) * sequence_value(seq, i + j + shift)
+        return v if weight is None else v * weight(i, j)
+    return antisym_pfaffian(n, entry)
 
 
 def moment_block_array(mu, l, ln, u, prefactor):

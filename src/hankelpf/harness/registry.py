@@ -2,7 +2,9 @@
 
 Each entry names a statement by what it computes, points at its checker,
 and carries two parameter grids: a smoke grid (one smallest instance)
-and a full grid (the complete desk-scale coverage).
+and a full grid (the complete desk-scale coverage). The grids are the
+one statement of what a check runs: checkers hold no parameter defaults,
+so a params dict missing one of its entry's keys raises KeyError.
 """
 
 import itertools
@@ -24,7 +26,6 @@ class IdentitySpec:
     title: str
     status: str
     strategy: str
-    domain: str
     check: object
     smoke: tuple
     full: tuple
@@ -85,7 +86,6 @@ _register(
     id="laplace-expansion",
     title="subset expansion of the hyperdeterminant along leading axes",
     status="theorem", strategy="random-rational-points(entries, count)",
-    domain="tensor order m in {2,4}, dimension n <= 3",
     check=checks_structural.check_laplace,
     smoke=({"count": 3, "orders": (2, 4), "dim": 3},),
     full=({"count": 50, "orders": (2, 4), "dim": 3},),
@@ -95,7 +95,6 @@ _register(
     id="hyper-minor",
     title="minors of a tensor assembled from positional index lists",
     status="theorem", strategy="random-rational-points(entries, count)",
-    domain="tensor order m in {2,4}, dimension <= 4",
     check=checks_structural.check_hyper_minor,
     smoke=({"count": 3, "orders": (2, 4)},),
     full=({"count": 50, "orders": (2, 4)},),
@@ -105,7 +104,6 @@ _register(
     id="subpf-indicator",
     title="sub-Pfaffians of aligned-pair arrays reduce to 0/1 indicators",
     status="theorem", strategy="random-rational-points(entries, count)",
-    domain="pair counts <= 3, exhaustive subsets",
     check=checks_structural.check_subpf_indicator,
     smoke=({"count": 3, "pairs": 2},),
     full=({"count": 50, "pairs": 3},),
@@ -116,7 +114,6 @@ _register(
     title="minor summation: subset sum of weighted minors equals a "
           "kernel hyperpfaffian",
     status="theorem", strategy="random-rational-points(entries, count)",
-    domain="block shapes (l,m,r,n) with l,m in {2,4}, sizes <= 6",
     check=checks_structural.check_msf_general,
     smoke=({"count": 2, "shapes": _MSF_SHAPES[:2], "max_n": 5},),
     full=({"count": 50, "shapes": _MSF_SHAPES, "max_n": 6},),
@@ -127,7 +124,6 @@ _register(
     title="matrix case of the minor summation: kernel entries are "
           "weighted 2x2 minors",
     status="theorem", strategy="random-rational-points(entries, count)",
-    domain="rectangular matrices with <= 6 columns",
     check=checks_structural.check_msf_det,
     smoke=({"count": 3},),
     full=({"count": 50},),
@@ -138,7 +134,6 @@ _register(
     title="diagonal weight arrays split by slot parity into signed and "
           "unsigned subset sums",
     status="theorem", strategy="random-rational-points(entries, count)",
-    domain="slot counts 1..3, sizes <= 6",
     check=checks_structural.check_pf_hf,
     smoke=({"count": 3, "slot_counts": (1, 2)},),
     full=({"count": 50, "slot_counts": (1, 2, 3)},),
@@ -149,7 +144,6 @@ _register(
     title="flattening a block array into long blocks preserves the "
           "hyperpfaffian",
     status="theorem", strategy="random-rational-points(entries, count)",
-    domain="shapes (l,m,size) in {(2,2,4),(2,2,2),(2,3,4)}",
     check=checks_structural.check_matsumoto,
     smoke=({"count": 2},),
     full=({"count": 50},),
@@ -160,7 +154,6 @@ _register(
     title="enumeration engine against the exterior-algebra evaluation "
           "of the hyperdeterminant",
     status="theorem", strategy="random-rational-points(entries, count)",
-    domain="tensor order m in {2,4}, dimension <= 4",
     check=checks_structural.check_engine_exterior,
     smoke=({"count": 5, "orders": (2, 4)},),
     full=({"count": 50, "orders": (2, 4)},),
@@ -170,7 +163,6 @@ _register(
     id="pf-definition",
     title="fast Pfaffian against the literal signed block-permutation sum",
     status="theorem", strategy="random-rational-points(entries, count)",
-    domain="sizes <= 8",
     check=checks_structural.check_pf_definition,
     smoke=({"count": 3, "max_pairs": 2},),
     full=({"count": 50, "max_pairs": 3},),
@@ -183,7 +175,6 @@ _register(
     title="ordered integral of determinant products equals the kernel "
           "hyperpfaffian over a finite measure",
     status="theorem", strategy="discrete-measure",
-    domain="families r in {1,2}, columns l in {2,4}, n <= 4",
     check=checks_bridges.check_debruijn_discrete,
     smoke=({"classical": True, "n": 2},),
     full=({"classical": True, "n": 2}, {"classical": True, "n": 3},
@@ -199,7 +190,6 @@ _register(
     title="even family counts: the signed kernel sum matches the ordered "
           "integral where the printed unsigned form does not",
     status="reported-discrepancy", strategy="discrete-measure",
-    domain="two families, two columns, n = 2",
     check=checks_bridges.check_debruijn_even_r,
     smoke=({},),
     full=({},),
@@ -210,7 +200,6 @@ _register(
     title="q-difference-weighted moment hyperpfaffian equals the scaled "
           "cube integral of the cancelled pair product",
     status="theorem", strategy="discrete-measure",
-    domain="l in {2,4}, n <= 3, u in 0..2",
     check=checks_bridges.check_q_hankel,
     smoke=({"l": 2, "n": 2, "u": 0},),
     full=_grid(l=(2, 4), n=(1, 2, 3), u=(0, 1, 2)),
@@ -221,7 +210,6 @@ _register(
     title="index-gap-weighted moment hyperpfaffian equals the cube "
           "integral of an even Vandermonde power",
     status="theorem", strategy="discrete-measure",
-    domain="l in {2,4}, n <= 3, u in 0..2",
     check=checks_bridges.check_hankel_classical,
     smoke=({"l": 2, "n": 2, "u": 0, "atoms": ((2, 1), (3, 1))},),
     full=_grid(l=(2, 4), n=(1, 2, 3), u=(0, 1, 2))
@@ -232,7 +220,6 @@ _register(
     id="delta-relations",
     title="rewrites among the four pair-interaction products",
     status="theorem", strategy="random-rational-points(points, count)",
-    domain="n <= 3, k <= 2",
     check=checks_bridges.check_delta_relations,
     smoke=({"sizes": (2,), "ks": (1,)},),
     full=({"sizes": (2, 3), "ks": (1, 2)},),
@@ -242,7 +229,6 @@ _register(
     id="delta-integral",
     title="cube integrals of the squared and doubled pair products agree",
     status="theorem", strategy="discrete-measure",
-    domain="n <= 3, k <= 2",
     check=checks_bridges.check_delta_integral,
     smoke=({"n": 2, "k": 1, "atoms": 3},),
     full=({"n": 2, "k": 1, "atoms": 4}, {"n": 2, "k": 2, "atoms": 4},
@@ -254,7 +240,6 @@ _register(
     title="q-difference-weighted moment Pfaffian equals the normalized "
           "cube integral of the doubled pair product",
     status="theorem", strategy="discrete-measure",
-    domain="n <= 3, r in 0..2",
     check=checks_bridges.check_pf_delta2,
     smoke=({"n": 2, "r": 0},),
     full=_grid(n=(1, 2, 3), r=(0, 1, 2)),
@@ -267,7 +252,6 @@ _register(
     title="closed beta-type n-fold integral against brute-force "
           "polynomial integration",
     status="theorem", strategy="exact-rational",
-    domain="integer (alpha,beta,gamma) in [1,2]^3, n <= 3",
     check=checks_integrals.check_selberg,
     smoke=({"n": 2, "alpha": 1, "beta": 1, "gamma": 1},),
     full=_grid(n=(1, 2, 3), alpha=(1, 2), beta=(1, 2), gamma=(1, 2)),
@@ -278,7 +262,6 @@ _register(
     title="closed form of the k-marked beta-type integral against "
           "brute force",
     status="theorem", strategy="exact-rational",
-    domain="integer (alpha,beta,gamma) in [1,2]^3, k <= n <= 3",
     check=checks_integrals.check_aomoto,
     smoke=({"n": 2, "k": 1, "alpha": 1, "beta": 1, "gamma": 1},),
     full=tuple(p for p in _grid(n=(1, 2, 3), k=(1, 2, 3), alpha=(1, 2),
@@ -290,7 +273,6 @@ _register(
     id="selberg-phi",
     title="binomial-product form of the half-integer beta-type integral",
     status="theorem", strategy="exact-rational",
-    domain="r,s <= 2, m <= 2, n <= 2",
     check=checks_integrals.check_selberg_phi,
     smoke=({"n": 1, "r": 0, "s": 0, "m": 1},),
     full=_grid(n=(1, 2), r=(0, 1, 2), s=(0, 1, 2), m=(1, 2)),
@@ -301,7 +283,6 @@ _register(
     title="q-analogue of the integer-parameter beta-type integral with "
           "doubled interaction",
     status="theorem", strategy="random-rational-points(q, trials)",
-    domain="x,y in 1..3, k <= 2, n <= 3",
     check=checks_integrals.check_ahk,
     smoke=({"n": 2, "k": 1, "x": 1, "y": 1},),
     full=_grid(n=(1, 2, 3), k=(1, 2), x=(1, 2, 3), y=(1, 2, 3)),
@@ -312,7 +293,6 @@ _register(
     title="shifted Pfaffian of q-difference-weighted little q-Jacobi "
           "moments in closed form",
     status="theorem", strategy="random-rational-points(a,b,q, trials)",
-    domain="n <= 3, r in 0..3",
     check=checks_integrals.check_little_qjacobi,
     smoke=({"n": 1, "r": 0},),
     full=_grid(n=(1, 2, 3), r=(0, 1, 2, 3)),
@@ -330,7 +310,6 @@ for _variant, _vtitle in (
         title=f"Pfaffian of q-difference-weighted Rogers-Szego type "
               f"polynomials, {_vtitle}",
         status="theorem", strategy="exact-symbolic-in-a",
-        domain="n <= 3, q sampled rational",
         check=checks_qpoly.check_asc,
         smoke=({"variant": _variant, "n": 1},),
         full=tuple({"variant": _variant, "n": n} for n in (1, 2, 3)),
@@ -341,7 +320,6 @@ _register(
     title="closed form of the moment polynomials against their "
           "three-term recurrence",
     status="theorem", strategy="random-rational-points(t, trials)",
-    domain="degrees 0..8",
     check=checks_qpoly.check_ftilde_rec,
     smoke=({"max_i": 4},),
     full=({"max_i": 8},),
@@ -352,7 +330,6 @@ _register(
     title="discrete weight moments on [a,1] against the Rogers-Szego "
           "polynomial, floating point",
     status="theorem", strategy="numeric(1e-6)",
-    domain="a=-1/2, q=1/2, moments m <= 4",
     check=checks_qpoly.check_rs_moment_u,
     smoke=({"max_m": 2},),
     full=({"max_m": 4},),
@@ -363,7 +340,6 @@ _register(
     title="n-fold interaction integral of the [a,1] weight in closed "
           "form, floating point",
     status="theorem", strategy="numeric(1e-6)",
-    domain="a=-1/2, q=1/2, n <= 2, k <= 2",
     check=checks_qpoly.check_bf_u_integral,
     smoke=({"n": 2, "k": 1},),
     full=_grid(n=(1, 2), k=(1, 2)),
@@ -375,7 +351,6 @@ for _gx in range(1, 6):
         title=f"conjectured Pfaffian evaluation for ternary-tree "
               f"sequence {_gx}",
         status="conjecture", strategy="exact-rational",
-        domain="n <= 5",
         check=checks_qpoly.check_gx,
         smoke=({"index": _gx, "max_n": 2},),
         full=({"index": _gx, "max_n": 5},),
@@ -386,7 +361,6 @@ _register(
     title="ternary-tree sequences against their hypergeometric "
           "quotient series",
     status="theorem", strategy="exact-rational",
-    domain="series order 8",
     check=checks_qpoly.check_gx_defs,
     smoke=({"order": 6},),
     full=({"order": 8},),
@@ -427,7 +401,6 @@ for _case, (_subtitle, _strategy) in _TILDEN_META.items():
         id=f"tilden-{_case}",
         title=f"block-moment hyperpfaffian in closed form: {_subtitle}",
         status="theorem", strategy=_strategy,
-        domain="l in {2,4}, n <= 4 (l=2) or n <= 2 (l=4)",
         check=checks_narayana.check_tilden,
         smoke=_smoke, full=_full, tags=_tags)
 
@@ -441,7 +414,6 @@ for _seq, _fn in (("motzkin", checks_narayana.check_motzkin_pf),
         title=f"Hankel-type Pfaffian of gap-weighted {_seq} numbers in "
               f"product form",
         status="corollary", strategy="exact-rational",
-        domain="n <= 5",
         check=_fn,
         smoke=({"n": 2},),
         full=tuple({"n": n} for n in (1, 2, 3, 4, 5)),
@@ -458,7 +430,6 @@ for _seq, _fn, _strategy in (
         title=f"shifted {_seq} Pfaffian against the absolute-value "
               f"display, sign recorded",
         status="corollary", strategy=_strategy,
-        domain="n <= 4",
         check=_fn,
         smoke=({"n": 2},),
         full=tuple({"n": n} for n in (1, 2, 3, 4)),
@@ -468,7 +439,6 @@ _register(
     id="catalan-r",
     title="r-shifted Catalan Pfaffian display (size read as 2n)",
     status="reported-discrepancy", strategy="exact-rational",
-    domain="n <= 3, r in 0..3",
     check=checks_narayana.check_catalan_r,
     smoke=({"n": 2, "r": 1},),
     full=_grid(n=(1, 2, 3), r=(0, 1, 2, 3)),
@@ -479,7 +449,6 @@ _register(
     title="r-shifted central-binomial Pfaffian display against the "
           "theorem-derived value",
     status="reported-discrepancy", strategy="exact-rational",
-    domain="n <= 3, r in 0..3",
     check=checks_narayana.check_cbc_r,
     smoke=({"n": 1, "r": 1},),
     full=_grid(n=(1, 2, 3), r=(0, 1, 2, 3)),
@@ -490,7 +459,6 @@ _register(
     title="r-shifted third-family Pfaffian display against the signed "
           "theorem-derived value",
     status="reported-discrepancy", strategy="exact-rational",
-    domain="n <= 3, r in 0..3",
     check=checks_narayana.check_typed_r,
     smoke=({"n": 1, "r": 2},),
     full=_grid(n=(1, 2, 3), r=(0, 1, 2, 3)),
@@ -502,7 +470,6 @@ for _x in ("a", "b", "d"):
         title=f"algebraic generating function of the type-{_x.upper()} "
               f"polynomials against direct values",
         status="corollary", strategy="exact-rational",
-        domain="series order 12",
         check=checks_narayana.check_gf_narayana,
         smoke=({"type": _x.upper(), "order": 8, "a": 1},),
         full=({"type": _x.upper(), "order": 12, "a": 1},
@@ -533,7 +500,6 @@ for _which, _subtitle, _strategy in _SPECIAL_META:
         id=f"special-{_which}",
         title=f"sequence specialization: {_subtitle}",
         status="corollary", strategy=_strategy,
-        domain="n <= 10",
         check=checks_narayana.check_special,
         smoke=({"which": _which, "max_n": 5},),
         full=({"which": _which, "max_n": 10},),

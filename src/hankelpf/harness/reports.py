@@ -62,7 +62,6 @@ class CheckParams:
     params: dict = field(default_factory=dict)
     seed: int = 0
     trials: int = 5
-    tolerance: float = 1e-6
     timing: bool = False
 
     def __post_init__(self):

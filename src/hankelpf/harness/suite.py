@@ -55,7 +55,7 @@ def _run_task(p: CheckParams) -> CheckReport:
 
 
 def suite_tasks(level="smoke", filter_tag=None, seed=0, trials=5,
-                tolerance=1e-6, timing=False):
+                timing=False):
     """The ordered list of CheckParams a suite run will execute."""
     if level not in ("smoke", "full"):
         raise ValueError(f"level must be smoke or full, got {level!r}")
@@ -65,12 +65,12 @@ def suite_tasks(level="smoke", filter_tag=None, seed=0, trials=5,
         for params in grid:
             tasks.append(CheckParams(
                 identity=spec.id, params=dict(params), seed=seed,
-                trials=trials, tolerance=tolerance, timing=timing))
+                trials=trials, timing=timing))
     return tasks
 
 
 def run_suite(level="smoke", filter_tag=None, jobs=1, seed=0, trials=5,
-              tolerance=1e-6, timing=False):
+              timing=False):
     """Run every applicable check, preserving registry order.
 
     `jobs` (>= 1) caps the worker processes; no more are started than
@@ -79,7 +79,7 @@ def run_suite(level="smoke", filter_tag=None, jobs=1, seed=0, trials=5,
     if not isinstance(jobs, int) or jobs < 1:
         raise BoundsError(f"jobs must be an integer >= 1, got {jobs!r}")
     tasks = suite_tasks(level=level, filter_tag=filter_tag, seed=seed,
-                        trials=trials, tolerance=tolerance, timing=timing)
+                        trials=trials, timing=timing)
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -101,6 +101,14 @@ def _range_order(text):
     return int(m.group(1)) if m else 0
 
 
+def _gating_failure(report) -> bool:
+    """A hard failure (counterexample or numeric-fail) of a theorem or
+    corollary. Conjecture mismatches, reported discrepancies and budget
+    overruns never gate."""
+    return (report.status in FAILING_REPORT_STATUSES
+            and get_identity(report.identity).status in GATING_STATUSES)
+
+
 def summarize(reports) -> dict:
     verified = 0
     failed = 0
@@ -109,8 +117,7 @@ def summarize(reports) -> dict:
         spec = get_identity(report.identity)
         if report.status in ("verified", "numeric-pass"):
             verified += 1
-        elif (report.status in FAILING_REPORT_STATUSES
-              and spec.status in GATING_STATUSES):
+        elif _gating_failure(report):
             failed += 1
         if spec.status == "conjecture":
             m = _RANGE_NOTE.search(report.note)
@@ -123,14 +130,6 @@ def summarize(reports) -> dict:
 
 
 def suite_exit_code(reports) -> int:
-    """1 when a theorem-or-corollary check found a hard failure, else 0.
-
-    Conjecture mismatches, reported discrepancies, and budget overruns
-    never flip the exit status.
-    """
-    for report in reports:
-        spec = get_identity(report.identity)
-        if (spec.status in GATING_STATUSES
-                and report.status in FAILING_REPORT_STATUSES):
-            return 1
-    return 0
+    """1 when some report is a gating failure, that is when summarize
+    counts one as failed; else 0."""
+    return int(any(_gating_failure(r) for r in reports))

@@ -376,13 +376,8 @@ def selberg_bruteforce(n: int, alpha, beta, gamma) -> Fraction:
     return _integrate_beta_monomials(_pair_power_poly(n, gamma), alpha, beta)
 
 
-def aomoto_closed(n: int, k: int, alpha, beta, gamma,
-                  elementary: bool = False) -> HalfGamma:
-    """Closed form with the first k coordinates multiplied in.
-
-    elementary=True returns the symmetrized variant instead, which
-    carries the extra binomial factor C(n, k).
-    """
+def aomoto_closed(n: int, k: int, alpha, beta, gamma) -> HalfGamma:
+    """Closed form with the first k coordinates multiplied in."""
     if not 0 <= k <= n:
         raise UnsupportedArgument(f"need 0 <= k <= n, got k={k}, n={n}")
     p = SelbergParams(n, alpha, beta, gamma)
@@ -390,14 +385,11 @@ def aomoto_closed(n: int, k: int, alpha, beta, gamma,
     for j in range(1, k + 1):
         ratio *= ((p.alpha + (n - j) * p.gamma)
                   / (p.alpha + p.beta + (2 * n - j - 1) * p.gamma))
-    out = selberg_closed(p) * ratio
-    if elementary:
-        out = out * math.comb(n, k)
-    return out
+    return selberg_closed(p) * ratio
 
 
 def aomoto_bruteforce(n: int, k: int, alpha, beta, gamma) -> Fraction:
-    """Oracle for aomoto_closed (non-elementary form), integer parameters."""
+    """Oracle for aomoto_closed, integer parameters."""
     alpha = _int_or_raise(alpha, "alpha")
     beta = _int_or_raise(beta, "beta")
     gamma = _int_or_raise(gamma, "gamma")
@@ -438,11 +430,6 @@ def selberg_phi_bridge(n: int, r: int, s: int, m: int):
 # beta-type integrals, q side
 # --------------------------------------------------------------------------
 
-def _q_gamma_pos(t: int, q):
-    # q-gamma at the positive integer t
-    return q_gamma_int(t - 1, q)
-
-
 def _positive_int(value, name) -> int:
     if not isinstance(value, int) or value < 1:
         raise UnsupportedArgument(f"{name} must be a positive integer")
@@ -457,12 +444,13 @@ def askey_A_n(n: int, x: int, y: int, k: int, q):
     k = _positive_int(k, "k")
     num = 1
     den = 1
+    # Gamma_q(t) at a positive integer t is q_gamma_int(t - 1, q)
     for j in range(1, n + 1):
-        num = num * _q_gamma_pos(x + (j - 1) * k, q)
-        num = num * _q_gamma_pos(y + (j - 1) * k, q)
-        num = num * _q_gamma_pos(j * k + 1, q)
-        den = den * _q_gamma_pos(x + y + (n + j - 2) * k, q)
-        den = den * _q_gamma_pos(k + 1, q)
+        num = num * q_gamma_int(x + (j - 1) * k - 1, q)
+        num = num * q_gamma_int(y + (j - 1) * k - 1, q)
+        num = num * q_gamma_int(j * k, q)
+        den = den * q_gamma_int(x + y + (n + j - 2) * k - 1, q)
+        den = den * q_gamma_int(k, q)
     return sdiv(num, den)
 
 

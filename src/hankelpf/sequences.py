@@ -10,7 +10,6 @@ exact hypergeometric evaluators.
 """
 
 import math
-from enum import Enum
 from fractions import Fraction
 
 from .errors import (NegativeIndex, NonTerminating, PochhammerPoleInC,
@@ -18,29 +17,6 @@ from .errors import (NegativeIndex, NonTerminating, PochhammerPoleInC,
 from .qcalc import q_binomial
 from .scalars import (RATIONAL_TYPES, TruncSeries, omega, poly_at, poly_gen,
                       series_div, series_sqrt, unipoly)
-
-
-class CoxeterType(Enum):
-    A = "A"
-    B = "B"
-    D = "D"
-
-
-class SequenceId(Enum):
-    catalan = "catalan"
-    motzkin = "motzkin"
-    schroeder = "schroeder"
-    delannoy = "delannoy"
-    cbc = "cbc"
-    ctc = "ctc"
-    motzkinD = "motzkinD"
-    gx1 = "gx1"
-    gx2 = "gx2"
-    gx3 = "gx3"
-    gx4 = "gx4"
-    gx5 = "gx5"
-    rogersSzegoF = "rogersSzegoF"
-    rogersSzegoG = "rogersSzegoG"
 
 
 def binomial(x: int, k: int) -> int:
@@ -67,26 +43,19 @@ def _int_or_fraction(v: Fraction):
     return int(v) if v.denominator == 1 else v
 
 
-def _coxeter(X) -> CoxeterType:
-    if isinstance(X, CoxeterType):
-        return X
-    try:
-        return CoxeterType(str(X))
-    except ValueError:
-        raise UnsupportedArgument(f"unknown Coxeter type {X!r}") from None
-
-
 def narayana_number(X, n: int, k: int):
-    """Rank-k coefficient of the type A/B/D Narayana polynomial."""
-    X = _coxeter(X)
+    """Rank-k coefficient of the type "A", "B" or "D" Narayana
+    polynomial."""
+    if X not in ("A", "B", "D"):
+        raise UnsupportedArgument(f"unknown Coxeter type {X!r}")
     if n < 0:
         raise NegativeIndex(f"rank must be nonnegative, got {n}")
-    if X is CoxeterType.A:
+    if X == "A":
         if n == 0:
             return 1 if k == 0 else 0
         return _int_or_fraction(
             Fraction(binomial(n, k) * binomial(n, k - 1), n))
-    if X is CoxeterType.B:
+    if X == "B":
         return binomial(n, k) ** 2
     if n == 0:
         return 1 if k == 0 else 0
@@ -97,7 +66,6 @@ def narayana_number(X, n: int, k: int):
 
 def narayana_poly(X, n: int):
     """Narayana polynomial in the variable a (rank generating function)."""
-    X = _coxeter(X)
     if n < 0:
         raise NegativeIndex(f"rank must be nonnegative, got {n}")
     return unipoly("a", [narayana_number(X, n, k) for k in range(n + 1)])
@@ -108,13 +76,13 @@ def _catalan(n: int) -> int:
 
 
 _GX_CLOSED = {
-    1: lambda n: Fraction(math.comb(3 * n + 1, n), 3 * n + 1),
-    2: lambda n: Fraction(math.comb(3 * n + 2, n + 1), 3 * n + 2),
-    3: lambda n: Fraction(2 * math.comb(3 * n + 1, n + 1), 3 * n + 1),
-    4: lambda n: Fraction(2 * math.comb(3 * n + 2, n + 1),
-                          (3 * n + 1) * (3 * n + 2)),
-    5: lambda n: Fraction((9 * n + 5) * math.comb(3 * n + 2, n + 1),
-                          (3 * n + 1) * (3 * n + 2)),
+    "gx1": lambda n: Fraction(math.comb(3 * n + 1, n), 3 * n + 1),
+    "gx2": lambda n: Fraction(math.comb(3 * n + 2, n + 1), 3 * n + 2),
+    "gx3": lambda n: Fraction(2 * math.comb(3 * n + 1, n + 1), 3 * n + 1),
+    "gx4": lambda n: Fraction(2 * math.comb(3 * n + 2, n + 1),
+                               (3 * n + 1) * (3 * n + 2)),
+    "gx5": lambda n: Fraction((9 * n + 5) * math.comb(3 * n + 2, n + 1),
+                               (3 * n + 1) * (3 * n + 2)),
 }
 
 # numerator and denominator parameters of the hypergeometric quotient
@@ -139,28 +107,26 @@ def sequence_value(seq, n: int, q=None):
     The two q-polynomial families require the extra parameter q and
     return a polynomial in a; everything else returns an exact number.
     """
-    if not isinstance(seq, SequenceId):
-        seq = SequenceId(str(seq))
     if n < 0:
         raise NegativeIndex(f"sequence index must be nonnegative, got {n}")
-    if seq is SequenceId.catalan:
+    if seq == "catalan":
         return _catalan(n)
-    if seq is SequenceId.motzkin:
+    if seq == "motzkin":
         return sum(math.comb(n, 2 * k) * _catalan(k)
                    for k in range(n // 2 + 1))
-    if seq is SequenceId.schroeder:
+    if seq == "schroeder":
         return sum(math.comb(n + k, 2 * k) * _catalan(k)
                    for k in range(n + 1))
-    if seq is SequenceId.delannoy:
+    if seq == "delannoy":
         return sum(math.comb(n, k) * math.comb(n + k, k)
                    for k in range(n + 1))
-    if seq is SequenceId.cbc:
+    if seq == "cbc":
         return math.comb(2 * n, n)
-    if seq is SequenceId.ctc:
+    if seq == "ctc":
         x = poly_gen("x")
         p = (1 + x + x ** 2) ** n
         return 1 if n == 0 else int(p.coefficient(n))
-    if seq is SequenceId.motzkinD:
+    if seq == "motzkinD":
         if n == 0:
             return 1
         if n == 1:
@@ -170,13 +136,13 @@ def sequence_value(seq, n: int, q=None):
         second = hyp2f1_terminating(
             Fraction(2 - n, 2), Fraction(3 - n, 2), 2, 4)
         return _int_or_fraction(first + (n - 2) * second)
-    if seq in (SequenceId.gx1, SequenceId.gx2, SequenceId.gx3,
-               SequenceId.gx4, SequenceId.gx5):
-        return _int_or_fraction(_GX_CLOSED[int(seq.value[2])](n))
+    if seq in _GX_CLOSED:
+        return _int_or_fraction(_GX_CLOSED[seq](n))
+    if seq not in ("rogersSzegoF", "rogersSzegoG"):
+        raise UnsupportedArgument(f"unknown sequence {seq!r}")
     if q is None:
-        raise UnsupportedArgument(f"{seq.value} needs the parameter q")
-    kind = "F" if seq is SequenceId.rogersSzegoF else "G"
-    return rogers_szego(kind, n, q)
+        raise UnsupportedArgument(f"{seq} needs the parameter q")
+    return rogers_szego(seq[-1], n, q)
 
 
 def phi_product(n: int, r: int, s: int, m: int) -> Fraction:
@@ -302,16 +268,17 @@ def gx_hypergeometric_series(i: int, N: int) -> TruncSeries:
 def narayana_gf_series(X, a, N: int) -> TruncSeries:
     """Series whose z^n coefficient is the type A/B/D Narayana
     polynomial at the point a."""
-    X = _coxeter(X)
+    if X not in ("A", "B", "D"):
+        raise UnsupportedArgument(f"unknown Coxeter type {X!r}")
     a = _require_rational(a, "a")
     order = N + 1  # one guard term so the type A shift keeps order N
     z = TruncSeries("z", order, [0, 1])
     radicand = (a - 1) ** 2 * z * z - 2 * (a + 1) * z + 1
     root = series_sqrt(radicand)
-    if X is CoxeterType.A:
+    if X == "A":
         return ((1 - (a - 1) * z - root).shift_down(1)
                 * Fraction(1, 2))
-    if X is CoxeterType.B:
+    if X == "B":
         inv = series_div(TruncSeries("z", order, [1]), root)
         return TruncSeries("z", N, inv.coeffs)
     inv = series_div(1 + (a + 1) * z, root)
@@ -323,18 +290,15 @@ def omega_specialization(seq, n: int):
     """Evaluate the Narayana polynomial route to the Motzkin-type
     numbers inside the quadratic extension by a primitive cube root of
     unity, returning an element of that extension."""
-    if not isinstance(seq, SequenceId):
-        seq = SequenceId(str(seq))
     if n < 0:
         raise NegativeIndex(f"sequence index must be nonnegative, got {n}")
     w = omega()
     sign = (-1) ** n
-    if seq is SequenceId.motzkin:
-        return sign * w ** (n + 2) * narayana_poly(
-            CoxeterType.A, n + 1).evaluate(w)
-    if seq is SequenceId.ctc:
-        return sign * w ** n * poly_at(narayana_poly(CoxeterType.B, n), w)
-    if seq is SequenceId.motzkinD:
-        return sign * w ** n * poly_at(narayana_poly(CoxeterType.D, n), w)
+    if seq == "motzkin":
+        return sign * w ** (n + 2) * narayana_poly("A", n + 1).evaluate(w)
+    if seq == "ctc":
+        return sign * w ** n * poly_at(narayana_poly("B", n), w)
+    if seq == "motzkinD":
+        return sign * w ** n * poly_at(narayana_poly("D", n), w)
     raise UnsupportedArgument(
-        f"no cube-root specialization for {seq.value}")
+        f"no cube-root specialization for {seq!r}")

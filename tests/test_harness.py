@@ -152,11 +152,27 @@ def test_discrepancy_reports_do_not_gate_exit():
     assert suite_exit_code([report]) == 0
 
 
-def test_numeric_fail_gates_exit():
-    report = run_check(CheckParams("rs-moment-u", {"max_m": 2},
-                                   tolerance=1e-30))
+def test_numeric_fail_gates_exit(monkeypatch):
+    monkeypatch.setattr(checks_qpoly, "TOLERANCE", 1e-30)
+    report = run_check(CheckParams("rs-moment-u", {"max_m": 2}))
     assert report.status == "numeric-fail"
     assert suite_exit_code([report]) == 1
+
+
+def test_exit_code_is_summary_failed(monkeypatch):
+    monkeypatch.setattr(checks_qpoly, "TOLERANCE", 1e-30)
+    fail = run_check(CheckParams("rs-moment-u", {"max_m": 2}))
+    conj = run_check(CheckParams("gx-5", {"index": 5, "max_n": 2}))
+    disc = run_check(CheckParams("cbc-r", {"n": 1, "r": 0}))
+    ok = run_check(CheckParams("motzkin-pf", {"n": 2}))
+    for reports in ([], [ok], [conj, disc], [ok, fail], [conj, fail, disc]):
+        failed = summarize(reports)["failed"]
+        assert suite_exit_code(reports) == (1 if failed else 0)
+
+
+def test_run_check_needs_every_grid_parameter():
+    with pytest.raises(KeyError, match="max_n"):
+        run_check(CheckParams("gx-1", {"index": 1}))
 
 
 # ---------------------------------------------------------------- suite layer
@@ -290,6 +306,14 @@ def test_cli_verify_with_params(capsys, tmp_path):
     assert doc["lhs"] == "5" and doc["params"] == {"n": 2}
 
 
+def test_readme_verify_example_matches_output(capsys):
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    expected = lines[lines.index("$ hpf verify motzkin-pf --param n=4") + 1]
+    assert main(["verify", "motzkin-pf", "--param", "n=4"]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
 def test_cli_verify_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["verify", "ahk", "--param", "n=2", "--seed", "3",
@@ -419,6 +443,22 @@ def test_cli_rejects_nonpositive_trials(capsys, argv):
 def test_all_exports_resolve(module):
     mod = importlib.import_module(module)
     assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
+
+
+@pytest.mark.parametrize("max_n", ["0", "-2"])
+def test_cli_gx_rejects_nonpositive_max_n(capsys, max_n):
+    assert main(["verify", "gx-1", "--param", f"max_n={max_n}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("hpf: UnsupportedArgument:")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["verify rs-moment-u", "suite"])
+def test_cli_has_no_tolerance_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command.split() + ["--tolerance", "-1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
 
 def test_cli_bad_param_syntax(capsys):

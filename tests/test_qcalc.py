@@ -357,12 +357,6 @@ def test_aomoto_closed_equals_bruteforce():
                     assert closed == HalfGamma(brute, 0)
 
 
-def test_aomoto_elementary_factor():
-    plain = aomoto_closed(3, 2, 1, 1, 1)
-    sym = aomoto_closed(3, 2, 1, 1, 1, elementary=True)
-    assert sym == plain * math.comb(3, 2)
-
-
 def test_selberg_phi_bridge():
     lhs, rhs = selberg_phi_bridge(1, 1, 1, 2)
     assert lhs == rhs == HalfGamma(F(1, 8), 2)

@@ -8,8 +8,7 @@ from hankelpf.errors import (NegativeIndex, NonTerminating,
                              PochhammerPoleInC, UnsupportedArgument,
                              ZeroDenominatorBinomial, ZeroQForG)
 from hankelpf.scalars import derive_rng, omega, poly_gen, unipoly
-from hankelpf.sequences import (CoxeterType, SequenceId, binomial, ftilde,
-                                ftilde_recurrence,
+from hankelpf.sequences import (binomial, ftilde, ftilde_recurrence,
                                 gx_hypergeometric_series, hyp2f1_series,
                                 hyp2f1_terminating, narayana_gf_series,
                                 narayana_number, narayana_poly,
@@ -228,8 +227,13 @@ def test_gf_matches_polynomials():
                 assert series[n] == expect, (X, a, n)
 
 
-def test_enum_round_trip():
-    assert SequenceId("gx3") is SequenceId.gx3
-    assert CoxeterType("D") is CoxeterType.D
-    with pytest.raises(ValueError):
-        SequenceId("nope")
+def test_unknown_names_raise():
+    assert sequence_value("gx3", 2) == 10
+    for call in (lambda: sequence_value("nope", 2),
+                 lambda: omega_specialization("catalan", 2),
+                 lambda: narayana_number("C", 2, 1),
+                 lambda: narayana_poly("C", 2),
+                 lambda: narayana_gf_series("C", 1, 4)):
+        with pytest.raises(UnsupportedArgument):
+            call()
+    assert issubclass(UnsupportedArgument, ValueError)
