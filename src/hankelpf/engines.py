@@ -6,7 +6,7 @@ Design notes that matter for reading this file:
 
 * One kernel, `_expand`, computes the determinant, hyperdeterminant,
   Pfaffian, hyperpfaffian and hyperhafnian (through `_block_sum`) and
-  every minor of one row set at once (through `_row_minors`): each is a
+  every minor of one row set at once (through `row_minors`): each is a
   sum over m-tuples of ordered block partitions, read as a dynamic
   program over free-point bitmasks.
 * No division inside the expansion. Scalars may be polynomials, so all
@@ -14,12 +14,17 @@ Design notes that matter for reading this file:
   by fixing the block order of the first summation slot (see
   `_block_sum`).
 * Exact types never degrade. The expansion only uses +, - and *, so int
-  entries give a plain int. When every entry is exactly a Fraction, the
-  entries are scaled to ints by the lcm D of their denominators and each
-  result is returned as Fraction(total, D**steps): a Fraction even when
-  whole or zero, and int 0 only when no term has all its entries
-  present. Mixed int/Fraction, UniPoly and QuadExt entries are expanded
-  as they are.
+  entries give a plain int. When every entry is exactly a Fraction or a
+  UniPoly, all in one variable, the kernel runs over packed ints
+  (`_packed_entries`): coefficients are scaled by the lcm D of their
+  denominators, each entry becomes one int, its value at x = 2^B, and
+  each result is unpacked once into unipoly(var, digits / D**steps).
+  That is a UniPoly in the entries' variable, or a Fraction when it is
+  constant, even when whole or zero; all-Fraction entries are the
+  one-digit case. A result no term reaches, because no term has all
+  its entries present, is int 0. Mixed int/Fraction, QuadExt, RatFunc
+  and two-variable entries are expanded as they are, so a result that
+  only int-only terms reach stays an int.
 * Signs are applied by negating or subtracting, never by scalar powers.
 """
 
@@ -33,6 +38,8 @@ from fractions import Fraction
 from .errors import (BoundsError, CardinalityMismatch,
                      CardinalityNotMultipleOfL, OddBlockLength, OddDimension,
                      OddSize, ShapeMismatch)
+from .scalars.poly import (UniPoly, kron_pack, kron_unpack, scale_to_ints,
+                           unipoly)
 from .tensors import BlockArray, Tensor
 
 
@@ -76,6 +83,58 @@ def _slot_options(free, l, head):
     return tuple(opts)
 
 
+def _packed_entries(entries, l, start, steps):
+    """The entries as packed ints, or None when they must run as they are.
+
+    Packing applies when every entry is exactly a Fraction or a UniPoly,
+    and the UniPolys share one variable. All coefficients are scaled by
+    the lcm D of their denominators, and each entry becomes the int
+    `kron_pack(coeffs, B)`, its value at x = 2^B. Evaluation at 2^B is a
+    ring map, so the kernel's +, - and * over these ints give each final
+    state's polynomial evaluated at 2^B, times D**steps.
+
+    Why B is safe: unpacking returns the true coefficients when each has
+    absolute value below 2^(B-1). A final coefficient sums one term per
+    path into its state. A term is a product of `steps` entries, each
+    with at most L coefficients of absolute value at most C (the largest
+    scaled one), so its coefficients are at most C**steps * L**(steps-1).
+    The paths into any state are at most all the paths from `start`: at
+    step t the first slot, with f_1 - t*l free points, takes a block
+    holding its lowest one, in comb(f_1 - t*l - 1, l - 1) ways, and slot
+    s takes any of comb(f_s - t*l, l) blocks. So B is one more than the
+    bit length of (paths) * C**steps * L**(steps-1).
+
+    Returns (packed entries, B, D**steps, variable or None, digits per
+    final state). With only Fractions, L = 1: each entry and each final
+    state is one scaled int, and no width is needed.
+    """
+    if not steps or not entries:
+        return None
+    var = None
+    lists = []
+    for v in entries.values():
+        if type(v) is Fraction:
+            lists.append((v,))
+        elif type(v) is UniPoly and var in (None, v.var):
+            var = v.var
+            lists.append(v.coeffs)
+        else:
+            return None
+    ints, D = scale_to_ints(lists)
+    L = max(map(len, ints))
+    B = 0
+    if L > 1:
+        C = max(abs(c) for cs in ints for c in cs)
+        free = [p.bit_count() for p in start]
+        paths = 1
+        for t in range(steps):
+            paths *= math.comb(max(free[0] - t * l - 1, 0), l - 1) \
+                * math.prod(math.comb(max(f - t * l, 0), l) for f in free[1:])
+        B = (paths * C ** steps * L ** (steps - 1)).bit_length() + 1
+    packed = dict(zip(entries, (kron_pack(cs, B) for cs in ints)))
+    return packed, B, D ** steps, var, steps * (L - 1) + 1
+
+
 def _expand(entries, l, m, start, steps, signed):
     """Run `steps` block steps from the free masks `start`, one per slot.
 
@@ -89,18 +148,13 @@ def _expand(entries, l, m, start, steps, signed):
     counts, per slot, the pairs (x chosen, y still free, y < x).
 
     Returns the whole final {state: value} table; a state no path
-    reaches is absent (zero). When every entry is exactly a Fraction,
-    the entries are scaled by the lcm D of their denominators and the
-    steps run over plain ints; each term is a product of `steps`
-    entries, so the table is then divided by D**steps.
+    reaches is absent (zero). Fraction and one-variable UniPoly entries
+    run as packed ints (`_packed_entries`), and each final state is
+    unpacked once into `unipoly(var, digits / D**steps)`.
     """
-    scale = None
-    if steps and entries and all(type(v) is Fraction
-                                 for v in entries.values()):
-        D = math.lcm(*(v.denominator for v in entries.values()))
-        entries = {key: v.numerator * (D // v.denominator)
-                   for key, v in entries.items()}
-        scale = D ** steps
+    packed = _packed_entries(entries, l, start, steps)
+    if packed is not None:
+        entries = packed[0]
     slot_args = ((l,) * m, (True,) + (False,) * (m - 1))
     cur = {start: 1}
     for _ in range(steps):
@@ -119,8 +173,11 @@ def _expand(entries, l, m, start, steps, signed):
                 else:
                     nxt[rest] = term if old is None else old + term
         cur = nxt
-    if scale is not None:
-        return {state: Fraction(v, scale) for state, v in cur.items()}
+    if packed is not None:
+        _, B, scale, var, n = packed
+        return {state: unipoly(var, [Fraction(d, scale)
+                                     for d in kron_unpack(v, B, n)])
+                for state, v in cur.items()}
     return cur
 
 
@@ -145,7 +202,7 @@ def _require_even_order(A: Tensor):
             f"hyperdeterminant needs even dimension, got m={A.m}")
 
 
-def _row_minors(A: Tensor, rows):
+def row_minors(A: Tensor, rows):
     """Hyperdeterminant of every minor of A on the first-axis rows `rows`.
 
     Returns {(S_2, ..., S_m): value} with one sorted index tuple per
@@ -157,10 +214,15 @@ def _row_minors(A: Tensor, rows):
 
     The flips there also count the free points outside S_k below each
     chosen point: sum(S_k) - |S_k|(|S_k|+1)/2 of them per axis, which
-    depends on S_k alone and is undone here.
+    depends on S_k alone and is undone here. `rows` must be distinct
+    first-axis indices, else BoundsError.
     """
     _require_even_order(A)
     r = len(rows)
+    if len(set(rows)) != r or not all(
+            isinstance(i, int) and 1 <= i <= A.shape[0] for i in rows):
+        raise BoundsError(f"rows {tuple(rows)} are not distinct indices "
+                          f"of [{A.shape[0]}]")
     full = tuple((1 << s + 1) - 2 for s in A.shape[1:])
     fixed = (A.m - 1) * (r * (r + 1) // 2)
     out = {}
@@ -301,7 +363,7 @@ def hyperdet_laplace(A: Tensor, subset):
 
     Splits the rows into `subset` and its complement, sums minor times
     signed complementary minor over all column-axis subsets. Both
-    minor tables come from one `_row_minors` pass each.
+    minor tables come from one `row_minors` pass each.
     """
     _require_even_order(A)
     n = _cubic_size(A)
@@ -312,9 +374,9 @@ def hyperdet_laplace(A: Tensor, subset):
             raise BoundsError(f"{subset} is not a subset of [{n}]")
         seen.add(j)
     points = range(1, n + 1)
-    co_minors = _row_minors(A, [j for j in points if j not in seen])
+    co_minors = row_minors(A, [j for j in points if j not in seen])
     total = 0
-    for cols, a in _row_minors(A, subset).items():
+    for cols, a in row_minors(A, subset).items():
         if a == 0:
             continue
         cof = co_minors.get(tuple(tuple(j for j in points if j not in S)
@@ -495,7 +557,7 @@ def msf_build_Q(A: BlockArray, H) -> BlockArray:
 
     Q(I-blocks) sums A(K-blocks) against products of hyperdeterminant
     minors of the rectangular tensors, one minor per slot of A. The
-    minors of each tensor come from one `_row_minors` pass per
+    minors of each tensor come from one `row_minors` pass per
     first-axis block I_1.
     """
     r, m, ln, _ = _check_msf_shapes(A, H)
@@ -506,7 +568,7 @@ def msf_build_Q(A: BlockArray, H) -> BlockArray:
     for h in H:
         tbl = {}
         for rows in itertools.combinations(range(1, ln + 1), l):
-            for cols, d in _row_minors(h, rows).items():
+            for cols, d in row_minors(h, rows).items():
                 tbl[((rows,) + cols[:-1], cols[-1])] = d
         tables.append(tbl)
     q_entries: dict = {}
@@ -541,7 +603,7 @@ def msf_lhs(A: BlockArray, H):
     ln = _check_msf_shapes(A, H)[2]
     full = tuple(range(1, ln + 1))
     det_tables = [[(cols[-1], d)
-                   for cols, d in _row_minors(h, full).items()
+                   for cols, d in row_minors(h, full).items()
                    if d != 0]
                   for h in H]
     total = 0

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 from ..engines import hyperhafnian, hyperpfaffian
+from ..errors import UnsupportedArgument
 from ..qcalc import (DiscreteMeasure, debruijn_kernel,
                      debruijn_ordered_integral, delta_product,
                      discrete_cube_integral, discrete_moment, q_pochhammer)
@@ -30,7 +31,8 @@ def check_debruijn_discrete(params, rng, opts):
     hyperpfaffian of the one-point kernel array.
 
     The classical two-column case (one family, l=2) additionally pins
-    the kernel to the antisymmetric matrix of 2x2 cross integrals.
+    the kernel to the antisymmetric matrix of 2x2 cross integrals. The
+    general case needs r, l, n and count, else UnsupportedArgument.
     """
     if params.get("classical"):
         n = params["n"]
@@ -43,6 +45,10 @@ def check_debruijn_discrete(params, rng, opts):
             w * (phi[i - 1](x) * psi[j - 1](x) - phi[j - 1](x) * psi[i - 1](x))
             for x, w in mu.atoms))
         return outcome_eq(lhs, rhs, terms=len(mu.atoms))
+    missing = [k for k in ("r", "l", "n", "count") if k not in params]
+    if missing:
+        raise UnsupportedArgument(
+            f"the non-classical case needs {', '.join(missing)}")
     r, l, n = params["r"], params["l"], params["n"]
     pairs = []
     for _ in range(params["count"]):

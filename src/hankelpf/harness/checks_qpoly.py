@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from ..errors import UnsupportedArgument
-from ..qcalc import q_binomial, q_pochhammer, q_powers
+from ..qcalc import q_binomial_row, q_pochhammer, q_powers
 from ..scalars import poly_at, poly_gen
 from ..sequences import (ftilde, ftilde_recurrence,
                          gx_hypergeometric_series, rogers_szego,
@@ -49,16 +49,16 @@ def check_asc(params, rng, opts):
         elif variant == "u-r0":
             lhs = _rs_pfaffian("F", -2, n, q)
             extra = sum(_int_qpow(q, k * (k - 1) + (n - k) * (n - k - 1))
-                        * q_binomial(n, k, q * q) * a ** k
-                        for k in range(n + 1))
+                        * c * a ** k
+                        for k, c in enumerate(q_binomial_row(n, q * q)))
             rhs = base * _int_qpow(q, n * (n - 1) * (4 * n - 5), 6) * extra
         elif variant == "v-rm1":
             lhs = _rs_pfaffian("G", -3, n, q)
             rhs = base * _int_qpow(q, -n * (n - 1) * (4 * n - 5), 3)
         elif variant == "v-r0":
             lhs = _rs_pfaffian("G", -2, n, q)
-            extra = sum(q_binomial(n, k, q * q) * a ** k
-                        for k in range(n + 1))
+            extra = sum(c * a ** k
+                        for k, c in enumerate(q_binomial_row(n, q * q)))
             rhs = (base * _int_qpow(q, -2 * n * (n - 1) * (2 * n - 1), 3)
                    * extra)
         else:

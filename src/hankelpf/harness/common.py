@@ -126,10 +126,14 @@ def moment_block_array(mu, l, ln, u, prefactor):
 def narayana_block_pf(X, l, n, r, a):
     """Hyperpfaffian of the block array whose entry at an l-subset I is
     prod_{s<t}(I_t - I_s) times the X-type Narayana polynomial of degree
-    (sum I) + r - l evaluated at a."""
+    (sum I) + r - l evaluated at a; each degree is evaluated once."""
+    values = {}
     entries = {}
     for I in enum_subsets(l * n, l):
-        v = gap_prefactor(I) * poly_at(narayana_poly(X, sum(I) + r - l), a)
+        d = sum(I) + r - l
+        if d not in values:
+            values[d] = poly_at(narayana_poly(X, d), a)
+        v = gap_prefactor(I) * values[d]
         if v != 0:
             entries[(I,)] = v
     return hyperpfaffian(BlockArray(l, 1, l * n, entries))

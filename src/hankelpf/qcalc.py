@@ -16,15 +16,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engines import det_matrix
+from .engines import det_matrix, row_minors
 from .errors import (GeometricPole, HpfError, MomentPole, PoleInNegativeRange,
                      ShapeMismatch, SizeBudgetExceeded, UnsupportedArgument,
                      ZeroCoordinate)
 from .scalars import HalfGamma, format_scalar, gamma_exact, q_gamma_int, sdiv
-from .tensors import BlockArray
+from .tensors import BlockArray, Tensor
 
 __all__ = [
-    "q_pochhammer", "q_binomial",
+    "q_pochhammer", "q_binomial", "q_binomial_row",
     "jackson_monomial",
     "DiscreteMeasure",
     "discrete_moment", "discrete_cube_integral", "discrete_ordered_integral",
@@ -79,11 +79,22 @@ def q_pochhammer(a, q, n: int):
 def q_binomial(n: int, k: int, q):
     """Gaussian binomial coefficient, zero outside 0 <= k <= n.
 
-    Equal to the quotient (q;q)_n / ((q;q)_k (q;q)_{n-k}); computed by the
-    q-Pascal recurrence so a polynomial q stays polynomial throughout.
+    Equal to the quotient (q;q)_n / ((q;q)_k (q;q)_{n-k}). It reads entry
+    k of `q_binomial_row(n, q)`, which builds the whole q-Pascal triangle
+    down to row n, so a caller that needs several k of one n should take
+    the row once.
     """
     if k < 0 or k > n:
         return 0
+    return q_binomial_row(n, q)[k]
+
+
+def q_binomial_row(n: int, q):
+    """[q_binomial(n, k, q) for k in 0..n], for n >= 0.
+
+    Built by the q-Pascal recurrence, with no division, so a polynomial q
+    stays polynomial throughout.
+    """
     row = [1]
     for i in range(1, n + 1):
         prev = row
@@ -93,7 +104,7 @@ def q_binomial(n: int, k: int, q):
             power = power * q
             row.append(prev[j - 1] + power * prev[j])
         row.append(1)
-    return row[k]
+    return row
 
 
 # --------------------------------------------------------------------------
@@ -546,20 +557,24 @@ def debruijn_kernel(families, mu: DiscreteMeasure) -> BlockArray:
     determinants det( families[s][i][mu](x) ) with i running over I_s.
     """
     r, rows, l = _family_shape(families)
-    # evaluate every family row once per atom
-    tables = []
-    for x, _ in mu.atoms:
-        tables.append([[[f(x) for f in row] for row in fam]
-                       for fam in families])
+    # per atom and family, every l x l minor of the rows x l value table:
+    # one `row_minors` pass over its l x rows transpose, keyed (I,)
+    minors = []
+    for x, w in mu.atoms:
+        tables = []
+        for fam in families:
+            values = Tensor.from_function(
+                (l, rows), lambda j, i: fam[i - 1][j - 1](x))
+            tables.append(row_minors(values, range(1, l + 1)))
+        minors.append((w, tables))
     entries = {}
     for key in itertools.product(
             itertools.combinations(range(1, rows + 1), l), repeat=r):
         total = 0
-        for t, (_, w) in enumerate(mu.atoms):
+        for w, tables in minors:
             prod = w
-            for s, subset in enumerate(key):
-                prod = prod * det_matrix(
-                    [tables[t][s][i - 1] for i in subset])
+            for table, subset in zip(tables, key):
+                prod = prod * table.get((subset,), 0)
             total = total + prod
         if total != 0:
             entries[key] = total

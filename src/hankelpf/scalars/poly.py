@@ -1,7 +1,15 @@
 """Dense univariate polynomials and rational functions.
 
-Every coefficient is a Fraction.  The factory functions (`unipoly`,
-`ratfunc`) trim zeros and demote degenerate values one step down the chain
+Ints inside, Fractions at the boundary: `.coeffs`, `.num` and `.den`
+hold Fractions, and so do the coefficient lists the helpers return, but
+products and gcds run over Python ints.  `scale_to_ints` clears the
+denominators.  A product packs each operand into one int, its value at
+x = 2^B (Kronecker substitution), multiplies once and unpacks balanced
+digits; the engines' kernel shares `kron_pack` and `kron_unpack`.  A gcd
+runs the primitive remainder sequence over ints.
+
+The factory functions (`unipoly`, `ratfunc`) trim zeros and demote
+degenerate values one step down the chain
 
     Rational -> UniPoly -> RatFunc
 
@@ -15,6 +23,7 @@ RatFunc (q + 1)/(q).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ..errors import DivisionByZero, IncompatibleTags
@@ -48,16 +57,56 @@ def _pneg(a):
     return [-c for c in a]
 
 
+def scale_to_ints(lists):
+    """(int lists, D): every coefficient times the lcm D of all their
+    denominators, so lists[i][k] == ints[i][k] / D."""
+    D = math.lcm(*(c.denominator for cs in lists for c in cs))
+    return [[c.numerator * (D // c.denominator) for c in cs]
+            for cs in lists], D
+
+
+def kron_pack(ints, B):
+    """The int sum(c_k << B*k): the polynomial evaluated at x = 2^B."""
+    x = 0
+    for c in reversed(ints):
+        x = (x << B) + c
+    return x
+
+
+def kron_unpack(x, B, n):
+    """The n balanced B-bit digits of x, lowest first.
+
+    Inverts `kron_pack` whenever every coefficient c has |c| < 2^(B-1).
+    Adding 2^(B-1) to every digit makes them all nonnegative with no
+    carry between them, so each one is read off by shift and mask. One
+    digit is x itself, whatever B.
+    """
+    if n == 1:
+        return [x]
+    half = 1 << (B - 1)
+    mask = (1 << B) - 1
+    x += half * (((1 << B * n) - 1) // mask)
+    return [((x >> B * k) & mask) - half for k in range(n)]
+
+
 def _pmul(a, b):
+    """Product by Kronecker substitution: one big-int multiply.
+
+    Each product coefficient sums at most min(len a, len b) products of
+    one scaled coefficient from each side, which bounds B.
+    """
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _trim(out)
+    if len(a) == 1 or len(b) == 1:
+        (c,), p = (a, b) if len(a) == 1 else (b, a)
+        return _trim([c * x for x in p])
+    (ia, ib), D = scale_to_ints((a, b))
+    bound = min(len(a), len(b)) * max(map(abs, ia)) * max(map(abs, ib))
+    B = bound.bit_length() + 1
+    prod = kron_pack(ia, B) * kron_pack(ib, B)
+    D *= D
+    return _trim([Fraction(d, D)
+                  for d in kron_unpack(prod, B, len(a) + len(b) - 1)])
 
 
 def _pdivmod(a, b):
@@ -83,16 +132,48 @@ def _pdivmod(a, b):
     return _trim(quo), _trim(rem)
 
 
+def _primitive(cs):
+    """An int list divided by its content (the gcd of its entries)."""
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
+
+
+def _prem(a, b):
+    """Pseudo-remainder of int lists: a times a power of lc(b), mod b."""
+    r, lead, n = list(a), b[-1], len(b)
+    while len(r) >= n:
+        c = r.pop()
+        k = len(r) - n + 1
+        r = [x * lead for x in r]
+        for i in range(n - 1):
+            r[k + i] -= c * b[i]
+        _trim(r)
+    return r
+
+
 def _pgcd(a, b):
-    """Monic gcd by the Euclidean algorithm."""
-    a, b = list(a), list(b)
+    """Monic gcd, by the primitive remainder sequence over ints.
+
+    Both sides are scaled to ints, and each pseudo-remainder is divided
+    by its content, which keeps the ints small (Collins, JACM 1967;
+    Knuth, TAOCP vol. 2, 4.6.1).  A monomial c*q^k on either side, as
+    every Laurent denominator is, gives q^min(k, ord of the other side)
+    directly.
+    """
+    if not a or not b:
+        g = a or b
+        return [c / g[-1] for c in g]
+    for x, y in ((a, b), (b, a)):
+        if not any(x[:-1]):
+            order = next(i for i, c in enumerate(y) if c)
+            return [Fraction(0)] * min(len(x) - 1, order) + [Fraction(1)]
+    (a, b), _ = scale_to_ints((a, b))
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    if not a:
-        return []
-    lead = a[-1]
-    return [c / lead for c in a]
+        a, b = b, _primitive(_prem(a, b))
+    return [Fraction(c, a[-1]) for c in a]
 
 
 # -- UniPoly ----------------------------------------------------------------

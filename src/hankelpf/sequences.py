@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import (NegativeIndex, NonTerminating, PochhammerPoleInC,
                      UnsupportedArgument, ZeroDenominatorBinomial, ZeroQForG)
-from .qcalc import q_binomial
+from .qcalc import q_binomial_row
 from .scalars import (RATIONAL_TYPES, TruncSeries, omega, poly_at, poly_gen,
                       series_div, series_sqrt, unipoly)
 
@@ -182,12 +182,9 @@ def rogers_szego(kind: str, n: int, q):
     q = _require_rational(q, "q")
     if kind == "G" and q == 0:
         raise ZeroQForG("the shifted variant needs q != 0")
-    coeffs = []
-    for k in range(n + 1):
-        c = q_binomial(n, k, q)
-        if kind == "G":
-            c *= q ** (k * (k - n))
-        coeffs.append(c)
+    coeffs = q_binomial_row(n, q)
+    if kind == "G":
+        coeffs = [c * q ** (k * (k - n)) for k, c in enumerate(coeffs)]
     return unipoly("a", coeffs)
 
 
@@ -197,9 +194,9 @@ def ftilde(i: int, t):
         raise NegativeIndex(f"index must be nonnegative, got {i}")
     t = _require_rational(t, "t")
     coeffs = []
-    for j in range(i + 1):
+    for j, c in enumerate(q_binomial_row(i, t)):
         e = j * (j - 1) // 2 + (i - j) * (i - j - 1) // 2
-        coeffs.append(q_binomial(i, j, t) * t ** e)
+        coeffs.append(c * t ** e)
     return unipoly("a", coeffs)
 
 

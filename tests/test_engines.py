@@ -9,15 +9,17 @@ import pytest
 
 from hankelpf.blocks import enum_block_perms, perm_sign
 from hankelpf.errors import (BoundsError, CardinalityMismatch,
-                             CardinalityNotMultipleOfL, OddBlockLength,
-                             OddDimension, OddSize, ShapeMismatch)
-from hankelpf.engines import (_row_minors, det_matrix, flatten_matsumoto,
-                              hyperdet, hyperdet_laplace,
-                              hyperdet_via_exterior, hyperhafnian,
-                              hyperpfaffian, minor_tensor,
+                             CardinalityNotMultipleOfL, IncompatibleTags,
+                             OddBlockLength, OddDimension, OddSize,
+                             ShapeMismatch)
+from hankelpf.engines import (det_matrix, flatten_matsumoto, hyperdet,
+                              hyperdet_laplace, hyperdet_via_exterior,
+                              hyperhafnian, hyperpfaffian, minor_tensor,
                               msf_build_Q, msf_lhs, pfaffian,
-                              restrict_block_array, subhyperpfaffian)
-from hankelpf.scalars import derive_rng, omega, poly_gen, quadext, unipoly
+                              restrict_block_array, row_minors,
+                              subhyperpfaffian)
+from hankelpf.scalars import (UniPoly, derive_rng, omega, poly_gen, quadext,
+                              unipoly)
 from hankelpf.tensors import (BlockArray, Tensor, block_array_from_json,
                               tensor_from_json)
 
@@ -175,12 +177,19 @@ def test_row_minors_match_minor_tensor():
         keys = [ic + (K,) for ic in itertools.product(blocks, repeat=m - 2)
                 for K in itertools.combinations(range(1, N + 1), l)]
         for rows in blocks:
-            table = _row_minors(H, rows)
+            table = row_minors(H, rows)
             assert set(table) <= set(keys)
             for key in keys:
                 d = table.get(key, 0)
                 assert d == hyperdet(minor_tensor(H, (rows,) + key))
                 _check_type(d, kind)
+
+
+def test_row_minors_rejects_bad_rows():
+    H = Tensor.from_function((3, 4), lambda i, j: i + j)
+    for rows in ((1, 1), (0, 2), (2, 4), (1.0,)):
+        with pytest.raises(BoundsError):
+            row_minors(H, rows)
 
 
 def test_minor_tensor_examples():
@@ -381,6 +390,93 @@ def test_mixed_int_fraction_entries_keep_their_type():
     B = BlockArray(2, 2, 4, {((1, 2), (1, 2)): 2, ((3, 4), (3, 4)): half})
     assert hyperpfaffian(B) == 1 and type(hyperpfaffian(B)) is Fraction
     assert hyperhafnian(B) == 1 and type(hyperhafnian(B)) is Fraction
+
+
+# ------------------------------------------- packed polynomial entries
+
+PACKED_KINDS = ("unipoly", "unipoly+fraction", "fraction")
+
+
+def _packed_entry(rng, kind):
+    # nonzero, with mixed denominators; "fraction" is the one-digit case
+    if kind == "fraction" or (kind == "unipoly+fraction"
+                              and rng.random() < 0.4):
+        return Fraction(rng.choice((-4, -1, 1, 3)), rng.choice((1, 2, 3, 6)))
+    coeffs = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 6)))
+              for _ in range(rng.randint(1, 3))]
+    return unipoly("x", coeffs + [rng.choice((-3, -1, 2, 5))])
+
+
+def _check_packed_type(value):
+    assert type(value) is Fraction or (type(value) is UniPoly
+                                       and value.var == "x")
+
+
+@pytest.mark.parametrize("kind", PACKED_KINDS)
+@pytest.mark.parametrize("name", sorted(FRACTION_ENGINES))
+def test_packed_entries_match_literal_definition(name, kind):
+    l, m, n, signed, engine = FRACTION_ENGINES[name]
+    keys = _all_keys(l, m, n)
+    rng = derive_rng("packed-literal", name, kind)
+    for _ in range(2):
+        entries = {k: _packed_entry(rng, kind) for k in keys
+                   if rng.random() < 0.8}
+        value = engine(entries)
+        assert value == _literal_block_sum(entries, l, m, n, signed)
+        _check_packed_type(value)
+
+
+@pytest.mark.parametrize("kind", PACKED_KINDS)
+def test_packed_row_minors_match_literal_definition(kind):
+    rng = derive_rng("packed-minors", kind)
+    for shape in ((2, 4), (3, 4), (2, 3, 3, 3)):
+        m, r = len(shape), shape[0]
+        H = Tensor.from_function(shape, lambda *i: _packed_entry(rng, kind))
+        rows = tuple(range(1, r + 1))
+        table = row_minors(H, rows)
+        for cols in itertools.product(*(itertools.combinations(
+                range(1, s + 1), r) for s in shape[1:])):
+            axes = (rows,) + cols
+            minor = {pos: H.entries[tuple(ax[p - 1]
+                                          for ax, p in zip(axes, pos))]
+                     for pos in itertools.product(range(1, r + 1), repeat=m)}
+            value = table.get(cols, 0)
+            assert value == _literal_block_sum(minor, 1, m, r)
+            _check_packed_type(value)
+
+
+def test_packed_width_covers_worst_case():
+    # every entry the same polynomial, all of its coefficients the
+    # largest value and of one sign: no term cancels, so the final
+    # coefficients are as large as the packing width allows for
+    for sign, (l, m, n) in itertools.product((1, -1), ((2, 1, 3), (2, 2, 2),
+                                                       (3, 1, 2), (2, 3, 2))):
+        P = unipoly("x", [sign * Fraction(2 ** 64 - 1, 7)] * 4)
+        value = hyperhafnian(BlockArray.from_function(l, m, l * n,
+                                                      lambda *k: P))
+        count = hyperhafnian(BlockArray.from_function(l, m, l * n,
+                                                      lambda *k: 1))
+        assert type(value) is UniPoly and value.degree == 3 * n
+        for x in range(3 * n + 1):
+            assert value.evaluate(x) == count * P.evaluate(x) ** n
+
+
+def test_packed_result_types():
+    x, one = poly_gen("x"), Fraction(1)
+    # a UniPoly in the entries' variable
+    value = det_matrix([[x, one], [one, x]])
+    assert value == x * x - 1 and type(value) is UniPoly and value.var == "x"
+    # a constant result is a Fraction, also when it cancels to zero
+    value = det_matrix([[x, one], [x + 1, one]])
+    assert value == -1 and type(value) is Fraction
+    value = det_matrix([[x, x], [x, x]])
+    assert value == 0 and type(value) is Fraction
+    # no term has all of its entries present: plain int 0
+    value = pfaffian({(1, 2): x, (1, 3): x + 1}, size=4)
+    assert value == 0 and type(value) is int
+    # two variables are not packed together; their product still fails
+    with pytest.raises(IncompatibleTags):
+        pfaffian({(1, 2): x, (3, 4): poly_gen("y")})
 
 
 # ------------------------------------------------- hyperpfaffian / hafnian

@@ -453,6 +453,18 @@ def test_cli_gx_rejects_nonpositive_max_n(capsys, max_n):
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
+def test_cli_debruijn_general_case_needs_its_parameters(capsys):
+    argv = ["verify", "debruijn-discrete", "--param", "classical=false"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("hpf: UnsupportedArgument: the non-classical "
+                            "case needs r, l, count\n")
+    assert captured.out == ""
+    assert main(argv + ["--param", "r=1", "--param", "l=2",
+                        "--param", "count=1"]) == 0
+    assert "verified" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["verify rs-moment-u", "suite"])
 def test_cli_has_no_tolerance_flag(capsys, command):
     with pytest.raises(SystemExit) as exc:

@@ -8,8 +8,8 @@ import pytest
 from fractions import Fraction as F
 
 from hankelpf.blocks import enum_subsets
-from hankelpf.engines import (hyperhafnian, hyperpfaffian, msf_build_Q,
-                              pfaffian)
+from hankelpf.engines import (det_matrix, hyperhafnian, hyperpfaffian,
+                              msf_build_Q, pfaffian)
 from hankelpf.errors import (GeometricPole, MomentPole, PoleInNegativeRange,
                              ShapeMismatch, SizeBudgetExceeded,
                              UnsupportedArgument, ZeroCoordinate)
@@ -497,6 +497,58 @@ def test_debruijn_kernel_entries():
     assert Qk.get(((1, 2),)) == 0
     # entry at {1,3}: integral of det [[1, x], [1, 1]] = 1 - x
     assert Qk.get(((1, 3),)) == 2 * (1 - 1) + 1 * (1 - 3)
+
+
+def _det_matrix_kernel(families, mu):
+    # the kernel with one det_matrix call per (subset, atom, family)
+    r, rows, l = len(families), len(families[0]), len(families[0][0])
+    entries = {}
+    for key in itertools.product(
+            itertools.combinations(range(1, rows + 1), l), repeat=r):
+        total = 0
+        for x, w in mu.atoms:
+            prod = w
+            for fam, subset in zip(families, key):
+                prod = prod * det_matrix([[f(x) for f in fam[i - 1]]
+                                          for i in subset])
+            total = total + prod
+        if total != 0:
+            entries[key] = total
+    return entries
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "unipoly"])
+def test_debruijn_kernel_minors_match_det_matrix(kind):
+    # the kernel reads its l x l minors from one row_minors pass per
+    # atom and family; the families here take int, Fraction and
+    # UniPoly values
+    rng = derive_rng("debruijn-minors", kind)
+    t = poly_gen("t")
+    for r, l, rows in [(1, 2, 4), (2, 2, 4), (1, 3, 5), (1, 1, 3)]:
+        fams = []
+        for _ in range(r):
+            fam = []
+            for _ in range(rows):
+                row = []
+                for _ in range(l):
+                    c0, c1 = rng.randint(-3, 3), rng.randint(-3, 3)
+                    if kind == "int":
+                        row.append(lambda x, c0=c0, c1=c1:
+                                   c0 + c1 * x.numerator)
+                    elif kind == "fraction":
+                        row.append(lambda x, c0=c0, c1=c1: c0 + c1 * x)
+                    else:
+                        row.append(lambda x, c0=c0, c1=c1: c0 * t + c1 * x)
+                fam.append(row)
+            fams.append(fam)
+        mu = DiscreteMeasure(tuple((x, rng.randint(1, 4))
+                                   for x in _rand_points(rng, 3)))
+        Qk = debruijn_kernel(fams, mu)
+        expected = _det_matrix_kernel(fams, mu)
+        assert set(Qk.entries) == set(expected)
+        for key, v in expected.items():
+            assert Qk.entries[key] == v
+            assert type(Qk.entries[key]) is type(v)
 
 
 def test_debruijn_ordered_equals_pf_of_kernel():

@@ -13,6 +13,7 @@ from hankelpf.scalars import (HalfGamma, QuadExt, RatFunc, TruncSeries,
                               omega, parse_scalar, poly_gen, q_gamma_int,
                               quadext, ratfunc, sdiv, series_div, series_sqrt,
                               sqrt2, unipoly)
+from hankelpf.scalars import poly
 
 
 # ---------------------------------------------------------------- ring axioms
@@ -145,6 +146,72 @@ def test_unipoly_evaluate():
     a = poly_gen("a")
     p = a ** 3 - 2 * a + 5
     assert p.evaluate(Fraction(1, 2)) == Fraction(1, 8) - 1 + 5
+
+
+# --------------------------------------------- integer coefficient paths
+
+def _rand_coeffs(rng, length):
+    # zeros, both signs, small and 30-digit numerators, and denominators
+    # up to a 21-digit prime
+    out = []
+    for _ in range(length):
+        if rng.random() < 0.2:
+            out.append(Fraction(0))
+        else:
+            num = rng.randint(-10 ** rng.choice((1, 30)), 10 ** 30)
+            out.append(Fraction(num, rng.choice((1, 2, 3, 7, 10 ** 20 + 39))))
+    return poly._trim(out)
+
+
+def _schoolbook_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return poly._trim(out)
+
+
+def _euclid_gcd(a, b):
+    # monic gcd by the Euclidean algorithm over the rationals
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, poly._pdivmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else []
+
+
+def test_kronecker_product_matches_schoolbook():
+    rng = derive_rng("kronecker-pmul")
+    for _ in range(500):
+        a = _rand_coeffs(rng, rng.randint(0, 7))
+        b = _rand_coeffs(rng, rng.choice((1, 1, 2, 5, 9)))
+        product = poly._pmul(a, b)
+        assert product == _schoolbook_mul(a, b)
+        assert all(type(c) is Fraction for c in product)
+    neg = [Fraction(-(2 ** 70) + 1, 3)] * 6
+    assert poly._pmul(neg, neg) == _schoolbook_mul(neg, neg)
+
+
+def test_integer_gcd_matches_euclid():
+    rng = derive_rng("prs-gcd")
+    for _ in range(300):
+        g = _rand_coeffs(rng, rng.randint(0, 3))
+        a = poly._pmul(_rand_coeffs(rng, rng.randint(0, 4)), g)
+        b = poly._pmul(_rand_coeffs(rng, rng.randint(0, 4)), g)
+        if rng.random() < 0.3:
+            # a monomial c*q^k on one side: the fast path
+            b = [Fraction(0)] * rng.randint(0, 4) + [Fraction(
+                rng.randint(1, 9))]
+            a, b = (b, a) if rng.random() < 0.5 else (a, b)
+        gcd = poly._pgcd(a, b)
+        assert gcd == _euclid_gcd(a, b)
+        assert all(type(c) is Fraction for c in gcd)
+    q = [Fraction(0), Fraction(1)]
+    assert poly._pgcd([Fraction(0)] * 2 + [Fraction(5), Fraction(1)],
+                      [Fraction(0)] * 3 + [Fraction(2)]) == \
+        [Fraction(0)] * 2 + [Fraction(1)]
+    assert poly._pgcd([Fraction(3)], q) == [Fraction(1)]
 
 
 # -------------------------------------------------------------------- series

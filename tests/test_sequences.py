@@ -153,6 +153,32 @@ def test_rogers_szego_polys():
         rogers_szego("F", 2, poly_gen("q"))
 
 
+def _gauss_binomial(n, k, q):
+    # the product formula, independent of the q-Pascal row
+    out = F(1)
+    for i in range(k):
+        out *= (1 - q ** (n - i)) / (1 - q ** (i + 1))
+    return out
+
+
+def test_whole_row_families_match_per_k_binomials():
+    # rogers_szego and ftilde read one q_binomial_row; each coefficient
+    # must equal the Gaussian binomial built for its own k
+    rng = derive_rng("q-binomial-rows")
+    for _ in range(20):
+        q = F(rng.randint(-9, 9) or 1, rng.randint(10, 12))
+        n = rng.randint(0, 7)
+        assert rogers_szego("F", n, q) == unipoly(
+            "a", [_gauss_binomial(n, k, q) for k in range(n + 1)])
+        assert rogers_szego("G", n, q) == unipoly(
+            "a", [_gauss_binomial(n, k, q) * q ** (k * (k - n))
+                  for k in range(n + 1)])
+        assert ftilde(n, q) == unipoly(
+            "a", [_gauss_binomial(n, j, q)
+                  * q ** (j * (j - 1) // 2 + (n - j) * (n - j - 1) // 2)
+                  for j in range(n + 1)])
+
+
 def test_sequence_value_q_families():
     q = F(2, 5)
     assert sequence_value("rogersSzegoF", 2, q=q) == rogers_szego("F", 2, q)
