@@ -14,17 +14,21 @@ Design notes that matter for reading this file:
   by fixing the block order of the first summation slot (see
   `_block_sum`).
 * Exact types never degrade. The expansion only uses +, - and *, so int
-  entries give a plain int. When every entry is exactly a Fraction or a
-  UniPoly, all in one variable, the kernel runs over packed ints
+  entries give a plain int. When every entry is exactly a Fraction, a
+  UniPoly or a QuadExt, with the UniPolys all in one variable or the
+  QuadExts all in one extension, the kernel runs over packed ints
   (`_packed_entries`): coefficients are scaled by the lcm D of their
   denominators, each entry becomes one int, its value at x = 2^B, and
-  each result is unpacked once into unipoly(var, digits / D**steps).
-  That is a UniPoly in the entries' variable, or a Fraction when it is
-  constant, even when whole or zero; all-Fraction entries are the
-  one-digit case. A result no term reaches, because no term has all
-  its entries present, is int 0. Mixed int/Fraction, QuadExt, RatFunc
-  and two-variable entries are expanded as they are, so a result that
-  only int-only terms reach stays an int.
+  each result is unpacked once into its coefficients digits / D**steps.
+  Those give unipoly(var, ...), a UniPoly in the entries' variable, or
+  quad_reduce(p, r, ..., sym), a QuadExt of the entries' extension;
+  either is a Fraction when it is constant, even when whole or zero.
+  All-Fraction entries are the one-digit case. A result no term
+  reaches, because no term has all its entries present, is int 0.
+  Mixed int/Fraction, UniPoly with QuadExt, RatFunc, two-variable and
+  two-extension entries are expanded as they are, so a result that
+  only int-only terms reach stays an int, and two extensions still
+  raise IncompatibleTags.
 * Signs are applied by negating or subtracting, never by scalar powers.
 """
 
@@ -40,6 +44,7 @@ from .errors import (BoundsError, CardinalityMismatch,
                      OddSize, ShapeMismatch)
 from .scalars.poly import (UniPoly, kron_pack, kron_unpack, scale_to_ints,
                            unipoly)
+from .scalars.quadext import QuadExt, quad_reduce
 from .tensors import BlockArray, Tensor
 
 
@@ -86,12 +91,17 @@ def _slot_options(free, l, head):
 def _packed_entries(entries, l, start, steps):
     """The entries as packed ints, or None when they must run as they are.
 
-    Packing applies when every entry is exactly a Fraction or a UniPoly,
-    and the UniPolys share one variable. All coefficients are scaled by
-    the lcm D of their denominators, and each entry becomes the int
+    Packing applies when every entry is exactly a Fraction, a UniPoly or
+    a QuadExt, with the UniPolys all in one variable or the QuadExts all
+    in one extension (p, r, sym), not both. A QuadExt u + v*theta counts
+    as the polynomial u + v*theta in theta. All coefficients are scaled
+    by the lcm D of their denominators, and each entry becomes the int
     `kron_pack(coeffs, B)`, its value at x = 2^B. Evaluation at 2^B is a
     ring map, so the kernel's +, - and * over these ints give each final
-    state's polynomial evaluated at 2^B, times D**steps.
+    state's polynomial evaluated at 2^B, times D**steps. For QuadExts
+    that polynomial is then reduced by theta^2 = p*theta + r
+    (`quad_reduce`), which gives the same element as reducing after
+    every product, because Q[theta] -> Q(theta) is a ring map too.
 
     Why B is safe: unpacking returns the true coefficients when each has
     absolute value below 2^(B-1). A final coefficient sums one term per
@@ -102,24 +112,35 @@ def _packed_entries(entries, l, start, steps):
     step t the first slot, with f_1 - t*l free points, takes a block
     holding its lowest one, in comb(f_1 - t*l - 1, l - 1) ways, and slot
     s takes any of comb(f_s - t*l, l) blocks. So B is one more than the
-    bit length of (paths) * C**steps * L**(steps-1).
+    bit length of (paths) * C**steps * L**(steps-1). A QuadExt has
+    L = 2, and the same derivation holds.
 
-    Returns (packed entries, B, D**steps, variable or None, digits per
-    final state). With only Fractions, L = 1: each entry and each final
-    state is one scaled int, and no width is needed.
+    Returns (packed entries, B, D**steps, digits per final state,
+    finish), where `finish` turns a final state's coefficient list into
+    its value: `unipoly(var, ...)`, or `quad_reduce(p, r, ..., sym)`.
+    With only Fractions, L = 1: each entry and each final state is one
+    scaled int, and no width is needed.
     """
     if not steps or not entries:
         return None
-    var = None
+    tag = None
     lists = []
     for v in entries.values():
         if type(v) is Fraction:
             lists.append((v,))
-        elif type(v) is UniPoly and var in (None, v.var):
-            var = v.var
+        elif type(v) is UniPoly and tag in (None, v.var):
+            tag = v.var
             lists.append(v.coeffs)
+        elif type(v) is QuadExt and tag in (None, (v.p, v.r, v.sym)):
+            tag = (v.p, v.r, v.sym)
+            lists.append((v.u, v.v))
         else:
             return None
+    if type(tag) is tuple:
+        p, r, sym = tag
+        finish = functools.partial(quad_reduce, p, r, sym=sym)
+    else:
+        finish = functools.partial(unipoly, tag)
     ints, D = scale_to_ints(lists)
     L = max(map(len, ints))
     B = 0
@@ -132,7 +153,7 @@ def _packed_entries(entries, l, start, steps):
                 * math.prod(math.comb(max(f - t * l, 0), l) for f in free[1:])
         B = (paths * C ** steps * L ** (steps - 1)).bit_length() + 1
     packed = dict(zip(entries, (kron_pack(cs, B) for cs in ints)))
-    return packed, B, D ** steps, var, steps * (L - 1) + 1
+    return packed, B, D ** steps, steps * (L - 1) + 1, finish
 
 
 def _expand(entries, l, m, start, steps, signed):
@@ -148,9 +169,10 @@ def _expand(entries, l, m, start, steps, signed):
     counts, per slot, the pairs (x chosen, y still free, y < x).
 
     Returns the whole final {state: value} table; a state no path
-    reaches is absent (zero). Fraction and one-variable UniPoly entries
-    run as packed ints (`_packed_entries`), and each final state is
-    unpacked once into `unipoly(var, digits / D**steps)`.
+    reaches is absent (zero). Fraction, one-variable UniPoly and
+    one-extension QuadExt entries run as packed ints (`_packed_entries`),
+    and each final state is unpacked once into its coefficients
+    digits / D**steps and finished into a value.
     """
     packed = _packed_entries(entries, l, start, steps)
     if packed is not None:
@@ -174,9 +196,9 @@ def _expand(entries, l, m, start, steps, signed):
                     nxt[rest] = term if old is None else old + term
         cur = nxt
     if packed is not None:
-        _, B, scale, var, n = packed
-        return {state: unipoly(var, [Fraction(d, scale)
-                                     for d in kron_unpack(v, B, n)])
+        _, B, scale, n, finish = packed
+        return {state: finish([Fraction(d, scale)
+                               for d in kron_unpack(v, B, n)])
                 for state, v in cur.items()}
     return cur
 

@@ -28,8 +28,11 @@ def _int_qpow(q, num, den=1):
 
 
 def _rs_pfaffian(kind, shift, n, q):
+    """Pf of (q^(i-1) - q^(j-1)) * RS_(i+j+shift)(a; q), 1 <= i < j <= 2n;
+    each of the 4n - 3 degrees i + j is built once."""
+    rs = {d: rogers_szego(kind, d + shift, q) for d in range(3, 4 * n)}
     return antisym_pfaffian(n, lambda i, j: (q ** (i - 1) - q ** (j - 1))
-                            * rogers_szego(kind, i + j + shift, q))
+                            * rs[i + j])
 
 
 def check_asc(params, rng, opts):

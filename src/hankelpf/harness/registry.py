@@ -4,13 +4,16 @@ Each entry names a statement by what it computes, points at its checker,
 and carries two parameter grids: a smoke grid (one smallest instance)
 and a full grid (the complete desk-scale coverage). The grids are the
 one statement of what a check runs: checkers hold no parameter defaults,
-so a params dict missing one of its entry's keys raises KeyError.
+so a params dict missing one of its entry's keys raises KeyError, and a
+key that neither grid names raises UnsupportedArgument (`check_names`).
+The two float checks also take `optional` keys, which keep a default in
+the checker and stay out of the grids' reports.
 """
 
 import itertools
 from dataclasses import dataclass
 
-from ..errors import UnknownIdentity, UnknownTag
+from ..errors import UnknownIdentity, UnknownTag, UnsupportedArgument
 from . import (checks_bridges, checks_integrals, checks_narayana,
                checks_qpoly, checks_structural)
 
@@ -30,12 +33,24 @@ class IdentitySpec:
     smoke: tuple
     full: tuple
     tags: tuple = ()
+    optional: tuple = ()
 
     def __post_init__(self):
         if self.status not in STATUSES:
             raise ValueError(f"bad status {self.status!r} for {self.id}")
         if not self.smoke or not self.full:
             raise ValueError(f"{self.id} needs nonempty parameter grids")
+
+    def check_names(self, params):
+        """UnsupportedArgument for a key that no grid dict names and that
+        is not one of the `optional` keys."""
+        known = {k for grid in (self.smoke, self.full) for d in grid
+                 for k in d}.union(self.optional)
+        unknown = sorted(set(params) - known)
+        if unknown:
+            raise UnsupportedArgument(
+                f"{self.id} has no parameter {', '.join(unknown)}; "
+                f"it takes {', '.join(sorted(known))}")
 
 
 def _grid(**axes):
@@ -333,7 +348,8 @@ _register(
     check=checks_qpoly.check_rs_moment_u,
     smoke=({"max_m": 2},),
     full=({"max_m": 4},),
-    tags=("q", "numeric"))
+    tags=("q", "numeric"),
+    optional=("a", "q", "K"))
 
 _register(
     id="bf-u-integral",
@@ -343,7 +359,8 @@ _register(
     check=checks_qpoly.check_bf_u_integral,
     smoke=({"n": 2, "k": 1},),
     full=_grid(n=(1, 2), k=(1, 2)),
-    tags=("q", "numeric"))
+    tags=("q", "numeric"),
+    optional=("a", "q", "K"))
 
 for _gx in range(1, 6):
     _register(

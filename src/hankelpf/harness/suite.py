@@ -23,6 +23,7 @@ FAILING_REPORT_STATUSES = ("counterexample", "numeric-fail")
 def run_check(p: CheckParams) -> CheckReport:
     """Execute one check and package the outcome as a report."""
     spec = get_identity(p.identity)
+    spec.check_names(p.params)
     rng = derive_rng(p.identity, canonical_params(p.params), p.seed)
     start = time.perf_counter()
     try:

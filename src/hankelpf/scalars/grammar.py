@@ -5,12 +5,19 @@ Grammar by example:
     polynomials              "a^2 + 2*a - 1/2"   (single letter, * required)
     negative exponents       "q^-1"              (a rational function,
                                                   printed "(1)/(q)")
-    quadratic extension      "1 + 2*w"           (letter declared by context)
+    quadratic extension      "1 + 2*w", "w^-1"   (letter declared by context)
     truncated series         "[1, -2, -2, -4] @z up to 3"
     rational functions       "(a^2 - 1)/(a + 2)"
 
 Without a quadratic-extension context, a letter parses as a polynomial
 variable.
+
+A sum of terms is read over ints: each coefficient is a numerator and a
+denominator, the terms are summed per exponent in one pass, and each
+exponent's sum becomes one Fraction at the end.  For the extension
+letter, that polynomial in theta is reduced by theta^2 = p*theta + r
+with `quad_reduce`, the helper the engines' kernel uses, and a negative
+lowest exponent lo contributes one theta**lo factor.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from fractions import Fraction
 from ..errors import ParseError
 from .gammas import HalfGamma
 from .poly import RATIONAL_TYPES, RatFunc, UniPoly, ratfunc, unipoly
-from .quadext import QuadExt
+from .quadext import QuadExt, quad_reduce
 from .series import TruncSeries
 
 
@@ -126,49 +133,60 @@ def parse_scalar(text: str, ext: QuadContext | None = None):
             return Fraction(num) / Fraction(den)
         return num / den
 
-    # sum of signed terms
+    # sum of signed terms: int coefficients, summed per exponent
+    sums = {}                    # exponent -> [numerator, denominator]
+    letter, others = None, set()
     pos = 0
-    terms: list[tuple[Fraction, str | None, int]] = []
-    first = True
     while pos < len(text):
         m = _TERM.match(text, pos)
         if not m or m.end() == pos:
             raise ParseError(f"cannot parse scalar {text!r} at offset {pos}")
-        if not first and m.group("sign") is None:
+        sign, coef, var1, exp1, var2, exp2 = m.groups()
+        if pos and sign is None:
             raise ParseError(f"missing +/- between terms in {text!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        if m.group("coef") is not None:
-            coef = _parse_rational(m.group("coef")) * sign
-            var = m.group("var1")
-            exp = int(m.group("exp1")) if m.group("exp1") else (1 if var else 0)
+        if coef is None:
+            num, den, var, exp = 1, 1, var2, exp2
         else:
-            coef = Fraction(sign)
-            var = m.group("var2")
-            exp = int(m.group("exp2")) if m.group("exp2") else 1
-        terms.append((coef, var, exp))
+            num, _, den = coef.partition("/")
+            try:
+                num, den = int(num), int(den or 1)
+            except ValueError:      # beyond int()'s digit limit
+                den = 0
+            if not den:
+                raise ParseError(f"bad rational {coef!r}")
+            var, exp = var1, exp1
+        if sign == "-":
+            num = -num
+        e = 0
+        if var is not None:
+            e = int(exp) if exp else 1
+            if letter is None:
+                letter = var
+            elif var != letter:
+                others.add(var)
+        acc = sums.get(e)
+        if acc is None:
+            sums[e] = [num, den]
+        elif acc[1] == den:
+            acc[0] += num
+        else:
+            acc[0] = acc[0] * den + num * acc[1]
+            acc[1] *= den
         pos = m.end()
-        first = False
 
-    letters = {v for _, v, _ in terms if v is not None}
-    if len(letters) > 1:
-        raise ParseError(f"more than one variable in {text!r}: {sorted(letters)}")
-    if not letters:
-        return sum((c for c, _, _ in terms), Fraction(0))
-    letter = letters.pop()
-
+    if others:
+        raise ParseError(f"more than one variable in {text!r}: "
+                         f"{sorted(others | {letter})}")
+    if letter is None:
+        return Fraction(*sums[0])
+    lo = min(min(sums), 0)
+    coeffs = [Fraction(*sums[e]) if e in sums else 0
+              for e in range(lo, max(sums) + 1)]
     if ext is not None and letter == ext.letter:
-        acc = Fraction(0)
-        theta = QuadExt(ext.p, ext.r, 0, 1, ext.letter)
-        for c, v, e in terms:
-            acc = acc + (c if v is None else c * theta ** e)
-        return acc
-
-    exps = {}
-    for c, v, e in terms:
-        key = e if v is not None else 0
-        exps[key] = exps.get(key, Fraction(0)) + c
-    lo, hi = min(exps), max(exps)
-    coeffs = [exps.get(e, Fraction(0)) for e in range(lo, hi + 1)]
+        x = quad_reduce(ext.p, ext.r, coeffs, letter)
+        if lo < 0:
+            x = x * QuadExt(ext.p, ext.r, 0, 1, letter) ** lo
+        return x
     if lo < 0:
         return ratfunc(letter, coeffs, [0] * (-lo) + [1])
-    return unipoly(letter, [Fraction(0)] * lo + coeffs)
+    return unipoly(letter, coeffs)

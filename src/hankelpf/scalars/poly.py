@@ -340,7 +340,10 @@ def ratfunc(var: str, num, den):
     if not num:
         return Fraction(0)
     g = _pgcd(num, den)
-    if len(g) > 1:
+    if not any(g[:-1]):     # g = q^k: drop k low terms (k = 0: coprime)
+        k = len(g) - 1
+        num, den = num[k:], den[k:]
+    else:
         num, _ = _pdivmod(num, g)
         den, _ = _pdivmod(den, g)
     lead = den[-1]

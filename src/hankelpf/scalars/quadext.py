@@ -3,7 +3,9 @@
 The two instances the identity checks need are the primitive cube root of
 unity (p = -1, r = -1) and sqrt(2) (p = 0, r = 2), but any rational (p, r)
 works.  Elements with v = 0 are demoted to plain Fractions by the factory,
-so results like omega**3 compare equal to 1 structurally.
+so results like omega**3 compare equal to 1 structurally.  `quad_reduce`
+turns a polynomial in theta into its element; the engines' packed kernel
+and the scalar parser both build elements through it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,22 @@ def quadext(p, r, u, v, sym: str = "w"):
     if v == 0:
         return u
     return QuadExt(_frac(p), _frac(r), u, v, sym)
+
+
+def quad_reduce(p, r, coeffs, sym: str = "w"):
+    """sum(coeffs[k] * theta**k) as u + v*theta, through `quadext`.
+
+    Each top term c*theta^k becomes c*theta^(k-2) * (p*theta + r), from
+    the highest power down. Q[theta] -> Q(theta) is a ring map, so a
+    product of elements may be reduced once at the end.
+    """
+    cs = list(coeffs) + [0, 0]
+    for k in range(len(cs) - 3, 1, -1):
+        c = cs[k]
+        if c:
+            cs[k - 1] += p * c
+            cs[k - 2] += r * c
+    return quadext(p, r, cs[0], cs[1], sym)
 
 
 def omega() -> "QuadExt":

@@ -163,6 +163,9 @@ class BlockArray:
             for i in block:
                 if not isinstance(i, int) or not 1 <= i <= self.size:
                     raise BoundsError(f"index {i} out of [1,{self.size}]")
+            if all(map(int.__lt__, block, block[1:])):
+                out.append(block)       # already sorted: sign +1
+                continue
             sorted_block, s = _sort_block_signed(block)
             if s == 0:
                 return None, 0

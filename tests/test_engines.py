@@ -18,8 +18,8 @@ from hankelpf.engines import (det_matrix, flatten_matsumoto, hyperdet,
                               msf_build_Q, msf_lhs, pfaffian,
                               restrict_block_array, row_minors,
                               subhyperpfaffian)
-from hankelpf.scalars import (UniPoly, derive_rng, omega, poly_gen, quadext,
-                              unipoly)
+from hankelpf.scalars import (QuadExt, UniPoly, derive_rng, omega, poly_gen,
+                              quadext, sqrt2, unipoly)
 from hankelpf.tensors import (BlockArray, Tensor, block_array_from_json,
                               tensor_from_json)
 
@@ -392,24 +392,37 @@ def test_mixed_int_fraction_entries_keep_their_type():
     assert hyperhafnian(B) == 1 and type(hyperhafnian(B)) is Fraction
 
 
-# ------------------------------------------- packed polynomial entries
+# ------------------------------- packed polynomial and extension entries
 
-PACKED_KINDS = ("unipoly", "unipoly+fraction", "fraction")
+PACKED_KINDS = ("unipoly", "unipoly+fraction", "fraction",
+                "omega", "omega+fraction", "sqrt2+fraction")
+EXTENSIONS = {"omega": omega(), "sqrt2": sqrt2()}
 
 
 def _packed_entry(rng, kind):
     # nonzero, with mixed denominators; "fraction" is the one-digit case
-    if kind == "fraction" or (kind == "unipoly+fraction"
+    if kind == "fraction" or (kind.endswith("+fraction")
                               and rng.random() < 0.4):
         return Fraction(rng.choice((-4, -1, 1, 3)), rng.choice((1, 2, 3, 6)))
     coeffs = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 6)))
               for _ in range(rng.randint(1, 3))]
-    return unipoly("x", coeffs + [rng.choice((-3, -1, 2, 5))])
+    if kind.startswith("unipoly"):
+        return unipoly("x", coeffs + [rng.choice((-3, -1, 2, 5))])
+    w = EXTENSIONS[kind.partition("+")[0]]
+    return coeffs[0] + w * Fraction(rng.choice((-3, -1, 2, 5)),
+                                    rng.choice((1, 2)))
 
 
-def _check_packed_type(value):
-    assert type(value) is Fraction or (type(value) is UniPoly
-                                       and value.var == "x")
+def _check_packed_type(value, kind):
+    # int 0 only where no term has all of its entries present
+    if type(value) is Fraction or (type(value) is int and value == 0):
+        return
+    if kind.startswith("unipoly"):
+        assert type(value) is UniPoly and value.var == "x"
+    else:
+        w = EXTENSIONS[kind.partition("+")[0]]
+        assert type(value) is QuadExt and (value.p, value.r, value.sym) \
+            == (w.p, w.r, w.sym)
 
 
 @pytest.mark.parametrize("kind", PACKED_KINDS)
@@ -423,7 +436,7 @@ def test_packed_entries_match_literal_definition(name, kind):
                    if rng.random() < 0.8}
         value = engine(entries)
         assert value == _literal_block_sum(entries, l, m, n, signed)
-        _check_packed_type(value)
+        _check_packed_type(value, kind)
 
 
 @pytest.mark.parametrize("kind", PACKED_KINDS)
@@ -442,7 +455,7 @@ def test_packed_row_minors_match_literal_definition(kind):
                      for pos in itertools.product(range(1, r + 1), repeat=m)}
             value = table.get(cols, 0)
             assert value == _literal_block_sum(minor, 1, m, r)
-            _check_packed_type(value)
+            _check_packed_type(value, kind)
 
 
 def test_packed_width_covers_worst_case():
@@ -461,6 +474,22 @@ def test_packed_width_covers_worst_case():
             assert value.evaluate(x) == count * P.evaluate(x) ** n
 
 
+def test_packed_extension_width_covers_worst_case():
+    # every entry the same element u + u*theta, u the largest value and
+    # of one sign: no term cancels before the theta-reduction, so the
+    # theta-coefficients are as large as the packing width allows for
+    big = Fraction(2 ** 64 - 1, 7)
+    for sign, w, (l, m, n) in itertools.product(
+            (1, -1), EXTENSIONS.values(),
+            ((2, 1, 3), (2, 2, 2), (3, 1, 2), (2, 3, 2))):
+        P = sign * big * (1 + w)
+        value = hyperhafnian(BlockArray.from_function(l, m, l * n,
+                                                      lambda *k: P))
+        count = hyperhafnian(BlockArray.from_function(l, m, l * n,
+                                                      lambda *k: 1))
+        assert value == count * P ** n
+
+
 def test_packed_result_types():
     x, one = poly_gen("x"), Fraction(1)
     # a UniPoly in the entries' variable
@@ -477,6 +506,30 @@ def test_packed_result_types():
     # two variables are not packed together; their product still fails
     with pytest.raises(IncompatibleTags):
         pfaffian({(1, 2): x, (3, 4): poly_gen("y")})
+
+
+def test_packed_extension_result_types():
+    w, s, one = omega(), sqrt2(), Fraction(1)
+    # a QuadExt of the entries' extension
+    value = det_matrix([[w, one], [one, w]])
+    assert value == w * w - 1 == -w - 2
+    assert type(value) is QuadExt and (value.p, value.r) == (-1, -1)
+    # v cancels: a Fraction, through the theta-reduction or the sum
+    value = det_matrix([[s, one], [one, s]])
+    assert value == 1 and type(value) is Fraction
+    value = det_matrix([[w, one], [w + 1, one]])
+    assert value == -1 and type(value) is Fraction
+    value = det_matrix([[w, w], [w, w]])
+    assert value == 0 and type(value) is Fraction
+    # no term has all of its entries present: plain int 0
+    value = pfaffian({(1, 2): w, (1, 3): w + 1}, size=4)
+    assert value == 0 and type(value) is int
+    # two extensions are not packed together; their product still fails
+    with pytest.raises(IncompatibleTags):
+        pfaffian({(1, 2): w, (3, 4): s})
+    # nor are a polynomial and an extension element
+    with pytest.raises(TypeError):
+        pfaffian({(1, 2): w, (3, 4): poly_gen("x")})
 
 
 # ------------------------------------------------- hyperpfaffian / hafnian
@@ -744,6 +797,31 @@ def test_block_array_sign_synthesis():
     B2 = BlockArray(2, 2, 4, {((1, 2), (3, 4)): 5})
     assert B2.get(((2, 1), (4, 3))) == 5
     assert B2.get(((2, 1), (3, 4))) == -5
+
+
+def test_block_array_key_checks():
+    B = BlockArray(3, 1, 4)
+    # a nondecreasing block that repeats an index is not a sorted one
+    with pytest.raises(BoundsError, match="repeats an index"):
+        B.set(((1, 1, 2),), 5)
+    B.set(((1, 2, 2),), 0)
+    assert B.entries == {} and B.get(((2, 2, 3),)) == 0
+    # sorted and unsorted blocks get the same checks and messages
+    for key, message in [
+            (((0, 1, 2),), "index 0 out of [1,4]"),
+            (((1, 2, 5),), "index 5 out of [1,4]"),
+            (((5, 2, 1),), "index 5 out of [1,4]"),
+            (((1, 2.0, 3),), "index 2.0 out of [1,4]"),
+            (((1, 2),), "block (1, 2) has length 2, need 3"),
+            (((1, 2, 3), (1, 2, 4)),
+             "key ((1, 2, 3), (1, 2, 4)) has 2 slots, need 1")]:
+        with pytest.raises(BoundsError) as exc:
+            B.set(key, 1)
+        assert str(exc.value) == message
+    doc = {"kind": "block_array", "l": 2, "m": 1, "n": 2,
+           "entries": [{"idx": [[2, 2]], "value": "1"}]}
+    with pytest.raises(BoundsError, match="repeats an index"):
+        block_array_from_json(doc)
 
 
 def test_tensor_bounds_checks():

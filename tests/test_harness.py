@@ -465,6 +465,29 @@ def test_cli_debruijn_general_case_needs_its_parameters(capsys):
     assert "verified" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["motzkin-pf", "--param", "bogus=3"],
+     "motzkin-pf has no parameter bogus; it takes n"),
+    (["debruijn-discrete", "--param", "z=1", "--param", "count=2",
+      "--param", "b=0"],
+     "debruijn-discrete has no parameter b, z; "
+     "it takes classical, count, l, n, r"),
+])
+def test_cli_rejects_unknown_param_names(capsys, argv, message):
+    assert main(["verify"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"hpf: UnsupportedArgument: {message}\n"
+    assert captured.out == ""
+
+
+def test_float_checks_take_their_optional_params(capsys):
+    # a, q and K are no grid's keys, but the two float checks read them
+    assert main(["verify", "rs-moment-u", "--param", "q=1/3"]) == 0
+    assert '"q":"1/3"' in capsys.readouterr().out
+    assert main(["verify", "bf-u-integral", "--param", "K=150"]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command", ["verify rs-moment-u", "suite"])
 def test_cli_has_no_tolerance_flag(capsys, command):
     with pytest.raises(SystemExit) as exc:

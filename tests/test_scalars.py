@@ -454,6 +454,89 @@ def test_parse_scalar_rejects_garbage():
             parse_scalar(bad)
 
 
+def _parse_table():
+    a, q, x = poly_gen("a"), poly_gen("q"), poly_gen("x")
+    w, s = omega(), sqrt2()
+    F = Fraction
+    return [
+        # (text, context, exact value); expected values come from the
+        # operators, not from the parser
+        ("7", None, F(7)),
+        ("-3/4", None, F(-3, 4)),
+        ("6/8", None, F(3, 4)),
+        ("0/5", None, F(0)),
+        ("1/2 + 1/3 - 5/6", None, F(0)),
+        ("007 - 1/6", None, F(41, 6)),
+        ("a^2 + 2*a - 1/2", None, a ** 2 + 2 * a - F(1, 2)),
+        ("1/2*a + 1/3*a^2 - 1/6*a^2", None, a / 2 + a ** 2 / 6),
+        ("x - x + 3/2", None, F(3, 2)),
+        ("x^0 + 2", None, F(3)),
+        ("q^-1", None, q ** -1),
+        ("q^-2 + 1/2*q", None, q ** -2 + q / 2),
+        ("w^3", "omega", F(1)),
+        ("w^-1", "omega", w ** 2),
+        ("w^2 + w + 1", "omega", F(0)),
+        ("1 + 2*w", "omega", 1 + 2 * w),
+        ("1/2*w^-2 - 3*w^4", "omega", w / 2 - 3 * w),
+        ("0*w^-1 + 2", "omega", F(2)),
+        ("w^3", "sqrt2", 2 * s),
+        ("w^-1", "sqrt2", s / 2),
+        ("w^2", "sqrt2", F(2)),
+        ("w^-2 - 1/2", "sqrt2", F(0)),
+        ("3/4*w^-3 + w", "sqrt2", F(3, 16) * s + s),
+        ("x^2 + 1", "omega", x ** 2 + 1),
+        ("(1 + w)/(w)", "omega", -w),
+        ("(1)/(w)", "sqrt2", s / 2),
+        ("(a^2 - 1)/(a + 1)", None, a - 1),
+        ("(1)/(a + 2)", None, 1 / (a + 2)),
+        ("(3/4)/(1/2)", None, F(3, 2)),
+    ]
+
+
+def test_parse_scalar_table():
+    from hankelpf.scalars import QuadContext
+    contexts = {None: None, "omega": QuadContext("w", -1, -1),
+                "sqrt2": QuadContext("w", 0, 2)}
+    for text, ctx, expected in _parse_table():
+        value = parse_scalar(text, contexts[ctx])
+        assert value == expected, text
+        assert type(value) is type(expected), text
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1/0", "bad rational '1/0'"),
+    ("x + 2/0*x", "bad rational '2/0'"),
+    pytest.param("1/" + "7" * 5000, f"bad rational {'1/' + '7' * 5000!r}",
+                 id="more-digits-than-int-reads"),
+    ("a + b", "more than one variable in 'a + b': ['a', 'b']"),
+    ("c + a + b + a",
+     "more than one variable in 'c + a + b + a': ['a', 'b', 'c']"),
+    ("1 2", "missing +/- between terms in '1 2'"),
+    ("a + b 1", "missing +/- between terms in 'a + b 1'"),
+    ("1 +", "cannot parse scalar '1 +' at offset 2"),
+    ("2**3", "cannot parse scalar '2**3' at offset 1"),
+    ("a + b + @", "cannot parse scalar 'a + b + @' at offset 6"),
+])
+def test_parse_scalar_error_messages(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_scalar(text)
+    assert str(exc.value) == message
+
+
+def test_parse_format_round_trip_seeded():
+    from hankelpf.scalars import QuadContext
+    rng = derive_rng("parse-round-trip")
+    makers = [(_rand_fraction, None), (_rand_unipoly, None),
+              (_rand_laurent, None), (_rand_ratfunc, None),
+              (_rand_omega, QuadContext("w", -1, -1)),
+              (_rand_sqrt2, QuadContext("w", 0, 2))]
+    for _ in range(60):
+        for make, ctx in makers:
+            x = make(rng)
+            y = parse_scalar(format_scalar(x), ctx)
+            assert y == x and type(y) is type(x), format_scalar(x)
+
+
 def test_format_scalar_negative_leading():
     a = poly_gen("a")
     assert format_scalar(-a + 1) == "-a + 1"
