@@ -9,9 +9,10 @@ from ..qcalc import (DiscreteMeasure, debruijn_kernel,
                      debruijn_ordered_integral, delta_product,
                      discrete_cube_integral, discrete_moment, q_pochhammer)
 from ..scalars import q_gamma_int, sdiv
-from .common import (Outcome, antisym_pfaffian, gap_prefactor,
-                     moment_block_array, outcome_all, outcome_eq,
-                     rand_measure, rand_points, rand_q)
+from ..tensors import BlockArray
+from .common import (Outcome, gap_prefactor, hankel_pf, outcome_all,
+                     outcome_eq, q_gap_prefactor, rand_measure, rand_points,
+                     rand_q)
 
 
 def _poly_family(rng, rows, l, deg=2):
@@ -41,9 +42,12 @@ def check_debruijn_discrete(params, rng, opts):
         mu = rand_measure(rng, 2 * n - 1)
         fam = [[phi[i], psi[i]] for i in range(2 * n)]
         lhs = debruijn_ordered_integral([fam], mu, n)
-        rhs = antisym_pfaffian(n, lambda i, j: sum(
-            w * (phi[i - 1](x) * psi[j - 1](x) - phi[j - 1](x) * psi[i - 1](x))
-            for x, w in mu.atoms))
+
+        def cross(I):
+            i, j = I[0] - 1, I[1] - 1
+            return sum(w * (phi[i](x) * psi[j](x) - phi[j](x) * psi[i](x))
+                       for x, w in mu.atoms)
+        rhs = hyperpfaffian(BlockArray.from_function(2, 1, 2 * n, cross))
         return outcome_eq(lhs, rhs, terms=len(mu.atoms))
     missing = [k for k in ("r", "l", "n", "count") if k not in params]
     if missing:
@@ -89,15 +93,8 @@ def check_q_hankel(params, rng, opts):
     l, n, u = params["l"], params["n"], params["u"]
     q = rand_q(rng)
     mu = rand_measure(rng, max(n, 2))
-
-    def qpref(I):
-        pref = 1
-        for a in range(l):
-            for b in range(a + 1, l):
-                pref *= q ** (I[a] - 1) - q ** (I[b] - 1)
-        return pref
-
-    lhs = hyperpfaffian(moment_block_array(mu, l, l * n, u, qpref))
+    lhs = hankel_pf(l, n, q_gap_prefactor(q),
+                    lambda d: discrete_moment(mu, d), u - l)
     scale = q ** (math.comb(l, 3) * math.comb(n + 1, 2)
                   + 2 * math.comb(l + 1, 3) * math.comb(n, 2))
     for k in range(1, l + 1):
@@ -129,7 +126,8 @@ def check_hankel_classical(params, rng, opts):
             (Fraction(x), Fraction(w)) for x, w in params["atoms"]))
     else:
         mu = rand_measure(rng, max(n, 2) + 1)
-    lhs = hyperpfaffian(moment_block_array(mu, l, l * n, u, gap_prefactor))
+    lhs = hankel_pf(l, n, gap_prefactor, lambda d: discrete_moment(mu, d),
+                    u - l)
     scale = Fraction(1)
     for k in range(1, l + 1):
         scale *= Fraction(math.factorial(k - 1)) ** n
@@ -210,8 +208,8 @@ def check_pf_delta2(params, rng, opts):
     n, r = params["n"], params["r"]
     mu = rand_measure(rng, max(2, n))
     q = rand_q(rng)
-    lhs = antisym_pfaffian(n, lambda i, j: (q ** (i - 1) - q ** (j - 1))
-                           * discrete_moment(mu, i + j + r - 2))
+    lhs = hankel_pf(2, n, q_gap_prefactor(q),
+                    lambda d: discrete_moment(mu, d), r - 2)
 
     def f(xs):
         t = delta_product(xs, q, 2, "D2")

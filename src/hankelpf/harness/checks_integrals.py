@@ -7,7 +7,7 @@ from ..qcalc import (QJacobiParams, SelbergParams, aomoto_bruteforce,
                      aomoto_closed, askey_A_n, askey_lhs_exact, lqj_moment,
                      q_pochhammer, selberg_bruteforce, selberg_closed,
                      selberg_phi_bridge)
-from .common import (antisym_pfaffian, outcome_all, outcome_eq,
+from .common import (hankel_pf, outcome_all, outcome_eq, q_gap_prefactor,
                      rand_fraction, rand_q)
 
 import math
@@ -76,8 +76,8 @@ def check_little_qjacobi(params, rng, opts):
 
 def _lqj_instance(n, r, a, b, q):
     p = QJacobiParams(a, b, q)
-    lhs = antisym_pfaffian(n, lambda i, j: (q ** (i - 1) - q ** (j - 1))
-                           * lqj_moment(i + j + r - 2, p))
+    lhs = hankel_pf(2, n, q_gap_prefactor(q), lambda d: lqj_moment(d, p),
+                    r - 2)
     e = n * (n - 1) * (4 * n + 1) // 3 + n * (n - 1) * r
     rhs = a ** (n * (n - 1)) * q ** e
     for k in range(1, n + 1):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from ..scalars import omega, poly_at, poly_gen, sqrt2
 from ..sequences import (narayana_gf_series, narayana_poly,
                          omega_specialization, phi_product, sequence_value)
-from .common import (Outcome, factorial_tower, narayana_block_pf,
+from .common import (Outcome, factorial_tower, gap_prefactor, hankel_pf,
                      outcome_all, outcome_eq, rand_fraction, seq_pfaffian)
 
 
@@ -41,6 +41,13 @@ def _sqrt_tail_poly(s, n, m2, t0, b0, extra_s_power):
     return total
 
 
+def _narayana_pf(X, l, n, r, a):
+    """Hyperpfaffian of gap_prefactor(I) times the X-type Narayana
+    polynomial of degree sum(I) + r - l, evaluated at a."""
+    return hankel_pf(l, n, gap_prefactor,
+                     lambda d: poly_at(narayana_poly(X, d), a), r - l)
+
+
 def check_tilden(params, rng, opts):
     """One closed-form case of the block-moment theorem.
 
@@ -56,41 +63,41 @@ def check_tilden(params, rng, opts):
 
     if case == "a1":
         r = params["r"]
-        lhs = narayana_block_pf("A", l, n, r, Fraction(1))
+        lhs = _narayana_pf("A", l, n, r, Fraction(1))
         rhs = (Fraction(tower, 2 ** n * nfact)
                * phi_product(n, r + c2, 1, m2))
     elif case == "a2":
         r = 1 - c2
         a = poly_gen("a")
-        lhs = narayana_block_pf("A", l, n, r, a)
+        lhs = _narayana_pf("A", l, n, r, a)
         rhs = (a ** (n + m2 * half) * Fraction(tower, 2 ** n * nfact)
                * phi_product(n, 1, 1, m2))
     elif case == "a3":
         r = 2 - c2
         s = poly_gen("s")
-        lhs = narayana_block_pf("A", l, n, r, s * s)
+        lhs = _narayana_pf("A", l, n, r, s * s)
         rhs = (Fraction(2 ** n * tower, nfact) * phi_product(n, 1, 1, m2)
                * _sqrt_tail_poly(s, n, m2, Fraction(3, 2), 3,
                                  2 * n + 2 * m2 * half))
     elif case == "b1":
         r = params["r"]
-        lhs = narayana_block_pf("B", l, n, r, Fraction(1))
+        lhs = _narayana_pf("B", l, n, r, Fraction(1))
         rhs = Fraction(tower, nfact) * phi_product(n, r + c2, 0, m2)
     elif case == "b2":
         r = -c2
         a = poly_gen("a")
-        lhs = narayana_block_pf("B", l, n, r, a)
+        lhs = _narayana_pf("B", l, n, r, a)
         rhs = (a ** (m2 * half) * Fraction(tower, nfact)
                * phi_product(n, 0, 0, m2))
     elif case == "b3":
         r = 1 - c2
         s = poly_gen("s")
-        lhs = narayana_block_pf("B", l, n, r, s * s)
+        lhs = _narayana_pf("B", l, n, r, s * s)
         rhs = (Fraction(4 ** n * tower, nfact) * phi_product(n, 0, 0, m2)
                * _sqrt_tail_poly(s, n, m2, Fraction(1, 2), 1, 2 * m2 * half))
     elif case == "d1":
         r = params["r"]
-        lhs = narayana_block_pf("D", l, n, r, Fraction(1))
+        lhs = _narayana_pf("D", l, n, r, Fraction(1))
         rhs = (Fraction(4 ** n * tower, nfact)
                * phi_product(n, r + c2 - 1, 0, m2)
                * _tail_sum(n, m2, r + c2 - Fraction(1, 2), r + c2,
@@ -98,7 +105,7 @@ def check_tilden(params, rng, opts):
     elif case == "d2":
         r = 2 - c2
         w = omega()
-        lhs = narayana_block_pf("D", l, n, r, w)
+        lhs = _narayana_pf("D", l, n, r, w)
         rhs = (w ** (n + m2 * half) * Fraction(4 ** n * tower, nfact)
                * phi_product(n, 1, 0, m2)
                * _tail_sum(n, m2, Fraction(3, 2), 2, Fraction(-5, 8)))
@@ -229,11 +236,10 @@ def check_typed_r(params, rng, opts):
     r in {0,1} and drops the overall sign; the theorem-derived signed
     value is checked throughout."""
     n, r = params["n"], params["r"]
-
-    def weight(i, j):
-        return 3 * (i + j + r) - 8
-
-    entries_pf = seq_pfaffian("catalan", r - 3, n, weight=weight)
+    # the weight 3(i+j+r) - 8 is 3d + 1 at degree d = i+j+r-3
+    entries_pf = hankel_pf(
+        2, n, gap_prefactor,
+        lambda d: (3 * d + 1) * sequence_value("catalan", d), r - 3)
     derived = (Fraction(4 ** n, math.factorial(n))
                * phi_product(n, r, 0, 2)
                * _tail_sum(n, 2, r + Fraction(1, 2), r + 1, Fraction(-1, 4)))

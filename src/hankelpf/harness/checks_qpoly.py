@@ -15,8 +15,8 @@ from ..scalars import poly_at, poly_gen
 from ..sequences import (ftilde, ftilde_recurrence,
                          gx_hypergeometric_series, rogers_szego,
                          sequence_value)
-from .common import (Outcome, antisym_pfaffian, outcome_all, rand_fraction,
-                     rand_q, seq_pfaffian)
+from .common import (Outcome, hankel_pf, outcome_all, q_gap_prefactor,
+                     rand_fraction, rand_q, seq_pfaffian)
 
 
 def _int_qpow(q, num, den=1):
@@ -28,11 +28,9 @@ def _int_qpow(q, num, den=1):
 
 
 def _rs_pfaffian(kind, shift, n, q):
-    """Pf of (q^(i-1) - q^(j-1)) * RS_(i+j+shift)(a; q), 1 <= i < j <= 2n;
-    each of the 4n - 3 degrees i + j is built once."""
-    rs = {d: rogers_szego(kind, d + shift, q) for d in range(3, 4 * n)}
-    return antisym_pfaffian(n, lambda i, j: (q ** (i - 1) - q ** (j - 1))
-                            * rs[i + j])
+    """Pf of (q^(i-1) - q^(j-1)) * RS_(i+j+shift)(a; q), 1 <= i < j <= 2n."""
+    return hankel_pf(2, n, q_gap_prefactor(q),
+                     lambda d: rogers_szego(kind, d, q), shift)
 
 
 def check_asc(params, rng, opts):

@@ -7,18 +7,22 @@ Every checker is a plain module-level function
 so the suite runner can ship it to a worker process.  The Outcome keeps
 the raw scalar values; turning them into text is the report layer's
 job, which keeps the checkers comparison-only.
+
+Most left sides are the (hyper)pfaffian of a Hankel-type moment array,
+entry pref(I) * moment(sum(I) + shift) on the l-subsets I of [l*n];
+`hankel_pf` is the one builder for all of them.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..blocks import enum_subsets
-from ..engines import hyperpfaffian, pfaffian
-from ..errors import PoleEncountered
-from ..qcalc import DiscreteMeasure, discrete_moment
-from ..scalars import poly_at
-from ..sequences import narayana_poly, sequence_value
+from ..engines import hyperpfaffian
+from ..errors import BoundsError, PoleEncountered
+from ..qcalc import DiscreteMeasure
+from ..sequences import sequence_value
 from ..tensors import BlockArray
 
 
@@ -81,62 +85,38 @@ def random_block_array(rng, l, m, size, lo=-3, hi=3):
     return BlockArray.from_function(l, m, size, lambda *k: rng.randint(lo, hi))
 
 
-# ------------------------------------------------- moment-style matrix builders
+# ------------------------------------------------- Hankel-type moment arrays
 
 def gap_prefactor(I):
-    pref = 1
-    for a in range(len(I)):
-        for b in range(a + 1, len(I)):
-            pref *= I[b] - I[a]
-    return pref
+    """prod_{s<t} (I_t - I_s)."""
+    return math.prod(b - a for a, b in itertools.combinations(I, 2))
 
 
-def antisym_pfaffian(n, entry):
-    """Pf of the 2n x 2n antisymmetric matrix with entry(i, j) above the
-    diagonal (1 <= i < j <= 2n); zero entries are left out."""
-    entries = {}
-    for i in range(1, 2 * n + 1):
-        for j in range(i + 1, 2 * n + 1):
-            v = entry(i, j)
-            if v != 0:
-                entries[(i, j)] = v
-    return pfaffian(entries, size=2 * n)
+def q_gap_prefactor(q):
+    """I -> prod_{s<t} (q^(I_s - 1) - q^(I_t - 1))."""
+    return lambda I: math.prod(q ** (a - 1) - q ** (b - 1)
+                               for a, b in itertools.combinations(I, 2))
 
 
-def seq_pfaffian(seq, shift, n, weight=None):
-    """Pf of the antisymmetric matrix (j-i) * w(i,j) * seq(i+j+shift).
+def hankel_pf(l, n, pref, moment, shift):
+    """Hyperpfaffian of the Hankel-type moment array on [l*n].
 
-    weight defaults to 1; the matrix has size 2n.
+    The entry at an l-subset I is pref(I) * moment(sum(I) + shift), so
+    l = 2 gives the Pfaffian of the 2n x 2n antisymmetric matrix with
+    pref((i, j)) * moment(i + j + shift) above the diagonal. `moment` is
+    called once per degree. n < 0 raises BoundsError; n = 0 gives 1.
     """
-    def entry(i, j):
-        v = (j - i) * sequence_value(seq, i + j + shift)
-        return v if weight is None else v * weight(i, j)
-    return antisym_pfaffian(n, entry)
+    if n < 0:
+        raise BoundsError(f"need n >= 0, got n={n}")
+    moment = functools.cache(moment)    # local to this call
+    return hyperpfaffian(BlockArray.from_function(
+        l, 1, l * n, lambda I: pref(I) * moment(sum(I) + shift)))
 
 
-def moment_block_array(mu, l, ln, u, prefactor):
-    entries = {}
-    for I in enum_subsets(ln, l):
-        v = prefactor(I) * discrete_moment(mu, sum(I) + u - l)
-        if v != 0:
-            entries[(I,)] = v
-    return BlockArray(l, 1, ln, entries)
-
-
-def narayana_block_pf(X, l, n, r, a):
-    """Hyperpfaffian of the block array whose entry at an l-subset I is
-    prod_{s<t}(I_t - I_s) times the X-type Narayana polynomial of degree
-    (sum I) + r - l evaluated at a; each degree is evaluated once."""
-    values = {}
-    entries = {}
-    for I in enum_subsets(l * n, l):
-        d = sum(I) + r - l
-        if d not in values:
-            values[d] = poly_at(narayana_poly(X, d), a)
-        v = gap_prefactor(I) * values[d]
-        if v != 0:
-            entries[(I,)] = v
-    return hyperpfaffian(BlockArray(l, 1, l * n, entries))
+def seq_pfaffian(seq, shift, n):
+    """Pf of the antisymmetric matrix (j - i) * seq(i + j + shift), size 2n."""
+    return hankel_pf(2, n, gap_prefactor,
+                     lambda d: sequence_value(seq, d), shift)
 
 
 def factorial_tower(l, n):

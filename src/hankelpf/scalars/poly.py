@@ -6,7 +6,8 @@ products and gcds run over Python ints.  `scale_to_ints` clears the
 denominators.  A product packs each operand into one int, its value at
 x = 2^B (Kronecker substitution), multiplies once and unpacks balanced
 digits; the engines' kernel shares `kron_pack` and `kron_unpack`.  A gcd
-runs the primitive remainder sequence over ints.
+runs the primitive remainder sequence over ints, and `ratfunc` divides
+by it exactly over ints.
 
 The factory functions (`unipoly`, `ratfunc`) trim zeros and demote
 degenerate values one step down the chain
@@ -109,27 +110,15 @@ def _pmul(a, b):
                   for d in kron_unpack(prod, B, len(a) + len(b) - 1)])
 
 
-def _pdivmod(a, b):
-    """Polynomial division with remainder over the rationals."""
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    rem = list(a)
-    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(rem) >= len(b):
-        c = rem[-1] / lead
-        k = len(rem) - len(b)
-        quo[k] = c
-        for i, cb in enumerate(b):
-            rem[k + i] -= c * cb
-        del rem[-1]
-        _trim(rem)
-        if len(rem) < len(b):
-            break
-        # keep removing the (now possibly zero) top term
-        while len(rem) >= len(b) and rem and rem[-1] == 0:
-            rem.pop()
-    return _trim(quo), _trim(rem)
+def _pquo(a, b):
+    """a / b for int lists, when b divides a exactly over the ints."""
+    a, n, lead = list(a), len(b), b[-1]
+    quo = [0] * (len(a) - n + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = a[k + n - 1] // lead
+        for i in range(n - 1):
+            a[k + i] -= c * b[i]
+    return quo
 
 
 def _primitive(cs):
@@ -344,8 +333,11 @@ def ratfunc(var: str, num, den):
         k = len(g) - 1
         num, den = num[k:], den[k:]
     else:
-        num, _ = _pdivmod(num, g)
-        den, _ = _pdivmod(den, g)
+        # the primitive int form of g divides the scaled num and den
+        # exactly over the ints (Gauss's lemma)
+        (num, den, g), _ = scale_to_ints((num, den, g))
+        g = _primitive(g)
+        num, den = ([Fraction(c) for c in _pquo(x, g)] for x in (num, den))
     lead = den[-1]
     if lead != 1:
         num = [c / lead for c in num]

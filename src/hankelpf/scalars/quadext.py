@@ -2,10 +2,12 @@
 
 The two instances the identity checks need are the primitive cube root of
 unity (p = -1, r = -1) and sqrt(2) (p = 0, r = 2), but any rational (p, r)
-works.  Elements with v = 0 are demoted to plain Fractions by the factory,
-so results like omega**3 compare equal to 1 structurally.  `quad_reduce`
-turns a polynomial in theta into its element; the engines' packed kernel
-and the scalar parser both build elements through it.
+works.  The letter is part of the extension: elements whose p, r or
+letter differ do not combine or compare equal.  Elements with v = 0 are
+demoted to plain Fractions by the factory, so results like omega**3
+compare equal to 1 structurally.  `quad_reduce` turns a polynomial in
+theta into its element; the engines' packed kernel and the scalar
+parser both build elements through it.
 """
 
 from __future__ import annotations
@@ -63,11 +65,11 @@ class QuadExt:
         self.sym = sym
 
     def _check(self, other: "QuadExt"):
-        if self.p != other.p or self.r != other.r:
+        if (self.p, self.r, self.sym) != (other.p, other.r, other.sym):
             raise IncompatibleTags(
                 "elements of different quadratic extensions "
-                f"(theta^2 = {self.p}*theta + {self.r} vs "
-                f"{other.p}*theta + {other.r})")
+                f"({self.sym}^2 = {self.p}*{self.sym} + {self.r} vs "
+                f"{other.sym}^2 = {other.p}*{other.sym} + {other.r})")
 
     def __add__(self, other):
         if isinstance(other, RATIONAL_TYPES):
@@ -152,8 +154,8 @@ class QuadExt:
         if isinstance(other, RATIONAL_TYPES):
             return self.v == 0 and self.u == other
         if isinstance(other, QuadExt):
-            return (self.p == other.p and self.r == other.r
-                    and self.u == other.u and self.v == other.v)
+            return ((self.p, self.r, self.sym, self.u, self.v)
+                    == (other.p, other.r, other.sym, other.u, other.v))
         return NotImplemented
 
     __hash__ = None

@@ -218,46 +218,60 @@ def _ext_context(doc):
     return QuadContext(ext["letter"], Fraction(ext["p"]), Fraction(ext["r"]))
 
 
-def _field(doc, key, what):
-    """doc[key], or a ParseError naming the missing field."""
+def _field(doc, key, what, kind=None):
+    """doc[key], or a ParseError naming the missing field; with `kind`,
+    also a ParseError when the value is not exactly of that type."""
     try:
-        return doc[key]
+        v = doc[key]
     except (KeyError, TypeError):
         raise ParseError(f"{what} is missing the {key!r} field") from None
+    if kind is not None and type(v) is not kind:
+        raise ParseError(f"{what} field {key!r} must be "
+                         f"{kind.__name__}, got {v!r}")
+    return v
 
 
 def tensor_from_json(doc: dict) -> Tensor:
     if doc.get("kind") != "tensor":
         raise ParseError(f"expected kind 'tensor', got {doc.get('kind')!r}")
-    m = _field(doc, "m", "tensor")
+    m = _field(doc, "m", "tensor", int)
     if "shape" in doc:
-        shape = tuple(doc["shape"])
+        shape = tuple(_field(doc, "shape", "tensor", list))
     else:
-        shape = (_field(doc, "n", "tensor without 'shape'"),) * m
+        shape = (_field(doc, "n", "tensor without 'shape'", int),) * m
     if len(shape) != m:
         raise ParseError("tensor shape does not match m")
     ctx = _ext_context(doc)
     t = Tensor(shape)
     for e in doc.get("entries", []):
         idx = _field(e, "idx", "tensor entry")
-        value = _field(e, "value", "tensor entry")
-        t.set(tuple(idx), parse_scalar(value, ctx))
+        value = parse_scalar(_field(e, "value", "tensor entry"), ctx)
+        try:
+            t.set(idx, value)
+        except TypeError:   # idx is not a list of indices
+            raise ParseError(f"tensor entry 'idx' must be a list of "
+                             f"indices, got {idx!r}") from None
     return t
 
 
 def block_array_from_json(doc: dict) -> BlockArray:
     if doc.get("kind") != "block_array":
         raise ParseError(f"expected kind 'block_array', got {doc.get('kind')!r}")
-    l = _field(doc, "l", "block_array")
-    m = _field(doc, "m", "block_array")
+    l = _field(doc, "l", "block_array", int)
+    m = _field(doc, "m", "block_array", int)
     if "size" in doc:
-        size = doc["size"]
+        size = _field(doc, "size", "block_array", int)
     else:
-        size = l * _field(doc, "n", "block_array without 'size'")
+        size = l * _field(doc, "n", "block_array without 'size'", int)
     ctx = _ext_context(doc)
     b = BlockArray(l, m, size)
     for e in doc.get("entries", []):
         idx = _field(e, "idx", "block_array entry")
-        value = _field(e, "value", "block_array entry")
-        b.set(tuple(tuple(blk) for blk in idx), parse_scalar(value, ctx))
+        value = parse_scalar(_field(e, "value", "block_array entry"), ctx)
+        try:
+            b.set(idx, value)   # builds the key once
+        except TypeError:   # idx is not a list of blocks of indices
+            raise ParseError(f"block_array entry 'idx' must be a list of "
+                             f"blocks, each a list of indices; got {idx!r}"
+                             ) from None
     return b

@@ -1,25 +1,33 @@
 """Registry sanity, CLI behaviour, report format, and determinism."""
 
+import collections
 import importlib
+import itertools
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import pytest
 
 import hankelpf
-from hankelpf.errors import UnknownIdentity, UnknownTag
+from hankelpf.blocks import enum_block_perms, perm_sign
+from hankelpf.errors import BoundsError, UnknownIdentity, UnknownTag
 from hankelpf.harness import (CheckParams, all_identities,
                               filter_identities, get_identity,
                               report_from_json, run_check, run_suite,
                               suite_exit_code, summarize)
 from hankelpf.harness import checks_qpoly, suite
 from hankelpf.harness.cli import coerce_param, main
+from hankelpf.harness.common import gap_prefactor, hankel_pf, q_gap_prefactor
 from hankelpf.harness.registry import GATING_STATUSES, STATUSES
 from hankelpf.harness.reports import REPORT_KEYS, dump_reports
 from hankelpf.qcalc import delta_product
+from hankelpf.scalars import poly_gen
 
 # the ids the battery must cover, grouped the way the layers stack
 CORE_IDS = [
@@ -173,6 +181,58 @@ def test_exit_code_is_summary_failed(monkeypatch):
 def test_run_check_needs_every_grid_parameter():
     with pytest.raises(KeyError, match="max_n"):
         run_check(CheckParams("gx-1", {"index": 1}))
+
+
+# ------------------------------------------------------ Hankel-type builder
+
+def _literal_hankel(l, n, pref, moment, shift):
+    # the defining signed sum over ordered partitions, with its 1/n!
+    total = 0
+    for bp in enum_block_perms(l, n):
+        term = Fraction(perm_sign(bp.word), math.factorial(n))
+        for I in bp.blocks:
+            term = term * pref(I) * moment(sum(I) + shift)
+        total = total + term
+    return total
+
+
+HANKEL_MOMENTS = {
+    "fraction": lambda d: Fraction(3 * d - 5, d * d + 1),
+    "unipoly": lambda d: (poly_gen("a") - d) ** (d % 3) + Fraction(d, 2),
+}
+
+
+@pytest.mark.parametrize("moment", sorted(HANKEL_MOMENTS))
+@pytest.mark.parametrize("l,n", [(2, 1), (2, 2), (2, 3), (4, 2)])
+def test_hankel_pf_matches_literal_definition(l, n, moment):
+    for pref in (gap_prefactor, q_gap_prefactor(Fraction(2, 5))):
+        for shift in (-2, 1):
+            calls = collections.Counter()
+
+            def counted(d):
+                calls[d] += 1
+                return HANKEL_MOMENTS[moment](d)
+            got = hankel_pf(l, n, pref, counted, shift)
+            assert got == _literal_hankel(l, n, pref,
+                                          HANKEL_MOMENTS[moment], shift)
+            degrees = {sum(I) + shift for I in
+                       itertools.combinations(range(1, l * n + 1), l)}
+            assert set(calls) == degrees
+            assert set(calls.values()) == {1}
+
+
+def test_gap_prefactors():
+    assert gap_prefactor((1, 3, 6)) == 2 * 5 * 3
+    q = Fraction(1, 3)
+    assert q_gap_prefactor(q)((1, 3, 6)) == \
+        (1 - q ** 2) * (1 - q ** 5) * (q ** 2 - q ** 5)
+
+
+def test_hankel_pf_empty_and_negative_sizes():
+    assert hankel_pf(2, 0, gap_prefactor, lambda d: 1 / 0, 0) == 1
+    assert hankel_pf(4, 0, gap_prefactor, lambda d: 1 / 0, 0) == 1
+    with pytest.raises(BoundsError):
+        hankel_pf(2, -1, gap_prefactor, lambda d: 1, 0)
 
 
 # ---------------------------------------------------------------- suite layer
@@ -390,6 +450,13 @@ def test_cli_eval_errors(capsys, tmp_path):
     ("hyperdet", {"kind": "tensor", "n": 2}),
     ("hyperdet", {"kind": "tensor", "m": 2}),
     ("hyperdet", {"kind": "tensor", "m": 2, "n": 1, "entries": [[1, 1]]}),
+    # malformed rather than missing: a flat block index, a bare tensor
+    # index, a string where an integer belongs
+    ("hyperpfaffian", {"kind": "block_array", "l": 2, "m": 1, "n": 1,
+                       "entries": [{"idx": [1, 2], "value": "1"}]}),
+    ("hyperdet", {"kind": "tensor", "m": 2, "n": 2,
+                  "entries": [{"idx": 3, "value": "1"}]}),
+    ("hyperpfaffian", {"kind": "block_array", "l": "2", "m": 1, "n": 1}),
 ])
 def test_cli_eval_missing_fields(capsys, tmp_path, kind, doc):
     path = tmp_path / "doc.json"

@@ -107,6 +107,17 @@ def test_incompatible_tags():
         sdiv(TruncSeries("z", 2, [1, 0, 0]), omega())
 
 
+def test_quadext_letters_do_not_mix():
+    # same (p, r), different letters: both orders raise
+    t = QuadExt(-1, -1, 0, 1, "t")
+    for x, y in ((omega(), t), (t, omega())):
+        with pytest.raises(IncompatibleTags):
+            x + y
+        with pytest.raises(IncompatibleTags):
+            x * y
+    assert omega() != t
+
+
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         sdiv(1, 0)
@@ -173,11 +184,22 @@ def _schoolbook_mul(a, b):
     return poly._trim(out)
 
 
+def _rem(a, b):
+    # remainder of a by b by long division over the rationals
+    a = list(a)
+    while len(a) >= len(b):
+        c, k = a[-1] / b[-1], len(a) - len(b)
+        for i, cb in enumerate(b):
+            a[k + i] -= c * cb
+        poly._trim(a)
+    return a
+
+
 def _euclid_gcd(a, b):
     # monic gcd by the Euclidean algorithm over the rationals
     a, b = list(a), list(b)
     while b:
-        a, b = b, poly._pdivmod(a, b)[1]
+        a, b = b, _rem(a, b)
     return [c / a[-1] for c in a] if a else []
 
 
@@ -212,6 +234,25 @@ def test_integer_gcd_matches_euclid():
                       [Fraction(0)] * 3 + [Fraction(2)]) == \
         [Fraction(0)] * 2 + [Fraction(1)]
     assert poly._pgcd([Fraction(3)], q) == [Fraction(1)]
+
+
+def test_ratfunc_cancels_non_monomial_gcd():
+    rng = derive_rng("ratfunc-exact-division")
+    for _ in range(200):
+        g = []
+        while len(g) < 2 or not g[0]:
+            g = _rand_coeffs(rng, rng.randint(2, 4))
+        a = _rand_coeffs(rng, rng.randint(1, 4))
+        b = _rand_coeffs(rng, rng.randint(2, 4))
+        if not a or len(b) < 2:
+            continue
+        r = ratfunc("q", poly._pmul(a, g), poly._pmul(b, g))
+        num, den = (list(r.num), list(r.den)) if isinstance(r, RatFunc) \
+            else (list(r.coeffs) if isinstance(r, UniPoly) else [r], [1])
+        # lowest terms with a monic denominator, and the same quotient
+        assert den[-1] == 1 and _euclid_gcd(num, den) == [1]
+        assert poly._pmul(num, b) == poly._pmul(a, den)
+        assert all(type(c) is Fraction for c in num + den[:-1])
 
 
 # -------------------------------------------------------------------- series
