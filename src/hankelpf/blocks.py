@@ -1,7 +1,7 @@
-"""Index combinatorics: subsets, ordered block partitions with signs.
+"""Index combinatorics: ordered block partitions with signs.
 
 Everything works on 1-based indices, matching the usual row/column
-labelling of matrices. Subsets are sorted tuples of ints. Streams are
+labelling of matrices. Blocks are sorted tuples of ints. Streams are
 generators in lexicographic order of the concatenated word, so runs are
 reproducible and nothing factorial-sized is materialized.
 """
@@ -27,13 +27,6 @@ class SignedBlockPermutation:
     @property
     def word(self) -> tuple[int, ...]:
         return tuple(itertools.chain.from_iterable(self.blocks))
-
-
-def enum_subsets(n: int, l: int):
-    """All l-element subsets of {1..n} as sorted tuples, lex order."""
-    if not 0 <= l <= n:
-        raise BoundsError(f"need 0 <= l <= n, got l={l}, n={n}")
-    return itertools.combinations(range(1, n + 1), l)
 
 
 def perm_sign(word) -> int:

@@ -29,7 +29,16 @@ Design notes that matter for reading this file:
   two-extension entries are expanded as they are, so a result that
   only int-only terms reach stays an int, and two extensions still
   raise IncompatibleTags.
-* Signs are applied by negating or subtracting, never by scalar powers.
+* Signs are applied by negating, never by scalar powers.
+* The kernel runs in two passes, as the symbolic and numeric phases of
+  a sparse direct solver do. A shape pass (`_Plan`) builds the state
+  graph of one (l, m, start masks, steps) shape as flat integer arrays,
+  and `_PLANS` caches it, bounded by PLAN_CACHE_TRANSITIONS transitions
+  in all, because the same few dozen shapes recur across the calls of
+  a run. A value pass reads each entry once and accumulates over those
+  arrays. The arrays hold small unsigned ints and no Python objects,
+  so a cached transition costs about 8 bytes and the garbage collector
+  never scans the cache.
 """
 
 from __future__ import annotations
@@ -37,6 +46,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
+from array import array
 from fractions import Fraction
 
 from .errors import (BoundsError, CardinalityMismatch,
@@ -61,31 +72,31 @@ def _points(mask):
     return tuple(p for p in range(1, mask.bit_length()) if mask >> p & 1)
 
 
-@functools.lru_cache(maxsize=4096)
-def _slot_options(free, l, head):
+def _slot_options(l, free, head):
     """The blocks one slot can take next, given its free-point mask.
 
-    A tuple of (block, mask left free, sign flip). With `head` only the
-    blocks that hold the lowest free point qualify. The flip is the
-    parity of the pairs (x in the block, y free after it, y < x). If
-    the k-th point of the block (k from 0) has i_k free points below
-    it, k of those are in the block, so there are sum(i_k - k) pairs.
-    Cached because the options depend on the mask alone, and the same
-    masks recur across states and calls.
+    Three parallel tuples: the blocks, the mask each leaves free, and
+    each one's sign flip. With `head` only the blocks that hold the
+    lowest free point qualify. The flip is the parity of the pairs (x in
+    the block, y free after it, y < x). If the k-th point of the block
+    (k from 0) has i_k free points below it, k of those are in the
+    block, so there are sum(i_k - k) pairs.
     """
-    indexed = list(enumerate(_points(free)))
+    pts = _points(free)
+    if len(pts) < l:
+        return (), (), ()
+    lead = 1 if head else 0
+    tail, k = pts[lead:], l - lead
+    blocks = itertools.combinations(tail, k)
     if head:
-        blocks = (indexed[:1] + list(c)
-                  for c in itertools.combinations(indexed[1:], l - 1))
-    else:
-        blocks = itertools.combinations(indexed, l)
+        blocks = (pts[:1] + blk for blk in blocks)
+    left = free - (1 << pts[0]) if head else free
     shift = l * (l - 1) // 2
-    opts = []
-    for blk in blocks:
-        below, blk = zip(*blk)
-        rest = free - sum(1 << p for p in blk)
-        opts.append((blk if l > 1 else blk[0], rest, (sum(below) - shift) & 1))
-    return tuple(opts)
+    return (tuple(blk if l > 1 else blk[0] for blk in blocks),
+            tuple(left - b for b in map(sum, itertools.combinations(
+                [1 << p for p in tail], k))),
+            tuple((s - shift) & 1 for s in map(sum, itertools.combinations(
+                range(lead, len(pts)), k))))
 
 
 def _packed_entries(entries, l, start, steps):
@@ -156,6 +167,113 @@ def _packed_entries(entries, l, start, steps):
     return packed, B, D ** steps, steps * (L - 1) + 1, finish
 
 
+# The plan cache holds at most this many transitions in all. A cached
+# transition costs about 8 bytes (two array cells, its share of the
+# per-state counts and of the key columns), so a full cache holds about
+# 2 MB; the full suite's 83 shapes take 126k transitions, 1 MB.
+PLAN_CACHE_TRANSITIONS = 1 << 18
+
+
+class _Interner(dict):
+    """Numbers its keys 0, 1, 2, ... in the order they are first looked up."""
+
+    def __missing__(self, key):
+        self[key] = n = len(self)
+        return n
+
+
+def _column(values, top):
+    """`values`, all in [0, top], as an array of the narrowest typecode
+    that holds them, or as a tuple when top needs more than 64 bits."""
+    for t in "BHIQ":
+        if top >> 8 * array(t).itemsize == 0:
+            return array(t, values)
+    return tuple(values)
+
+
+class _Plan:
+    """The state graph of one (l, m, start, steps) shape, without values.
+
+    The shape pass of `_expand`. Layer 0 is the one state `start`; the
+    states of each later layer are numbered in the order they are first
+    reached. `steps` holds one triple of columns per step:
+    - counts: for each state of the layer, how many transitions leave it;
+      the transitions are stored grouped by source, in state order;
+    - key: for each transition, 2*k + flip, with k the index of the entry
+      key it multiplies by and flip the parity of its sign flips;
+    - dst: for each transition, its target state's index in the next
+      layer.
+    Key k is the m-tuple of blocks `blocks[keys[s][k]]`, s = 0..m-1, and
+    final state i has mask `final[s][i]` in slot s. All of these are
+    arrays of the narrowest typecode (a final mask wider than 64 bits
+    is kept in a tuple), so a plan holds no per-state or per-key Python
+    objects. `states` counts each layer's states exactly, and
+    `transitions` is the length of the key columns together.
+    """
+
+    __slots__ = ("blocks", "keys", "steps", "final", "states", "transitions")
+
+    def __init__(self, l, m, start, steps):
+        keys = _Interner()
+        heads = (True,) + (False,) * (m - 1)
+        options = functools.cache(functools.partial(_slot_options, l))
+        layer, cols, states = (start,), [], [1]
+        for _ in range(steps):
+            nxt = _Interner()
+            # four bytes a transition while building, where a list would
+            # hold a pointer and, above 256, an int object
+            counts, key, dst = [], array("I"), array("I")
+            for state in layer:
+                blocks, rests, flips = zip(*map(options, state, heads))
+                n = len(key)
+                ks = map(keys.__getitem__, itertools.product(*blocks))
+                odd = map((1).__and__, map(sum, itertools.product(*flips)))
+                key.extend(map(operator.add, map((2).__mul__, ks), odd))
+                dst.extend(map(nxt.__getitem__, itertools.product(*rests)))
+                counts.append(len(key) - n)
+            cols.append((_column(counts, max(counts, default=0)),
+                         _column(key, 2 * len(keys)), _column(dst, len(nxt))))
+            layer = tuple(nxt)
+            states.append(len(layer))
+        ids = _Interner()
+        self.keys = tuple(_column(list(map(ids.__getitem__, col)), len(ids))
+                          for col in zip(*keys))
+        self.blocks = tuple(ids)
+        self.steps = tuple(cols)
+        self.final = tuple(map(_column, zip(*layer), start))
+        self.states = tuple(states)
+        self.transitions = sum(len(key) for _, key, _ in cols)
+
+
+class _PlanCache:
+    """Plans by shape, least recently used first, bounded by transitions.
+
+    A plan over the bound on its own is built for its call and dropped.
+    """
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.transitions = 0
+        self.plans = {}
+
+    def get(self, l, m, start, steps):
+        shape = (l, m, start, steps)
+        plan = self.plans.pop(shape, None)
+        if plan is None:
+            plan = _Plan(l, m, start, steps)
+            if plan.transitions > self.limit:
+                return plan
+            self.transitions += plan.transitions
+            while self.transitions > self.limit:
+                self.transitions -= self.plans.pop(
+                    next(iter(self.plans))).transitions
+        self.plans[shape] = plan
+        return plan
+
+
+_PLANS = _PlanCache(PLAN_CACHE_TRANSITIONS)
+
+
 def _expand(entries, l, m, start, steps, signed):
     """Run `steps` block steps from the free masks `start`, one per slot.
 
@@ -168,39 +286,51 @@ def _expand(entries, l, m, start, steps, signed):
     key. With `signed` the sign flips of the steps are summed, which
     counts, per slot, the pairs (x chosen, y still free, y < x).
 
+    Two passes. The shape pass (`_Plan`) depends on (l, m, start,
+    steps) alone, so `_PLANS` caches it by shape, least recently used
+    first, up to PLAN_CACHE_TRANSITIONS transitions in all; a plan over
+    that bound is built for its call and dropped. Tests swap `_PLANS`
+    for a fresh or a zero-bound cache. The value pass reads each entry
+    once into a list, next to its negation, and accumulates layer by
+    layer over the plan's columns, building no tuple and probing no
+    dict per transition.
+
     Returns the whole final {state: value} table; a state no path
     reaches is absent (zero). Fraction, one-variable UniPoly and
     one-extension QuadExt entries run as packed ints (`_packed_entries`),
     and each final state is unpacked once into its coefficients
     digits / D**steps and finished into a value.
     """
+    plan = _PLANS.get(l, m, start, steps)
     packed = _packed_entries(entries, l, start, steps)
     if packed is not None:
         entries = packed[0]
-    slot_args = ((l,) * m, (True,) + (False,) * (m - 1))
-    cur = {start: 1}
-    for _ in range(steps):
-        nxt: dict = {}
-        for state, acc in cur.items():
-            for combo in itertools.product(
-                    *map(_slot_options, state, *slot_args)):
-                key, rest, flips = zip(*combo)
-                v = entries.get(key)
+    vals = []
+    for v in map(entries.get, zip(*(map(plan.blocks.__getitem__, col)
+                                    for col in plan.keys))):
+        vals += (v, -v if signed and v is not None else v)
+    cur = [1]
+    for (counts, key, dst), size in zip(plan.steps, plan.states[1:]):
+        nxt = [None] * size
+        moves = zip(key, dst)
+        for acc, n in zip(cur, counts):
+            if acc is None:
+                next(itertools.islice(moves, n, n), None)
+                continue
+            for k, d in itertools.islice(moves, n):
+                v = vals[k]
                 if v is None:
                     continue
-                term = acc * v
-                old = nxt.get(rest)
-                if signed and sum(flips) & 1:
-                    nxt[rest] = -term if old is None else old - term
-                else:
-                    nxt[rest] = term if old is None else old + term
+                old = nxt[d]
+                nxt[d] = acc * v if old is None else old + acc * v
         cur = nxt
-    if packed is not None:
-        _, B, scale, n, finish = packed
-        return {state: finish([Fraction(d, scale)
-                               for d in kron_unpack(v, B, n)])
-                for state, v in cur.items()}
-    return cur
+    reached = ((state, v) for state, v in zip(zip(*plan.final), cur)
+               if v is not None)
+    if packed is None:
+        return dict(reached)
+    _, B, scale, n, finish = packed
+    return {state: finish([Fraction(d, scale) for d in kron_unpack(v, B, n)])
+            for state, v in reached}
 
 
 def _block_sum(entries, l, m, points, signed=True):

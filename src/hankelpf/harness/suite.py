@@ -9,7 +9,6 @@ elapsed_ms stays 0 unless wall-clock timing is requested explicitly.
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from ..errors import BoundsError, PoleEncountered, SizeBudgetExceeded
 from ..scalars.sampling import derive_rng
@@ -83,6 +82,9 @@ def run_suite(level="smoke", filter_tag=None, jobs=1, seed=0, trials=5,
                         trials=trials, timing=timing)
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: it pulls in multiprocessing, which only a pooled
+        # run needs, and costs every other command's start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_task, tasks))
     else:

@@ -215,7 +215,16 @@ def _ext_context(doc):
     ext = doc.get("ext")
     if ext is None:
         return None
-    return QuadContext(ext["letter"], Fraction(ext["p"]), Fraction(ext["r"]))
+    letter = _field(ext, "letter", "ext header", str)
+    coeffs = []
+    for key in ("p", "r"):
+        v = _field(ext, key, "ext header")
+        try:
+            coeffs.append(Fraction(v))
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            raise ParseError(f"ext header field {key!r} must be a rational "
+                             f"number, got {v!r}") from None
+    return QuadContext(letter, *coeffs)
 
 
 def _field(doc, key, what, kind=None):
@@ -231,6 +240,11 @@ def _field(doc, key, what, kind=None):
     return v
 
 
+def _entries(doc, what):
+    """The document's entry list; absent means no entries."""
+    return _field(doc, "entries", what, list) if "entries" in doc else []
+
+
 def tensor_from_json(doc: dict) -> Tensor:
     if doc.get("kind") != "tensor":
         raise ParseError(f"expected kind 'tensor', got {doc.get('kind')!r}")
@@ -243,9 +257,9 @@ def tensor_from_json(doc: dict) -> Tensor:
         raise ParseError("tensor shape does not match m")
     ctx = _ext_context(doc)
     t = Tensor(shape)
-    for e in doc.get("entries", []):
+    for e in _entries(doc, "tensor"):
         idx = _field(e, "idx", "tensor entry")
-        value = parse_scalar(_field(e, "value", "tensor entry"), ctx)
+        value = parse_scalar(_field(e, "value", "tensor entry", str), ctx)
         try:
             t.set(idx, value)
         except TypeError:   # idx is not a list of indices
@@ -265,9 +279,10 @@ def block_array_from_json(doc: dict) -> BlockArray:
         size = l * _field(doc, "n", "block_array without 'size'", int)
     ctx = _ext_context(doc)
     b = BlockArray(l, m, size)
-    for e in doc.get("entries", []):
+    for e in _entries(doc, "block_array"):
         idx = _field(e, "idx", "block_array entry")
-        value = parse_scalar(_field(e, "value", "block_array entry"), ctx)
+        value = parse_scalar(_field(e, "value", "block_array entry", str),
+                             ctx)
         try:
             b.set(idx, value)   # builds the key once
         except TypeError:   # idx is not a list of blocks of indices

@@ -1,4 +1,4 @@
-"""Subset streams and signed block permutations."""
+"""Signed block permutations."""
 
 import itertools
 import math
@@ -6,24 +6,8 @@ import math
 import pytest
 
 from hankelpf.blocks import (SignedBlockPermutation, enum_block_perms,
-                             enum_subsets, perm_sign)
+                             perm_sign)
 from hankelpf.errors import BoundsError, NotAPermutation
-
-
-def test_enum_subsets_small():
-    assert list(enum_subsets(3, 2)) == [(1, 2), (1, 3), (2, 3)]
-    assert list(enum_subsets(4, 0)) == [()]
-    assert sum(1 for _ in enum_subsets(10, 5)) == 252
-
-
-def test_enum_subsets_lex_order_and_bounds():
-    subs = list(enum_subsets(5, 3))
-    assert subs == sorted(subs)
-    assert len(set(subs)) == len(subs) == 10
-    with pytest.raises(BoundsError):
-        list(enum_subsets(3, 4))
-    with pytest.raises(BoundsError):
-        list(enum_subsets(3, -1))
 
 
 def test_perm_sign_basics():

@@ -1,12 +1,15 @@
 """Hyperdeterminant engines against oracles, Pfaffian family, minor
 summation, flattening, and the JSON container formats."""
 
+import gc
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from hankelpf import engines
 from hankelpf.blocks import enum_block_perms, perm_sign
 from hankelpf.errors import (BoundsError, CardinalityMismatch,
                              CardinalityNotMultipleOfL, IncompatibleTags,
@@ -530,6 +533,181 @@ def test_packed_extension_result_types():
     # nor are a polynomial and an extension element
     with pytest.raises(TypeError):
         pfaffian({(1, 2): w, (3, 4): poly_gen("x")})
+
+
+# ------------------------------------------------------- the planned kernel
+
+# "+int" kinds mix plain ints in, so their entries run as they are
+# rather than packed
+KERNEL_KINDS = KINDS + ("fraction+int", "unipoly+int", "quadext+int")
+# (l, m, n): l = 1 reads bare-point keys; the first slot's pinned block
+# order is only a sign-free choice for signed sums when l or m is even
+SIGNED_SHAPES = [(1, 2, 3), (1, 4, 2), (2, 1, 3), (2, 2, 2), (2, 3, 2),
+                 (3, 2, 2), (4, 1, 2)]
+UNSIGNED_SHAPES = SIGNED_SHAPES + [(1, 1, 3), (1, 3, 2), (3, 1, 2)]
+
+
+def _kernel_entry(rng, kind):
+    base, _, mix = kind.partition("+")
+    if mix and rng.random() < 0.3:
+        return rng.randint(-3, 3)
+    return _random_scalar(rng, base)
+
+
+@pytest.mark.parametrize("signed", (True, False))
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_block_sum_matches_literal_definition(kind, signed):
+    for l, m, n in SIGNED_SHAPES if signed else UNSIGNED_SHAPES:
+        rng = derive_rng("kernel-literal", kind, str(signed), f"{l}.{m}.{n}")
+        keys = _all_keys(l, m, n)
+        for _ in range(2):
+            entries = {k: _kernel_entry(rng, kind) for k in keys
+                       if rng.random() < 0.7}
+            value = engines._block_sum(entries, l, m, l * n, signed)
+            assert value == _literal_block_sum(entries, l, m, n, signed)
+            _check_type(value, kind)
+        # no entry present: plain int 0
+        value = engines._block_sum({}, l, m, l * n, signed)
+        assert value == 0 and type(value) is int
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_row_minors_match_literal_definition(kind):
+    # every row set, so the first slot starts from every partial mask;
+    # a minor no path reaches is absent from the table
+    rng = derive_rng("kernel-minors", kind)
+    for shape in ((3, 4), (2, 3, 3, 3)):
+        m = len(shape)
+        H = Tensor(shape, {idx: _kernel_entry(rng, kind)
+                           for idx in itertools.product(
+                               *(range(1, s + 1) for s in shape))
+                           if rng.random() < 0.7})
+        for r in range(1, shape[0] + 1):
+            for rows in itertools.combinations(range(1, shape[0] + 1), r):
+                table = row_minors(H, rows)
+                for cols in itertools.product(*(itertools.combinations(
+                        range(1, s + 1), r) for s in shape[1:])):
+                    minor = minor_tensor(H, (rows,) + cols).entries
+                    value = table.get(cols, 0)
+                    assert value == _literal_block_sum(minor, 1, m, r)
+                    _check_type(value, kind)
+        assert row_minors(Tensor(shape), (1,)) == {}
+
+
+def test_row_minors_on_an_axis_wider_than_64_points():
+    # final masks over 64 bits do not fit an array and stay exact
+    H = Tensor.from_function((2, 70), lambda i, j: i * 100 + j * j)
+    table = row_minors(H, (1, 2))
+    assert len(table) == math.comb(70, 2)
+    for j, k in ((1, 70), (3, 64), (65, 66)):
+        assert table[((j, k),)] == (H.get((1, j)) * H.get((2, k))
+                                    - H.get((1, k)) * H.get((2, j)))
+
+
+def _plan_cache_calls():
+    rng = derive_rng("plan-cache")
+    x, w = poly_gen("x"), omega()
+    return [
+        lambda: pfaffian({(i, j): rng.randint(-3, 3) for i in range(1, 7)
+                          for j in range(i + 1, 7)}),
+        lambda: hyperdet(_random_tensor(rng, 4, 3, kind="fraction")),
+        lambda: hyperpfaffian(BlockArray.from_function(
+            2, 2, 4, lambda *k: x + rng.randint(-3, 3))),
+        lambda: hyperhafnian(BlockArray.from_function(
+            1, 3, 3, lambda *k: w * rng.randint(-3, 3))),
+        lambda: det_matrix([[Fraction(1, 2), 1], [x, 2]]),
+        lambda: row_minors(_random_tensor(rng, 4, 3, kind="quadext"), (1, 3)),
+        lambda: pfaffian({}, size=4),
+    ]
+
+
+def test_plan_cache_cold_warm_and_over_bound(monkeypatch):
+    # the value pass is the same whether its plan was just built, read
+    # from the cache, or built over the bound and dropped
+    cache = engines._PlanCache(engines.PLAN_CACHE_TRANSITIONS)
+    monkeypatch.setattr(engines, "_PLANS", cache)
+    cold = [f() for f in _plan_cache_calls()]
+    plans = dict(cache.plans)
+    assert plans and cache.transitions == sum(
+        p.transitions for p in plans.values())
+    warm = [f() for f in _plan_cache_calls()]
+    assert all(cache.plans[shape] is p for shape, p in plans.items())
+    over_bound = engines._PlanCache(0)
+    monkeypatch.setattr(engines, "_PLANS", over_bound)
+    over = [f() for f in _plan_cache_calls()]
+    assert over_bound.plans == {} and over_bound.transitions == 0
+    for results in zip(cold, warm, over):
+        assert results[0] == results[1] == results[2]
+        assert len({type(v) for v in results}) == 1
+        if type(results[0]) is dict:
+            for key, v in results[0].items():
+                assert type(results[1][key]) is type(results[2][key]) \
+                    is type(v)
+
+
+def test_plan_cache_evicts_least_recently_used():
+    shapes = [(2, 1, (0b11110,), 2), (1, 2, (0b1110, 0b1110), 3),
+              (2, 2, (0b11110, 0b11110), 2)]
+    sizes = [engines._Plan(*shape).transitions for shape in shapes]
+    assert sizes == [6, 12, 36]
+    cache = engines._PlanCache(sum(sizes) - 1)
+    first = cache.get(*shapes[0])
+    cache.get(*shapes[1])
+    assert cache.get(*shapes[0]) is first
+    cache.get(*shapes[2])
+    assert list(cache.plans) == [shapes[0], shapes[2]]
+    assert cache.transitions == sizes[0] + sizes[2]
+
+
+def test_plan_counts_states_and_transitions():
+    # Pfaffian of size 4: {1,2,3,4} -> {3,4}, {2,4}, {2,3} -> {}
+    plan = engines._Plan(2, 1, (0b11110,), 2)
+    assert plan.states == (1, 3, 1) and plan.transitions == 6
+    # l = 1: the first slot is forced, so layer t has C(N, t)^(m-1)
+    # states, and each has (N - t)^(m-1) transitions
+    N, m = 4, 4
+    plan = engines._Plan(1, m, ((1 << N + 1) - 2,) * m, N)
+    assert plan.states == tuple(math.comb(N, t) ** (m - 1)
+                                for t in range(N + 1))
+    assert plan.transitions == sum(math.comb(N, t) ** (m - 1)
+                                   * (N - t) ** (m - 1) for t in range(N))
+    assert [tuple(col) for col in plan.final] == [(0,)] * m
+
+
+def _tier1_shapes():
+    # full-mask shapes of the engine tests and partial row_minors starts
+    for l, m, size in ([(1, 2, n) for n in range(1, 6)] + [(1, 4, 3), (1, 4, 4)]
+                       + [(2, 1, s) for s in range(2, 11, 2)]
+                       + [(2, 2, 6), (2, 3, 4), (3, 2, 6), (4, 1, 8)]):
+        yield l, m, ((1 << size + 1) - 2,) * m, size // l
+    for m, N, rows in ((2, 6, (1, 2)), (2, 6, (2, 5)), (4, 4, (1, 3)),
+                       (4, 4, (2, 3))):
+        yield 1, m, (sum(1 << i for i in rows),) \
+            + ((1 << N + 1) - 2,) * (m - 1), len(rows)
+
+
+def test_plan_cache_memory_stays_small():
+    # a plan holds flat arrays of small ints and no per-state or per-key
+    # Python objects: about 8 bytes a transition, so the cache holds at
+    # most about 8 * PLAN_CACHE_TRANSITIONS bytes
+    shapes = list(_tier1_shapes())
+    for shape in shapes:   # fill the shared point-list cache first
+        engines._Plan(*shape)
+    cache = engines._PlanCache(engines.PLAN_CACHE_TRANSITIONS)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for shape in shapes:
+            cache.get(*shape)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(cache.plans) == len(shapes)
+    assert cache.transitions <= engines.PLAN_CACHE_TRANSITIONS
+    assert retained <= 8 * cache.transitions + 2048 * len(cache.plans)
+    assert retained <= 8 * engines.PLAN_CACHE_TRANSITIONS
 
 
 # ------------------------------------------------- hyperpfaffian / hafnian

@@ -1,6 +1,7 @@
 """Registry sanity, CLI behaviour, report format, and determinism."""
 
 import collections
+import concurrent.futures
 import importlib
 import itertools
 import json
@@ -287,7 +288,9 @@ class _RecordingPool:
 @pytest.fixture
 def recording_pool(monkeypatch):
     monkeypatch.setattr(_RecordingPool, "made", [])
-    monkeypatch.setattr(suite, "ProcessPoolExecutor", _RecordingPool)
+    # run_suite imports the pool class when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
     return _RecordingPool.made
 
 
@@ -457,6 +460,16 @@ def test_cli_eval_errors(capsys, tmp_path):
     ("hyperdet", {"kind": "tensor", "m": 2, "n": 2,
                   "entries": [{"idx": 3, "value": "1"}]}),
     ("hyperpfaffian", {"kind": "block_array", "l": "2", "m": 1, "n": 1}),
+    # an entry list that is not a list, an ext header without its letter
+    # or with a coefficient that is not a number
+    ("hyperpfaffian", {"kind": "block_array", "l": 2, "m": 1, "n": 1,
+                       "entries": 5}),
+    ("hyperdet", {"kind": "tensor", "m": 2, "n": 1, "entries": 5}),
+    ("hyperpfaffian", {"kind": "block_array", "l": 2, "m": 1, "n": 1,
+                       "ext": {"p": "-1", "r": "-1"}, "entries": []}),
+    ("hyperdet", {"kind": "tensor", "m": 2, "n": 1,
+                  "ext": {"letter": "w", "p": "x", "r": "-1"},
+                  "entries": []}),
 ])
 def test_cli_eval_missing_fields(capsys, tmp_path, kind, doc):
     path = tmp_path / "doc.json"
@@ -464,6 +477,18 @@ def test_cli_eval_missing_fields(capsys, tmp_path, kind, doc):
     assert main(["eval", kind, "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("hpf: ParseError:") and err.count("\n") == 1
+
+
+def test_cli_eval_number_value(capsys, tmp_path):
+    # scalars are text; a JSON number is rejected by naming the field
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": "block_array", "l": 2, "m": 1,
+                                "n": 1, "entries": [{"idx": [[1, 2]],
+                                                     "value": 3}]}))
+    assert main(["eval", "hyperpfaffian", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hpf: ParseError:") and err.count("\n") == 1
+    assert "'value'" in err and "empty scalar text" not in err
 
 
 def test_cli_eval_missing_fields_process(tmp_path):
@@ -503,6 +528,17 @@ def test_cli_rejects_nonpositive_trials(capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("hpf: BoundsError:")
     assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_cli_import_leaves_out_the_pool():
+    # only a run with more than one worker needs the process pool
+    src = pathlib.Path(hankelpf.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hankelpf.harness.cli; "
+         "print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("module", [

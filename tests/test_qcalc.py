@@ -7,7 +7,6 @@ import math
 import pytest
 from fractions import Fraction as F
 
-from hankelpf.blocks import enum_subsets
 from hankelpf.engines import (det_matrix, hyperhafnian, hyperpfaffian,
                               msf_build_Q, pfaffian)
 from hankelpf.errors import (GeometricPole, MomentPole, PoleInNegativeRange,
@@ -637,7 +636,7 @@ def test_debruijn_shape_errors():
 
 def _moment_block_array(mu, l, ln, u, prefactor):
     entries = {}
-    for I in enum_subsets(ln, l):
+    for I in itertools.combinations(range(1, ln + 1), l):
         pref = prefactor(I)
         v = pref * discrete_moment(mu, sum(I) + u - l)
         if v:
