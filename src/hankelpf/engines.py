@@ -39,6 +39,10 @@ Design notes that matter for reading this file:
   arrays. The arrays hold small unsigned ints and no Python objects,
   so a cached transition costs about 8 bytes and the garbage collector
   never scans the cache.
+* One contraction, `contract_slots`, builds both minor summation
+  kernels: `msf_build_Q` here and `qcalc.debruijn_kernel`, whose atom
+  weights are a diagonal array. It sums an array against one table of
+  minors per slot, one slot at a time.
 """
 
 from __future__ import annotations
@@ -704,49 +708,51 @@ def _check_msf_shapes(A: BlockArray, H):
     return r, m, ln, A.size
 
 
+def contract_slots(entries, tables):
+    """{I_1 + ... + I_r: sum over K of entries[K] * prod_s
+    tables[s][K_s][I_s]}, contracted one slot at a time.
+
+    `entries` maps slot tuples K = (K_1, ..., K_r) to scalars and
+    tables[s] maps K_s to {I_s: value}, each I_s a tuple; a K_s missing
+    from tables[s] contributes zero. Between slots a key holds the K_s
+    not yet contracted followed by the I_s already chosen, so terms that
+    agree on both merge before the next slot multiplies them out. Zero
+    sums are dropped.
+    """
+    for table in tables:
+        out = {}
+        for key, a in entries.items():
+            if a == 0:
+                continue
+            for idx, d in table.get(key[0], {}).items():
+                k = key[1:] + idx
+                out[k] = out[k] + a * d if k in out else a * d
+        entries = out
+    return {k: v for k, v in entries.items() if v != 0}
+
+
 def msf_build_Q(A: BlockArray, H) -> BlockArray:
     """The pairing array Q of the minor summation identity.
 
     Q(I-blocks) sums A(K-blocks) against products of hyperdeterminant
-    minors of the rectangular tensors, one minor per slot of A. The
-    minors of each tensor come from one `row_minors` pass per
-    first-axis block I_1.
+    minors of the rectangular tensors, one minor per slot of A: the
+    `contract_slots` of A with one table per tensor, which maps a
+    last-axis block K_s to the nonzero minors on it, keyed by their
+    other blocks I_s. Each table comes from one `row_minors` pass per
+    first-axis block.
     """
     r, m, ln, _ = _check_msf_shapes(A, H)
     l = A.l
-    i_combos = list(itertools.product(
-        itertools.combinations(range(1, ln + 1), l), repeat=m - 1))
     tables = []
     for h in H:
         tbl = {}
         for rows in itertools.combinations(range(1, ln + 1), l):
             for cols, d in row_minors(h, rows).items():
-                tbl[((rows,) + cols[:-1], cols[-1])] = d
+                if d != 0:
+                    tbl.setdefault(cols[-1], {})[(rows,) + cols[:-1]] = d
         tables.append(tbl)
-    q_entries: dict = {}
-    for keyA, a in A.entries.items():
-        if a == 0:
-            continue
-        vecs = [[tables[s].get((ic, keyA[s]), 0) for ic in i_combos]
-                for s in range(r)]
-        for choice in itertools.product(range(len(i_combos)), repeat=r):
-            prod = a
-            for s, ci in enumerate(choice):
-                d = vecs[s][ci]
-                if d == 0:
-                    prod = None
-                    break
-                prod = prod * d
-            if prod is None:
-                continue
-            qkey = tuple(itertools.chain.from_iterable(
-                i_combos[ci] for ci in choice))
-            if qkey in q_entries:
-                q_entries[qkey] = q_entries[qkey] + prod
-            else:
-                q_entries[qkey] = prod
     out = BlockArray(l, (m - 1) * r, ln)
-    out.entries = {k: v for k, v in q_entries.items() if v != 0}
+    out.entries = contract_slots(A.entries, tables)
     return out
 
 

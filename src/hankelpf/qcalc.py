@@ -6,7 +6,9 @@ the two numeric checks live in harness.checks_qpoly. The exact
 q-Selberg integral (askey_lhs_exact) expands only its pair part and
 integrates the one-variable factors coordinate by coordinate. q_powers
 is the one table of q^v, v of either sign, that delta_product and its
-fast float loops share.
+fast float loops share. The de Bruijn kernel (debruijn_kernel) is the
+minor summation kernel of its atom weights, built by the same
+engines.contract_slots as engines.msf_build_Q.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engines import det_matrix, row_minors
+from .engines import contract_slots, det_matrix, row_minors
 from .errors import (GeometricPole, HpfError, MomentPole, PoleInNegativeRange,
                      ShapeMismatch, SizeBudgetExceeded, UnsupportedArgument,
                      ZeroCoordinate)
@@ -24,7 +26,7 @@ from .scalars import HalfGamma, format_scalar, gamma_exact, q_gamma_int, sdiv
 from .tensors import BlockArray, Tensor
 
 __all__ = [
-    "q_pochhammer", "q_binomial", "q_binomial_row",
+    "q_pochhammer", "q_binomial_row",
     "jackson_monomial",
     "DiscreteMeasure",
     "discrete_moment", "discrete_cube_integral", "discrete_ordered_integral",
@@ -76,24 +78,13 @@ def q_pochhammer(a, q, n: int):
     return sdiv(1, denom)
 
 
-def q_binomial(n: int, k: int, q):
-    """Gaussian binomial coefficient, zero outside 0 <= k <= n.
-
-    Equal to the quotient (q;q)_n / ((q;q)_k (q;q)_{n-k}). It reads entry
-    k of `q_binomial_row(n, q)`, which builds the whole q-Pascal triangle
-    down to row n, so a caller that needs several k of one n should take
-    the row once.
-    """
-    if k < 0 or k > n:
-        return 0
-    return q_binomial_row(n, q)[k]
-
-
 def q_binomial_row(n: int, q):
-    """[q_binomial(n, k, q) for k in 0..n], for n >= 0.
+    """The Gaussian binomial coefficients [n choose k]_q for k in 0..n,
+    for n >= 0.
 
-    Built by the q-Pascal recurrence, with no division, so a polynomial q
-    stays polynomial throughout.
+    Each equals the quotient (q;q)_n / ((q;q)_k (q;q)_{n-k}). Built by
+    the q-Pascal recurrence, with no division, so a polynomial q stays
+    polynomial throughout.
     """
     row = [1]
     for i in range(1, n + 1):
@@ -368,23 +359,11 @@ def _integrate_beta_monomials(poly, alpha: int, beta: int) -> Fraction:
 
 
 def selberg_bruteforce(n: int, alpha, beta, gamma) -> Fraction:
-    """Oracle: expand the pair-interaction power and integrate monomials
-    against t^(alpha-1)(1-t)^(beta-1) factor by factor.
-
-    Integer parameters only (even pair exponent removes the absolute
-    value), and n capped at desk scale.
-    """
-    alpha = _int_or_raise(alpha, "alpha")
-    beta = _int_or_raise(beta, "beta")
-    gamma = _int_or_raise(gamma, "gamma")
-    if alpha < 1 or beta < 1 or gamma < 0:
-        raise UnsupportedArgument("need alpha, beta >= 1 and gamma >= 0")
-    if n > 3:
-        raise SizeBudgetExceeded(f"brute-force expansion capped at n=3, "
-                                 f"got n={n}")
+    """Oracle for selberg_closed: `aomoto_bruteforce` with k = 0, which
+    needs integer parameters and n at desk scale, and here n >= 1."""
     if n < 1:
         raise UnsupportedArgument("n must be >= 1")
-    return _integrate_beta_monomials(_pair_power_poly(n, gamma), alpha, beta)
+    return aomoto_bruteforce(n, 0, alpha, beta, gamma)
 
 
 def aomoto_closed(n: int, k: int, alpha, beta, gamma) -> HalfGamma:
@@ -555,30 +534,22 @@ def debruijn_kernel(families, mu: DiscreteMeasure) -> BlockArray:
     families[s][i-1][mu-1] is a callable of one point; the kernel entry
     at (I_1, ..., I_r) integrates the product over s of the l x l
     determinants det( families[s][i][mu](x) ) with i running over I_s.
+
+    That is the minor summation kernel of the weights on the diagonal
+    over the atoms, A = {(v, ..., v): w_v}: the `contract_slots` of A
+    with one table per family, which maps atom v to the l x l minors of
+    its rows x l value table, each from one `row_minors` pass over its
+    l x rows transpose, keyed (I,).
     """
     r, rows, l = _family_shape(families)
-    # per atom and family, every l x l minor of the rows x l value table:
-    # one `row_minors` pass over its l x rows transpose, keyed (I,)
-    minors = []
-    for x, w in mu.atoms:
-        tables = []
-        for fam in families:
+    tables = [{} for _ in families]
+    for v, (x, _) in enumerate(mu.atoms):
+        for fam, table in zip(families, tables):
             values = Tensor.from_function(
                 (l, rows), lambda j, i: fam[i - 1][j - 1](x))
-            tables.append(row_minors(values, range(1, l + 1)))
-        minors.append((w, tables))
-    entries = {}
-    for key in itertools.product(
-            itertools.combinations(range(1, rows + 1), l), repeat=r):
-        total = 0
-        for w, tables in minors:
-            prod = w
-            for table, subset in zip(tables, key):
-                prod = prod * table.get((subset,), 0)
-            total = total + prod
-        if total != 0:
-            entries[key] = total
-    return BlockArray(l, r, rows, entries)
+            table[v] = row_minors(values, range(1, l + 1))
+    weights = {(v,) * r: w for v, (_, w) in enumerate(mu.atoms)}
+    return BlockArray(l, r, rows, contract_slots(weights, tables))
 
 
 def debruijn_ordered_integral(families, mu: DiscreteMeasure, n: int):

@@ -228,11 +228,14 @@ def _ext_context(doc):
 
 
 def _field(doc, key, what, kind=None):
-    """doc[key], or a ParseError naming the missing field; with `kind`,
-    also a ParseError when the value is not exactly of that type."""
+    """doc[key], or a ParseError naming the missing field or the value
+    that is not an object; with `kind`, also a ParseError when the value
+    is not exactly of that type."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} must be an object, got {doc!r}")
     try:
         v = doc[key]
-    except (KeyError, TypeError):
+    except KeyError:
         raise ParseError(f"{what} is missing the {key!r} field") from None
     if kind is not None and type(v) is not kind:
         raise ParseError(f"{what} field {key!r} must be "

@@ -15,9 +15,10 @@ from hankelpf.errors import (BoundsError, CardinalityMismatch,
                              CardinalityNotMultipleOfL, IncompatibleTags,
                              OddBlockLength, OddDimension, OddSize,
                              ShapeMismatch)
-from hankelpf.engines import (det_matrix, flatten_matsumoto, hyperdet,
-                              hyperdet_laplace, hyperdet_via_exterior,
-                              hyperhafnian, hyperpfaffian, minor_tensor,
+from hankelpf.engines import (contract_slots, det_matrix, flatten_matsumoto,
+                              hyperdet, hyperdet_laplace,
+                              hyperdet_via_exterior, hyperhafnian,
+                              hyperpfaffian, minor_tensor,
                               msf_build_Q, msf_lhs, pfaffian,
                               restrict_block_array, row_minors,
                               subhyperpfaffian)
@@ -857,6 +858,54 @@ def test_flatten_rejects_odd_blocks():
 
 
 # ------------------------------------------------------------ minor summation
+
+def _literal_contraction(entries, tables):
+    # the r-fold sum as written: every K, every choice of one I_s per slot
+    total = {}
+    for K, a in entries.items():
+        for choice in itertools.product(
+                *(tables[s].get(k, {}).items() for s, k in enumerate(K))):
+            term = a
+            for _, d in choice:
+                term = term * d
+            key = tuple(itertools.chain.from_iterable(I for I, _ in choice))
+            total[key] = total[key] + term if key in total else term
+    return {k: v for k, v in total.items() if v != 0}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_contract_slots_matches_literal_sum(r, kind):
+    rng = derive_rng("contract-slots", str(r), kind)
+    entries = {K: _random_scalar(rng, kind)
+               for K in itertools.product(range(3), repeat=r)
+               if rng.random() < 0.7}
+    # K_s = 2 is missing from the table of slot 0, so it contributes zero
+    idx = [(1,), (2,), (1, 2), (3, 1)]
+    tables = [{k: {I: _random_scalar(rng, kind)
+                   for I in rng.sample(idx, rng.randint(1, 3))}
+               for k in range(3) if s or k != 2}
+              for s in range(r)]
+    out = contract_slots(entries, tables)
+    assert out and out == _literal_contraction(entries, tables)
+    assert all(v != 0 for v in out.values())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_contract_slots_drops_cancelled_keys(kind):
+    rng = derive_rng("contract-cancel", kind)
+    a, d = 0, 0
+    while a == 0 or d == 0:
+        a, d = _random_scalar(rng, kind), _random_scalar(rng, kind)
+    # (i, j) cancels at the last slot; (i, k) from K = (2, 2) and (3, 2)
+    # cancels after the first, so only (i, k) from K = (0, 0) is left
+    entries = {(0, 0): a, (1, 1): a, (2, 2): a, (3, 2): -a}
+    tables = [{k: {("i",): 1 if k < 2 else d} for k in range(4)},
+              {0: {("j",): d, ("k",): a}, 1: {("j",): -d}, 2: {("k",): 1}}]
+    out = contract_slots(entries, tables)
+    assert _literal_contraction(entries, tables) == out == {("i", "k"): a * a}
+    assert ("i", "j") not in out
+
 
 def test_msf_worked_example():
     A = BlockArray(2, 1, 3, {(K,): 1

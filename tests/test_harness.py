@@ -470,6 +470,12 @@ def test_cli_eval_errors(capsys, tmp_path):
     ("hyperdet", {"kind": "tensor", "m": 2, "n": 1,
                   "ext": {"letter": "w", "p": "x", "r": "-1"},
                   "entries": []}),
+    # an ext header or an entry that is not an object
+    ("hyperpfaffian", {"kind": "block_array", "l": 2, "m": 1, "n": 1,
+                       "ext": 5, "entries": []}),
+    ("hyperpfaffian", {"kind": "block_array", "l": 2, "m": 1, "n": 1,
+                       "entries": [5]}),
+    ("hyperdet", {"kind": "tensor", "m": 2, "n": 1, "entries": [5]}),
 ])
 def test_cli_eval_missing_fields(capsys, tmp_path, kind, doc):
     path = tmp_path / "doc.json"
@@ -477,6 +483,8 @@ def test_cli_eval_missing_fields(capsys, tmp_path, kind, doc):
     assert main(["eval", kind, "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("hpf: ParseError:") and err.count("\n") == 1
+    if doc.get("ext") == 5 or doc.get("entries") == [5]:
+        assert "missing" not in err and "must be an object, got 5" in err
 
 
 def test_cli_eval_number_value(capsys, tmp_path):

@@ -19,7 +19,7 @@ from hankelpf.qcalc import (DiscreteMeasure, QJacobiParams, SelbergParams,
                             discrete_cube_integral, discrete_moment,
                             discrete_ordered_integral, jackson_monomial,
                             lqj_moment, mp_const, mp_monomial, mp_mul, mp_pow,
-                            q_binomial, q_pochhammer, q_powers,
+                            q_binomial_row, q_pochhammer, q_powers,
                             selberg_bruteforce, selberg_closed,
                             selberg_phi_bridge)
 from hankelpf.scalars import (HalfGamma, derive_rng, gamma_exact, poly_gen,
@@ -82,30 +82,30 @@ def test_q_pochhammer_shift_law():
 
 
 def test_q_binomial_values():
-    assert q_binomial(2, 1, Q) == 1 + Q
-    assert q_binomial(4, 2, Q) == (1 + Q ** 2) * (1 + Q + Q ** 2)
-    assert q_binomial(7, 0, Q) == 1
-    assert q_binomial(3, 4, Q) == 0
-    assert q_binomial(3, -1, Q) == 0
-    assert q_binomial(-2, 0, Q) == 0
+    assert q_binomial_row(2, Q)[1] == 1 + Q
+    assert q_binomial_row(4, Q)[2] == (1 + Q ** 2) * (1 + Q + Q ** 2)
+    assert q_binomial_row(7, Q)[0] == 1
+    assert q_binomial_row(0, Q) == [1]
+    assert len(q_binomial_row(3, Q)) == 4
 
 
 def test_q_binomial_symmetry_and_quotient():
     for n in range(8):
-        for k in range(n + 1):
-            assert q_binomial(n, k, Q) == q_binomial(n, n - k, Q)
+        row = q_binomial_row(n, Q)
+        assert row == row[::-1]
     q = F(2, 3)
     for n in range(7):
+        row = q_binomial_row(n, q)
         for k in range(n + 1):
             quotient = q_pochhammer(q, q, n) / (
                 q_pochhammer(q, q, k) * q_pochhammer(q, q, n - k))
-            assert q_binomial(n, k, q) == quotient
+            assert row[k] == quotient
 
 
 def test_q_binomial_reduces_to_binomial_at_one():
     for n in range(7):
-        for k in range(n + 1):
-            assert q_binomial(n, k, 1) == math.comb(n, k)
+        assert q_binomial_row(n, 1) == [math.comb(n, k)
+                                        for k in range(n + 1)]
 
 
 # ----------------------------------------------------------------- Jackson
@@ -596,28 +596,33 @@ def test_debruijn_pfaffian_special_case():
         entries, size=2 * n)
 
 
-def test_debruijn_kernel_matches_minor_summation():
-    # encode the atoms into a rectangular tensor: column 2(v-1)+t holds
-    # the t-th function value at atom v, weight attached to column t=1;
-    # the aligned-pair indicator array then reproduces the kernel
-    rng = derive_rng("debruijn-msf")
+@pytest.mark.parametrize("r", [1, 2])
+def test_debruijn_kernel_matches_minor_summation(r):
+    # encode the atoms into rectangular tensors: column l(v-1)+t holds
+    # the t-th function value at atom v, with the weight attached to
+    # column t=1 of the first family; the aligned-block indicator array
+    # then reproduces the kernel
+    rng = derive_rng("debruijn-msf", str(r))
     l, n = 2, 2
-    fam = _poly_family(rng, l * n, l)
+    fams = [_poly_family(rng, l * n, l) for _ in range(r)]
     mu = _rand_measure(rng, 3)
     N = l * len(mu.atoms)
-    A = BlockArray(l, 1, N, {((2 * v + 1, 2 * v + 2),): 1
+    A = BlockArray(l, r, N, {(tuple(range(l * v + 1, l * v + l + 1)),) * r: 1
                              for v in range(len(mu.atoms))})
-    entries = {}
-    for i in range(1, l * n + 1):
-        for v, (x, w) in enumerate(mu.atoms):
-            for t in range(l):
-                val = fam[i - 1][t](x)
-                if t == 0:
-                    val = val * w
-                if val:
-                    entries[(i, l * v + t + 1)] = val
-    H = Tensor((l * n, N), entries)
-    assert msf_build_Q(A, [H]) == debruijn_kernel([fam], mu)
+    H = []
+    for s, fam in enumerate(fams):
+        entries = {}
+        for i in range(1, l * n + 1):
+            for v, (x, w) in enumerate(mu.atoms):
+                for t in range(l):
+                    val = fam[i - 1][t](x)
+                    if s == 0 and t == 0:
+                        val = val * w
+                    if val:
+                        entries[(i, l * v + t + 1)] = val
+        H.append(Tensor((l * n, N), entries))
+    Q = debruijn_kernel(fams, mu)
+    assert Q.entries and msf_build_Q(A, H) == Q
 
 
 def test_debruijn_shape_errors():
