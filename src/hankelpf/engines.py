@@ -38,7 +38,8 @@ Design notes that matter for reading this file:
   a run. A value pass reads each entry once and accumulates over those
   arrays. The arrays hold small unsigned ints and no Python objects,
   so a cached transition costs about 8 bytes and the garbage collector
-  never scans the cache.
+  never scans the cache. The minor decode that `row_minors` attaches
+  to a plan is mostly arrays too, and is charged to the same bound.
 * One contraction, `contract_slots`, builds both minor summation
   kernels: `msf_build_Q` here and `qcalc.debruijn_kernel`, whose atom
   weights are a diagonal array. It sums an array against one table of
@@ -174,7 +175,8 @@ def _packed_entries(entries, l, start, steps):
 # The plan cache holds at most this many transitions in all. A cached
 # transition costs about 8 bytes (two array cells, its share of the
 # per-state counts and of the key columns), so a full cache holds about
-# 2 MB; the full suite's 83 shapes take 126k transitions, 1 MB.
+# 2 MB; the full suite's 83 shapes take 126k transitions, 1 MB. A minor
+# decode is charged in the same 8-byte units (`_Plan.decode_minors`).
 PLAN_CACHE_TRANSITIONS = 1 << 18
 
 
@@ -212,10 +214,13 @@ class _Plan:
     arrays of the narrowest typecode (a final mask wider than 64 bits
     is kept in a tuple), so a plan holds no per-state or per-key Python
     objects. `states` counts each layer's states exactly, and
-    `transitions` is the length of the key columns together.
+    `transitions` is the length of the key columns together. `minors`
+    is None until `decode_minors` fills it, and `weight`, what the plan
+    cache charges, is `transitions` plus the decode's charge.
     """
 
-    __slots__ = ("blocks", "keys", "steps", "final", "states", "transitions")
+    __slots__ = ("blocks", "keys", "steps", "final", "states", "transitions",
+                 "minors", "weight")
 
     def __init__(self, l, m, start, steps):
         keys = _Interner()
@@ -246,31 +251,67 @@ class _Plan:
         self.steps = tuple(cols)
         self.final = tuple(map(_column, zip(*layer), start))
         self.states = tuple(states)
-        self.transitions = sum(len(key) for _, key, _ in cols)
+        self.transitions = self.weight = sum(len(key) for _, key, _ in cols)
+        self.minors = None
+
+    def decode_minors(self, start):
+        """Read each final state as `row_minors` does, once per plan.
+
+        Fills `minors` with (sets, ids, flips). `sets` holds each
+        distinct column tuple once; ids[k][i] is the index in `sets` of
+        S_(k+2) at final state i, the points of start_(k+2) its slot
+        used; flips[i] is 1 when that state's value is negated. The
+        flips of `_expand` also count, per later slot, the free points
+        outside S_k below each chosen point: sum(S_k) - |S_k|(|S_k|+1)/2
+        of them, which depends on S_k alone, so an odd total over the
+        slots is undone by a negation. `ids` are narrow arrays, so a
+        state costs about m bytes. The decode is charged its size in
+        8-byte words, as transitions, with r + 6 words for each column
+        tuple of r points and its pointer.
+        """
+        m, r = len(start), len(self.steps)
+        fixed = (m - 1) * (r * (r + 1) // 2)
+        index = _Interner()
+        ids = [[index[f ^ rest] for rest in col]
+               for f, col in zip(start[1:], self.final[1:])]
+        sets = tuple(map(_points, index))
+        parity = [sum(pts) & 1 for pts in sets]
+        flips = bytes((sum(map(parity.__getitem__, i)) - fixed) & 1
+                      for i in zip(*ids))
+        ids = tuple(_column(col, len(sets)) for col in ids)
+        self.minors = sets, ids, flips
+        self.weight += (sum(len(col) * col.itemsize for col in ids)
+                        + len(flips) + 7) // 8 + len(sets) * (r + 6)
 
 
 class _PlanCache:
-    """Plans by shape, least recently used first, bounded by transitions.
+    """Plans by shape, least recently used first, bounded by their total
+    `weight`: their transitions and the charge of their minor decodes.
 
-    A plan over the bound on its own is built for its call and dropped.
+    With `minors` the plan comes with its decode (`_Plan.decode_minors`),
+    built on first request. A plan over the bound on its own is built
+    for its call and dropped.
     """
 
     def __init__(self, limit):
         self.limit = limit
-        self.transitions = 0
+        self.weight = 0
         self.plans = {}
 
-    def get(self, l, m, start, steps):
+    def get(self, l, m, start, steps, minors=False):
         shape = (l, m, start, steps)
         plan = self.plans.pop(shape, None)
         if plan is None:
             plan = _Plan(l, m, start, steps)
-            if plan.transitions > self.limit:
-                return plan
-            self.transitions += plan.transitions
-            while self.transitions > self.limit:
-                self.transitions -= self.plans.pop(
-                    next(iter(self.plans))).transitions
+        else:
+            self.weight -= plan.weight
+        if minors and plan.minors is None:
+            plan.decode_minors(start)
+        if plan.weight > self.limit:
+            return plan
+        self.weight += plan.weight
+        while self.weight > self.limit:
+            self.weight -= self.plans.pop(next(iter(self.plans))).weight
         self.plans[shape] = plan
         return plan
 
@@ -278,7 +319,7 @@ class _PlanCache:
 _PLANS = _PlanCache(PLAN_CACHE_TRANSITIONS)
 
 
-def _expand(entries, l, m, start, steps, signed):
+def _expand(entries, l, m, start, steps, signed, minors=False):
     """Run `steps` block steps from the free masks `start`, one per slot.
 
     `entries` maps m-tuples of blocks to values; a block is a sorted
@@ -293,19 +334,20 @@ def _expand(entries, l, m, start, steps, signed):
     Two passes. The shape pass (`_Plan`) depends on (l, m, start,
     steps) alone, so `_PLANS` caches it by shape, least recently used
     first, up to PLAN_CACHE_TRANSITIONS transitions in all; a plan over
-    that bound is built for its call and dropped. Tests swap `_PLANS`
-    for a fresh or a zero-bound cache. The value pass reads each entry
-    once into a list, next to its negation, and accumulates layer by
-    layer over the plan's columns, building no tuple and probing no
-    dict per transition.
+    that bound is built for its call and dropped. With `minors` the plan
+    carries its minor decode. Tests swap `_PLANS` for a fresh or a
+    zero-bound cache. The value pass reads each entry once into a list,
+    next to its negation, and accumulates layer by layer over the plan's
+    columns, building no tuple and probing no dict per transition.
 
-    Returns the whole final {state: value} table; a state no path
-    reaches is absent (zero). Fraction, one-variable UniPoly and
-    one-extension QuadExt entries run as packed ints (`_packed_entries`),
-    and each final state is unpacked once into its coefficients
-    digits / D**steps and finished into a value.
+    Returns the plan and the list of its final states' values, in the
+    order of `plan.final`; a state no path reaches holds None (zero).
+    Fraction, one-variable UniPoly and one-extension QuadExt entries run
+    as packed ints (`_packed_entries`), and each final state is unpacked
+    once into its coefficients digits / D**steps and finished into a
+    value.
     """
-    plan = _PLANS.get(l, m, start, steps)
+    plan = _PLANS.get(l, m, start, steps, minors)
     packed = _packed_entries(entries, l, start, steps)
     if packed is not None:
         entries = packed[0]
@@ -328,13 +370,12 @@ def _expand(entries, l, m, start, steps, signed):
                 old = nxt[d]
                 nxt[d] = acc * v if old is None else old + acc * v
         cur = nxt
-    reached = ((state, v) for state, v in zip(zip(*plan.final), cur)
-               if v is not None)
-    if packed is None:
-        return dict(reached)
-    _, B, scale, n, finish = packed
-    return {state: finish([Fraction(d, scale) for d in kron_unpack(v, B, n)])
-            for state, v in reached}
+    if packed is not None:
+        _, B, scale, n, finish = packed
+        cur = [None if v is None else
+               finish([Fraction(d, scale) for d in kron_unpack(v, B, n)])
+               for v in cur]
+    return plan, cur
 
 
 def _block_sum(entries, l, m, points, signed=True):
@@ -348,8 +389,12 @@ def _block_sum(entries, l, m, points, signed=True):
     inversions of each slot word.
     """
     full = (1 << points + 1) - 2  # points 1..points all free
-    return _expand(entries, l, m, (full,) * m, points // l,
-                   signed).get((0,) * m, 0)
+    plan, values = _expand(entries, l, m, (full,) * m, points // l, signed)
+    done = (0,) * m
+    for state, v in zip(zip(*plan.final), values):
+        if state == done and v is not None:
+            return v
+    return 0
 
 
 def _require_even_order(A: Tensor):
@@ -366,12 +411,10 @@ def row_minors(A: Tensor, rows):
     `_expand` pass: the first slot starts from the row mask, the others
     from the full mask of their axis, and len(rows) steps are run, so
     the final state (0, rest_2, ..., rest_m) holds the minor on the
-    columns S_k = full_k - rest_k, read from A's own entries.
-
-    The flips there also count the free points outside S_k below each
-    chosen point: sum(S_k) - |S_k|(|S_k|+1)/2 of them per axis, which
-    depends on S_k alone and is undone here. `rows` must be distinct
-    first-axis indices, else BoundsError.
+    columns S_k = full_k - rest_k, read from A's own entries. The
+    columns and the sign fix of each final state depend on the shape
+    alone, so they are decoded once per plan (`_Plan.decode_minors`).
+    `rows` must be distinct first-axis indices, else BoundsError.
     """
     _require_even_order(A)
     r = len(rows)
@@ -380,14 +423,13 @@ def row_minors(A: Tensor, rows):
         raise BoundsError(f"rows {tuple(rows)} are not distinct indices "
                           f"of [{A.shape[0]}]")
     full = tuple((1 << s + 1) - 2 for s in A.shape[1:])
-    fixed = (A.m - 1) * (r * (r + 1) // 2)
-    out = {}
-    for state, v in _expand(A.entries, 1, A.m,
-                            (sum(1 << i for i in rows),) + full, r,
-                            True).items():
-        cols = tuple(_points(f ^ rest) for f, rest in zip(full, state[1:]))
-        out[cols] = -v if (sum(map(sum, cols)) - fixed) & 1 else v
-    return out
+    plan, values = _expand(A.entries, 1, A.m,
+                           (sum(1 << i for i in rows),) + full, r, True,
+                           minors=True)
+    sets, ids, flips = plan.minors
+    cols = zip(*(map(sets.__getitem__, col) for col in ids))
+    return {c: -v if flip else v
+            for c, flip, v in zip(cols, flips, values) if v is not None}
 
 
 def hyperdet(A: Tensor):

@@ -1,5 +1,6 @@
 """Moment-matrix and ordered-integral bridges over finite measures."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -15,14 +16,23 @@ from .common import (Outcome, gap_prefactor, hankel_pf, outcome_all,
                      rand_q)
 
 
+def _horner(cs, x):
+    """sum(c * x**k for k, c in enumerate(cs)) for Fraction cs, by Horner."""
+    v = cs[-1]
+    for c in reversed(cs[:-1]):
+        v = v * x + c
+    return v
+
+
 def _poly_family(rng, rows, l, deg=2):
+    """rows x l random polynomials of degree <= deg with Fraction
+    coefficients in [-2, 2], each a function of one point."""
     fam = []
     for _ in range(rows):
         row = []
         for _ in range(l):
             cs = [Fraction(rng.randint(-2, 2)) for _ in range(deg + 1)]
-            row.append(lambda x, cs=cs: sum(
-                c * x ** k for k, c in enumerate(cs)))
+            row.append(functools.partial(_horner, cs))
         fam.append(row)
     return fam
 
@@ -32,10 +42,15 @@ def check_debruijn_discrete(params, rng, opts):
     hyperpfaffian of the one-point kernel array.
 
     The classical two-column case (one family, l=2) additionally pins
-    the kernel to the antisymmetric matrix of 2x2 cross integrals. The
+    the kernel to the antisymmetric matrix of 2x2 cross integrals; it
+    takes n alone, and r, l or count raise UnsupportedArgument. The
     general case needs r, l, n and count, else UnsupportedArgument.
     """
     if params.get("classical"):
+        extra = [k for k in ("r", "l", "count") if k in params]
+        if extra:
+            raise UnsupportedArgument(
+                f"the classical case takes n alone, not {', '.join(extra)}")
         n = params["n"]
         phi = [_poly_family(rng, 2 * n, 1)[i][0] for i in range(2 * n)]
         psi = [_poly_family(rng, 2 * n, 1)[i][0] for i in range(2 * n)]

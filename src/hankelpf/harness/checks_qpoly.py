@@ -6,6 +6,7 @@ Their loop-invariant work is hoisted out of the per-point and per-pair
 loops without changing a single float.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -202,8 +203,9 @@ def _float_params(params, defaults):
     return out
 
 
+@functools.lru_cache(maxsize=4)
 def _weighted_atoms(a, q, K, nfactors=400):
-    """Support points and weights, as two lists of floats, of the
+    """Support points and weights, as two tuples of floats, of the
     two-sided Jackson sum on [a, 1] truncated after K powers of q, each
     weight multiplied by a truncation of the biorthogonality weight
     (qx;q)_inf (qx/a;q)_inf / ((1-a) (q;q)_inf (aq;q)_inf (q/a;q)_inf).
@@ -215,7 +217,8 @@ def _weighted_atoms(a, q, K, nfactors=400):
     all points advance together one factor at a time, each product taken
     in the order of the per-point formula, so every weight is the same
     float. A vanishing denominator (a = 1 or a = q^j) raises
-    UnsupportedArgument.
+    UnsupportedArgument. The tables depend on (a, q, K) alone, and the
+    float checks of one grid share them, so the last few are cached.
     """
     ps = [1.0]
     for _ in range(nfactors - 1):
@@ -237,7 +240,7 @@ def _weighted_atoms(a, q, K, nfactors=400):
     for p in ps:
         nums = [num * ((1.0 - qx * p) * (1.0 - qxa * p))
                 for num, qx, qxa in zip(nums, qxs, qxas)]
-    return xs, [w * (num / den) for w, num in zip(ws, nums)]
+    return tuple(xs), tuple(w * (num / den) for w, num in zip(ws, nums))
 
 
 def _relerr(got, want):

@@ -42,7 +42,14 @@ def outcome_eq(lhs, rhs, terms, note=""):
 
 
 def outcome_all(pairs, note=""):
-    """Fold a list of (lhs, rhs) comparisons; the first mismatch wins."""
+    """Fold a list of (lhs, rhs) comparisons; the first mismatch wins.
+
+    An empty list means the parameters left nothing to compare, which
+    raises BoundsError rather than verifying vacuously.
+    """
+    if not pairs:
+        raise BoundsError("the parameters leave no comparison to make"
+                          + (f" ({note})" if note else ""))
     for lhs, rhs in pairs:
         if not lhs == rhs:
             return Outcome("counterexample", lhs, rhs, len(pairs), note)
@@ -93,9 +100,17 @@ def gap_prefactor(I):
 
 
 def q_gap_prefactor(q):
-    """I -> prod_{s<t} (q^(I_s - 1) - q^(I_t - 1))."""
-    return lambda I: math.prod(q ** (a - 1) - q ** (b - 1)
-                               for a, b in itertools.combinations(I, 2))
+    """I -> prod_{s<t} (q^(I_s - 1) - q^(I_t - 1)).
+
+    Each pair difference is computed once per returned function, that
+    is once per `hankel_pf` call: an l-subset array on [l*n] has
+    comb(l*n, l) entries but only comb(l*n, 2) pairs.
+    """
+    @functools.cache
+    def gap(a, b):
+        return q ** (a - 1) - q ** (b - 1)
+    return lambda I: math.prod(itertools.starmap(
+        gap, itertools.combinations(I, 2)))
 
 
 def hankel_pf(l, n, pref, moment, shift):

@@ -22,7 +22,8 @@ from .engines import contract_slots, det_matrix, row_minors
 from .errors import (GeometricPole, HpfError, MomentPole, PoleInNegativeRange,
                      ShapeMismatch, SizeBudgetExceeded, UnsupportedArgument,
                      ZeroCoordinate)
-from .scalars import HalfGamma, format_scalar, gamma_exact, q_gamma_int, sdiv
+from .scalars import (HalfGamma, format_scalar, gamma_exact, q_gamma_table,
+                      sdiv)
 from .tensors import BlockArray, Tensor
 
 __all__ = [
@@ -432,15 +433,17 @@ def askey_A_n(n: int, x: int, y: int, k: int, q):
     x = _positive_int(x, "x")
     y = _positive_int(y, "y")
     k = _positive_int(k, "k")
+    # Gamma_q(t) at a positive integer t is g[t - 1], all 5n factors
+    # read from one table
+    g = q_gamma_table(max(x + y + (2 * n - 2) * k - 1, n * k), q)
     num = 1
     den = 1
-    # Gamma_q(t) at a positive integer t is q_gamma_int(t - 1, q)
     for j in range(1, n + 1):
-        num = num * q_gamma_int(x + (j - 1) * k - 1, q)
-        num = num * q_gamma_int(y + (j - 1) * k - 1, q)
-        num = num * q_gamma_int(j * k, q)
-        den = den * q_gamma_int(x + y + (n + j - 2) * k - 1, q)
-        den = den * q_gamma_int(k, q)
+        num = num * g[x + (j - 1) * k - 1]
+        num = num * g[y + (j - 1) * k - 1]
+        num = num * g[j * k]
+        den = den * g[x + y + (n + j - 2) * k - 1]
+        den = den * g[k]
     return sdiv(num, den)
 
 
@@ -558,24 +561,23 @@ def debruijn_ordered_integral(families, mu: DiscreteMeasure, n: int):
     For each strictly increasing support tuple (x_1 < ... < x_n), forms
     per family the square matrix whose row i lists the l function values
     at x_1, then at x_2, and so on, multiplies the r determinants and
-    the weights, and sums.
+    the weights, and sums. Each function is evaluated once per atom,
+    into a table the tuples read their rows from.
     """
     r, rows, l = _family_shape(families)
     if l * n != rows:
         raise ShapeMismatch(
             f"square determinant needs l*n rows, got {rows} with "
             f"l={l}, n={n}")
+    values = {x: [[[f(x) for f in row] for row in fam] for fam in families]
+              for x, _ in mu.atoms}
 
     def integrand(xs):
         prod = 1
-        for fam in families:
-            mat = []
-            for row in fam:
-                flat = []
-                for xv in xs:
-                    flat.extend(f(xv) for f in row)
-                mat.append(flat)
-            prod = prod * det_matrix(mat)
+        for s in range(r):
+            at = [values[xv][s] for xv in xs]
+            prod = prod * det_matrix(
+                [[v for point in at for v in point[i]] for i in range(rows)])
         return prod
 
     return discrete_ordered_integral(mu, n, integrand)

@@ -10,7 +10,7 @@ division.
 from fractions import Fraction
 
 from ..errors import DivisionByZero, IncompatibleTags
-from .gammas import HalfGamma, gamma_exact, q_gamma_int
+from .gammas import HalfGamma, gamma_exact, q_gamma_int, q_gamma_table
 from .grammar import QuadContext, format_scalar, parse_scalar
 from .poly import (RATIONAL_TYPES, RatFunc, UniPoly, poly_at, poly_gen,
                    ratfunc, unipoly)
@@ -23,7 +23,7 @@ __all__ = [
     "UniPoly", "RatFunc", "unipoly", "ratfunc", "poly_gen", "poly_at",
     "QuadExt", "quadext", "omega", "sqrt2",
     "TruncSeries", "series_sqrt", "series_div",
-    "HalfGamma", "gamma_exact", "q_gamma_int",
+    "HalfGamma", "gamma_exact", "q_gamma_int", "q_gamma_table",
     "QuadContext", "format_scalar", "parse_scalar",
     "derive_rng",
     "sdiv",

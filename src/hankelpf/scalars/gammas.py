@@ -87,21 +87,29 @@ def gamma_exact(x) -> HalfGamma:
     raise UnsupportedArgument(f"gamma_exact needs half-integer x, got {x}")
 
 
-def q_gamma_int(n: int, q):
-    """Gamma_q(n+1) = (q;q)_n / (1-q)^n, computed division-free.
+def q_gamma_table(n: int, q):
+    """[Gamma_q(1), ..., Gamma_q(n+1)]: entry k is q_gamma_int(k, q).
 
-    Equals the product of the q-brackets [j]_q = 1 + q + ... + q^(j-1)
-    for j = 1..n, so it works for polynomial q as well as rational q.
+    One running product of the q-brackets [j]_q = 1 + q + ... + q^(j-1),
+    division-free, so it works for polynomial q as well as rational q.
     """
     if n < 0:
-        raise UnsupportedArgument("q_gamma_int needs n >= 0")
+        raise UnsupportedArgument(f"Gamma_q(n+1) needs n >= 0, got n={n}")
     if q == 1:
         raise PoleAtQEqualsOne("Gamma_q has a pole at q = 1")
     total = Fraction(1)
     bracket = Fraction(0)
     power = Fraction(1)
+    table = [total]
     for _ in range(1, n + 1):
         bracket = bracket + power
         power = power * q
         total = total * bracket
-    return total
+        table.append(total)
+    return table
+
+
+def q_gamma_int(n: int, q):
+    """Gamma_q(n+1) = (q;q)_n / (1-q)^n, computed division-free: the
+    last entry of `q_gamma_table(n, q)`."""
+    return q_gamma_table(n, q)[n]

@@ -595,6 +595,71 @@ def test_row_minors_match_literal_definition(kind):
         assert row_minors(Tensor(shape), (1,)) == {}
 
 
+def _row_minor_tables(H, rows_list):
+    return [row_minors(H, rows) for rows in rows_list]
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_row_minors_same_cold_warm_and_after_eviction(kind, monkeypatch):
+    # the minor decode is held on the plan: a table is the same whether
+    # its plan and decode were just built, read from the cache, built
+    # over the bound and dropped, or evicted and built again
+    rng = derive_rng("row-minors-decode", kind)
+    H = Tensor((3,) * 4, {idx: _kernel_entry(rng, kind)
+                          for idx in itertools.product(range(1, 4), repeat=4)
+                          if rng.random() < 0.8})
+    rows_list = [(1,), (2, 3), (1, 3), (1, 2, 3)]
+    cache = engines._PlanCache(engines.PLAN_CACHE_TRANSITIONS)
+    monkeypatch.setattr(engines, "_PLANS", cache)
+    cold = _row_minor_tables(H, rows_list)
+    plans = dict(cache.plans)
+    assert len(plans) == len(rows_list)
+    assert all(p.minors is not None and p.weight > p.transitions
+               for p in plans.values())
+    assert cache.weight == sum(p.weight for p in plans.values())
+    warm = _row_minor_tables(H, rows_list)
+    assert all(cache.plans[shape] is p for shape, p in plans.items())
+    # room for the largest plan alone: each call evicts the one before
+    tight = engines._PlanCache(max(p.weight for p in plans.values()))
+    monkeypatch.setattr(engines, "_PLANS", tight)
+    evicted = [_row_minor_tables(H, rows_list) for _ in range(2)]
+    assert len(tight.plans) == 1
+    over_bound = engines._PlanCache(0)
+    monkeypatch.setattr(engines, "_PLANS", over_bound)
+    over = _row_minor_tables(H, rows_list)
+    assert over_bound.plans == {} and over_bound.weight == 0
+    # test_row_minors_match_literal_definition checks the values
+    for want, *tables in zip(cold, warm, *evicted, over):
+        assert want and all(table == want for table in tables)
+        for cols, v in want.items():
+            _check_type(v, kind)
+            assert all(type(table[cols]) is type(v) for table in tables)
+
+
+def test_row_minors_decode_is_charged_to_the_plan_cache():
+    # a decode joins its plan's weight once, and leaves with the plan
+    shape = (1, 4, (0b110,) + ((1 << 7) - 2,) * 3, 2)
+    cache = engines._PlanCache(engines.PLAN_CACHE_TRANSITIONS)
+    plan = cache.get(*shape)
+    assert plan.minors is None and cache.weight == plan.transitions
+    assert cache.get(*shape, minors=True) is plan
+    sets, ids, flips = plan.minors
+    # the three column axes share their 15 column sets, so one byte
+    # indexes them
+    assert len(sets) == math.comb(6, 2) and len(ids) == 3
+    assert all(len(col) == len(flips) == math.comb(6, 2) ** 3
+               for col in ids)
+    charged = plan.weight - plan.transitions
+    assert charged == (4 * len(flips) + 7) // 8 + len(sets) * (2 + 6)
+    assert cache.weight == plan.weight
+    assert cache.get(*shape, minors=True) is plan
+    assert cache.weight == plan.weight
+    small = engines._PlanCache(plan.transitions)
+    assert small.get(*shape) is not None and small.weight == plan.transitions
+    small.get(*shape, minors=True)   # now over the bound: dropped
+    assert small.plans == {} and small.weight == 0
+
+
 def test_row_minors_on_an_axis_wider_than_64_points():
     # final masks over 64 bits do not fit an array and stay exact
     H = Tensor.from_function((2, 70), lambda i, j: i * 100 + j * j)
@@ -629,14 +694,14 @@ def test_plan_cache_cold_warm_and_over_bound(monkeypatch):
     monkeypatch.setattr(engines, "_PLANS", cache)
     cold = [f() for f in _plan_cache_calls()]
     plans = dict(cache.plans)
-    assert plans and cache.transitions == sum(
-        p.transitions for p in plans.values())
+    assert plans and cache.weight == sum(
+        p.weight for p in plans.values())
     warm = [f() for f in _plan_cache_calls()]
     assert all(cache.plans[shape] is p for shape, p in plans.items())
     over_bound = engines._PlanCache(0)
     monkeypatch.setattr(engines, "_PLANS", over_bound)
     over = [f() for f in _plan_cache_calls()]
-    assert over_bound.plans == {} and over_bound.transitions == 0
+    assert over_bound.plans == {} and over_bound.weight == 0
     for results in zip(cold, warm, over):
         assert results[0] == results[1] == results[2]
         assert len({type(v) for v in results}) == 1
@@ -657,7 +722,7 @@ def test_plan_cache_evicts_least_recently_used():
     assert cache.get(*shapes[0]) is first
     cache.get(*shapes[2])
     assert list(cache.plans) == [shapes[0], shapes[2]]
-    assert cache.transitions == sizes[0] + sizes[2]
+    assert cache.weight == sizes[0] + sizes[2]
 
 
 def test_plan_counts_states_and_transitions():
@@ -689,25 +754,29 @@ def _tier1_shapes():
 
 def test_plan_cache_memory_stays_small():
     # a plan holds flat arrays of small ints and no per-state or per-key
-    # Python objects: about 8 bytes a transition, so the cache holds at
-    # most about 8 * PLAN_CACHE_TRANSITIONS bytes
+    # Python objects: about 8 bytes a transition, and a minor decode is
+    # charged its 8-byte words, so the cache holds at most about
+    # 8 * PLAN_CACHE_TRANSITIONS bytes
     shapes = list(_tier1_shapes())
     for shape in shapes:   # fill the shared point-list cache first
-        engines._Plan(*shape)
+        plan = engines._Plan(*shape)
+        if shape[0] == 1:
+            plan.decode_minors(shape[2])
     cache = engines._PlanCache(engines.PLAN_CACHE_TRANSITIONS)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for shape in shapes:
-            cache.get(*shape)
+            cache.get(*shape, minors=shape[0] == 1)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(cache.plans) == len(shapes)
-    assert cache.transitions <= engines.PLAN_CACHE_TRANSITIONS
-    assert retained <= 8 * cache.transitions + 2048 * len(cache.plans)
+    assert cache.weight > sum(p.transitions for p in cache.plans.values())
+    assert cache.weight <= engines.PLAN_CACHE_TRANSITIONS
+    assert retained <= 8 * cache.weight + 2048 * len(cache.plans)
     assert retained <= 8 * engines.PLAN_CACHE_TRANSITIONS
 
 

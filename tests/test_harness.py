@@ -22,13 +22,14 @@ from hankelpf.harness import (CheckParams, all_identities,
                               filter_identities, get_identity,
                               report_from_json, run_check, run_suite,
                               suite_exit_code, summarize)
-from hankelpf.harness import checks_qpoly, suite
+from hankelpf.harness import checks_bridges, checks_qpoly, suite
 from hankelpf.harness.cli import coerce_param, main
-from hankelpf.harness.common import gap_prefactor, hankel_pf, q_gap_prefactor
+from hankelpf.harness.common import (gap_prefactor, hankel_pf, outcome_all,
+                                     q_gap_prefactor)
 from hankelpf.harness.registry import GATING_STATUSES, STATUSES
 from hankelpf.harness.reports import REPORT_KEYS, dump_reports
 from hankelpf.qcalc import delta_product
-from hankelpf.scalars import poly_gen
+from hankelpf.scalars import derive_rng, poly_gen
 
 # the ids the battery must cover, grouped the way the layers stack
 CORE_IDS = [
@@ -229,6 +230,18 @@ def test_gap_prefactors():
         (1 - q ** 2) * (1 - q ** 5) * (q ** 2 - q ** 5)
 
 
+@pytest.mark.parametrize("q", [Fraction(2, 5), Fraction(-3, 4),
+                               poly_gen("q")], ids=str)
+def test_q_gap_prefactor_matches_literal_product(q):
+    pref = q_gap_prefactor(q)
+    for l in (1, 2, 3, 4):
+        for I in itertools.combinations(range(1, 9), l):
+            want = math.prod(q ** (a - 1) - q ** (b - 1)
+                             for a, b in itertools.combinations(I, 2))
+            got = pref(I)
+            assert got == want and type(got) is type(want), I
+
+
 def test_hankel_pf_empty_and_negative_sizes():
     assert hankel_pf(2, 0, gap_prefactor, lambda d: 1 / 0, 0) == 1
     assert hankel_pf(4, 0, gap_prefactor, lambda d: 1 / 0, 0) == 1
@@ -281,7 +294,7 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
         return map(fn, items)
 
 
@@ -564,6 +577,51 @@ def test_cli_gx_rejects_nonpositive_max_n(capsys, max_n):
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
+def test_outcome_all_rejects_an_empty_comparison():
+    with pytest.raises(BoundsError, match=r"no comparison.*\(degrees 0..-1\)"):
+        outcome_all([], note="degrees 0..-1")
+    assert outcome_all([(1, 1)]).status == "verified"
+
+
+# the identities whose comparison list a count, max_n, order or max_i
+# parameter sizes: count=0 draws nothing, while max_n, order or max_i = 0
+# still compares the degree-0 term
+EMPTY_RANGE_PARAMS = {
+    "count": ("laplace-expansion", "hyper-minor", "msf-general", "msf-det",
+              "pf-hf", "matsumoto", "engine-exterior", "pf-definition"),
+    "max_i": ("ftilde-rec",),
+    "order": ("gf-narayana-a", "gf-narayana-b", "gf-narayana-d"),
+    "max_n": ("special-cat", "special-sch", "special-cbc", "special-del",
+              "special-motzkin", "special-ctc"),
+}
+
+
+@pytest.mark.parametrize("identity,key", [
+    (identity, key) for key, ids in EMPTY_RANGE_PARAMS.items()
+    for identity in ids])
+def test_cli_empty_comparison_exits_2(capsys, identity, key):
+    for value in (0, -1):
+        code = main(["verify", identity, "--param", f"{key}={value}"])
+        captured = capsys.readouterr()
+        if value == 0 and key != "count":
+            assert code == 0 and "verified" in captured.out
+            continue
+        assert code == 2, (key, value)
+        assert captured.err.startswith(
+            "hpf: BoundsError: the parameters leave no comparison to make")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("param", ["count=-1", "r=1", "l=2"])
+def test_cli_debruijn_classical_case_rejects_general_params(capsys, param):
+    assert main(["verify", "debruijn-discrete", "--param", param]) == 2
+    captured = capsys.readouterr()
+    key = param.split("=")[0]
+    assert captured.err == ("hpf: UnsupportedArgument: the classical case "
+                            f"takes n alone, not {key}\n")
+    assert captured.out == ""
+
+
 def test_cli_debruijn_general_case_needs_its_parameters(capsys):
     argv = ["verify", "debruijn-discrete", "--param", "classical=false"]
     assert main(argv) == 2
@@ -648,6 +706,38 @@ def test_weighted_atoms_match_per_point_formula():
             power *= q
         want = [(x, w * _per_point_weight(x, a, q)) for x, w in atoms]
         assert list(zip(*checks_qpoly._weighted_atoms(a, q, K))) == want
+
+
+def test_weighted_atoms_cache_is_bit_identical_and_bounded():
+    cached = checks_qpoly._weighted_atoms
+    cached.cache_clear()
+    keys = [(-0.5, 0.5, 200), (-2 / 3, 1 / 3, 60), (0.3, 0.7, 40)]
+    for a, q, K in keys:
+        first = cached(a, q, K)
+        again = cached(a, q, K)
+        assert again is first
+        fresh = cached.__wrapped__(a, q, K)
+        assert all(type(col) is tuple for col in first)
+        for got, want in zip(first, fresh):
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+    for K in range(20):
+        cached(-0.5, 0.5, K)
+    maxsize = cached.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 8
+    assert cached.cache_info().currsize == maxsize
+
+
+def test_horner_matches_power_sum():
+    rng = derive_rng("horner")
+    points = [Fraction(3, 7), Fraction(-5, 2), Fraction(0), 4, -1]
+    for deg in range(4):
+        for _ in range(5):
+            cs = [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                  for _ in range(deg + 1)]
+            for x in points:
+                got = checks_bridges._horner(cs, x)
+                want = sum(c * x ** k for k, c in enumerate(cs))
+                assert got == want and type(got) is type(want), (cs, x)
 
 
 def test_d2_rows_match_delta_product():

@@ -22,8 +22,8 @@ from hankelpf.qcalc import (DiscreteMeasure, QJacobiParams, SelbergParams,
                             q_binomial_row, q_pochhammer, q_powers,
                             selberg_bruteforce, selberg_closed,
                             selberg_phi_bridge)
-from hankelpf.scalars import (HalfGamma, derive_rng, gamma_exact, poly_gen,
-                              q_gamma_int, sdiv)
+from hankelpf.scalars import (HalfGamma, UniPoly, derive_rng, gamma_exact,
+                              poly_gen, q_gamma_int, sdiv)
 from hankelpf.tensors import BlockArray, Tensor
 
 Q = poly_gen("q")
@@ -382,6 +382,28 @@ def test_askey_A_n_examples():
         askey_A_n(2, 0, 1, 1, Q)
 
 
+def _askey_A_n_per_factor(n, x, y, k, q):
+    # the 5n factors as separate q_gamma_int calls: the reference for
+    # askey_A_n's one table per call
+    num = den = 1
+    for j in range(1, n + 1):
+        num = num * q_gamma_int(x + (j - 1) * k - 1, q)
+        num = num * q_gamma_int(y + (j - 1) * k - 1, q)
+        num = num * q_gamma_int(j * k, q)
+        den = den * q_gamma_int(x + y + (n + j - 2) * k - 1, q)
+        den = den * q_gamma_int(k, q)
+    return sdiv(num, den)
+
+
+def test_askey_A_n_table_matches_per_factor_gammas():
+    for q in (F(1, 2), F(-3, 7), Q):
+        for n, x, y, k in itertools.product((1, 2, 3), (1, 3), (1, 2),
+                                            (1, 2, 3)):
+            got = askey_A_n(n, x, y, k, q)
+            want = _askey_A_n_per_factor(n, x, y, k, q)
+            assert got == want and type(got) is type(want), (n, x, y, k, q)
+
+
 def test_askey_lhs_examples():
     assert askey_lhs_exact(1, 1, 1, 1, Q) == 1
     assert askey_lhs_exact(1, 1, 1, 2, Q) == 1
@@ -562,6 +584,41 @@ def test_debruijn_ordered_equals_pf_of_kernel():
             mu = _rand_measure(rng, n + rng.randint(0, 2))
             Qk = debruijn_kernel(fams, mu)
             assert debruijn_ordered_integral(fams, mu, n) == hyperpfaffian(Qk)
+
+
+def _ordered_per_tuple(families, mu, n):
+    # every function evaluated afresh for every increasing tuple: the
+    # reference for debruijn_ordered_integral's per-atom table
+    def integrand(xs):
+        prod = 1
+        for fam in families:
+            prod = prod * det_matrix([[f(xv) for xv in xs for f in row]
+                                      for row in fam])
+        return prod
+    return discrete_ordered_integral(mu, n, integrand)
+
+
+def test_debruijn_ordered_integral_table_matches_per_tuple():
+    rng = derive_rng("debruijn-table")
+    q = poly_gen("q")
+    for r, l, n in [(1, 2, 2), (1, 2, 3), (2, 2, 2), (3, 2, 1), (1, 4, 1),
+                    (1, 1, 3)]:
+        fams = [_poly_family(rng, l * n, l) for _ in range(r)]
+        # polynomial families keep any UniPoly/Fraction type change visible
+        fams[0][0][0] = lambda x: q * x + 1
+        mu = _rand_measure(rng, n + rng.randint(0, 2))
+        calls = []
+
+        def counted(f):
+            return lambda x: calls.append(x) or f(x)
+        counted_fams = [[[counted(f) for f in row] for row in fam]
+                        for fam in fams]
+        got = debruijn_ordered_integral(counted_fams, mu, n)
+        want = _ordered_per_tuple(fams, mu, n)
+        assert got == want and type(got) is type(want)
+        assert type(got) is UniPoly
+        # each function once per atom
+        assert len(calls) == r * l * n * l * len(mu.atoms)
 
 
 def test_debruijn_even_r_unsigned_witness():

@@ -11,8 +11,8 @@ from hankelpf.errors import (ConstantTermNotOne, DivisionByZero,
 from hankelpf.scalars import (HalfGamma, QuadExt, RatFunc, TruncSeries,
                               UniPoly, derive_rng, format_scalar, gamma_exact,
                               omega, parse_scalar, poly_gen, q_gamma_int,
-                              quadext, ratfunc, sdiv, series_div, series_sqrt,
-                              sqrt2, unipoly)
+                              q_gamma_table, quadext, ratfunc, sdiv,
+                              series_div, series_sqrt, sqrt2, unipoly)
 from hankelpf.scalars import poly
 
 
@@ -425,6 +425,32 @@ def test_q_gamma_int_errors():
         q_gamma_int(2, Fraction(1))
     with pytest.raises(UnsupportedArgument):
         q_gamma_int(-1, Fraction(1, 2))
+
+
+def _q_gamma_loop(n, q):
+    # the bracket product written out for one n: the reference for
+    # q_gamma_table's running product
+    total, bracket, power = Fraction(1), Fraction(0), Fraction(1)
+    for _ in range(n):
+        bracket = bracket + power
+        power = power * q
+        total = total * bracket
+    return total
+
+
+@pytest.mark.parametrize("q", [Fraction(2, 3), Fraction(-3, 7), 2,
+                               poly_gen("q")], ids=str)
+def test_q_gamma_table_matches_q_gamma_int_at_every_index(q):
+    table = q_gamma_table(12, q)
+    assert len(table) == 13
+    for k, v in enumerate(table):
+        for want in (q_gamma_int(k, q), _q_gamma_loop(k, q)):
+            assert v == want and type(v) is type(want), k
+    assert q_gamma_table(0, q) == [1]
+    with pytest.raises(UnsupportedArgument):
+        q_gamma_table(-1, q)
+    with pytest.raises(PoleAtQEqualsOne):
+        q_gamma_table(4, Fraction(1))
 
 
 def test_half_gamma_arithmetic():
