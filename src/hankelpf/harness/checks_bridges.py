@@ -44,7 +44,7 @@ def check_debruijn_discrete(params, rng, opts):
     The classical two-column case (one family, l=2) additionally pins
     the kernel to the antisymmetric matrix of 2x2 cross integrals; it
     takes n alone, and r, l or count raise UnsupportedArgument. The
-    general case needs r, l, n and count, else UnsupportedArgument.
+    general case needs r, l and count too, else UnsupportedArgument.
     """
     if params.get("classical"):
         extra = [k for k in ("r", "l", "count") if k in params]
@@ -64,7 +64,7 @@ def check_debruijn_discrete(params, rng, opts):
                        for x, w in mu.atoms)
         rhs = hyperpfaffian(BlockArray.from_function(2, 1, 2 * n, cross))
         return outcome_eq(lhs, rhs, terms=len(mu.atoms))
-    missing = [k for k in ("r", "l", "n", "count") if k not in params]
+    missing = [k for k in ("r", "l", "count") if k not in params]
     if missing:
         raise UnsupportedArgument(
             f"the non-classical case needs {', '.join(missing)}")

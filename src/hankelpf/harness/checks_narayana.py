@@ -102,15 +102,13 @@ def check_tilden(params, rng, opts):
                * phi_product(n, r + c2 - 1, 0, m2)
                * _tail_sum(n, m2, r + c2 - Fraction(1, 2), r + c2,
                            Fraction(-1, 4)))
-    elif case == "d2":
+    else:   # d2
         r = 2 - c2
         w = omega()
         lhs = _narayana_pf("D", l, n, r, w)
         rhs = (w ** (n + m2 * half) * Fraction(4 ** n * tower, nfact)
                * phi_product(n, 1, 0, m2)
                * _tail_sum(n, m2, Fraction(3, 2), 2, Fraction(-5, 8)))
-    else:
-        raise KeyError(f"unknown case {case!r}")
     return outcome_eq(lhs, rhs, terms=math.comb(l * n, l))
 
 
@@ -316,12 +314,9 @@ def check_special(params, rng, opts):
     elif which == "ctc":
         pairs = [(omega_specialization("ctc", k), sequence_value("ctc", k))
                  for k in range(max_n + 1)]
-    elif which == "motd":
-        # the cube-root route gives the (1+a)/2 convention at n=1
+    else:   # motd: the cube-root route gives the (1+a)/2 convention at n=1
         pairs = [(omega_specialization("motzkinD", 1), Fraction(1, 2))]
         pairs += [(omega_specialization("motzkinD", k),
                    sequence_value("motzkinD", k))
                   for k in range(2, max_n + 1)]
-    else:
-        raise KeyError(f"unknown specialization {which!r}")
     return outcome_all(pairs)

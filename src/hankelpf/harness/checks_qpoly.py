@@ -10,7 +10,6 @@ import functools
 import math
 from fractions import Fraction
 
-from ..errors import UnsupportedArgument
 from ..qcalc import q_binomial_row, q_pochhammer, q_powers
 from ..scalars import poly_at, poly_gen
 from ..sequences import (ftilde, ftilde_recurrence,
@@ -57,14 +56,12 @@ def check_asc(params, rng, opts):
         elif variant == "v-rm1":
             lhs = _rs_pfaffian("G", -3, n, q)
             rhs = base * _int_qpow(q, -n * (n - 1) * (4 * n - 5), 3)
-        elif variant == "v-r0":
+        else:   # v-r0
             lhs = _rs_pfaffian("G", -2, n, q)
             extra = sum(c * a ** k
                         for k, c in enumerate(q_binomial_row(n, q * q)))
             rhs = (base * _int_qpow(q, -2 * n * (n - 1) * (2 * n - 1), 3)
                    * extra)
-        else:
-            raise KeyError(f"unknown variant {variant!r}")
         if not lhs == rhs:
             return Outcome("counterexample", lhs, rhs, n, f"q = {q}")
     return Outcome("verified", lhs, rhs, n,
@@ -140,9 +137,6 @@ def check_gx(params, rng, opts):
     ternary-tree sequences; reports the verified range of n."""
     i = params["index"]
     max_n = params["max_n"]
-    if not isinstance(max_n, int) or max_n < 1:
-        raise UnsupportedArgument(
-            f"max_n must be an integer >= 1, got {max_n!r}")
     shift = _GX_SHIFT[i]
     good = 0
     lhs = rhs = Fraction(1)
@@ -177,30 +171,18 @@ def check_gx_defs(params, rng, opts):
 TOLERANCE = 1e-6
 
 
-def _float_params(params, defaults):
-    """The float checks' parameters: a and q exact, then as floats under
-    "af" and "qf". Bad values raise UnsupportedArgument before any work
-    starts."""
-    out = dict(defaults)
-    out.update((key, params[key]) for key in defaults if key in params)
-    try:
-        a, q = Fraction(out["a"]), Fraction(out["q"])
-        af, qf = float(a), float(q)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UnsupportedArgument(f"a and q must be rational: {exc}") \
-            from None
-    if af == 0.0:
-        raise UnsupportedArgument("the [a, 1] weight divides by a; "
-                                  f"got a = {a}")
-    if not 0 < q < 1:
-        raise UnsupportedArgument(f"need 0 < q < 1, got q = {q}")
-    for key, value in out.items():
-        if key not in ("a", "q") and (not isinstance(value, int)
-                                      or value < 0):
-            raise UnsupportedArgument(
-                f"{key} must be a non-negative integer, got {value!r}")
-    out.update(a=a, q=q, af=af, qf=qf)
-    return out
+# where the float checks run unless params say otherwise; no grid names
+# these keys, so the reports leave them out
+_FLOAT_DEFAULTS = {"a": Fraction(-1, 2), "q": Fraction(1, 2), "K": 200}
+
+
+def _float_params(params):
+    """The float checks' params over their defaults: a and q exact, then
+    as floats under "af" and "qf"."""
+    p = {**_FLOAT_DEFAULTS, **params}
+    a, q = Fraction(p["a"]), Fraction(p["q"])
+    p.update(a=a, q=q, af=float(a), qf=float(q))
+    return p
 
 
 @functools.lru_cache(maxsize=4)
@@ -216,9 +198,10 @@ def _weighted_atoms(a, q, K, nfactors=400):
     The x-independent denominator is formed once, and the numerators of
     all points advance together one factor at a time, each product taken
     in the order of the per-point formula, so every weight is the same
-    float. A vanishing denominator (a = 1 or a = q^j) raises
-    UnsupportedArgument. The tables depend on (a, q, K) alone, and the
-    float checks of one grid share them, so the last few are cached.
+    float. Every factor of the denominator is positive for the a < 0 and
+    0 < q < 1 that the registry admits. The tables depend on (a, q, K)
+    alone, and the float checks of one grid share them, so the last few
+    are cached.
     """
     ps = [1.0]
     for _ in range(nfactors - 1):
@@ -226,8 +209,6 @@ def _weighted_atoms(a, q, K, nfactors=400):
     den = 1.0 - a
     for p in ps:
         den *= (1.0 - q * p) * (1.0 - a * q * p) * (1.0 - q / a * p)
-    if den == 0.0:
-        raise UnsupportedArgument(f"the [a, 1] weight has a pole at a = {a}")
     xs, ws = [], []
     power = 1.0
     for _ in range(K + 1):
@@ -251,8 +232,7 @@ def _relerr(got, want):
 def check_rs_moment_u(params, rng, opts):
     """Moments of the discrete weight on [a, 1] against (1-q) times the
     Rogers-Szego polynomial, in floating point."""
-    p = _float_params(params, {"a": Fraction(-1, 2), "q": Fraction(1, 2),
-                               "max_m": 4, "K": 200})
+    p = _float_params(params)
     a, q, max_m = p["a"], p["q"], p["max_m"]
     xs, ws = _weighted_atoms(p["af"], p["qf"], p["K"])
     worst = 0.0
@@ -287,12 +267,8 @@ def _d2_rows(xs, q, k):
 def check_bf_u_integral(params, rng, opts):
     """The n-fold interaction integral of the [a, 1] weight against its
     closed form, in floating point."""
-    p = _float_params(params, {"a": Fraction(-1, 2), "q": Fraction(1, 2),
-                               "n": 2, "k": 1, "K": 200})
+    p = _float_params(params)
     a, q, n, k = p["a"], p["q"], p["n"], p["k"]
-    if n not in (1, 2):
-        raise UnsupportedArgument(f"float check supports n in {{1, 2}}, "
-                                  f"got n = {n}")
     xs, ws = _weighted_atoms(p["af"], p["qf"], p["K"])
     if n == 1:
         lhs = math.fsum(ws)

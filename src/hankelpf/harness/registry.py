@@ -2,16 +2,21 @@
 
 Each entry names a statement by what it computes, points at its checker,
 and carries two parameter grids: a smoke grid (one smallest instance)
-and a full grid (the complete desk-scale coverage). The grids are the
-one statement of what a check runs: checkers hold no parameter defaults,
-so a params dict missing one of its entry's keys raises KeyError, and a
-key that neither grid names raises UnsupportedArgument (`check_names`).
-The two float checks also take `optional` keys, which keep a default in
-the checker and stay out of the grids' reports.
+and a full grid (the complete desk-scale coverage). The grids state what
+a check runs. With `_SIZES` and the entry's `accepts` they also state
+what it takes, and `run_check` holds every params dict to that schema
+(`IdentitySpec.validate`): a size-like key takes its `_SIZES` range,
+any other key only the values the grids give it, and a params dict
+names every key that all grid instances name. Anything else raises one
+UnsupportedArgument. Checkers hold no parameter defaults but the float
+checks' `a`, `q` and `K`, which `accepts` declares and no grid names.
 """
 
 import itertools
-from dataclasses import dataclass
+import math
+import sys
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 from ..errors import UnknownIdentity, UnknownTag, UnsupportedArgument
 from . import (checks_bridges, checks_integrals, checks_narayana,
@@ -21,6 +26,67 @@ STATUSES = ("theorem", "corollary", "conjecture", "reported-discrepancy")
 
 # statuses whose checks gate the process exit code
 GATING_STATUSES = ("theorem", "corollary")
+
+
+def _from(start, step=1):
+    return range(start, sys.maxsize, step)
+
+
+# the values each size-like key takes, by name. Block lengths are even
+# (an odd l makes every hyperpfaffian here 0), and below these starts a
+# formula no longer holds or nothing is left to compare.
+_SIZES = {
+    "count": _from(1), "n": _from(1), "max_n": _from(1), "l": _from(2, 2),
+    "dim": _from(2), "pairs": _from(2), "max_pairs": _from(1),
+    "max_i": _from(0), "max_m": _from(0), "order": _from(0),
+}
+
+
+@dataclass(frozen=True)
+class Rationals:
+    """The rationals in (lo, hi) with a finite, nonzero float, written
+    as anything Fraction() reads."""
+    lo: object
+    hi: object
+
+    def __contains__(self, value):
+        try:
+            x = Fraction(value)
+            return self.lo < x < self.hi and float(x) != 0.0
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            return False
+
+    def __str__(self):
+        return f"a rational in ({self.lo}, {self.hi})"
+
+
+# a < 0 keeps the float checks' [a, 1] weight clear of its poles at
+# a = q^j and q^-j; q < 4/5 and K >= 100 keep the truncation term q^K
+# below (4/5)^100, about 2e-10; K <= 1000 bounds the (2K + 2)^2 pair sum
+# to about a second
+_FLOAT_KEYS = {"a": Rationals(-math.inf, 0), "q": Rationals(0, Fraction(4, 5)),
+               "K": range(100, 1001)}
+
+
+def _admits(accepted, value):
+    if isinstance(accepted, range):
+        return type(value) is int and value in accepted
+    if isinstance(accepted, tuple):
+        return any(type(v) is type(value) and v == value for v in accepted)
+    return value in accepted
+
+
+def _describe(accepted):
+    if isinstance(accepted, tuple):
+        return "one of " + ", ".join(map(repr, accepted))
+    if not isinstance(accepted, range):
+        return str(accepted)
+    text = f"an integer >= {accepted.start}"
+    if accepted.stop < sys.maxsize:
+        text += f" and <= {accepted[-1]}"
+    if accepted.step > 1:
+        text += f" in steps of {accepted.step}"
+    return text
 
 
 @dataclass(frozen=True)
@@ -33,24 +99,47 @@ class IdentitySpec:
     smoke: tuple
     full: tuple
     tags: tuple = ()
-    optional: tuple = ()
+    # what a key takes in place of its `_SIZES` range or grid values
+    accepts: dict = field(default_factory=dict, compare=False)
+    schema: dict = field(init=False, repr=False, compare=False)
+    required: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.status not in STATUSES:
             raise ValueError(f"bad status {self.status!r} for {self.id}")
         if not self.smoke or not self.full:
             raise ValueError(f"{self.id} needs nonempty parameter grids")
+        grids = self.smoke + self.full
+        values = {}
+        for inst in grids:
+            for key, value in inst.items():
+                values.setdefault(key, {})[value] = None
+        object.__setattr__(self, "schema", {
+            **{k: _SIZES.get(k, tuple(v)) for k, v in values.items()},
+            **self.accepts})
+        object.__setattr__(self, "required",
+                           frozenset.intersection(*map(frozenset, grids)))
 
-    def check_names(self, params):
-        """UnsupportedArgument for a key that no grid dict names and that
-        is not one of the `optional` keys."""
-        known = {k for grid in (self.smoke, self.full) for d in grid
-                 for k in d}.union(self.optional)
-        unknown = sorted(set(params) - known)
+    def validate(self, params):
+        """UnsupportedArgument unless params names every key that all
+        grid instances name, no key outside the schema, and only values
+        the schema accepts."""
+        unknown = sorted(set(params) - set(self.schema))
         if unknown:
             raise UnsupportedArgument(
                 f"{self.id} has no parameter {', '.join(unknown)}; "
-                f"it takes {', '.join(sorted(known))}")
+                f"it takes {', '.join(sorted(self.schema)) or 'none'}")
+        missing = [f"{key} ({_describe(self.schema[key])})"
+                   for key in sorted(self.required - set(params))]
+        if missing:
+            raise UnsupportedArgument(
+                f"{self.id} needs parameter {', '.join(missing)}")
+        for key, value in params.items():
+            if not _admits(self.schema[key], value):
+                shown = repr(value) if isinstance(value, str) else value
+                raise UnsupportedArgument(
+                    f"{self.id} does not accept {key}={shown}; {key} "
+                    f"takes {_describe(self.schema[key])}")
 
 
 def _grid(**axes):
@@ -132,7 +221,9 @@ _register(
     check=checks_structural.check_msf_general,
     smoke=({"count": 2, "shapes": _MSF_SHAPES[:2], "max_n": 5},),
     full=({"count": 50, "shapes": _MSF_SHAPES, "max_n": 6},),
-    tags=("structural",))
+    tags=("structural",),
+    # every shape's l*n block rows fit
+    accepts={"max_n": _from(4)})
 
 _register(
     id="msf-det",
@@ -198,7 +289,9 @@ _register(
           {"r": 1, "l": 4, "n": 2, "count": 2},
           {"r": 2, "l": 2, "n": 2, "count": 2},
           {"r": 2, "l": 2, "n": 4, "count": 1}),
-    tags=("bridge",))
+    tags=("bridge",),
+    # r counts the families here
+    accepts={"classical": (True, False), "r": _from(1)})
 
 _register(
     id="debruijn-even-r",
@@ -349,7 +442,7 @@ _register(
     smoke=({"max_m": 2},),
     full=({"max_m": 4},),
     tags=("q", "numeric"),
-    optional=("a", "q", "K"))
+    accepts=_FLOAT_KEYS)
 
 _register(
     id="bf-u-integral",
@@ -360,7 +453,7 @@ _register(
     smoke=({"n": 2, "k": 1},),
     full=_grid(n=(1, 2), k=(1, 2)),
     tags=("q", "numeric"),
-    optional=("a", "q", "K"))
+    accepts={**_FLOAT_KEYS, "n": range(1, 3)})
 
 for _gx in range(1, 6):
     _register(

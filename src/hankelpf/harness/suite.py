@@ -20,9 +20,10 @@ FAILING_REPORT_STATUSES = ("counterexample", "numeric-fail")
 
 
 def run_check(p: CheckParams) -> CheckReport:
-    """Execute one check and package the outcome as a report."""
+    """Execute one check and package the outcome as a report. Params
+    outside the identity's schema raise UnsupportedArgument first."""
     spec = get_identity(p.identity)
-    spec.check_names(p.params)
+    spec.validate(p.params)
     rng = derive_rng(p.identity, canonical_params(p.params), p.seed)
     start = time.perf_counter()
     try:

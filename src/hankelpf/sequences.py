@@ -237,7 +237,9 @@ def hyp2f1_terminating(p1, p2, c, z) -> Fraction:
 
 
 def hyp2f1_series(p1, p2, c, scale, N: int) -> TruncSeries:
-    """Hypergeometric series in scale*x truncated at order N."""
+    """Hypergeometric series in scale*x truncated at order N >= 0."""
+    if N < 0:
+        raise NegativeIndex(f"order must be nonnegative, got {N}")
     p1, p2, c, scale = (Fraction(v) for v in (p1, p2, c, scale))
     coeffs = [Fraction(1)]
     term = Fraction(1)

@@ -80,7 +80,7 @@ def test_hyperdet_is_determinant_for_m2():
 
 
 def test_hyperdet_diagonal_m4():
-    D = Tensor.cube(4, 2, {(i, i, i, i): 1 for i in (1, 2)})
+    D = Tensor((2,) * 4, {(i, i, i, i): 1 for i in (1, 2)})
     assert hyperdet(D) == 1
 
 
@@ -111,11 +111,11 @@ def test_hyperdet_matches_written_out_expansion():
 
 def test_hyperdet_odd_dimension_rejected():
     with pytest.raises(OddDimension):
-        hyperdet(Tensor.cube(3, 2))
+        hyperdet(Tensor((2,) * 3))
     with pytest.raises(OddDimension):
-        hyperdet_via_exterior(Tensor.cube(3, 2))
+        hyperdet_via_exterior(Tensor((2,) * 3))
     with pytest.raises(OddDimension):
-        hyperdet_laplace(Tensor.cube(3, 2), (1,))
+        hyperdet_laplace(Tensor((2,) * 3), (1,))
 
 
 def test_hyperdet_needs_cubic():
@@ -153,7 +153,7 @@ def test_hyperdet_laplace_examples():
     assert hyperdet_laplace(A, (1,)) == -2
     # a row subset is a set: listing it out of order changes nothing
     assert hyperdet_laplace(A, (2, 1)) == -2
-    D = Tensor.cube(4, 2, {(i, i, i, i): 1 for i in (1, 2)})
+    D = Tensor((2,) * 4, {(i, i, i, i): 1 for i in (1, 2)})
     assert hyperdet_laplace(D, (1,)) == 1
     with pytest.raises(BoundsError):
         hyperdet_laplace(A, (3,))
@@ -317,7 +317,7 @@ def _literal_block_sum(entries, l, m, n, signed=True):
 FRACTION_ENGINES = {
     "det_matrix": (1, 2, 3, True, lambda e: det_matrix(
         [[e.get((i, j), 0) for j in range(1, 4)] for i in range(1, 4)])),
-    "hyperdet": (1, 4, 3, True, lambda e: hyperdet(Tensor.cube(4, 3, e))),
+    "hyperdet": (1, 4, 3, True, lambda e: hyperdet(Tensor((3,) * 4, e))),
     "pfaffian": (2, 1, 3, True, lambda e: pfaffian(
         {blk: v for (blk,), v in e.items()}, size=6)),
     "hyperpfaffian": (2, 2, 2, True,
@@ -1121,7 +1121,7 @@ def test_block_array_key_checks():
 
 
 def test_tensor_bounds_checks():
-    t = Tensor.cube(2, 2)
+    t = Tensor((2,) * 2)
     with pytest.raises(BoundsError):
         t.set((0, 1), 4)
     with pytest.raises(BoundsError):
@@ -1135,8 +1135,8 @@ def test_tensor_json_round_trip():
     doc = {"kind": "tensor", "m": 2, "n": 2,
            "entries": [{"idx": [1, 1], "value": "a^2 + 1"},
                        {"idx": [2, 1], "value": "-2"}]}
-    assert tensor_from_json(doc) == Tensor.cube(
-        2, 2, {(1, 1): a ** 2 + 1, (2, 1): -2})
+    assert tensor_from_json(doc) == Tensor(
+        (2,) * 2, {(1, 1): a ** 2 + 1, (2, 1): -2})
     rect = {"kind": "tensor", "m": 2, "shape": [2, 3],
             "entries": [{"idx": [1, 3], "value": "5"}]}
     assert tensor_from_json(rect) == Tensor((2, 3), {(1, 3): 5})

@@ -17,7 +17,8 @@ import pytest
 
 import hankelpf
 from hankelpf.blocks import enum_block_perms, perm_sign
-from hankelpf.errors import BoundsError, UnknownIdentity, UnknownTag
+from hankelpf.errors import (BoundsError, UnknownIdentity, UnknownTag,
+                             UnsupportedArgument)
 from hankelpf.harness import (CheckParams, all_identities,
                               filter_identities, get_identity,
                               report_from_json, run_check, run_suite,
@@ -181,8 +182,10 @@ def test_exit_code_is_summary_failed(monkeypatch):
 
 
 def test_run_check_needs_every_grid_parameter():
-    with pytest.raises(KeyError, match="max_n"):
+    with pytest.raises(UnsupportedArgument) as exc:
         run_check(CheckParams("gx-1", {"index": 1}))
+    assert str(exc.value) == \
+        "gx-1 needs parameter max_n (an integer >= 1)"
 
 
 # ------------------------------------------------------ Hankel-type builder
@@ -500,6 +503,22 @@ def test_cli_eval_missing_fields(capsys, tmp_path, kind, doc):
         assert "missing" not in err and "must be an object, got 5" in err
 
 
+def test_cli_eval_rejects_entries_that_do_not_combine(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    doc = json.loads((DEMOS / "quad_blocks.json").read_text())
+    doc["entries"][0]["value"] = "x"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "hyperpfaffian", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "hpf: ParseError: block_array entries mix QuadExt and UniPoly "
+        "values, which do not combine\n")
+    doc["entries"][0]["value"] = "(1)/(w+1)"   # a rational function in w
+    del doc["ext"]
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "hyperpfaffian", "--input", str(path)]) == 0
+    capsys.readouterr()
+
+
 def test_cli_eval_number_value(capsys, tmp_path):
     # scalars are text; a JSON number is rejected by naming the field
     path = tmp_path / "doc.json"
@@ -535,8 +554,9 @@ def test_cli_unknown_identity_and_tag(capsys):
 def test_cli_verify_negative_size(capsys):
     assert main(["verify", "motzkin-pf", "--param", "n=-1"]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("hpf: BoundsError:")
-    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err == ("hpf: UnsupportedArgument: motzkin-pf does not "
+                            "accept n=-1; n takes an integer >= 1\n")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -573,8 +593,9 @@ def test_all_exports_resolve(module):
 def test_cli_gx_rejects_nonpositive_max_n(capsys, max_n):
     assert main(["verify", "gx-1", "--param", f"max_n={max_n}"]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("hpf: UnsupportedArgument:")
-    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert captured.err == ("hpf: UnsupportedArgument: gx-1 does not accept "
+                            f"max_n={max_n}; max_n takes an integer >= 1\n")
+    assert captured.out == ""
 
 
 def test_outcome_all_rejects_an_empty_comparison():
@@ -584,8 +605,9 @@ def test_outcome_all_rejects_an_empty_comparison():
 
 
 # the identities whose comparison list a count, max_n, order or max_i
-# parameter sizes: count=0 draws nothing, while max_n, order or max_i = 0
-# still compares the degree-0 term
+# parameter sizes. The schema turns away each value that would leave
+# nothing to compare; the least value it takes still compares something
+# (order or max_i = 0 the degree-0 term).
 EMPTY_RANGE_PARAMS = {
     "count": ("laplace-expansion", "hyper-minor", "msf-general", "msf-det",
               "pf-hf", "matsumoto", "engine-exterior", "pf-definition"),
@@ -600,25 +622,35 @@ EMPTY_RANGE_PARAMS = {
     (identity, key) for key, ids in EMPTY_RANGE_PARAMS.items()
     for identity in ids])
 def test_cli_empty_comparison_exits_2(capsys, identity, key):
-    for value in (0, -1):
+    least = 0 if key in ("order", "max_i") else 1
+    for value in (1, 0, -1):
         code = main(["verify", identity, "--param", f"{key}={value}"])
         captured = capsys.readouterr()
-        if value == 0 and key != "count":
+        if value >= least:
             assert code == 0 and "verified" in captured.out
             continue
         assert code == 2, (key, value)
-        assert captured.err.startswith(
-            "hpf: BoundsError: the parameters leave no comparison to make")
-        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert captured.err == (
+            f"hpf: UnsupportedArgument: {identity} does not accept "
+            f"{key}={value}; {key} takes an integer >= {least}\n")
+        assert captured.out == ""
 
 
-@pytest.mark.parametrize("param", ["count=-1", "r=1", "l=2"])
+DEBRUIJN_GENERAL_PARAMS = {
+    # the schema turns a count below 1 away before the checker runs
+    "count=-1": "debruijn-discrete does not accept count=-1; "
+                "count takes an integer >= 1",
+    "r=1": "the classical case takes n alone, not r",
+    "l=2": "the classical case takes n alone, not l",
+}
+
+
+@pytest.mark.parametrize("param", list(DEBRUIJN_GENERAL_PARAMS))
 def test_cli_debruijn_classical_case_rejects_general_params(capsys, param):
     assert main(["verify", "debruijn-discrete", "--param", param]) == 2
     captured = capsys.readouterr()
-    key = param.split("=")[0]
-    assert captured.err == ("hpf: UnsupportedArgument: the classical case "
-                            f"takes n alone, not {key}\n")
+    assert captured.err == \
+        f"hpf: UnsupportedArgument: {DEBRUIJN_GENERAL_PARAMS[param]}\n"
     assert captured.out == ""
 
 
@@ -650,7 +682,8 @@ def test_cli_rejects_unknown_param_names(capsys, argv, message):
 
 
 def test_float_checks_take_their_optional_params(capsys):
-    # a, q and K are no grid's keys, but the two float checks read them
+    # a, q and K are no grid's keys, but the schema of the two float
+    # checks declares them
     assert main(["verify", "rs-moment-u", "--param", "q=1/3"]) == 0
     assert '"q":"1/3"' in capsys.readouterr().out
     assert main(["verify", "bf-u-integral", "--param", "K=150"]) == 0
@@ -682,6 +715,83 @@ def test_cli_float_checks_reject_bad_input(capsys, identity, param):
     captured = capsys.readouterr()
     assert captured.err.startswith("hpf: UnsupportedArgument:")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_every_grid_instance_fits_its_schema():
+    assert len(all_identities()) == 62
+    for spec in all_identities():
+        for params in spec.smoke + spec.full:
+            spec.validate(params)
+
+
+def test_schema_messages_name_identity_key_value_and_range():
+    spec = get_identity("tilden-a1")
+    for params, message in (
+            ({"case": "a1", "l": 3, "n": 2, "r": 1},
+             "tilden-a1 does not accept l=3; l takes an integer >= 2 in "
+             "steps of 2"),
+            ({"case": "b1", "l": 2, "n": 2, "r": 1},
+             "tilden-a1 does not accept case='b1'; case takes one of 'a1'"),
+            ({"case": "a1", "l": 2, "n": 2, "r": 1, "a": 1},
+             "tilden-a1 has no parameter a; it takes case, l, n, r"),
+            ({"case": "a1", "n": 2},
+             "tilden-a1 needs parameter l (an integer >= 2 in steps of 2), "
+             "r (one of 1, 3, -2, -4)")):
+        with pytest.raises(UnsupportedArgument) as exc:
+            spec.validate(params)
+        assert str(exc.value) == message
+    bf = get_identity("bf-u-integral")
+    for key, value, accepted in (
+            ("n", 3, "an integer >= 1 and <= 2"),
+            ("a", "0", "a rational in (-inf, 0)"),
+            ("q", Fraction(4, 5), "a rational in (0, 4/5)"),
+            ("K", 99, "an integer >= 100 and <= 1000"),
+            ("k", True, "one of 1, 2")):
+        with pytest.raises(UnsupportedArgument) as exc:
+            bf.validate({"n": 2, "k": 1, key: value})
+        shown = repr(value) if isinstance(value, str) else value
+        assert str(exc.value) == (f"bf-u-integral does not accept "
+                                  f"{key}={shown}; {key} takes {accepted}")
+
+
+def _sweep_runs():
+    """(identity, key, value) for every int key the grids name at -1 and
+    0, every other key at a value no grid gives it, and each tilden-*
+    at an odd block length."""
+    runs = []
+    for spec in all_identities():
+        grids = spec.smoke + spec.full
+        for key in spec.schema or ("none",):
+            values = [inst[key] for inst in grids if key in inst]
+            if values and all(type(v) is int for v in values):
+                runs += [(spec.id, key, -1), (spec.id, key, 0)]
+            else:
+                runs.append((spec.id, key, "none"))
+        if spec.id.startswith("tilden-"):
+            runs.append((spec.id, "l", 3))
+    return runs
+
+
+def test_parameter_sweep_exits_0_or_2(capsys):
+    codes = {}
+    for run in _sweep_runs():
+        identity, key, value = run
+        code = codes[run] = main(
+            ["verify", identity, "--param", f"{key}={value}"])
+        captured = capsys.readouterr()
+        assert code in (0, 2), (run, captured.out)
+        if code == 2:
+            assert captured.err.startswith("hpf: ")
+            assert captured.err.count("\n") == 1 and captured.out == ""
+    assert {run[0] for run in codes} == {s.id for s in all_identities()}
+    # false counterexamples and vacuous passes before the schema
+    for run in (("delannoy-pf", "n", 0), ("delannoy-shift", "n", 0),
+                ("tilden-a1", "l", 3), ("subpf-indicator", "count", -1),
+                ("special-dcount", "max_n", -1),
+                ("special-motd", "max_n", -1), ("gx-defs", "order", -1),
+                ("msf-general", "max_n", 0), ("laplace-expansion", "dim", 0),
+                ("gx-1", "index", 0), ("catalan-r", "r", -1)):
+        assert codes[run] == 2, run
 
 
 def _per_point_weight(x, a, q, nfactors=400):

@@ -233,6 +233,16 @@ def test_hyp2f1_series():
         hyp2f1_series(F(1, 2), F(1, 3), -2, 1, 5)
 
 
+def test_hypergeometric_series_reject_a_negative_order():
+    assert list(hyp2f1_series(1, 1, 1, 1, 0).coeffs) == [1]
+    assert list(gx_hypergeometric_series(1, 0).coeffs) == [1]
+    with pytest.raises(NegativeIndex, match="order must be nonnegative"):
+        hyp2f1_series(1, 1, 1, 1, -1)
+    for i in range(1, 6):
+        with pytest.raises(NegativeIndex):
+            gx_hypergeometric_series(i, -1)
+
+
 def test_narayana_gf_series():
     b1 = narayana_gf_series("B", 1, 4)
     assert list(b1.coeffs) == [1, 2, 6, 20, 70]
