@@ -225,6 +225,9 @@ def _weighted_atoms(a, q, K, nfactors=400):
 
 
 def _relerr(got, want):
+    # an inf or NaN side agrees with nothing, and max() would drop a NaN
+    if not (math.isfinite(got) and math.isfinite(want)):
+        return math.inf
     scale = max(abs(want), 1e-30)
     return abs(got - want) / scale
 

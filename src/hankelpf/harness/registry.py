@@ -13,7 +13,6 @@ checks' `a`, `q` and `K`, which `accepts` declares and no grid names.
 """
 
 import itertools
-import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,11 +60,15 @@ class Rationals:
 
 
 # a < 0 keeps the float checks' [a, 1] weight clear of its poles at
-# a = q^j and q^-j; q < 4/5 and K >= 100 keep the truncation term q^K
+# a = q^j and q^-j, and |a| within [1/100, 100] keeps its 400-factor
+# products finite; q < 4/5 and K >= 100 keep the truncation term q^K
 # below (4/5)^100, about 2e-10; K <= 1000 bounds the (2K + 2)^2 pair sum
-# to about a second
-_FLOAT_KEYS = {"a": Rationals(-math.inf, 0), "q": Rationals(0, Fraction(4, 5)),
-               "K": range(100, 1001)}
+# to about a second. Each grid instance of both checks passes at every
+# corner of a in [-100, -1/100], q in [1e-300, 4/5 - 1e-12] and K in
+# {100, 1000}. The box is per key, so it turns away some pairs, such as
+# q = 9/10 with K = 200, whose q^K is small enough.
+_FLOAT_KEYS = {"a": Rationals(-100, Fraction(-1, 100)),
+               "q": Rationals(0, Fraction(4, 5)), "K": range(100, 1001)}
 
 
 def _admits(accepted, value):

@@ -7,6 +7,7 @@ Scalars combine with the plain operators; `sdiv` is the one helper, for
 division.
 """
 
+import itertools
 from fractions import Fraction
 
 from ..errors import DivisionByZero, IncompatibleTags
@@ -26,7 +27,7 @@ __all__ = [
     "HalfGamma", "gamma_exact", "q_gamma_int", "q_gamma_table",
     "QuadContext", "format_scalar", "parse_scalar",
     "derive_rng",
-    "sdiv",
+    "sdiv", "check_combinable",
 ]
 
 
@@ -50,3 +51,18 @@ def sdiv(a, b):
         raise DivisionByZero(str(exc) or "division by zero") from None
     except TypeError as exc:
         raise IncompatibleTags(str(exc)) from None
+
+
+def check_combinable(values):
+    """IncompatibleTags unless one value of each scalar type in values
+    multiplies with one of each other type: the operators decide."""
+    firsts = {}
+    for v in values:
+        firsts.setdefault(type(v), v)
+    for a, b in itertools.combinations(firsts.values(), 2):
+        try:
+            a * b
+        except TypeError:
+            raise IncompatibleTags(
+                f"{type(a).__name__} and {type(b).__name__} values do "
+                "not combine") from None

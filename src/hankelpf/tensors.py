@@ -12,8 +12,8 @@ import itertools
 from fractions import Fraction
 
 from .errors import BoundsError, ParseError, ShapeMismatch
+from .scalars import check_combinable
 from .scalars.grammar import QuadContext, parse_scalar
-from .scalars.poly import RatFunc, UniPoly
 
 
 class Tensor:
@@ -245,17 +245,6 @@ def _entries(doc, what):
     return _field(doc, "entries", what, list) if "entries" in doc else []
 
 
-def _check_combinable(values, what):
-    """ParseError unless the engines can combine the entry values: next
-    to rationals, either polynomials and rational functions, or values
-    of one other scalar type (a quadratic extension or a series)."""
-    kinds = {type(v) for v in values} - {int, Fraction}
-    if len(kinds) > 1 and not kinds <= {UniPoly, RatFunc}:
-        names = " and ".join(sorted(k.__name__ for k in kinds))
-        raise ParseError(f"{what} entries mix {names} values, which do "
-                         "not combine")
-
-
 def tensor_from_json(doc: dict) -> Tensor:
     if doc.get("kind") != "tensor":
         raise ParseError(f"expected kind 'tensor', got {doc.get('kind')!r}")
@@ -276,7 +265,7 @@ def tensor_from_json(doc: dict) -> Tensor:
         except TypeError:   # idx is not a list of indices
             raise ParseError(f"tensor entry 'idx' must be a list of "
                              f"indices, got {idx!r}") from None
-    _check_combinable(t.entries.values(), "tensor")
+    check_combinable(t.entries.values())
     return t
 
 
@@ -301,5 +290,5 @@ def block_array_from_json(doc: dict) -> BlockArray:
             raise ParseError(f"block_array entry 'idx' must be a list of "
                              f"blocks, each a list of indices; got {idx!r}"
                              ) from None
-    _check_combinable(b.entries.values(), "block_array")
+    check_combinable(b.entries.values())
     return b

@@ -236,6 +236,8 @@ def test_minor_tensor_cardinality_mismatch():
 def test_pfaffian_smallest_cases():
     assert pfaffian({}, size=0) == 1
     assert pfaffian({(1, 2): 5}) == 5
+    with pytest.raises(BoundsError, match="size must be >= 0, got -1"):
+        pfaffian({}, size=-1)
 
 
 def test_pfaffian_four_by_four_generic():

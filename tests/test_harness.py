@@ -510,8 +510,8 @@ def test_cli_eval_rejects_entries_that_do_not_combine(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     assert main(["eval", "hyperpfaffian", "--input", str(path)]) == 2
     assert capsys.readouterr().err == (
-        "hpf: ParseError: block_array entries mix QuadExt and UniPoly "
-        "values, which do not combine\n")
+        "hpf: IncompatibleTags: UniPoly and QuadExt values do not "
+        "combine\n")
     doc["entries"][0]["value"] = "(1)/(w+1)"   # a rational function in w
     del doc["ext"]
     path.write_text(json.dumps(doc))
@@ -623,23 +623,22 @@ EMPTY_RANGE_PARAMS = {
     for identity in ids])
 def test_cli_empty_comparison_exits_2(capsys, identity, key):
     least = 0 if key in ("order", "max_i") else 1
-    for value in (1, 0, -1):
-        code = main(["verify", identity, "--param", f"{key}={value}"])
-        captured = capsys.readouterr()
-        if value >= least:
-            assert code == 0 and "verified" in captured.out
-            continue
-        assert code == 2, (key, value)
-        assert captured.err == (
-            f"hpf: UnsupportedArgument: {identity} does not accept "
-            f"{key}={value}; {key} takes an integer >= {least}\n")
-        assert captured.out == ""
+    assert main(["verify", identity, "--param", f"{key}={least}"]) == 0
+    assert "verified" in capsys.readouterr().out
+    assert main(["verify", identity, "--param", f"{key}={least - 1}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"hpf: UnsupportedArgument: {identity} does not accept "
+        f"{key}={least - 1}; {key} takes an integer >= {least}\n")
+    assert captured.out == ""
 
 
 DEBRUIJN_GENERAL_PARAMS = {
     # the schema turns a count below 1 away before the checker runs
     "count=-1": "debruijn-discrete does not accept count=-1; "
                 "count takes an integer >= 1",
+    # a count the schema takes reaches the checker's classical rule
+    "count=1": "the classical case takes n alone, not count",
     "r=1": "the classical case takes n alone, not r",
     "l=2": "the classical case takes n alone, not l",
 }
@@ -743,7 +742,7 @@ def test_schema_messages_name_identity_key_value_and_range():
     bf = get_identity("bf-u-integral")
     for key, value, accepted in (
             ("n", 3, "an integer >= 1 and <= 2"),
-            ("a", "0", "a rational in (-inf, 0)"),
+            ("a", "-100", "a rational in (-100, -1/100)"),
             ("q", Fraction(4, 5), "a rational in (0, 4/5)"),
             ("K", 99, "an integer >= 100 and <= 1000"),
             ("k", True, "one of 1, 2")):
@@ -756,8 +755,9 @@ def test_schema_messages_name_identity_key_value_and_range():
 
 def _sweep_runs():
     """(identity, key, value) for every int key the grids name at -1 and
-    0, every other key at a value no grid gives it, and each tilden-*
-    at an odd block length."""
+    0, every other key at a value no grid gives it, each tilden-* at an
+    odd block length, and the float checks' a at and just inside each
+    end of its range and far outside it."""
     runs = []
     for spec in all_identities():
         grids = spec.smoke + spec.full
@@ -769,6 +769,10 @@ def _sweep_runs():
                 runs.append((spec.id, key, "none"))
         if spec.id.startswith("tilden-"):
             runs.append((spec.id, "l", 3))
+        if spec.id in ("rs-moment-u", "bf-u-integral"):
+            runs += [(spec.id, "a", a) for a in (
+                "-100", "-9999/100", "-101/10000", "-1/100", "-1e20",
+                "-1/100000000000000000000")]
     return runs
 
 
@@ -790,8 +794,12 @@ def test_parameter_sweep_exits_0_or_2(capsys):
                 ("special-dcount", "max_n", -1),
                 ("special-motd", "max_n", -1), ("gx-defs", "order", -1),
                 ("msf-general", "max_n", 0), ("laplace-expansion", "dim", 0),
-                ("gx-1", "index", 0), ("catalan-r", "r", -1)):
+                ("gx-1", "index", 0), ("catalan-r", "r", -1),
+                ("bf-u-integral", "a", "-1e20")):
         assert codes[run] == 2, run
+    for identity in ("rs-moment-u", "bf-u-integral"):
+        for a in ("-9999/100", "-101/10000"):
+            assert codes[identity, "a", a] == 0, (identity, a)
 
 
 def _per_point_weight(x, a, q, nfactors=400):

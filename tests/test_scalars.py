@@ -9,10 +9,11 @@ from hankelpf.errors import (ConstantTermNotOne, DivisionByZero,
                              IncompatibleTags, ParseError, PoleAtQEqualsOne,
                              UnsupportedArgument, ZeroConstantDenominator)
 from hankelpf.scalars import (HalfGamma, QuadExt, RatFunc, TruncSeries,
-                              UniPoly, derive_rng, format_scalar, gamma_exact,
-                              omega, parse_scalar, poly_gen, q_gamma_int,
-                              q_gamma_table, quadext, ratfunc, sdiv,
-                              series_div, series_sqrt, sqrt2, unipoly)
+                              UniPoly, check_combinable, derive_rng,
+                              format_scalar, gamma_exact, omega, parse_scalar,
+                              poly_gen, q_gamma_int, q_gamma_table, quadext,
+                              ratfunc, sdiv, series_div, series_sqrt, sqrt2,
+                              unipoly)
 from hankelpf.scalars import poly
 
 
@@ -105,6 +106,17 @@ def test_incompatible_tags():
         omega() * sqrt2()
     with pytest.raises(IncompatibleTags):
         sdiv(TruncSeries("z", 2, [1, 0, 0]), omega())
+
+
+def test_check_combinable_asks_the_operators():
+    a = poly_gen("a")
+    check_combinable([1, Fraction(1, 2), a, 1 / (a + 1), a * a])
+    check_combinable([2, omega(), sqrt2() - sqrt2() + omega()])
+    for values, names in (([1, a, omega()], "UniPoly and QuadExt"),
+                          ([TruncSeries("z", 2, [1]), 1 / a],
+                           "TruncSeries and RatFunc")):
+        with pytest.raises(IncompatibleTags, match=names):
+            check_combinable(values)
 
 
 def test_quadext_letters_do_not_mix():
