@@ -132,11 +132,20 @@ def check_q_hankel(params, rng, opts):
     return outcome_eq(lhs, rhs, terms=len(mu.atoms) ** n)
 
 
+def _enough_atoms(atoms, n):
+    # with fewer atoms than n every point of the cube repeats a
+    # coordinate, so both sides vanish and the check shows nothing
+    if atoms < n:
+        raise UnsupportedArgument(
+            f"need at least n={n} atoms, got {atoms}")
+
+
 def check_hankel_classical(params, rng, opts):
     """Index-gap-weighted moment hyperpfaffian against the cube
     integral of the even power of the Vandermonde product."""
     l, n, u = params["l"], params["n"], params["u"]
     if "atoms" in params:
+        _enough_atoms(len(params["atoms"]), n)
         mu = DiscreteMeasure(tuple(
             (Fraction(x), Fraction(w)) for x, w in params["atoms"]))
     else:
@@ -198,6 +207,7 @@ def check_delta_integral(params, rng, opts):
     """Cube integrals of the two double products differ by the factor
     n! over the q^k-integer factorial of n, measure-independently."""
     n, k = params["n"], params["k"]
+    _enough_atoms(params["atoms"], n)
     mu = rand_measure(rng, params["atoms"])
     q = rand_q(rng)
     r = rng.randint(0, 2)

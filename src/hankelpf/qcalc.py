@@ -3,8 +3,11 @@ measures, and beta-type integral closed forms.
 
 Nothing here truncates an infinite q-grid: the float Jackson sums of
 the two numeric checks live in harness.checks_qpoly. The exact
-q-Selberg integral (askey_lhs_exact) expands only its pair part and
-integrates the one-variable factors coordinate by coordinate. q_powers
+Aomoto/Selberg integral (aomoto_bruteforce) and the exact q-Selberg
+integral (askey_lhs_exact) share one pair-product expansion: the
+product over pairs i<j of one bivariate factor is multiplied out one
+pair at a time, and each monomial integrates coordinate by coordinate
+against a table of one-variable integrals. q_powers
 is the one table of q^v, v of either sign, that delta_product and its
 fast float loops share. The de Bruijn kernel (debruijn_kernel) is the
 minor summation kernel of its atom weights, built by the same
@@ -31,7 +34,6 @@ __all__ = [
     "jackson_monomial",
     "DiscreteMeasure",
     "discrete_moment", "discrete_cube_integral", "discrete_ordered_integral",
-    "mp_const", "mp_monomial", "mp_mul", "mp_pow",
     "q_powers", "delta_product",
     "SelbergParams", "selberg_closed", "selberg_bruteforce",
     "aomoto_closed", "aomoto_bruteforce", "selberg_phi_bridge",
@@ -173,48 +175,6 @@ def discrete_ordered_integral(mu: DiscreteMeasure, n: int, f):
 
 
 # --------------------------------------------------------------------------
-# sparse multivariate polynomials (exponent tuple -> coefficient)
-# --------------------------------------------------------------------------
-
-def mp_const(nvars: int, c):
-    return {} if c == 0 else {(0,) * nvars: c}
-
-
-def mp_monomial(exps, c):
-    return {} if c == 0 else {tuple(exps): c}
-
-
-def mp_mul(p, r):
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in r.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            c = c1 * c2
-            if e in out:
-                c = out[e] + c
-            out[e] = c
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def mp_pow(p, e: int):
-    if e < 0:
-        raise UnsupportedArgument("mp_pow needs e >= 0")
-    out = None
-    base = p
-    exp = e
-    while exp:
-        if exp & 1:
-            out = base if out is None else mp_mul(out, base)
-        exp >>= 1
-        if exp:
-            base = mp_mul(base, base)
-    if out is None:
-        nvars = len(next(iter(p))) if p else 1
-        return mp_const(nvars, 1)
-    return out
-
-
-# --------------------------------------------------------------------------
 # Delta products
 # --------------------------------------------------------------------------
 
@@ -324,10 +284,33 @@ def selberg_closed(p: SelbergParams) -> HalfGamma:
     return total
 
 
-def _beta_factorial(a: int, b: int) -> Fraction:
-    # integral of t^(a-1)(1-t)^(b-1) over [0,1] for positive integers
-    return Fraction(math.factorial(a - 1) * math.factorial(b - 1),
-                    math.factorial(a + b - 1))
+def _pair_integral(n: int, pair, tables):
+    """sum_e c_e prod_i tables[i][e_i] over the monomials c_e t^e of
+    prod_{i<j} sum_r pair[r] t_i^(d-r) t_j^r, d = len(pair) - 1.
+
+    The product is expanded one pair at a time into {exponent tuple:
+    coefficient}, dropping cancelled terms after each pair; tables[i]
+    holds the integral of t^e against coordinate i's weight.
+    """
+    d = len(pair) - 1
+    poly = {(0,) * n: 1}
+    for i in range(n):
+        for j in range(i + 1, n):
+            out = {}
+            for e, c in poly.items():
+                for r, p in enumerate(pair):
+                    f = list(e)
+                    f[i] += d - r
+                    f[j] += r
+                    f = tuple(f)
+                    out[f] = out[f] + c * p if f in out else c * p
+            poly = {e: c for e, c in out.items() if c != 0}
+    total = 0
+    for e, c in poly.items():
+        for table, ei in zip(tables, e):
+            c = c * table[ei]
+        total = total + c
+    return total
 
 
 def _int_or_raise(value, name) -> int:
@@ -336,27 +319,6 @@ def _int_or_raise(value, name) -> int:
         raise UnsupportedArgument(
             f"brute-force expansion needs integer {name}, got {v}")
     return int(v)
-
-
-def _pair_power_poly(n: int, gamma: int):
-    poly = mp_const(n, Fraction(1))
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei = tuple(1 if t == i else 0 for t in range(n))
-            ej = tuple(1 if t == j else 0 for t in range(n))
-            factor = {ei: Fraction(1), ej: Fraction(-1)}
-            poly = mp_mul(poly, mp_pow(factor, 2 * gamma))
-    return poly
-
-
-def _integrate_beta_monomials(poly, alpha: int, beta: int) -> Fraction:
-    total = Fraction(0)
-    for exps in sorted(poly):
-        val = Fraction(poly[exps])
-        for e in exps:
-            val *= _beta_factorial(alpha + e, beta)
-        total += val
-    return total
 
 
 def selberg_bruteforce(n: int, alpha, beta, gamma) -> Fraction:
@@ -380,7 +342,13 @@ def aomoto_closed(n: int, k: int, alpha, beta, gamma) -> HalfGamma:
 
 
 def aomoto_bruteforce(n: int, k: int, alpha, beta, gamma) -> Fraction:
-    """Oracle for aomoto_closed, integer parameters."""
+    """Oracle for aomoto_closed, integer parameters.
+
+    The pair part prod_{i<j} (t_i - t_j)^(2 gamma) goes through
+    `_pair_integral` with the beta table B(alpha + e, beta) for every
+    coordinate; the first k, which carry one more power of t, read it
+    one step further on.
+    """
     alpha = _int_or_raise(alpha, "alpha")
     beta = _int_or_raise(beta, "beta")
     gamma = _int_or_raise(gamma, "gamma")
@@ -391,10 +359,13 @@ def aomoto_bruteforce(n: int, k: int, alpha, beta, gamma) -> Fraction:
     if n > 3:
         raise SizeBudgetExceeded(f"brute-force expansion capped at n=3, "
                                  f"got n={n}")
-    poly = _pair_power_poly(n, gamma)
-    prefix = mp_monomial(tuple(1 if t < k else 0 for t in range(n)),
-                         Fraction(1))
-    return _integrate_beta_monomials(mp_mul(prefix, poly), alpha, beta)
+    pair = [(-1) ** r * math.comb(2 * gamma, r) for r in range(2 * gamma + 1)]
+    beta_table = [Fraction(math.factorial(alpha + e - 1)
+                           * math.factorial(beta - 1),
+                           math.factorial(alpha + e + beta - 1))
+                  for e in range(2 * gamma * (n - 1) + 2)]
+    tables = [beta_table[1:] if i < k else beta_table for i in range(n)]
+    return Fraction(_pair_integral(n, pair, tables))
 
 
 def selberg_phi_bridge(n: int, r: int, s: int, m: int):
@@ -460,8 +431,8 @@ def askey_lhs_exact(n: int, x: int, y: int, k: int, q):
     integrand Pair(t) prod_i u(t_i).
 
     Only the pair part prod_{i<j} prod_{v=1-k..k} (t_i - q^v t_j) is
-    expanded into monomials c_e t^e, one pair factor
-    sum_r P_r t_i^(2k-r) t_j^r at a time. The one-variable factor
+    expanded into monomials c_e t^e, by `_pair_integral` with the pair
+    factor sum_r P_r t_i^(2k-r) t_j^r. The one-variable factor
     u(t) = t^(x-1) (tq;q)_{y-1} = sum_j u_j t^(x-1+j) never is: each
     monomial integrates coordinate by coordinate, so the integral is
     sum_e c_e prod_i L(e_i) with L(e) = sum_j u_j J(e + x - 1 + j) and
@@ -474,27 +445,13 @@ def askey_lhs_exact(n: int, x: int, y: int, k: int, q):
     if n > 3 or k > 2:
         raise SizeBudgetExceeded(
             f"exact expansion capped at n=3, k=2; got n={n}, k={k}")
-    P = _linear_product(q_powers(q, -k + 1, k + 1).values())
-    pair = mp_const(n, 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            factor = {}
-            for r, c in enumerate(P):
-                exps = [0] * n
-                exps[i], exps[j] = 2 * k - r, r
-                factor[tuple(exps)] = c
-            pair = mp_mul(pair, factor)
     u = _linear_product(q ** s for s in range(1, y))
     top = 2 * k * (n - 1)   # highest power of one variable in the pair part
     J = [jackson_monomial(1, q, m) for m in range(x + top + y - 1)]
     L = [sum(uj * J[e + x - 1 + j] for j, uj in enumerate(u))
          for e in range(top + 1)]
-    total = 0
-    for exps, term in pair.items():
-        for e in exps:
-            term = term * L[e]
-        total = total + term
-    return total
+    P = _linear_product(q_powers(q, -k + 1, k + 1).values())
+    return _pair_integral(n, P, [L] * n)
 
 
 @dataclass(frozen=True)

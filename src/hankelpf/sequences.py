@@ -218,22 +218,15 @@ def ftilde_recurrence(i: int, t):
 
 def hyp2f1_terminating(p1, p2, c, z) -> Fraction:
     """Exact finite hypergeometric sum; one top parameter must be a
-    nonpositive integer."""
-    p1, p2, c, z = (Fraction(v) for v in (p1, p2, c, z))
+    nonpositive integer. The sum of the terms of `hyp2f1_series` at
+    scale z, up to where they stop."""
+    p1, p2 = Fraction(p1), Fraction(p2)
     stops = [int(-p) for p in (p1, p2)
              if p.denominator == 1 and p <= 0]
     if not stops:
         raise NonTerminating(
             f"neither {p1} nor {p2} is a nonpositive integer")
-    N = min(stops)
-    total = term = Fraction(1)
-    for k in range(N):
-        if c + k == 0:
-            raise PochhammerPoleInC(
-                f"lower parameter {c} hits a pole at step {k}")
-        term *= (p1 + k) * (p2 + k) * z / ((k + 1) * (c + k))
-        total += term
-    return total
+    return sum(hyp2f1_series(p1, p2, c, z, min(stops)).coeffs)
 
 
 def hyp2f1_series(p1, p2, c, scale, N: int) -> TruncSeries:

@@ -653,6 +653,20 @@ def test_cli_debruijn_classical_case_rejects_general_params(capsys, param):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("identity,n,atoms", [
+    ("delta-integral", 4, 3),     # smoke atoms=3
+    ("hankel-classical", 3, 2),   # smoke atoms has two points
+])
+def test_cli_fewer_atoms_than_n_rejected(capsys, identity, n, atoms):
+    # every point of the cube would repeat a coordinate, so both sides
+    # would vanish
+    assert main(["verify", identity, "--param", f"n={n}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"hpf: UnsupportedArgument: need at least "
+                            f"n={n} atoms, got {atoms}\n")
+    assert captured.out == ""
+
+
 def test_cli_debruijn_general_case_needs_its_parameters(capsys):
     argv = ["verify", "debruijn-discrete", "--param", "classical=false"]
     assert main(argv) == 2

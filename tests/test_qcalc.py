@@ -18,8 +18,7 @@ from hankelpf.qcalc import (DiscreteMeasure, QJacobiParams, SelbergParams,
                             debruijn_ordered_integral, delta_product,
                             discrete_cube_integral, discrete_moment,
                             discrete_ordered_integral, jackson_monomial,
-                            lqj_moment, mp_const, mp_monomial, mp_mul, mp_pow,
-                            q_binomial_row, q_pochhammer, q_powers,
+                            lqj_moment, q_binomial_row, q_pochhammer, q_powers,
                             selberg_bruteforce, selberg_closed,
                             selberg_phi_bridge)
 from hankelpf.scalars import (HalfGamma, UniPoly, derive_rng, gamma_exact,
@@ -433,21 +432,30 @@ def test_askey_identity_rational_grid():
                     assert lhs == pref * askey_A_n(n, x, y, k, q)
 
 
+def _poly_mul(p, r):
+    """Product of two polynomials given as {exponent tuple: coefficient}."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in r.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
 def _askey_full_expansion(n, x, y, k, q):
     """The q-Selberg integral with the whole integrand multiplied out,
     then integrated monomial by monomial."""
     unit = [tuple(int(t == i) for t in range(n)) for i in range(n)]
     zero = (0,) * n
-    poly = mp_const(n, 1)
+    poly = {zero: 1}
     for i in range(n):
         for j in range(i + 1, n):
             for v in range(-k + 1, k + 1):
-                poly = mp_mul(poly, {unit[i]: 1, unit[j]: -(q ** v)})
+                poly = _poly_mul(poly, {unit[i]: 1, unit[j]: -(q ** v)})
     for i in range(n):
-        poly = mp_mul(poly, mp_monomial(
-            tuple((x - 1) * e for e in unit[i]), 1))
+        poly = _poly_mul(poly, {tuple((x - 1) * e for e in unit[i]): 1})
         for s in range(1, y):
-            poly = mp_mul(poly, {zero: 1, unit[i]: -(q ** s)})
+            poly = _poly_mul(poly, {zero: 1, unit[i]: -(q ** s)})
     total = 0
     for exps, c in poly.items():
         for m in exps:
@@ -477,19 +485,6 @@ def test_lqj_moment_values():
 def test_lqj_moment_pole():
     with pytest.raises(MomentPole):
         lqj_moment(1, QJacobiParams(F(4), F(1), F(1, 2)))  # abq^2 = 1
-
-
-# --------------------------------------------------------------- multipoly
-
-def test_mp_helpers():
-    t1_minus_t2 = {(1, 0): 1, (0, 1): -1}
-    sq = mp_pow(t1_minus_t2, 2)
-    assert sq == {(2, 0): 1, (1, 1): -2, (0, 2): 1}
-    assert mp_pow(t1_minus_t2, 0) == mp_const(2, 1)
-    assert mp_mul(mp_monomial((1, 0), 2), mp_monomial((0, 3), 5)) == {
-        (1, 3): 10}
-    assert mp_mul({(1,): 1, (0,): -1}, {(1,): 1, (0,): 1}) == {
-        (2,): 1, (0,): -1}
 
 
 # ----------------------------------------------------- determinant families
