@@ -10,18 +10,11 @@ from ..qcalc import (DiscreteMeasure, debruijn_kernel,
                      debruijn_ordered_integral, delta_product,
                      discrete_cube_integral, discrete_moment, q_pochhammer)
 from ..scalars import q_gamma_int, sdiv
+from ..scalars.poly import horner
 from ..tensors import BlockArray
 from .common import (Outcome, gap_prefactor, hankel_pf, outcome_all,
                      outcome_eq, q_gap_prefactor, rand_measure, rand_points,
                      rand_q)
-
-
-def _horner(cs, x):
-    """sum(c * x**k for k, c in enumerate(cs)) for Fraction cs, by Horner."""
-    v = cs[-1]
-    for c in reversed(cs[:-1]):
-        v = v * x + c
-    return v
 
 
 def _poly_family(rng, rows, l, deg=2):
@@ -32,7 +25,7 @@ def _poly_family(rng, rows, l, deg=2):
         row = []
         for _ in range(l):
             cs = [Fraction(rng.randint(-2, 2)) for _ in range(deg + 1)]
-            row.append(functools.partial(_horner, cs))
+            row.append(functools.partial(horner, cs))
         fam.append(row)
     return fam
 

@@ -20,6 +20,10 @@ raises IncompatibleTags.  Division promotes along the chain (a quotient of
 polynomials that does not divide exactly becomes a RatFunc with monic,
 gcd-reduced denominator).  A Laurent polynomial such as q^-1 + 1 is the
 RatFunc (q + 1)/(q).
+
+`ScalarOps` is the base of UniPoly, RatFunc, QuadExt and TruncSeries:
+it derives `-`, `**` and `str` from each type's own `+`, unary `-`, `*`
+and `/`.  `horner` evaluates a coefficient list at any scalar.
 """
 
 from __future__ import annotations
@@ -30,6 +34,58 @@ from fractions import Fraction
 from ..errors import DivisionByZero, IncompatibleTags
 
 RATIONAL_TYPES = (int, Fraction)
+
+
+class ScalarOps:
+    """The operators every exact scalar type derives from its own `+`,
+    unary `-`, `*` and `/`: subtraction, integer powers and the text form.
+
+    `x ** e` squares and multiplies (Knuth, TAOCP Vol. 2, 4.6.3), with
+    no squaring after the top bit; `x ** 0` is the one of x's ring, and
+    a negative power is the positive power of `1 / x`, so x's own
+    division reports a non-invertible x.
+    """
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        if isinstance(other, RATIONAL_TYPES) or isinstance(other, ScalarOps):
+            return self.__add__(-other)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __pow__(self, e):
+        if not isinstance(e, int):
+            return NotImplemented
+        if e < 0:
+            return (1 / self) ** -e
+        if e == 0:
+            return self * 0 + 1
+        out, base = None, self
+        while True:
+            if e & 1:
+                out = base if out is None else out * base
+            e >>= 1
+            if not e:
+                return out
+            base = base * base
+
+    def __str__(self):
+        from .grammar import format_scalar
+        return format_scalar(self)
+
+
+def horner(cs, x):
+    """sum(c * x**k for k, c in enumerate(cs)), from the top coefficient
+    down; no coefficients give Fraction(0)."""
+    if not cs:
+        return Fraction(0)
+    v = cs[-1]
+    for c in reversed(cs[:-1]):
+        v = v * x + c
+    return v
 
 
 def _frac(x) -> Fraction:
@@ -52,10 +108,6 @@ def _padd(a, b):
     for i, c in enumerate(b):
         out[i] += c
     return _trim(out)
-
-
-def _pneg(a):
-    return [-c for c in a]
 
 
 def scale_to_ints(lists):
@@ -187,7 +239,7 @@ def poly_gen(var: str) -> "UniPoly":
     return UniPoly(var, [Fraction(0), Fraction(1)])
 
 
-class UniPoly:
+class UniPoly(ScalarOps):
     """Polynomial in one variable; coeffs[k] is the coefficient of var^k."""
 
     __slots__ = ("var", "coeffs")
@@ -225,17 +277,7 @@ class UniPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(self.var, _pneg(self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return self.__add__(-other)
-        if isinstance(other, (UniPoly, RatFunc)):
-            return self.__add__(other.__neg__())
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
+        return UniPoly(self.var, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, RATIONAL_TYPES):
@@ -250,13 +292,6 @@ class UniPoly:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            return ratfunc(self.var, [Fraction(1)], _pow_list(self.coeffs, -e))
-        return unipoly(self.var, _pow_list(self.coeffs, e))
 
     def __truediv__(self, other):
         if isinstance(other, RATIONAL_TYPES):
@@ -290,28 +325,10 @@ class UniPoly:
 
     def evaluate(self, x):
         """Horner evaluation; x may be any compatible scalar."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)
 
     def __repr__(self):
         return f"UniPoly({self.var!r}, {list(self.coeffs)!r})"
-
-    def __str__(self):
-        from .grammar import format_scalar
-        return format_scalar(self)
-
-
-def _pow_list(cs, e: int):
-    out = [Fraction(1)]
-    base = list(cs)
-    while e:
-        if e & 1:
-            out = _pmul(out, base)
-        base = _pmul(base, base)
-        e >>= 1
-    return out
 
 
 # -- RatFunc ----------------------------------------------------------------
@@ -347,7 +364,7 @@ def ratfunc(var: str, num, den):
     return RatFunc(var, num, den)
 
 
-class RatFunc:
+class RatFunc(ScalarOps):
     """Quotient of two UniPoly coefficient lists in one variable."""
 
     __slots__ = ("var", "num", "den")
@@ -385,19 +402,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(self.var, _pneg(self.num), self.den)
-
-    def __sub__(self, other):
-        p = self._parts(other)
-        if p is None:
-            return NotImplemented
-        n2, d2 = p
-        return ratfunc(self.var,
-                       _padd(_pmul(self.num, d2), _pneg(_pmul(n2, self.den))),
-                       _pmul(self.den, d2))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
+        return RatFunc(self.var, [-c for c in self.num], self.den)
 
     def __mul__(self, other):
         p = self._parts(other)
@@ -424,15 +429,6 @@ class RatFunc:
         n2, d2 = p
         return ratfunc(self.var, _pmul(n2, self.den), _pmul(d2, self.num))
 
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            return ratfunc(self.var, _pow_list(self.den, -e),
-                           _pow_list(self.num, -e))
-        return ratfunc(self.var, _pow_list(self.num, e),
-                       _pow_list(self.den, e))
-
     def __eq__(self, other):
         if isinstance(other, RatFunc):
             return (self.var == other.var and self.num == other.num
@@ -445,19 +441,10 @@ class RatFunc:
     __hash__ = None
 
     def evaluate(self, x):
-        num = Fraction(0)
-        for c in reversed(self.num):
-            num = num * x + c
-        den = Fraction(0)
-        for c in reversed(self.den):
-            den = den * x + c
+        num, den = horner(self.num, x), horner(self.den, x)
         if den == 0:
             raise DivisionByZero("rational function evaluated at a pole")
         return num / den
 
     def __repr__(self):
         return f"RatFunc({self.var!r}, {list(self.num)!r}, {list(self.den)!r})"
-
-    def __str__(self):
-        from .grammar import format_scalar
-        return format_scalar(self)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import DivisionByZero, IncompatibleTags
-from .poly import RATIONAL_TYPES, _frac
+from .poly import RATIONAL_TYPES, ScalarOps, _frac
 
 
 def quadext(p, r, u, v, sym: str = "w"):
@@ -52,7 +52,7 @@ def sqrt2() -> "QuadExt":
     return QuadExt(Fraction(0), Fraction(2), Fraction(0), Fraction(1), "w")
 
 
-class QuadExt:
+class QuadExt(ScalarOps):
     """Element u + v*theta of Q(theta), theta^2 = p*theta + r."""
 
     __slots__ = ("p", "r", "u", "v", "sym")
@@ -84,16 +84,6 @@ class QuadExt:
 
     def __neg__(self):
         return QuadExt(self.p, self.r, -self.u, -self.v, self.sym)
-
-    def __sub__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return self.__add__(-other)
-        if isinstance(other, QuadExt):
-            return self.__add__(other.__neg__())
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, RATIONAL_TYPES):
@@ -136,20 +126,6 @@ class QuadExt:
             return self._inverse().__mul__(other)
         return NotImplemented
 
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            return self._inverse() ** (-e)
-        out = Fraction(1)
-        base = self
-        while e:
-            if e & 1:
-                out = base * out
-            base = base * base
-            e >>= 1
-        return out
-
     def __eq__(self, other):
         if isinstance(other, RATIONAL_TYPES):
             return self.v == 0 and self.u == other
@@ -162,7 +138,3 @@ class QuadExt:
 
     def __repr__(self):
         return f"QuadExt(p={self.p}, r={self.r}, u={self.u}, v={self.v})"
-
-    def __str__(self):
-        from .grammar import format_scalar
-        return format_scalar(self)

@@ -2,7 +2,8 @@
 
 A TruncSeries of order N is an element of Q[[z]] / z^(N+1); binary
 operations truncate to the smaller order.  Square root and division use
-coefficient recurrences, never floating arithmetic.
+coefficient recurrences, never floating arithmetic; a negative power
+divides through `series_div`.
 """
 
 from __future__ import annotations
@@ -10,10 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import ConstantTermNotOne, ZeroConstantDenominator
-from .poly import RATIONAL_TYPES, _frac
+from .poly import RATIONAL_TYPES, ScalarOps, _frac
 
 
-class TruncSeries:
+class TruncSeries(ScalarOps):
     """coeffs[k] is the coefficient of var^k, k = 0..order."""
 
     __slots__ = ("var", "order", "coeffs")
@@ -50,15 +51,6 @@ class TruncSeries:
     def __neg__(self):
         return TruncSeries(self.var, self.order, [-c for c in self.coeffs])
 
-    def __sub__(self, other):
-        o = self._pair(other)
-        if o is None:
-            return NotImplemented
-        return self.__add__(o.__neg__())
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __mul__(self, other):
         if isinstance(other, RATIONAL_TYPES):
             return TruncSeries(self.var, self.order,
@@ -77,18 +69,6 @@ class TruncSeries:
         return TruncSeries(self.var, n, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        out = TruncSeries(self.var, self.order, [1])
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
 
     def __truediv__(self, other):
         o = self._pair(other)
@@ -121,10 +101,6 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries({self.var!r}, {self.order}, {list(self.coeffs)!r})"
-
-    def __str__(self):
-        from .grammar import format_scalar
-        return format_scalar(self)
 
 
 def series_sqrt(s: TruncSeries, order: int | None = None) -> TruncSeries:

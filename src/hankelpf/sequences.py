@@ -101,12 +101,8 @@ _GX_HYP = {
 }
 
 
-def sequence_value(seq, n: int, q=None):
-    """Value of the named sequence at index n.
-
-    The two q-polynomial families require the extra parameter q and
-    return a polynomial in a; everything else returns an exact number.
-    """
+def sequence_value(seq, n: int):
+    """Exact value of the named sequence at index n."""
     if n < 0:
         raise NegativeIndex(f"sequence index must be nonnegative, got {n}")
     if seq == "catalan":
@@ -138,11 +134,7 @@ def sequence_value(seq, n: int, q=None):
         return _int_or_fraction(first + (n - 2) * second)
     if seq in _GX_CLOSED:
         return _int_or_fraction(_GX_CLOSED[seq](n))
-    if seq not in ("rogersSzegoF", "rogersSzegoG"):
-        raise UnsupportedArgument(f"unknown sequence {seq!r}")
-    if q is None:
-        raise UnsupportedArgument(f"{seq} needs the parameter q")
-    return rogers_szego(seq[-1], n, q)
+    raise UnsupportedArgument(f"unknown sequence {seq!r}")
 
 
 def phi_product(n: int, r: int, s: int, m: int) -> Fraction:

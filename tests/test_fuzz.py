@@ -22,6 +22,8 @@ DEMO_KINDS = {
     "pair_blocks.json": "hyperpfaffian",
     "poly_blocks.json": "hyperpfaffian",
     "quad_blocks.json": "hyperpfaffian",
+    "ratfunc_blocks.json": "hyperpfaffian",
+    "series_blocks.json": "hyperpfaffian",
     "order4_tensor.json": "hyperdet",
 }
 EVAL_KINDS = ("pfaffian", "hyperpfaffian", "hyperdet", "hafnian")

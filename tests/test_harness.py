@@ -23,14 +23,14 @@ from hankelpf.harness import (CheckParams, all_identities,
                               filter_identities, get_identity,
                               report_from_json, run_check, run_suite,
                               suite_exit_code, summarize)
-from hankelpf.harness import checks_bridges, checks_qpoly, suite
+from hankelpf.harness import checks_qpoly, suite
 from hankelpf.harness.cli import coerce_param, main
 from hankelpf.harness.common import (gap_prefactor, hankel_pf, outcome_all,
                                      q_gap_prefactor)
 from hankelpf.harness.registry import GATING_STATUSES, STATUSES
 from hankelpf.harness.reports import REPORT_KEYS, dump_reports
 from hankelpf.qcalc import delta_product
-from hankelpf.scalars import derive_rng, poly_gen
+from hankelpf.scalars import derive_rng, poly, poly_gen
 
 # the ids the battery must cover, grouped the way the layers stack
 CORE_IDS = [
@@ -431,6 +431,14 @@ def test_cli_eval_pfaffian(capsys):
     assert main(["eval", "hyperdet",
                  "--input", str(DEMOS / "order4_tensor.json")]) == 0
     assert capsys.readouterr().out.strip() == "2"
+    for name, pf, hf in (
+            ("ratfunc_blocks.json", "(-q^2 - 5*q + 2)/(q^2 - 2*q)",
+             "(2*q^3 + q^2 - 5*q + 2)/(q^2 - 2*q)"),
+            ("series_blocks.json", "[3, 1, 9] @z up to 2",
+             "[3, 3, 7] @z up to 2")):
+        for kind, want in (("hyperpfaffian", pf), ("hafnian", hf)):
+            assert main(["eval", kind, "--input", str(DEMOS / name)]) == 0
+            assert capsys.readouterr().out.strip() == want, (name, kind)
 
 
 def test_cli_eval_negative_exponents(capsys, tmp_path):
@@ -443,6 +451,18 @@ def test_cli_eval_negative_exponents(capsys, tmp_path):
     assert main(["eval", "pfaffian", "--input", str(path)]) == 0
     # q^-3 - 2 + (1 + q^-1) q
     assert capsys.readouterr().out.strip() == "(q^4 - q^3 + 1)/(q^3)"
+
+
+def test_cli_eval_power_of_norm_zero_element(capsys, tmp_path):
+    # w^2 = 0: w has no inverse, so w^-2 is a usage error, not a crash
+    path = tmp_path / "nil.json"
+    path.write_text(json.dumps({
+        "kind": "block_array", "l": 2, "m": 1, "n": 1,
+        "ext": {"letter": "w", "p": 0, "r": 0},
+        "entries": [{"idx": [[1, 2]], "value": "w^-2"}]}))
+    assert main(["eval", "hyperpfaffian", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "hpf: DivisionByZero: quadratic-extension element has norm 0\n")
 
 
 def test_cli_eval_errors(capsys, tmp_path):
@@ -867,9 +887,10 @@ def test_horner_matches_power_sum():
             cs = [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
                   for _ in range(deg + 1)]
             for x in points:
-                got = checks_bridges._horner(cs, x)
+                got = poly.horner(cs, x)
                 want = sum(c * x ** k for k, c in enumerate(cs))
                 assert got == want and type(got) is type(want), (cs, x)
+    assert type(poly.horner([], 4)) is Fraction and poly.horner([], 4) == 0
 
 
 def test_d2_rows_match_delta_product():

@@ -155,6 +155,58 @@ def test_laurent_negative_powers():
     assert isinstance(x, RatFunc)
     assert x * q == 1 + 2 * q + q * q
     assert (q ** -3) * (q ** 3) == 1
+    assert q ** -1 == ratfunc("q", [1], [0, 1])
+    assert (q ** -2) ** -1 == q * q
+
+
+_Q = poly_gen("q")
+
+# x, y, r, then (type, text) of x - y, r - x, x - r, x ** 0, x ** 1,
+# x ** -2 and str(x)
+_DERIVED = {
+    "unipoly": (_Q * _Q - 2, _Q, Fraction(1, 2), [
+        (UniPoly, "q^2 - q - 2"), (UniPoly, "-q^2 + 5/2"),
+        (UniPoly, "q^2 - 5/2"), (Fraction, "1"), (UniPoly, "q^2 - 2"),
+        (RatFunc, "(1)/(q^4 - 4*q^2 + 4)"), (str, "q^2 - 2")]),
+    "ratfunc": ((_Q + 1) / (_Q - 2), _Q, 2, [
+        (RatFunc, "(-q^2 + 3*q + 1)/(q - 2)"), (RatFunc, "(q - 5)/(q - 2)"),
+        (RatFunc, "(-q + 5)/(q - 2)"), (Fraction, "1"),
+        (RatFunc, "(q + 1)/(q - 2)"),
+        (RatFunc, "(q^2 - 4*q + 4)/(q^2 + 2*q + 1)"),
+        (str, "(q + 1)/(q - 2)")]),
+    "omega": (2 + 3 * omega(), omega(), 1, [
+        (QuadExt, "2*w + 2"), (QuadExt, "-3*w - 1"), (QuadExt, "3*w + 1"),
+        (Fraction, "1"), (QuadExt, "3*w + 2"),
+        (QuadExt, "-3/49*w - 8/49"), (str, "3*w + 2")]),
+    "sqrt2": (1 - sqrt2(), sqrt2(), Fraction(1, 2), [
+        (QuadExt, "-2*w + 1"), (QuadExt, "w - 1/2"), (QuadExt, "-w + 1/2"),
+        (Fraction, "1"), (QuadExt, "-w + 1"), (QuadExt, "2*w + 3"),
+        (str, "-w + 1")]),
+    "series": (TruncSeries("z", 3, [1, 2]),
+               TruncSeries("z", 2, [0, 1, 1]), 3, [
+        (TruncSeries, "[1, 1, -1] @z up to 2"),
+        (TruncSeries, "[2, -2, 0, 0] @z up to 3"),
+        (TruncSeries, "[-2, 2, 0, 0] @z up to 3"),
+        (TruncSeries, "[1, 0, 0, 0] @z up to 3"),
+        (TruncSeries, "[1, 2, 0, 0] @z up to 3"),
+        (TruncSeries, "[1, -4, 12, -32] @z up to 3"),
+        (str, "[1, 2, 0, 0] @z up to 3")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DERIVED))
+def test_derived_operators(name):
+    # subtraction, powers and the text form every scalar type shares
+    x, y, r, want = _DERIVED[name]
+    got = [x - y, r - x, x - r, x ** 0, x ** 1, x ** -2, str(x)]
+    assert [(type(v), str(v)) for v in got] == want
+    for foreign in ("1", 1.5, None):
+        with pytest.raises(TypeError):
+            x - foreign
+        with pytest.raises(TypeError):
+            foreign - x
+    with pytest.raises(TypeError):
+        x ** Fraction(1, 2)
 
 
 def test_ratfunc_reduction():
@@ -340,6 +392,14 @@ def test_series_div_hypergeometric_quotient():
     assert q.coeffs == (1, 1, 3, 12, 55)
 
 
+def test_series_negative_powers_divide():
+    s = TruncSeries("z", 3, [1, 2])
+    assert s ** -1 == series_div(TruncSeries("z", 3, [1]), s)
+    assert s ** -3 * s ** 3 == 1
+    with pytest.raises(ZeroConstantDenominator):
+        TruncSeries("z", 3, [0, 1]) ** -1
+
+
 def test_series_shift_down():
     s = TruncSeries("z", 4, [0, 0, 1, 2, 3])
     assert s.shift_down(2).coeffs == (1, 2, 3)
@@ -368,6 +428,12 @@ def test_quadext_inverse_and_pow():
     assert x ** -2 == (x * x) ** -1
     with pytest.raises(DivisionByZero):
         sdiv(1, 0 * w)
+    # w^2 = 0: the square is the rational 0, and a negative power is
+    # refused by the element's own inverse
+    nil = QuadExt(0, 0, 0, 1, "w")
+    assert nil ** 2 == 0 and nil ** 1 == nil
+    with pytest.raises(DivisionByZero, match="norm 0"):
+        nil ** -2
 
 
 def test_quadext_generic_sqrt5():

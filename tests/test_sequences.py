@@ -64,6 +64,9 @@ def test_classical_sequences():
     assert ctc == [1, 1, 3, 7, 19, 51, 141]
     with pytest.raises(NegativeIndex):
         sequence_value("catalan", -1)
+    # the q-families are reached through rogers_szego alone
+    with pytest.raises(UnsupportedArgument, match="unknown sequence"):
+        sequence_value("rogersSzegoF", 2)
 
 
 def test_type_d_motzkin_values():
@@ -177,14 +180,6 @@ def test_whole_row_families_match_per_k_binomials():
             "a", [_gauss_binomial(n, j, q)
                   * q ** (j * (j - 1) // 2 + (n - j) * (n - j - 1) // 2)
                   for j in range(n + 1)])
-
-
-def test_sequence_value_q_families():
-    q = F(2, 5)
-    assert sequence_value("rogersSzegoF", 2, q=q) == rogers_szego("F", 2, q)
-    assert sequence_value("rogersSzegoG", 1, q=q) == rogers_szego("G", 1, q)
-    with pytest.raises(UnsupportedArgument):
-        sequence_value("rogersSzegoF", 2)
 
 
 def test_ftilde_values():
