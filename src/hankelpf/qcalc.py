@@ -7,7 +7,10 @@ Aomoto/Selberg integral (aomoto_bruteforce) and the exact q-Selberg
 integral (askey_lhs_exact) share one pair-product expansion: the
 product over pairs i<j of one bivariate factor is multiplied out one
 pair at a time, and each monomial integrates coordinate by coordinate
-against a table of one-variable integrals. q_powers
+against a table of one-variable integrals. For rational entries the
+expansion, and the rows of askey_lhs_exact and askey_A_n, run over ints
+scaled once by `scalars.poly.scale_to_ints` and divide once at the end,
+instead of paying a gcd at every Fraction step. q_powers
 is the one table of q^v, v of either sign, that delta_product and its
 fast float loops share. The de Bruijn kernel (debruijn_kernel) is the
 minor summation kernel of its atom weights, built by the same
@@ -27,6 +30,7 @@ from .errors import (GeometricPole, HpfError, MomentPole, PoleInNegativeRange,
                      ZeroCoordinate)
 from .scalars import (HalfGamma, format_scalar, gamma_exact, q_gamma_table,
                       sdiv)
+from .scalars.poly import num_den, scale_to_ints
 from .tensors import BlockArray, Tensor
 
 __all__ = [
@@ -105,14 +109,19 @@ def q_binomial_row(n: int, q):
 # Jackson integration
 # --------------------------------------------------------------------------
 
-def jackson_monomial(a, q, m: int):
-    """Exact Jackson integral of x^m over [0, a]: a^(m+1)(1-q)/(1-q^(m+1))."""
+def jackson_monomial(q, m: int):
+    """Exact Jackson integral of x^m over [0, 1]: (1-q)/(1-q^(m+1)).
+
+    A rational q = a/D is one quotient of ints,
+    D^m (D - a) / (D^(m+1) - a^(m+1)); any other q has a = q, D = 1.
+    """
     if m < 0:
         raise UnsupportedArgument("jackson_monomial needs m >= 0")
-    denom = 1 - q ** (m + 1)
+    a, D = num_den(q)
+    denom = D ** (m + 1) - a ** (m + 1)
     if denom == 0:
         raise GeometricPole(f"q^{m + 1} = 1 makes the geometric sum diverge")
-    return sdiv(a ** (m + 1) * (1 - q), denom)
+    return sdiv(D ** m * (D - a), denom)
 
 
 # --------------------------------------------------------------------------
@@ -284,6 +293,15 @@ def selberg_closed(p: SelbergParams) -> HalfGamma:
     return total
 
 
+def _has_fraction(values):
+    """True when every value is an int or a Fraction and one at least
+    is a Fraction. The exact loops below then run over ints scaled by
+    `scale_to_ints` and divide once at the end; all-int values stay
+    ints, and any other scalar runs the same loop at scale 1."""
+    kinds = {type(c) for c in values}
+    return Fraction in kinds and kinds <= {int, Fraction}
+
+
 def _pair_integral(n: int, pair, tables):
     """sum_e c_e prod_i tables[i][e_i] over the monomials c_e t^e of
     prod_{i<j} sum_r pair[r] t_i^(d-r) t_j^r, d = len(pair) - 1.
@@ -291,7 +309,16 @@ def _pair_integral(n: int, pair, tables):
     The product is expanded one pair at a time into {exponent tuple:
     coefficient}, dropping cancelled terms after each pair; tables[i]
     holds the integral of t^e against coordinate i's weight.
+
+    Rational entries are scaled to ints (`_has_fraction`): pair by the
+    lcm Dp of its denominators, the tables by theirs, Dt. Each monomial
+    takes one pair entry per pair and one table entry per coordinate,
+    so the int sum is divided by Dp^C(n,2) Dt^n once, into a Fraction.
     """
+    scaled = _has_fraction(itertools.chain(pair, *tables))
+    if scaled:
+        (pair,), Dp = scale_to_ints([pair])
+        tables, Dt = scale_to_ints(tables)
     d = len(pair) - 1
     poly = {(0,) * n: 1}
     for i in range(n):
@@ -310,6 +337,8 @@ def _pair_integral(n: int, pair, tables):
         for table, ei in zip(tables, e):
             c = c * table[ei]
         total = total + c
+    if scaled:
+        return Fraction(total, Dp ** math.comb(n, 2) * Dt ** n)
     return total
 
 
@@ -399,7 +428,11 @@ def _positive_int(value, name) -> int:
 
 
 def askey_A_n(n: int, x: int, y: int, k: int, q):
-    """The q-gamma product side of the q-analogue, exact in q."""
+    """The q-gamma product side of the q-analogue, exact in q.
+
+    For rational q the table is scaled to ints (`_has_fraction`), the
+    two products run over them and one quotient divides at the end.
+    """
     n = _positive_int(n, "n")
     x = _positive_int(x, "x")
     y = _positive_int(y, "y")
@@ -407,6 +440,9 @@ def askey_A_n(n: int, x: int, y: int, k: int, q):
     # Gamma_q(t) at a positive integer t is g[t - 1], all 5n factors
     # read from one table
     g = q_gamma_table(max(x + y + (2 * n - 2) * k - 1, n * k), q)
+    scaled = _has_fraction(g)
+    if scaled:
+        (g,), D = scale_to_ints([g])
     num = 1
     den = 1
     for j in range(1, n + 1):
@@ -415,14 +451,29 @@ def askey_A_n(n: int, x: int, y: int, k: int, q):
         num = num * g[j * k]
         den = den * g[x + y + (n + j - 2) * k - 1]
         den = den * g[k]
+    if scaled:
+        den = den * D ** n   # 3n factors over 2n
     return sdiv(num, den)
 
 
 def _linear_product(cs):
-    """Coefficients of prod_c (1 - c t), lowest power of t first."""
+    """Coefficients of prod_c (1 - c t), lowest power of t first.
+
+    Rational cs are scaled to ints C = D c by the lcm D of their
+    denominators (`_has_fraction`), and each coefficient of the product
+    of the (D - C t) is divided by D^len(cs) once. Other cs run the
+    same loop with D = 1.
+    """
+    cs = list(cs)
+    D = 1
+    scaled = _has_fraction(cs)
+    if scaled:
+        (cs,), D = scale_to_ints([cs])
     out = [1]
     for c in cs:
-        out = [a - c * b for a, b in zip(out + [0], [0] + out)]
+        out = [D * a - c * b for a, b in zip(out + [0], [0] + out)]
+    if scaled:
+        return [Fraction(a, D ** len(cs)) for a in out]
     return out
 
 
@@ -436,7 +487,9 @@ def askey_lhs_exact(n: int, x: int, y: int, k: int, q):
     u(t) = t^(x-1) (tq;q)_{y-1} = sum_j u_j t^(x-1+j) never is: each
     monomial integrates coordinate by coordinate, so the integral is
     sum_e c_e prod_i L(e_i) with L(e) = sum_j u_j J(e + x - 1 + j) and
-    J(m) the Jackson integral of t^m over [0, 1].
+    J(m) the Jackson integral of t^m over [0, 1]. For rational q, u and
+    J are scaled to ints by one D (`_has_fraction`), so each L(e) is one
+    quotient by D^2.
     """
     n = _positive_int(n, "n")
     x = _positive_int(x, "x")
@@ -447,9 +500,14 @@ def askey_lhs_exact(n: int, x: int, y: int, k: int, q):
             f"exact expansion capped at n=3, k=2; got n={n}, k={k}")
     u = _linear_product(q ** s for s in range(1, y))
     top = 2 * k * (n - 1)   # highest power of one variable in the pair part
-    J = [jackson_monomial(1, q, m) for m in range(x + top + y - 1)]
+    J = [jackson_monomial(q, m) for m in range(x + top + y - 1)]
+    scaled = _has_fraction(u + J)
+    if scaled:
+        (u, J), D = scale_to_ints([u, J])
     L = [sum(uj * J[e + x - 1 + j] for j, uj in enumerate(u))
          for e in range(top + 1)]
+    if scaled:
+        L = [Fraction(c, D * D) for c in L]
     P = _linear_product(q_powers(q, -k + 1, k + 1).values())
     return _pair_integral(n, P, [L] * n)
 

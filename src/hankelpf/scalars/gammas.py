@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from ..errors import DivisionByZero, PoleAtQEqualsOne, UnsupportedArgument
-from .poly import RATIONAL_TYPES, _frac
+from .poly import RATIONAL_TYPES, _frac, num_den
 
 
 class HalfGamma:
@@ -91,21 +91,27 @@ def q_gamma_table(n: int, q):
     """[Gamma_q(1), ..., Gamma_q(n+1)]: entry k is q_gamma_int(k, q).
 
     One running product of the q-brackets [j]_q = 1 + q + ... + q^(j-1),
-    division-free, so it works for polynomial q as well as rational q.
+    with no division in the loop, so it works for polynomial q as well
+    as rational q. A rational q = a/D runs it over ints, on the scaled
+    brackets D^(j-1) [j]_q = a D^(j-2) [j-1]_q + D^(j-1), and divides
+    entry k by D^(k(k-1)/2) once; any other q runs the same loop with
+    a = q, D = 1 and divides nothing.
     """
     if n < 0:
         raise UnsupportedArgument(f"Gamma_q(n+1) needs n >= 0, got n={n}")
     if q == 1:
         raise PoleAtQEqualsOne("Gamma_q has a pole at q = 1")
-    total = Fraction(1)
-    bracket = Fraction(0)
-    power = Fraction(1)
-    table = [total]
-    for _ in range(1, n + 1):
-        bracket = bracket + power
-        power = power * q
+    a, D = num_den(q)
+    # bracket = D^(j-1) [j]_q, power = D^(j-1), scale = D^(j(j-1)/2)
+    bracket, power, total, scale = 1, 1, 1, 1
+    table = [Fraction(1)]
+    for _ in range(n):
         total = total * bracket
-        table.append(total)
+        table.append(Fraction(total, scale) if isinstance(total, int)
+                     else total)
+        power = power * D
+        scale = scale * power
+        bracket = bracket * a + power
     return table
 
 

@@ -3,7 +3,10 @@
 Ints inside, Fractions at the boundary: `.coeffs`, `.num` and `.den`
 hold Fractions, and so do the coefficient lists the helpers return, but
 products and gcds run over Python ints.  `scale_to_ints` clears the
-denominators.  A product packs each operand into one int, its value at
+denominators, here, in the engines' kernel and in the exact loops of
+`qcalc` (the pair expansion of the beta-type integrals and the rows
+that feed it); `num_den` splits one scalar into the ints a/D of a
+rational.  A product packs each operand into one int, its value at
 x = 2^B (Kronecker substitution), multiplies once and unpacks balanced
 digits; the engines' kernel shares `kron_pack` and `kron_unpack`.  A gcd
 runs the primitive remainder sequence over ints, and `ratfunc` divides
@@ -113,9 +116,21 @@ def _padd(a, b):
 def scale_to_ints(lists):
     """(int lists, D): every coefficient times the lcm D of all their
     denominators, so lists[i][k] == ints[i][k] / D."""
-    D = math.lcm(*(c.denominator for cs in lists for c in cs))
+    # Unpack a list, not a generator: CPython sizes the argument tuple
+    # of a generator by resizing it, and the freed tuples then pile up
+    # on its tuple free lists until a full gc (240 KB per 3,000 calls
+    # under tracemalloc), which raised the peak resident memory.
+    D = math.lcm(*[c.denominator for cs in lists for c in cs])
     return [[c.numerator * (D // c.denominator) for c in cs]
             for cs in lists], D
+
+
+def num_den(q):
+    """(a, D) with q == a / D: coprime ints for an int or a Fraction q,
+    else (q, 1)."""
+    if isinstance(q, RATIONAL_TYPES):
+        return q.numerator, q.denominator
+    return q, 1
 
 
 def kron_pack(ints, B):

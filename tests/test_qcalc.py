@@ -13,8 +13,8 @@ from hankelpf.errors import (GeometricPole, MomentPole, PoleInNegativeRange,
                              ShapeMismatch, SizeBudgetExceeded,
                              UnsupportedArgument, ZeroCoordinate)
 from hankelpf.qcalc import (DiscreteMeasure, QJacobiParams, SelbergParams,
-                            aomoto_bruteforce, aomoto_closed, askey_A_n,
-                            askey_lhs_exact, debruijn_kernel,
+                            _pair_integral, aomoto_bruteforce, aomoto_closed,
+                            askey_A_n, askey_lhs_exact, debruijn_kernel,
                             debruijn_ordered_integral, delta_product,
                             discrete_cube_integral, discrete_moment,
                             discrete_ordered_integral, jackson_monomial,
@@ -110,17 +110,23 @@ def test_q_binomial_reduces_to_binomial_at_one():
 # ----------------------------------------------------------------- Jackson
 
 def test_jackson_monomial_examples():
-    assert jackson_monomial(1, Q, 0) == 1
-    assert jackson_monomial(1, Q, 1) == sdiv(1, 1 + Q)
-    assert jackson_monomial(1, Q, 2) == sdiv(1 - Q, 1 - Q ** 3)
-    assert jackson_monomial(F(2), F(1, 2), 0) == 2
+    assert jackson_monomial(Q, 0) == 1
+    assert jackson_monomial(Q, 1) == sdiv(1, 1 + Q)
+    assert jackson_monomial(Q, 2) == sdiv(1 - Q, 1 - Q ** 3)
+    for q in (F(1, 2), F(-3, 7), 2, -2):
+        for m in range(6):
+            got = jackson_monomial(q, m)
+            want = sdiv(1 - q, 1 - F(q) ** (m + 1))
+            assert got == want and type(got) is F, (q, m)
+    with pytest.raises(UnsupportedArgument):
+        jackson_monomial(F(1, 2), -1)
 
 
 def test_jackson_monomial_pole():
     with pytest.raises(GeometricPole):
-        jackson_monomial(1, 1, 3)
+        jackson_monomial(1, 3)
     with pytest.raises(GeometricPole):
-        jackson_monomial(1, -1, 1)  # q^2 = 1
+        jackson_monomial(-1, 1)  # q^2 = 1
 
 
 # ----------------------------------------------------------------- measures
@@ -325,6 +331,21 @@ def test_selberg_bruteforce_guards():
         selberg_bruteforce(2, F(3, 2), 1, 1)
 
 
+def test_pair_integral_keeps_value_and_type():
+    # (t1 - t2)^2 against t^e -> [1, 2, 3]: 3 - 2 * 2 * 2 + 3
+    pair = [1, -2, 1]
+    got = _pair_integral(2, pair, [[1, 2, 3]] * 2)
+    assert got == -2 and type(got) is int
+    for p, tables, want in (
+            (pair, [[1, 2, F(3)], [1, 2, 3]], -2),
+            ([1, F(-2), 1], [[1, 2, 3]] * 2, -2),
+            (pair, [[1, F(1, 2), 3]] * 2, F(11, 2))):
+        got = _pair_integral(2, p, tables)
+        assert got == want and type(got) is F, (p, tables)
+    got = _pair_integral(2, pair, [[1, Q, 3]] * 2)
+    assert got == 6 - 2 * Q ** 2 and type(got) is UniPoly
+
+
 def test_selberg_closed_equals_bruteforce():
     for n in (1, 2, 3):
         for alpha in (1, 2):
@@ -332,8 +353,9 @@ def test_selberg_closed_equals_bruteforce():
                 for gamma in (1, 2):
                     closed = selberg_closed(SelbergParams(n, alpha, beta,
                                                           gamma))
-                    assert closed == HalfGamma(
-                        selberg_bruteforce(n, alpha, beta, gamma), 0)
+                    brute = selberg_bruteforce(n, alpha, beta, gamma)
+                    assert closed == HalfGamma(brute, 0)
+                    assert type(brute) is F
 
 
 def test_aomoto_closed_examples():
@@ -353,6 +375,7 @@ def test_aomoto_closed_equals_bruteforce():
                     closed = aomoto_closed(n, k, alpha, 2, gamma)
                     brute = aomoto_bruteforce(n, k, alpha, 2, gamma)
                     assert closed == HalfGamma(brute, 0)
+                    assert type(brute) is F
 
 
 def test_selberg_phi_bridge():
@@ -444,14 +467,15 @@ def _poly_mul(p, r):
 
 def _askey_full_expansion(n, x, y, k, q):
     """The q-Selberg integral with the whole integrand multiplied out,
-    then integrated monomial by monomial."""
+    then integrated monomial by monomial against (1-q)/(1-q^(m+1))."""
     unit = [tuple(int(t == i) for t in range(n)) for i in range(n)]
     zero = (0,) * n
     poly = {zero: 1}
     for i in range(n):
         for j in range(i + 1, n):
             for v in range(-k + 1, k + 1):
-                poly = _poly_mul(poly, {unit[i]: 1, unit[j]: -(q ** v)})
+                qv = q ** v if v >= 0 else sdiv(1, q ** -v)
+                poly = _poly_mul(poly, {unit[i]: 1, unit[j]: -qv})
     for i in range(n):
         poly = _poly_mul(poly, {tuple((x - 1) * e for e in unit[i]): 1})
         for s in range(1, y):
@@ -459,15 +483,17 @@ def _askey_full_expansion(n, x, y, k, q):
     total = 0
     for exps, c in poly.items():
         for m in exps:
-            c = c * jackson_monomial(1, q, m)
+            c = c * sdiv(1 - q, 1 - q ** (m + 1))
         total = total + c
     return total
 
 
 def test_askey_lhs_matches_full_expansion():
-    for q in (F(1, 2), F(3, 7), F(8, 13)):
+    for q in (F(1, 2), F(3, 7), F(8, 13), F(-3, 7), 2, -2, Q):
         for n, k, x, y in itertools.product((1, 2, 3), (1, 2), (1, 2, 3),
                                             (1, 2, 3)):
+            if q is Q and n > 2:
+                continue
             got = askey_lhs_exact(n, x, y, k, q)
             want = _askey_full_expansion(n, x, y, k, q)
             assert got == want and type(got) is type(want), (n, k, x, y, q)

@@ -517,7 +517,8 @@ def _q_gamma_loop(n, q):
 
 
 @pytest.mark.parametrize("q", [Fraction(2, 3), Fraction(-3, 7), 2,
-                               poly_gen("q")], ids=str)
+                               poly_gen("q"), 1 + poly_gen("q") ** -1],
+                         ids=str)
 def test_q_gamma_table_matches_q_gamma_int_at_every_index(q):
     table = q_gamma_table(12, q)
     assert len(table) == 13
