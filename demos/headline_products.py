@@ -6,9 +6,12 @@ values next to their closed product forms. Run from the repository
 root:
 
     python3 demos/headline_products.py
+
+Exits 1 when a Pfaffian differs from its product form.
 """
 
 import math
+import sys
 
 from hankelpf import pfaffian
 from hankelpf.sequences import sequence_value
@@ -25,9 +28,11 @@ def gap_weighted_pfaffian(seq, shift, n):
 
 def main():
     print("gap-weighted Motzkin Pfaffians against the product form")
+    failed = False
     for n in range(1, 6):
         pf = gap_weighted_pfaffian("motzkin", -3, n)
         prod = math.prod(4 * k + 1 for k in range(n))
+        failed |= pf != prod
         flag = "ok" if pf == prod else "MISMATCH"
         print(f"  n={n}: Pf = {str(pf):>6}  product = {str(prod):>6}  {flag}")
 
@@ -36,7 +41,8 @@ def main():
                               ("schroeder", -2, "schroeder")):
         row = [gap_weighted_pfaffian(seq, shift, n) for n in range(1, 5)]
         print(f"  {label:<10} {row}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -64,13 +64,6 @@ from .scalars.quadext import QuadExt, quad_reduce
 from .tensors import BlockArray, Tensor
 
 
-def _cubic_size(A: Tensor) -> int:
-    sizes = set(A.shape)
-    if len(sizes) != 1:
-        raise ShapeMismatch(f"need a cubic tensor, got shape {A.shape}")
-    return sizes.pop()
-
-
 @functools.lru_cache(maxsize=4096)
 def _points(mask):
     """The points whose bits are set in `mask`, ascending."""
@@ -441,7 +434,7 @@ def hyperdet(A: Tensor):
     the row axis.
     """
     _require_even_order(A)
-    return _block_sum(A.entries, 1, A.m, _cubic_size(A))
+    return _block_sum(A.entries, 1, A.m, A.n)
 
 
 def det_matrix(rows):
@@ -513,7 +506,7 @@ def hyperdet_via_exterior(A: Tensor):
     exterior product, and reads off the coefficient of the full wedge.
     """
     _require_even_order(A)
-    n = _cubic_size(A)
+    n = A.n
     slots = A.m - 1
     rows: list[dict] = [dict() for _ in range(n + 1)]
     for idx, v in A.entries.items():
@@ -564,7 +557,7 @@ def hyperdet_laplace(A: Tensor, subset):
     minor tables come from one `row_minors` pass each.
     """
     _require_even_order(A)
-    n = _cubic_size(A)
+    n = A.n
     subset = tuple(subset)
     seen = set()
     for j in subset:
@@ -637,15 +630,6 @@ def pfaffian(M, size=None):
     return _block_sum(entries, 2, 1, n)
 
 
-def _require_even_block(B: BlockArray, signed: bool):
-    if signed and B.l % 2 != 0:
-        if B.m % 2 == 0:
-            raise OddBlockLength(
-                f"pfaffian-type sum needs even block length, got l={B.l}")
-        return True  # odd l, odd m: reordering blocks flips the sign
-    return False
-
-
 def hyperpfaffian(B: BlockArray):
     """Signed block-partition expansion of a block array.
 
@@ -655,8 +639,11 @@ def hyperpfaffian(B: BlockArray):
     even-l partition never changes its sign (tested against the literal
     definition).
     """
-    if _require_even_block(B, signed=True):
-        return 0
+    if B.l % 2:
+        if B.m % 2 == 0:
+            raise OddBlockLength(
+                f"pfaffian-type sum needs even block length, got l={B.l}")
+        return 0  # odd l, odd m: reordering blocks flips the sign
     return _block_sum(B.entries, B.l, B.m, B.l * B.n)
 
 

@@ -25,8 +25,9 @@ gcd-reduced denominator).  A Laurent polynomial such as q^-1 + 1 is the
 RatFunc (q + 1)/(q).
 
 `ScalarOps` is the base of UniPoly, RatFunc, QuadExt and TruncSeries:
-it derives `-`, `**` and `str` from each type's own `+`, unary `-`, `*`
-and `/`.  `horner` evaluates a coefficient list at any scalar.
+it derives `-`, `/`, `**` and `str` from each type's own `+`, unary `-`,
+`*` and `reciprocal()`.  `horner` evaluates a coefficient list at any
+scalar.
 """
 
 from __future__ import annotations
@@ -41,12 +42,16 @@ RATIONAL_TYPES = (int, Fraction)
 
 class ScalarOps:
     """The operators every exact scalar type derives from its own `+`,
-    unary `-`, `*` and `/`: subtraction, integer powers and the text form.
+    unary `-`, `*` and `reciprocal()`: subtraction, division, integer
+    powers and the text form.
 
-    `x ** e` squares and multiplies (Knuth, TAOCP Vol. 2, 4.6.3), with
-    no squaring after the top bit; `x ** 0` is the one of x's ring, and
-    a negative power is the positive power of `1 / x`, so x's own
-    division reports a non-invertible x.
+    `x / y` is x times y's reciprocal and `r / x`, for a rational r, is
+    x's reciprocal times r; when y has no reciprocal and x and y do not
+    combine, `x / y` fails as `x * y` does.  `x ** e` squares and
+    multiplies (Knuth, TAOCP Vol. 2, 4.6.3), with no squaring after the
+    top bit; `x ** 0` is the one of x's ring, and a negative power is
+    the positive power of `x.reciprocal()`, which reports a
+    non-invertible x.
     """
 
     __slots__ = ()
@@ -59,11 +64,31 @@ class ScalarOps:
     def __rsub__(self, other):
         return (-self).__add__(other)
 
+    def __truediv__(self, other):
+        if isinstance(other, RATIONAL_TYPES):
+            if other == 0:
+                raise DivisionByZero("division by zero")
+            return self.__mul__(1 / _frac(other))
+        if not isinstance(other, ScalarOps):
+            return NotImplemented
+        try:
+            inv = other.reciprocal()
+        except ZeroDivisionError:
+            if self.__mul__(other) is NotImplemented:
+                return NotImplemented
+            raise
+        return self.__mul__(inv)
+
+    def __rtruediv__(self, other):
+        if isinstance(other, RATIONAL_TYPES):
+            return self.reciprocal() * other
+        return NotImplemented
+
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
         if e < 0:
-            return (1 / self) ** -e
+            return self.reciprocal() ** -e
         if e == 0:
             return self * 0 + 1
         out, base = None, self
@@ -261,7 +286,7 @@ class UniPoly(ScalarOps):
 
     def __init__(self, var, coeffs):
         self.var = var
-        self.coeffs = tuple(_frac(c) for c in coeffs)
+        self.coeffs = tuple([_frac(c) for c in coeffs])
 
     @property
     def degree(self) -> int:
@@ -308,23 +333,8 @@ class UniPoly(ScalarOps):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            if other == 0:
-                raise DivisionByZero("polynomial divided by zero rational")
-            inv = Fraction(1) / _frac(other)
-            return unipoly(self.var, [c * inv for c in self.coeffs])
-        if isinstance(other, UniPoly):
-            self._same_var(other)
-            return ratfunc(self.var, self.coeffs, other.coeffs)
-        if isinstance(other, RatFunc):
-            return other.__rtruediv__(self)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return ratfunc(self.var, [_frac(other)], self.coeffs)
-        return NotImplemented
+    def reciprocal(self):
+        return ratfunc(self.var, [1], self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, RATIONAL_TYPES):
@@ -335,8 +345,6 @@ class UniPoly(ScalarOps):
         if isinstance(other, RatFunc):
             return other.__eq__(self)
         return NotImplemented
-
-    __hash__ = None
 
     def evaluate(self, x):
         """Horner evaluation; x may be any compatible scalar."""
@@ -428,21 +436,8 @@ class RatFunc(ScalarOps):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        p = self._parts(other)
-        if p is None:
-            return NotImplemented
-        n2, d2 = p
-        if not n2:
-            raise DivisionByZero("division by zero rational function")
-        return ratfunc(self.var, _pmul(self.num, d2), _pmul(self.den, n2))
-
-    def __rtruediv__(self, other):
-        p = self._parts(other)
-        if p is None:
-            return NotImplemented
-        n2, d2 = p
-        return ratfunc(self.var, _pmul(n2, self.den), _pmul(d2, self.num))
+    def reciprocal(self):
+        return ratfunc(self.var, self.den, self.num)
 
     def __eq__(self, other):
         if isinstance(other, RatFunc):
@@ -452,8 +447,6 @@ class RatFunc(ScalarOps):
             # canonical RatFunc has denominator of degree >= 1
             return False
         return NotImplemented
-
-    __hash__ = None
 
     def evaluate(self, x):
         num, den = horner(self.num, x), horner(self.den, x)

@@ -102,7 +102,7 @@ class QuadExt(ScalarOps):
 
     __rmul__ = __mul__
 
-    def _inverse(self):
+    def reciprocal(self):
         # (u + v t)(u + p v - v t) = u^2 + p u v - r v^2
         norm = self.u * self.u + self.p * self.u * self.v \
             - self.r * self.v * self.v
@@ -111,21 +111,6 @@ class QuadExt(ScalarOps):
         return quadext(self.p, self.r, (self.u + self.p * self.v) / norm,
                        -self.v / norm, self.sym)
 
-    def __truediv__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            if other == 0:
-                raise DivisionByZero("division by zero")
-            return self.__mul__(Fraction(1, 1) / _frac(other))
-        if isinstance(other, QuadExt):
-            self._check(other)
-            return self.__mul__(other._inverse())
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return self._inverse().__mul__(other)
-        return NotImplemented
-
     def __eq__(self, other):
         if isinstance(other, RATIONAL_TYPES):
             return self.v == 0 and self.u == other
@@ -133,8 +118,6 @@ class QuadExt(ScalarOps):
             return ((self.p, self.r, self.sym, self.u, self.v)
                     == (other.p, other.r, other.sym, other.u, other.v))
         return NotImplemented
-
-    __hash__ = None
 
     def __repr__(self):
         return f"QuadExt(p={self.p}, r={self.r}, u={self.u}, v={self.v})"

@@ -2,8 +2,8 @@
 
 A TruncSeries of order N is an element of Q[[z]] / z^(N+1); binary
 operations truncate to the smaller order.  Square root and division use
-coefficient recurrences, never floating arithmetic; a negative power
-divides through `series_div`.
+coefficient recurrences, never floating arithmetic; `/` and a negative
+power go through `reciprocal()`, one `series_div`.
 """
 
 from __future__ import annotations
@@ -70,16 +70,8 @@ class TruncSeries(ScalarOps):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._pair(other)
-        if o is None:
-            return NotImplemented
-        return series_div(self, o)
-
-    def __rtruediv__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return series_div(TruncSeries(self.var, self.order, [other]), self)
-        return NotImplemented
+    def reciprocal(self):
+        return series_div(TruncSeries(self.var, self.order, [1]), self)
 
     def __eq__(self, other):
         if isinstance(other, RATIONAL_TYPES):
@@ -89,8 +81,6 @@ class TruncSeries(ScalarOps):
             return (self.var == other.var and self.order == other.order
                     and self.coeffs == other.coeffs)
         return NotImplemented
-
-    __hash__ = None
 
     def shift_down(self, k: int = 1) -> "TruncSeries":
         """Divide by var^k; the k lowest coefficients must vanish."""

@@ -431,7 +431,10 @@ def test_cli_eval_pfaffian(capsys):
     assert main(["eval", "hyperdet",
                  "--input", str(DEMOS / "order4_tensor.json")]) == 0
     assert capsys.readouterr().out.strip() == "2"
+    poly = "4*x^5 + x^4 - 9/2*x^3 + 37/2*x^2 - 287/30*x - 41/15"
     for name, pf, hf in (
+            ("poly_blocks.json", poly, poly),
+            ("quad_blocks.json", "763/30*w - 337/30", "763/30*w - 337/30"),
             ("ratfunc_blocks.json", "(-q^2 - 5*q + 2)/(q^2 - 2*q)",
              "(2*q^3 + q^2 - 5*q + 2)/(q^2 - 2*q)"),
             ("series_blocks.json", "[3, 1, 9] @z up to 2",

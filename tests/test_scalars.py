@@ -106,6 +106,14 @@ def test_incompatible_tags():
         omega() * sqrt2()
     with pytest.raises(IncompatibleTags):
         sdiv(TruncSeries("z", 2, [1, 0, 0]), omega())
+    # the divisor has no reciprocal and the operands do not combine
+    # either: the quotient reports the mismatch, as the product does
+    for x, y in ((omega(), QuadExt(0, 0, 0, 1, "w")),
+                 (a, TruncSeries("z", 2, [0, 1]))):
+        with pytest.raises(TypeError):
+            x / y
+        with pytest.raises(IncompatibleTags):
+            sdiv(x, y)
 
 
 def test_check_combinable_asks_the_operators():
@@ -162,26 +170,34 @@ def test_laurent_negative_powers():
 _Q = poly_gen("q")
 
 # x, y, r, then (type, text) of x - y, r - x, x - r, x ** 0, x ** 1,
-# x ** -2 and str(x)
+# x ** -2, str(x), x / y, r / x and x / r; an error pins its class and
+# message
 _DERIVED = {
     "unipoly": (_Q * _Q - 2, _Q, Fraction(1, 2), [
         (UniPoly, "q^2 - q - 2"), (UniPoly, "-q^2 + 5/2"),
         (UniPoly, "q^2 - 5/2"), (Fraction, "1"), (UniPoly, "q^2 - 2"),
-        (RatFunc, "(1)/(q^4 - 4*q^2 + 4)"), (str, "q^2 - 2")]),
+        (RatFunc, "(1)/(q^4 - 4*q^2 + 4)"), (str, "q^2 - 2"),
+        (RatFunc, "(q^2 - 2)/(q)"), (RatFunc, "(1/2)/(q^2 - 2)"),
+        (UniPoly, "2*q^2 - 4")]),
     "ratfunc": ((_Q + 1) / (_Q - 2), _Q, 2, [
         (RatFunc, "(-q^2 + 3*q + 1)/(q - 2)"), (RatFunc, "(q - 5)/(q - 2)"),
         (RatFunc, "(-q + 5)/(q - 2)"), (Fraction, "1"),
         (RatFunc, "(q + 1)/(q - 2)"),
         (RatFunc, "(q^2 - 4*q + 4)/(q^2 + 2*q + 1)"),
-        (str, "(q + 1)/(q - 2)")]),
+        (str, "(q + 1)/(q - 2)"), (RatFunc, "(q + 1)/(q^2 - 2*q)"),
+        (RatFunc, "(2*q - 4)/(q + 1)"),
+        (RatFunc, "(1/2*q + 1/2)/(q - 2)")]),
     "omega": (2 + 3 * omega(), omega(), 1, [
         (QuadExt, "2*w + 2"), (QuadExt, "-3*w - 1"), (QuadExt, "3*w + 1"),
         (Fraction, "1"), (QuadExt, "3*w + 2"),
-        (QuadExt, "-3/49*w - 8/49"), (str, "3*w + 2")]),
+        (QuadExt, "-3/49*w - 8/49"), (str, "3*w + 2"),
+        (QuadExt, "-2*w + 1"), (QuadExt, "-3/7*w - 1/7"),
+        (QuadExt, "3*w + 2")]),
     "sqrt2": (1 - sqrt2(), sqrt2(), Fraction(1, 2), [
         (QuadExt, "-2*w + 1"), (QuadExt, "w - 1/2"), (QuadExt, "-w + 1/2"),
         (Fraction, "1"), (QuadExt, "-w + 1"), (QuadExt, "2*w + 3"),
-        (str, "-w + 1")]),
+        (str, "-w + 1"), (QuadExt, "1/2*w - 1"),
+        (QuadExt, "-1/2*w - 1/2"), (QuadExt, "-2*w + 2")]),
     "series": (TruncSeries("z", 3, [1, 2]),
                TruncSeries("z", 2, [0, 1, 1]), 3, [
         (TruncSeries, "[1, 1, -1] @z up to 2"),
@@ -190,16 +206,30 @@ _DERIVED = {
         (TruncSeries, "[1, 0, 0, 0] @z up to 3"),
         (TruncSeries, "[1, 2, 0, 0] @z up to 3"),
         (TruncSeries, "[1, -4, 12, -32] @z up to 3"),
-        (str, "[1, 2, 0, 0] @z up to 3")]),
+        (str, "[1, 2, 0, 0] @z up to 3"),
+        (ZeroConstantDenominator, "series division by constant term 0"),
+        (TruncSeries, "[3, -6, 12, -24] @z up to 3"),
+        (TruncSeries, "[1/3, 2/3, 0, 0] @z up to 3")]),
 }
+
+
+def _outcome(f):
+    try:
+        v = f()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(v), str(v)
 
 
 @pytest.mark.parametrize("name", sorted(_DERIVED))
 def test_derived_operators(name):
-    # subtraction, powers and the text form every scalar type shares
+    # subtraction, quotients, powers and the text form every scalar
+    # type shares
     x, y, r, want = _DERIVED[name]
-    got = [x - y, r - x, x - r, x ** 0, x ** 1, x ** -2, str(x)]
-    assert [(type(v), str(v)) for v in got] == want
+    got = [lambda: x - y, lambda: r - x, lambda: x - r, lambda: x ** 0,
+           lambda: x ** 1, lambda: x ** -2, lambda: str(x), lambda: x / y,
+           lambda: r / x, lambda: x / r]
+    assert [_outcome(f) for f in got] == want
     for foreign in ("1", 1.5, None):
         with pytest.raises(TypeError):
             x - foreign
