@@ -381,13 +381,15 @@ def _block_sum(entries, l, m, points, signed=True):
     every point starts free, the flips of `_expand` count exactly the
     inversions of each slot word.
     """
+    if not points:
+        return 1
+    slots = zip(*entries) if l == 1 else (
+        itertools.chain.from_iterable(col) for col in zip(*entries))
+    if not entries or any(len(set(col)) < points for col in slots):
+        return 0    # a slot misses a point: no term has all its entries
     full = (1 << points + 1) - 2  # points 1..points all free
-    plan, values = _expand(entries, l, m, (full,) * m, points // l, signed)
-    done = (0,) * m
-    for state, v in zip(zip(*plan.final), values):
-        if state == done and v is not None:
-            return v
-    return 0
+    _, (value,) = _expand(entries, l, m, (full,) * m, points // l, signed)
+    return 0 if value is None else value
 
 
 def _require_even_order(A: Tensor):
@@ -581,52 +583,31 @@ def hyperdet_laplace(A: Tensor, subset):
     return total
 
 
-def _upper_from_input(M, size):
-    """Normalize pfaffian input to (upper-triangle dict, size)."""
+def pfaffian(M, size=None):
+    """Classical Pfaffian: `_block_sum` with one slot of pairs.
+
+    Accepts an upper-triangle dict {(i,j): value} with i<j, of size
+    `size` or else its largest j, or a one-slot 2-block array. Runs in
+    O(size * 2^size), fine through size 20.
+    """
+    if size is not None and size < 0:
+        raise BoundsError(f"pfaffian size must be >= 0, got {size}")
     if isinstance(M, BlockArray):
         if M.l != 2 or M.m != 1:
             raise ShapeMismatch(
                 "pfaffian needs a 2-block array with one slot; "
                 "use hyperpfaffian for anything bigger")
-        return {key[0]: v for key, v in M.entries.items()}, M.size
-    if isinstance(M, dict):
-        upper = {}
-        top = 0
-        for (i, j), v in M.items():
-            if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j):
-                raise BoundsError(f"upper-triangle key ({i},{j}) needs 1 <= i < j")
-            upper[(i, j)] = v
-            top = max(top, j)
-        return upper, size if size is not None else top
-    # square matrix rows; only the upper triangle is read
-    rows = [list(r) for r in M]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ShapeMismatch("pfaffian matrix must be square")
-    upper = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != 0:
-                upper[(i + 1, j + 1)] = rows[i][j]
-    return upper, size if size is not None else n
-
-
-def pfaffian(M, size=None):
-    """Classical Pfaffian: `_block_sum` with one slot of pairs.
-
-    Accepts an upper-triangle dict {(i,j): value} with i<j, a square
-    antisymmetric matrix (upper triangle read), or a one-slot 2-block
-    array. Runs in O(size * 2^size), fine through size 20.
-    """
-    if size is not None and size < 0:
-        raise BoundsError(f"pfaffian size must be >= 0, got {size}")
-    upper, n = _upper_from_input(M, size)
+        M, size = {key[0]: v for key, v in M.entries.items()}, M.size
+    for i, j in M:
+        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j):
+            raise BoundsError(f"upper-triangle key ({i},{j}) needs 1 <= i < j")
+    n = size if size is not None else max((j for _, j in M), default=0)
     if n % 2:
         raise OddSize(f"pfaffian needs even size, got {n}")
-    for (i, j) in upper:
+    for (i, j) in M:
         if j > n:
             raise BoundsError(f"entry ({i},{j}) outside size {n}")
-    entries = {(blk,): v for blk, v in upper.items() if v != 0}
+    entries = {(blk,): v for blk, v in M.items() if v != 0}
     return _block_sum(entries, 2, 1, n)
 
 

@@ -31,8 +31,7 @@ def check_aomoto(params, rng, opts):
 
 def check_selberg_phi(params, rng, opts):
     """Half-integer parameters turn the gamma product into the binomial
-    product; the bridge helper raises on any mismatch, so surviving the
-    call is the verification."""
+    product."""
     n, r, s, m = params["n"], params["r"], params["s"], params["m"]
     lhs, rhs = selberg_phi_bridge(n, r, s, m)
     return outcome_eq(lhs, rhs, terms=n)

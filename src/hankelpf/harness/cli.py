@@ -19,7 +19,7 @@ from fractions import Fraction
 from ..engines import hyperdet, hyperhafnian, hyperpfaffian, pfaffian
 from ..errors import HpfError, ParseError
 from ..scalars import format_scalar
-from ..tensors import block_array_from_json, tensor_from_json
+from ..tensors import BlockArray, block_array_from_json, tensor_from_json
 from .registry import filter_identities, get_identity
 from .reports import CheckParams, dump_reports, format_report_line, \
     format_report_table
@@ -101,7 +101,28 @@ def _cmd_suite(args):
 
 def _load_json_file(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, RecursionError) as exc:
+            raise ParseError(f"cannot read {path} as JSON: {exc}") from None
+
+
+def _pfaffian(arr):
+    """The Pfaffian of a block array or of a matrix tensor's upper half."""
+    if isinstance(arr, BlockArray):
+        return pfaffian(arr)
+    if arr.m != 2:
+        raise ParseError(f"pfaffian needs a square matrix, got tensor "
+                         f"order {arr.m}")
+    return pfaffian({(i, j): v for (i, j), v in arr.entries.items() if i < j},
+                    size=arr.n)
+
+
+# eval kind -> (the document kinds it reads, its engine)
+_EVALS = {"pfaffian": (("tensor", "block_array"), _pfaffian),
+          "hyperpfaffian": (("block_array",), hyperpfaffian),
+          "hyperdet": (("tensor",), hyperdet),
+          "hafnian": (("block_array",), hyperhafnian)}
 
 
 def _cmd_eval(args):
@@ -109,33 +130,12 @@ def _cmd_eval(args):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError("input file needs a top-level object with a "
                          "'kind' field")
-    kind = doc["kind"]
-    if args.kind == "pfaffian":
-        if kind == "tensor":
-            t = tensor_from_json(doc)
-            if t.m != 2:
-                raise ParseError(f"pfaffian needs a square matrix, got "
-                                 f"tensor order {t.m}")
-            rows = [[t.get((i, j)) for j in range(1, t.n + 1)]
-                    for i in range(1, t.n + 1)]
-            value = pfaffian(rows)
-        elif kind == "block_array":
-            value = pfaffian(block_array_from_json(doc))
-        else:
-            raise ParseError(f"cannot take a pfaffian of kind {kind!r}")
-    elif args.kind == "hyperdet":
-        if kind != "tensor":
-            raise ParseError("hyperdet needs a tensor input")
-        value = hyperdet(tensor_from_json(doc))
-    elif args.kind == "hyperpfaffian":
-        if kind != "block_array":
-            raise ParseError("hyperpfaffian needs a block_array input")
-        value = hyperpfaffian(block_array_from_json(doc))
-    else:
-        if kind != "block_array":
-            raise ParseError("hafnian needs a block_array input")
-        value = hyperhafnian(block_array_from_json(doc))
-    print(format_scalar(value))
+    kinds, engine = _EVALS[args.kind]
+    if doc["kind"] not in kinds:
+        raise ParseError(f"{args.kind} needs a {' or '.join(kinds)} input")
+    read = tensor_from_json if doc["kind"] == "tensor" else \
+        block_array_from_json
+    print(format_scalar(engine(read(doc))))
     return 0
 
 
@@ -177,8 +177,7 @@ def build_parser():
     p_suite.set_defaults(func=_cmd_suite)
 
     p_eval = sub.add_parser("eval", help="evaluate an array from JSON")
-    p_eval.add_argument("kind", choices=("pfaffian", "hyperpfaffian",
-                                         "hyperdet", "hafnian"))
+    p_eval.add_argument("kind", choices=tuple(_EVALS))
     p_eval.add_argument("--input", required=True, metavar="FILE")
     p_eval.set_defaults(func=_cmd_eval)
 

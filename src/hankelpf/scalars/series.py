@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import ConstantTermNotOne, ZeroConstantDenominator
+from ..errors import (ConstantTermNotOne, IncompatibleTags,
+                      ZeroConstantDenominator)
 from .poly import RATIONAL_TYPES, ScalarOps, _frac
 
 
@@ -34,7 +35,10 @@ class TruncSeries(ScalarOps):
     def _pair(self, other):
         if isinstance(other, RATIONAL_TYPES):
             return TruncSeries(self.var, self.order, [other])
-        if isinstance(other, TruncSeries) and other.var == self.var:
+        if isinstance(other, TruncSeries):
+            if other.var != self.var:
+                raise IncompatibleTags(
+                    f"series in {self.var!r} and {other.var!r}")
             return other
         return None
 

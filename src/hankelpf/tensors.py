@@ -1,9 +1,11 @@
-"""Sparse exact tensors and antisymmetric block arrays, plus JSON readers.
+"""Sparse exact tensors and antisymmetric block arrays, plus their JSON
+reader.
 
 Both containers keep a dict from 1-based index keys to scalars; missing
 keys mean zero. A BlockArray stores only sorted block keys and
 synthesizes the sign when asked for a permuted one, so indicator-style
-arrays stay tiny.
+arrays stay tiny. `tensor_from_json` and `block_array_from_json` read
+the two `hpf eval` document kinds through one routine.
 """
 
 from __future__ import annotations
@@ -245,50 +247,51 @@ def _entries(doc, what):
     return _field(doc, "entries", what, list) if "entries" in doc else []
 
 
-def tensor_from_json(doc: dict) -> Tensor:
-    if doc.get("kind") != "tensor":
-        raise ParseError(f"expected kind 'tensor', got {doc.get('kind')!r}")
-    m = _field(doc, "m", "tensor", int)
-    if "shape" in doc:
-        shape = tuple(_field(doc, "shape", "tensor", list))
+def _array_from_json(doc, kind):
+    """The Tensor or BlockArray that a document of `kind` describes. A
+    tensor given by `n` gets its m axes only once the first entry's
+    index has as many."""
+    if doc.get("kind") != kind:
+        raise ParseError(f"expected kind {kind!r}, got {doc.get('kind')!r}")
+    m = _field(doc, "m", kind, int)
+    if kind == "tensor":
+        if "shape" in doc:
+            shape = tuple(_field(doc, "shape", kind, list))
+        else:
+            n = _field(doc, "n", "tensor without 'shape'", int)
+            first = (_entries(doc, kind) or [{}])[0]
+            idx = first.get("idx") if isinstance(first, dict) else None
+            if isinstance(idx, list) and len(idx) != m:
+                raise BoundsError(f"index {tuple(idx)} has {len(idx)} axes, "
+                                  f"tensor has {m}")
+            shape = (n,) * m
+        if len(shape) != m:
+            raise ParseError("tensor shape does not match m")
+        arr, idx_form = Tensor(shape), "a list of indices,"
     else:
-        shape = (_field(doc, "n", "tensor without 'shape'", int),) * m
-    if len(shape) != m:
-        raise ParseError("tensor shape does not match m")
+        l = _field(doc, "l", kind, int)
+        if "size" in doc:
+            size = _field(doc, "size", kind, int)
+        else:
+            size = l * _field(doc, "n", "block_array without 'size'", int)
+        arr = BlockArray(l, m, size)
+        idx_form = "a list of blocks, each a list of indices;"
     ctx = _ext_context(doc)
-    t = Tensor(shape)
-    for e in _entries(doc, "tensor"):
-        idx = _field(e, "idx", "tensor entry")
-        value = parse_scalar(_field(e, "value", "tensor entry", str), ctx)
+    for e in _entries(doc, kind):
+        idx = _field(e, "idx", f"{kind} entry")
+        value = parse_scalar(_field(e, "value", f"{kind} entry", str), ctx)
         try:
-            t.set(idx, value)
-        except TypeError:   # idx is not a list of indices
-            raise ParseError(f"tensor entry 'idx' must be a list of "
-                             f"indices, got {idx!r}") from None
-    check_combinable(t.entries.values())
-    return t
+            arr.set(idx, value)
+        except TypeError:   # idx is not of the form the array's keys take
+            raise ParseError(f"{kind} entry 'idx' must be {idx_form} "
+                             f"got {idx!r}") from None
+    check_combinable(arr.entries.values())
+    return arr
+
+
+def tensor_from_json(doc: dict) -> Tensor:
+    return _array_from_json(doc, "tensor")
 
 
 def block_array_from_json(doc: dict) -> BlockArray:
-    if doc.get("kind") != "block_array":
-        raise ParseError(f"expected kind 'block_array', got {doc.get('kind')!r}")
-    l = _field(doc, "l", "block_array", int)
-    m = _field(doc, "m", "block_array", int)
-    if "size" in doc:
-        size = _field(doc, "size", "block_array", int)
-    else:
-        size = l * _field(doc, "n", "block_array without 'size'", int)
-    ctx = _ext_context(doc)
-    b = BlockArray(l, m, size)
-    for e in _entries(doc, "block_array"):
-        idx = _field(e, "idx", "block_array entry")
-        value = parse_scalar(_field(e, "value", "block_array entry", str),
-                             ctx)
-        try:
-            b.set(idx, value)   # builds the key once
-        except TypeError:   # idx is not a list of blocks of indices
-            raise ParseError(f"block_array entry 'idx' must be a list of "
-                             f"blocks, each a list of indices; got {idx!r}"
-                             ) from None
-    check_combinable(b.entries.values())
-    return b
+    return _array_from_json(doc, "block_array")

@@ -259,18 +259,18 @@ def test_pfaffian_delannoy_vs_product():
 
 
 def test_pfaffian_matrix_input():
-    rows = [[0, 5, 1, -2],
-            [-5, 0, 3, 0],
-            [-1, -3, 0, 4],
-            [2, 0, -4, 0]]
-    assert pfaffian(rows) == 5 * 4 - 1 * 0 + (-2) * 3
+    # the upper triangle of the antisymmetric matrix
+    # [[0, 5, 1, -2], [-5, 0, 3, 0], [-1, -3, 0, 4], [2, 0, -4, 0]]
+    upper = {(1, 2): 5, (1, 3): 1, (1, 4): -2, (2, 3): 3, (2, 4): 0,
+             (3, 4): 4}
+    assert pfaffian(upper) == 5 * 4 - 1 * 0 + (-2) * 3
 
 
 def test_pfaffian_odd_size():
     with pytest.raises(OddSize):
         pfaffian({(1, 2): 1, (1, 3): 1, (2, 3): 1})
     with pytest.raises(OddSize):
-        pfaffian([[0]])
+        pfaffian({}, size=1)
 
 
 def test_pfaffian_matches_general_engine():
@@ -294,7 +294,10 @@ def test_pfaffian_squares_to_determinant():
             rows[j - 1][i - 1] = -v
         pf = pfaffian(upper, size=two_n)
         assert pf ** 2 == det_matrix(rows)
-        assert pfaffian(rows) == pf
+        assert pfaffian({(i, j): rows[i - 1][j - 1]
+                         for i in range(1, two_n + 1)
+                         for j in range(i + 1, two_n + 1)},
+                        size=two_n) == pf
         _check_type(pf, kind)
 
 

@@ -170,6 +170,13 @@ def test_numeric_fail_gates_exit(monkeypatch):
     assert suite_exit_code([report]) == 1
 
 
+def test_selberg_phi_mismatch_is_a_counterexample(monkeypatch, capsys):
+    monkeypatch.setattr(hankelpf.sequences, "phi_product",
+                        lambda n, r, s, m: 0)
+    assert main(["verify", "selberg-phi"]) == 1
+    assert "counterexample" in capsys.readouterr().out
+
+
 def test_exit_code_is_summary_failed(monkeypatch):
     monkeypatch.setattr(checks_qpoly, "TOLERANCE", 1e-30)
     fail = run_check(CheckParams("rs-moment-u", {"max_m": 2}))
@@ -479,6 +486,31 @@ def test_cli_eval_errors(capsys, tmp_path):
     assert main(["eval", "pfaffian", "--input",
                  str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+    # text that is not UTF-8, and nesting deeper than the decoder recurses
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + '{"kind": "tensor"}'.encode("utf-16-le"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    for path in (utf16, deep):
+        assert main(["eval", "pfaffian", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hpf: ParseError:") and err.count("\n") == 1
+
+
+def test_cli_eval_sizes_past_the_entries(capsys, tmp_path):
+    # a point that no entry covers gives 0 before any state is built,
+    # and a tensor's m axes are checked against its first index first
+    path = tmp_path / "doc.json"
+    for name, field, kind, code, out in (
+            ("quad_blocks.json", "n", "hyperpfaffian", 0, "0\n"),
+            ("order4_tensor.json", "m", "hyperdet", 2, "")):
+        doc = json.loads((DEMOS / name).read_text())
+        doc[field] = 10 ** 9
+        path.write_text(json.dumps(doc))
+        assert main(["eval", kind, "--input", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert captured.err.count("\n") == (code == 2)
 
 
 @pytest.mark.parametrize("kind,doc", [

@@ -1,6 +1,7 @@
 """Ring axioms, series recurrences, quadratic extensions, gamma values,
 seeded RNG derivation, and the scalar text grammar."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,11 @@ def test_incompatible_tags():
         omega() * sqrt2()
     with pytest.raises(IncompatibleTags):
         sdiv(TruncSeries("z", 2, [1, 0, 0]), omega())
+    # series in two variables name both, as polynomials do
+    z, y = TruncSeries("z", 2, [1, 1]), TruncSeries("y", 2, [1, 0, 1])
+    for op in (operator.add, operator.mul, operator.truediv):
+        with pytest.raises(IncompatibleTags, match="'z' and 'y'"):
+            op(z, y)
     # the divisor has no reciprocal and the operands do not combine
     # either: the quotient reports the mismatch, as the product does
     for x, y in ((omega(), QuadExt(0, 0, 0, 1, "w")),
