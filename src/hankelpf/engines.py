@@ -422,7 +422,7 @@ def row_minors(A: Tensor, rows):
                            (sum(1 << i for i in rows),) + full, r, True,
                            minors=True)
     sets, ids, flips = plan.minors
-    cols = zip(*(map(sets.__getitem__, col) for col in ids))
+    cols = zip(*[map(sets.__getitem__, col) for col in ids])
     return {c: -v if flip else v
             for c, flip, v in zip(cols, flips, values) if v is not None}
 
@@ -541,13 +541,14 @@ def minor_tensor(A: Tensor, index_lists) -> Tensor:
     for axis, (lst, s) in enumerate(zip(index_lists, A.shape)):
         for i in lst:
             if not isinstance(i, int) or not 1 <= i <= s:
-                raise BoundsError(f"index {i} out of [1,{s}] on axis {axis + 1}")
+                raise BoundsError(
+                    f"index {i!r} out of [1,{s}] on axis {axis + 1}")
     out = Tensor((r,) * A.m)
     for pos in itertools.product(range(r), repeat=A.m):
-        src = tuple(index_lists[k][pos[k]] for k in range(A.m))
+        src = tuple([lst[p] for lst, p in zip(index_lists, pos)])
         v = A.entries.get(src, 0)
         if v != 0:
-            out.entries[tuple(p + 1 for p in pos)] = v
+            out.entries[tuple([p + 1 for p in pos])] = v
     return out
 
 
@@ -572,8 +573,8 @@ def hyperdet_laplace(A: Tensor, subset):
     for cols, a in row_minors(A, subset).items():
         if a == 0:
             continue
-        cof = co_minors.get(tuple(tuple(j for j in points if j not in S)
-                                  for S in cols), 0)
+        cof = co_minors.get(tuple([tuple([j for j in points if j not in S])
+                                   for S in cols]), 0)
         if cof == 0:
             continue
         term = a * cof
@@ -655,7 +656,7 @@ def restrict_block_array(B: BlockArray, subsets) -> BlockArray:
             raise BoundsError(f"{P} repeats an index")
         for i in P:
             if not isinstance(i, int) or not 1 <= i <= B.size:
-                raise BoundsError(f"index {i} out of [1,{B.size}]")
+                raise BoundsError(f"index {i!r} out of [1,{B.size}]")
     out = BlockArray(B.l, B.m, lr)
     block_choices = [list(itertools.combinations(P, B.l)) for P in subsets]
     pos = [{e: k + 1 for k, e in enumerate(P)} for P in subsets]

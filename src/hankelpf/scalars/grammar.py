@@ -113,7 +113,7 @@ def parse_scalar(text: str, ext: QuadContext | None = None):
     """Parse the scalar grammar; see the module docstring."""
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty scalar text")
-    m = _SERIES.match(text)
+    m = _SERIES.match(text) if "[" in text else None
     if m:
         body = m.group("body").strip()
         coeffs = [_parse_rational(p.strip()) for p in body.split(",")] \
@@ -123,7 +123,7 @@ def parse_scalar(text: str, ext: QuadContext | None = None):
             raise ParseError(
                 f"series lists {len(coeffs)} coefficients but order is {order}")
         return TruncSeries(m.group("var"), order, coeffs)
-    m = _QUOTIENT.match(text)
+    m = _QUOTIENT.match(text) if "(" in text else None
     if m:
         num = parse_scalar(m.group("num"), ext)
         den = parse_scalar(m.group("den"), ext)

@@ -5,11 +5,14 @@ Both containers keep a dict from 1-based index keys to scalars; missing
 keys mean zero. A BlockArray stores only sorted block keys and
 synthesizes the sign when asked for a permuted one, so indicator-style
 arrays stay tiny. `tensor_from_json` and `block_array_from_json` read
-the two `hpf eval` document kinds through one routine.
+the two `hpf eval` document kinds through one routine, which parses each
+distinct value text and checks and sorts each distinct block once per
+call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -101,9 +104,18 @@ class Tensor:
         return f"Tensor(shape={self.shape}, {len(self.entries)} entries)"
 
 
-def _sort_block_signed(block):
-    """(sorted tuple, sign) or (None, 0) when an index repeats."""
-    block = tuple(block)
+def _block_signed(block, l, size):
+    """(sorted block, sign) of a tuple of indices read as a block of
+    length l over [1, size], or (None, 0) when an index repeats;
+    BoundsError when its length is not l or an index is not an int in
+    [1, size]."""
+    if len(block) != l:
+        raise BoundsError(f"block {block} has length {len(block)}, need {l}")
+    for i in block:
+        if not isinstance(i, int) or not 1 <= i <= size:
+            raise BoundsError(f"index {i!r} out of [1,{size}]")
+    if all(map(int.__lt__, block, block[1:])):
+        return block, 1             # already sorted: sign +1
     if len(set(block)) != len(block):
         return None, 0
     inversions = sum(1 for a, b in itertools.combinations(block, 2) if a > b)
@@ -149,27 +161,33 @@ class BlockArray:
                 b.entries[key] = v
         return b
 
-    def _canonical(self, key):
-        key = tuple(tuple(b) for b in key)
+    def _canonical(self, key, seen=None):
+        """(sorted key, sign) of a key whose blocks may come in any order,
+        or (None, 0) when a block repeats an index. `seen`, a dict that
+        the caller keeps, holds the result of each block already checked,
+        keyed on the block and its indices' exact types, since 2.0 and
+        True hash like 2 and 1."""
+        key = tuple(map(tuple, key))
         if len(key) != self.m:
             raise BoundsError(f"key {key} has {len(key)} slots, need {self.m}")
         sign = 1
         out = []
         for block in key:
-            if len(block) != self.l:
-                raise BoundsError(
-                    f"block {block} has length {len(block)}, need {self.l}")
-            for i in block:
-                if not isinstance(i, int) or not 1 <= i <= self.size:
-                    raise BoundsError(f"index {i} out of [1,{self.size}]")
-            if all(map(int.__lt__, block, block[1:])):
-                out.append(block)       # already sorted: sign +1
-                continue
-            sorted_block, s = _sort_block_signed(block)
+            if seen is None:
+                block, s = _block_signed(block, self.l, self.size)
+            else:
+                typed = (block, *map(type, block))
+                try:
+                    block, s = seen[typed]
+                except KeyError:
+                    block, s = seen[typed] = _block_signed(
+                        block, self.l, self.size)
+                except TypeError:   # an unhashable index: the check names it
+                    block, s = _block_signed(block, self.l, self.size)
             if s == 0:
                 return None, 0
             sign *= s
-            out.append(sorted_block)
+            out.append(block)
         return tuple(out), sign
 
     def get(self, key):
@@ -180,7 +198,11 @@ class BlockArray:
         return v if sign > 0 else -v
 
     def set(self, key, value):
-        canon, sign = self._canonical(key)
+        self._set(key, value, None)
+
+    def _set(self, key, value, seen):
+        """`set`, with `seen` passed on to `_canonical`."""
+        canon, sign = self._canonical(key, seen)
         if sign == 0:
             if value != 0:
                 raise BoundsError(
@@ -250,7 +272,12 @@ def _entries(doc, what):
 def _array_from_json(doc, kind):
     """The Tensor or BlockArray that a document of `kind` describes. A
     tensor given by `n` gets its m axes only once the first entry's
-    index has as many."""
+    index has as many.
+
+    Entries are stored as `set` would store them, one by one in order.
+    Each distinct value text is parsed once per call, and each distinct
+    block checked and sorted once, in dicts that live for the call only;
+    scalars are immutable, so entries may share one."""
     if doc.get("kind") != kind:
         raise ParseError(f"expected kind {kind!r}, got {doc.get('kind')!r}")
     m = _field(doc, "m", kind, int)
@@ -268,6 +295,7 @@ def _array_from_json(doc, kind):
         if len(shape) != m:
             raise ParseError("tensor shape does not match m")
         arr, idx_form = Tensor(shape), "a list of indices,"
+        store = arr.set
     else:
         l = _field(doc, "l", kind, int)
         if "size" in doc:
@@ -276,12 +304,17 @@ def _array_from_json(doc, kind):
             size = l * _field(doc, "n", "block_array without 'size'", int)
         arr = BlockArray(l, m, size)
         idx_form = "a list of blocks, each a list of indices;"
+        store = functools.partial(arr._set, seen={})
     ctx = _ext_context(doc)
+    values = {}     # value text -> its scalar, parsed once per call
     for e in _entries(doc, kind):
         idx = _field(e, "idx", f"{kind} entry")
-        value = parse_scalar(_field(e, "value", f"{kind} entry", str), ctx)
+        text = _field(e, "value", f"{kind} entry", str)
+        value = values.get(text)
+        if value is None:
+            value = values[text] = parse_scalar(text, ctx)
         try:
-            arr.set(idx, value)
+            store(idx, value)
         except TypeError:   # idx is not of the form the array's keys take
             raise ParseError(f"{kind} entry 'idx' must be {idx_form} "
                              f"got {idx!r}") from None

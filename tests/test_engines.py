@@ -14,7 +14,7 @@ from hankelpf.blocks import enum_block_perms, perm_sign
 from hankelpf.errors import (BoundsError, CardinalityMismatch,
                              CardinalityNotMultipleOfL, IncompatibleTags,
                              OddBlockLength, OddDimension, OddSize,
-                             ShapeMismatch)
+                             ParseError, ShapeMismatch)
 from hankelpf.engines import (contract_slots, det_matrix, flatten_matsumoto,
                               hyperdet, hyperdet_laplace,
                               hyperdet_via_exterior, hyperhafnian,
@@ -22,8 +22,8 @@ from hankelpf.engines import (contract_slots, det_matrix, flatten_matsumoto,
                               msf_build_Q, msf_lhs, pfaffian,
                               restrict_block_array, row_minors,
                               subhyperpfaffian)
-from hankelpf.scalars import (QuadExt, UniPoly, derive_rng, omega, poly_gen,
-                              quadext, sqrt2, unipoly)
+from hankelpf.scalars import (QuadExt, UniPoly, derive_rng, omega,
+                              parse_scalar, poly_gen, quadext, sqrt2, unipoly)
 from hankelpf.tensors import (BlockArray, Tensor, block_array_from_json,
                               tensor_from_json)
 
@@ -1113,6 +1113,7 @@ def test_block_array_key_checks():
             (((1, 2, 5),), "index 5 out of [1,4]"),
             (((5, 2, 1),), "index 5 out of [1,4]"),
             (((1, 2.0, 3),), "index 2.0 out of [1,4]"),
+            ((("1", 2, 3),), "index '1' out of [1,4]"),
             (((1, 2),), "block (1, 2) has length 2, need 3"),
             (((1, 2, 3), (1, 2, 4)),
              "key ((1, 2, 3), (1, 2, 4)) has 2 slots, need 1")]:
@@ -1157,6 +1158,51 @@ def test_block_array_json_round_trip():
            "entries": [{"idx": [[1, 5]], "value": "1/2"}]}
     assert block_array_from_json(odd) == BlockArray(
         2, 1, 5, {((1, 5),): Fraction(1, 2)})
+
+
+def test_block_array_json_reads_repeats_like_set():
+    entries = [([[1, 2], [3, 4]], "a + 1"), ([[1, 3], [2, 4]], "1/2"),
+               ([[2, 1], [3, 4]], "a + 1"), ([[1, 3], [4, 2]], "1/2"),
+               ([[1, 4], [2, 3]], "1/2"), ([[1, 4], [3, 2]], "0"),
+               ([[2, 2], [1, 3]], "0"), ([[3, 4], [2, 1]], "1/2")]
+    doc = {"kind": "block_array", "l": 2, "m": 2, "n": 2,
+           "entries": [{"idx": idx, "value": v} for idx, v in entries]}
+    expected = BlockArray(2, 2, 4)
+    for idx, v in entries:
+        expected.set(idx, parse_scalar(v))
+    B = block_array_from_json(doc)
+    assert B == expected and B.entries == expected.entries
+    a = poly_gen("a")
+    assert B.entries == {((1, 2), (3, 4)): -(a + 1),
+                         ((1, 3), (2, 4)): Fraction(-1, 2),
+                         ((3, 4), (1, 2)): Fraction(-1, 2)}
+
+
+@pytest.mark.parametrize("idx, message", [
+    ([[1, 2.0]], "index 2.0 out of [1,4]"),
+    ([[1, [2]]], "index [2] out of [1,4]"),
+    ([[True, 2]], None)])
+def test_block_array_json_checks_each_index_type(idx, message):
+    """An index equal to one read before, but not an int, is not taken
+    for it."""
+    doc = {"kind": "block_array", "l": 2, "m": 1, "n": 2,
+           "entries": [{"idx": [[1, 2]], "value": "5"},
+                       {"idx": idx, "value": "3"}]}
+    if message is None:
+        assert block_array_from_json(doc).entries == {((1, 2),): 3}
+        return
+    with pytest.raises(BoundsError) as exc:
+        block_array_from_json(doc)
+    assert str(exc.value) == message
+
+
+def test_json_bad_value_text_fails_at_first_use():
+    doc = {"kind": "block_array", "l": 2, "m": 1, "n": 2,
+           "entries": [{"idx": [[1, 2]], "value": "1/0"},
+                       {"idx": [[1, 9]], "value": "1/0"},
+                       {"idx": [[3, 4]], "value": "1/0"}]}
+    with pytest.raises(ParseError, match="bad rational '1/0'"):
+        block_array_from_json(doc)
 
 
 def test_json_quadratic_extension_header():
