@@ -10,7 +10,7 @@ Grammar by example:
     rational functions       "(a^2 - 1)/(a + 2)"
 
 Without a quadratic-extension context, a letter parses as a polynomial
-variable.
+variable.  An exponent's absolute value is at most MAX_EXPONENT.
 
 A sum of terms is read over ints: each coefficient is a numerator and a
 denominator, the terms are summed per exponent in one pass, and each
@@ -28,7 +28,7 @@ from fractions import Fraction
 from ..errors import ParseError
 from .gammas import HalfGamma
 from .poly import RATIONAL_TYPES, RatFunc, UniPoly, ratfunc, unipoly
-from .quadext import QuadExt, quad_reduce
+from .quadext import QuadExt, quad_reduce, quadext
 from .series import TruncSeries
 
 
@@ -100,6 +100,8 @@ _TERM = re.compile(
     r"(?P<coef>\d+(?:/\d+)?)\s*(?:\*\s*(?P<var1>[A-Za-z])(?:\^(?P<exp1>-?\d+))?)?"
     r"|(?P<var2>[A-Za-z])(?:\^(?P<exp2>-?\d+))?"
     r")\s*")
+# Larger exponents would build dense coefficient lists of that length.
+MAX_EXPONENT = 10_000
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -129,8 +131,6 @@ def parse_scalar(text: str, ext: QuadContext | None = None):
         den = parse_scalar(m.group("den"), ext)
         if den == 0:
             raise ParseError("zero denominator")
-        if isinstance(num, RATIONAL_TYPES) and isinstance(den, RATIONAL_TYPES):
-            return Fraction(num) / Fraction(den)
         return num / den
 
     # sum of signed terms: int coefficients, summed per exponent
@@ -144,21 +144,23 @@ def parse_scalar(text: str, ext: QuadContext | None = None):
         sign, coef, var1, exp1, var2, exp2 = m.groups()
         if pos and sign is None:
             raise ParseError(f"missing +/- between terms in {text!r}")
-        if coef is None:
-            num, den, var, exp = 1, 1, var2, exp2
-        else:
-            num, _, den = coef.partition("/")
-            try:
-                num, den = int(num), int(den or 1)
-            except ValueError:      # beyond int()'s digit limit
-                den = 0
-            if not den:
-                raise ParseError(f"bad rational {coef!r}")
-            var, exp = var1, exp1
+        var, exp = (var2, exp2) if coef is None else (var1, exp1)
+        num, _, den = (coef or "1").partition("/")
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:      # beyond int()'s digit limit
+            den = 0
+        if not den:
+            raise ParseError(f"bad rational {coef!r}")
         if sign == "-":
             num = -num
         e = 0
         if var is not None:
+            # the length test spares int() an exponent of 4,300 digits
+            if exp and (len(exp.lstrip("-0")) > len(str(MAX_EXPONENT))
+                        or abs(int(exp)) > MAX_EXPONENT):
+                raise ParseError(f"exponent of term {m.group().strip()!r} "
+                                 f"exceeds {MAX_EXPONENT} in absolute value")
             e = int(exp) if exp else 1
             if letter is None:
                 letter = var
@@ -185,7 +187,7 @@ def parse_scalar(text: str, ext: QuadContext | None = None):
     if ext is not None and letter == ext.letter:
         x = quad_reduce(ext.p, ext.r, coeffs, letter)
         if lo < 0:
-            x = x * QuadExt(ext.p, ext.r, 0, 1, letter) ** lo
+            x = x * quadext(ext.p, ext.r, 0, 1, letter) ** lo
         return x
     if lo < 0:
         return ratfunc(letter, coeffs, [0] * (-lo) + [1])

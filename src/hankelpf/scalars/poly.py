@@ -8,26 +8,27 @@ denominators, here, in the engines' kernel and in the exact loops of
 that feed it); `num_den` splits one scalar into the ints a/D of a
 rational.  A product packs each operand into one int, its value at
 x = 2^B (Kronecker substitution), multiplies once and unpacks balanced
-digits; the engines' kernel shares `kron_pack` and `kron_unpack`.  A gcd
-runs the primitive remainder sequence over ints, and `ratfunc` divides
-by it exactly over ints.
+digits; the engines' kernel shares `kron_pack` and `kron_unpack`.
+`ratfunc` drops the common power of the variable, the whole gcd when a
+side is a monomial, else divides exactly by the int gcd of both sides.
 
-The factory functions (`unipoly`, `ratfunc`) trim zeros and demote
+The factories (`unipoly`, `poly_gen`, `ratfunc`) are the one place that
+coerces coefficients to Fractions; they trim zeros and demote
 degenerate values one step down the chain
 
     Rational -> UniPoly -> RatFunc
 
-so canonical forms are unique and `==` is structural.  Operations accept
-plain ints and Fractions on either side; mixing two different variables
-raises IncompatibleTags.  Division promotes along the chain (a quotient of
-polynomials that does not divide exactly becomes a RatFunc with monic,
-gcd-reduced denominator).  A Laurent polynomial such as q^-1 + 1 is the
-RatFunc (q + 1)/(q).
+so canonical forms are unique and the derived `==` is structural.
+Operations accept plain ints and Fractions on either side; mixing two
+different variables raises IncompatibleTags.  Division promotes along
+the chain (a quotient of polynomials that does not divide exactly
+becomes a RatFunc with monic, gcd-reduced denominator).  A Laurent
+polynomial such as q^-1 + 1 is the RatFunc (q + 1)/(q).
 
 `ScalarOps` is the base of UniPoly, RatFunc, QuadExt and TruncSeries:
-it derives `-`, `/`, `**` and `str` from each type's own `+`, unary `-`,
-`*` and `reciprocal()`.  `horner` evaluates a coefficient list at any
-scalar.
+it derives `==`, `-`, `/`, `**` and `str` from each type's slots and
+its own `+`, unary `-`, `*` and `reciprocal()`.  `horner` evaluates a
+coefficient list at any scalar.
 """
 
 from __future__ import annotations
@@ -41,9 +42,14 @@ RATIONAL_TYPES = (int, Fraction)
 
 
 class ScalarOps:
-    """The operators every exact scalar type derives from its own `+`,
-    unary `-`, `*` and `reciprocal()`: subtraction, division, integer
-    powers and the text form.
+    """The operators every exact scalar type derives from its slots and
+    its own `+`, unary `-`, `*` and `reciprocal()`: equality,
+    subtraction, division, integer powers and the text form.
+
+    `==` is structural on canonical forms: the factories coerce and
+    demote, so two elements are equal when they are of one type with
+    equal slots, and never equal to another type (`x == 0` is a type
+    test).
 
     `x / y` is x times y's reciprocal and `r / x`, for a rational r, is
     x's reciprocal times r; when y has no reciprocal and x and y do not
@@ -55,6 +61,10 @@ class ScalarOps:
     """
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, s) == getattr(other, s) for s in self.__slots__)
 
     def __sub__(self, other):
         if isinstance(other, RATIONAL_TYPES) or isinstance(other, ScalarOps):
@@ -233,28 +243,16 @@ def _prem(a, b):
 
 
 def _pgcd(a, b):
-    """Monic gcd, by the primitive remainder sequence over ints.
-
-    Both sides are scaled to ints, and each pseudo-remainder is divided
-    by its content, which keeps the ints small (Collins, JACM 1967;
-    Knuth, TAOCP vol. 2, 4.6.1).  A monomial c*q^k on either side, as
-    every Laurent denominator is, gives q^min(k, ord of the other side)
-    directly.
-    """
-    if not a or not b:
-        g = a or b
-        return [c / g[-1] for c in g]
-    for x, y in ((a, b), (b, a)):
-        if not any(x[:-1]):
-            order = next(i for i, c in enumerate(y) if c)
-            return [Fraction(0)] * min(len(x) - 1, order) + [Fraction(1)]
-    (a, b), _ = scale_to_ints((a, b))
+    """Primitive gcd of two nonzero int lists, by the primitive remainder
+    sequence: each pseudo-remainder is divided by its content, which
+    keeps the ints small (Collins, JACM 1967; Knuth, TAOCP vol. 2,
+    4.6.1)."""
     a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
         a, b = b, a
     while b:
         a, b = b, _primitive(_prem(a, b))
-    return [Fraction(c, a[-1]) for c in a]
+    return a
 
 
 # -- UniPoly ----------------------------------------------------------------
@@ -285,8 +283,7 @@ class UniPoly(ScalarOps):
     __slots__ = ("var", "coeffs")
 
     def __init__(self, var, coeffs):
-        self.var = var
-        self.coeffs = tuple([_frac(c) for c in coeffs])
+        self.var, self.coeffs = var, tuple(coeffs)
 
     @property
     def degree(self) -> int:
@@ -336,16 +333,6 @@ class UniPoly(ScalarOps):
     def reciprocal(self):
         return ratfunc(self.var, [1], self.coeffs)
 
-    def __eq__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return len(self.coeffs) == 1 and self.coeffs[0] == other \
-                or (not self.coeffs and other == 0)
-        if isinstance(other, UniPoly):
-            return self.var == other.var and self.coeffs == other.coeffs
-        if isinstance(other, RatFunc):
-            return other.__eq__(self)
-        return NotImplemented
-
     def evaluate(self, x):
         """Horner evaluation; x may be any compatible scalar."""
         return horner(self.coeffs, x)
@@ -368,16 +355,18 @@ def ratfunc(var: str, num, den):
         raise DivisionByZero("rational function with zero denominator")
     if not num:
         return Fraction(0)
-    g = _pgcd(num, den)
-    if not any(g[:-1]):     # g = q^k: drop k low terms (k = 0: coprime)
-        k = len(g) - 1
-        num, den = num[k:], den[k:]
-    else:
-        # the primitive int form of g divides the scaled num and den
-        # exactly over the ints (Gauss's lemma)
-        (num, den, g), _ = scale_to_ints((num, den, g))
-        g = _primitive(g)
-        num, den = ([Fraction(c) for c in _pquo(x, g)] for x in (num, den))
+    # the common power of var; the whole gcd when a side is a monomial
+    k = min(next(i for i, c in enumerate(x) if c) for x in (num, den))
+    num, den = num[k:], den[k:]
+    if any(num[:-1]) and any(den[:-1]):
+        (inum, iden), _ = scale_to_ints((num, den))
+        g = _pgcd(inum, iden)
+        if len(g) > 1:
+            # the primitive gcd divides both sides exactly over the ints
+            # (Gauss's lemma)
+            inum, iden = _pquo(inum, g), _pquo(iden, g)
+            num = [Fraction(c, iden[-1]) for c in inum]
+            den = [Fraction(c, iden[-1]) for c in iden]
     lead = den[-1]
     if lead != 1:
         num = [c / lead for c in num]
@@ -393,9 +382,7 @@ class RatFunc(ScalarOps):
     __slots__ = ("var", "num", "den")
 
     def __init__(self, var, num, den):
-        self.var = var
-        self.num = tuple(num)
-        self.den = tuple(den)
+        self.var, self.num, self.den = var, tuple(num), tuple(den)
 
     def _parts(self, other):
         """Coerce other to a (num, den) pair in this variable."""
@@ -438,21 +425,6 @@ class RatFunc(ScalarOps):
 
     def reciprocal(self):
         return ratfunc(self.var, self.den, self.num)
-
-    def __eq__(self, other):
-        if isinstance(other, RatFunc):
-            return (self.var == other.var and self.num == other.num
-                    and self.den == other.den)
-        if isinstance(other, (UniPoly, *RATIONAL_TYPES)):
-            # canonical RatFunc has denominator of degree >= 1
-            return False
-        return NotImplemented
-
-    def evaluate(self, x):
-        num, den = horner(self.num, x), horner(self.den, x)
-        if den == 0:
-            raise DivisionByZero("rational function evaluated at a pole")
-        return num / den
 
     def __repr__(self):
         return f"RatFunc({self.var!r}, {list(self.num)!r}, {list(self.den)!r})"

@@ -3,11 +3,12 @@
 The two instances the identity checks need are the primitive cube root of
 unity (p = -1, r = -1) and sqrt(2) (p = 0, r = 2), but any rational (p, r)
 works.  The letter is part of the extension: elements whose p, r or
-letter differ do not combine or compare equal.  Elements with v = 0 are
-demoted to plain Fractions by the factory, so results like omega**3
-compare equal to 1 structurally.  `quad_reduce` turns a polynomial in
-theta into its element; the engines' packed kernel and the scalar
-parser both build elements through it.
+letter differ do not combine or compare equal.  The factory `quadext`
+coerces to Fractions and demotes elements with v = 0 to plain
+Fractions, so results like omega**3 compare equal to 1 structurally.
+`quad_reduce` turns a polynomial in theta into its element; the
+engines' packed kernel and the scalar parser both build elements
+through it.
 """
 
 from __future__ import annotations
@@ -58,11 +59,7 @@ class QuadExt(ScalarOps):
     __slots__ = ("p", "r", "u", "v", "sym")
 
     def __init__(self, p, r, u, v, sym="w"):
-        self.p = _frac(p)
-        self.r = _frac(r)
-        self.u = _frac(u)
-        self.v = _frac(v)
-        self.sym = sym
+        self.p, self.r, self.u, self.v, self.sym = p, r, u, v, sym
 
     def _check(self, other: "QuadExt"):
         if (self.p, self.r, self.sym) != (other.p, other.r, other.sym):
@@ -110,14 +107,6 @@ class QuadExt(ScalarOps):
             raise DivisionByZero("quadratic-extension element has norm 0")
         return quadext(self.p, self.r, (self.u + self.p * self.v) / norm,
                        -self.v / norm, self.sym)
-
-    def __eq__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return self.v == 0 and self.u == other
-        if isinstance(other, QuadExt):
-            return ((self.p, self.r, self.sym, self.u, self.v)
-                    == (other.p, other.r, other.sym, other.u, other.v))
-        return NotImplemented
 
     def __repr__(self):
         return f"QuadExt(p={self.p}, r={self.r}, u={self.u}, v={self.v})"

@@ -78,13 +78,10 @@ class TruncSeries(ScalarOps):
         return series_div(TruncSeries(self.var, self.order, [1]), self)
 
     def __eq__(self, other):
+        # a series never demotes, so a rational is read as its constant
         if isinstance(other, RATIONAL_TYPES):
-            return self.coeffs[0] == other and all(
-                c == 0 for c in self.coeffs[1:])
-        if isinstance(other, TruncSeries):
-            return (self.var == other.var and self.order == other.order
-                    and self.coeffs == other.coeffs)
-        return NotImplemented
+            other = TruncSeries(self.var, self.order, [other])
+        return ScalarOps.__eq__(self, other)
 
     def shift_down(self, k: int = 1) -> "TruncSeries":
         """Divide by var^k; the k lowest coefficients must vanish."""

@@ -27,9 +27,9 @@ class Tensor:
     __slots__ = ("shape", "entries")
 
     def __init__(self, shape, entries=None):
-        self.shape = tuple(int(s) for s in shape)
-        if any(s < 0 for s in self.shape):
-            raise ShapeMismatch(f"negative axis in shape {self.shape}")
+        self.shape = tuple(shape)
+        if any(type(s) is not int or s < 0 for s in self.shape):
+            raise ShapeMismatch(f"shape {self.shape} needs ints >= 0")
         self.entries = {}
         if entries:
             for idx, value in (entries.items() if hasattr(entries, "items")
@@ -75,7 +75,7 @@ class Tensor:
             raise BoundsError(
                 f"index {idx} has {len(idx)} axes, tensor has {self.m}")
         for k, (i, s) in enumerate(zip(idx, self.shape)):
-            if not isinstance(i, int) or not 1 <= i <= s:
+            if type(i) is not int or not 1 <= i <= s:
                 raise BoundsError(f"index {idx}: axis {k + 1} out of [1,{s}]")
         return idx
 
@@ -112,7 +112,7 @@ def _block_signed(block, l, size):
     if len(block) != l:
         raise BoundsError(f"block {block} has length {len(block)}, need {l}")
     for i in block:
-        if not isinstance(i, int) or not 1 <= i <= size:
+        if type(i) is not int or not 1 <= i <= size:
             raise BoundsError(f"index {i!r} out of [1,{size}]")
     if all(map(int.__lt__, block, block[1:])):
         return block, 1             # already sorted: sign +1
@@ -283,7 +283,10 @@ def _array_from_json(doc, kind):
     m = _field(doc, "m", kind, int)
     if kind == "tensor":
         if "shape" in doc:
-            shape = tuple(_field(doc, "shape", kind, list))
+            shape = _field(doc, "shape", kind, list)
+            if any(type(s) is not int for s in shape):
+                raise ParseError(f"tensor field 'shape' must be a list of "
+                                 f"ints, got {shape!r}")
         else:
             n = _field(doc, "n", "tensor without 'shape'", int)
             first = (_entries(doc, kind) or [{}])[0]

@@ -10,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 from fractions import Fraction
 
@@ -17,8 +18,8 @@ import pytest
 
 import hankelpf
 from hankelpf.blocks import enum_block_perms, perm_sign
-from hankelpf.errors import (BoundsError, UnknownIdentity, UnknownTag,
-                             UnsupportedArgument)
+from hankelpf.errors import (BoundsError, ShapeMismatch, UnknownIdentity,
+                             UnknownTag, UnsupportedArgument)
 from hankelpf.harness import (CheckParams, all_identities,
                               filter_identities, get_identity,
                               report_from_json, run_check, run_suite,
@@ -31,6 +32,7 @@ from hankelpf.harness.registry import GATING_STATUSES, STATUSES
 from hankelpf.harness.reports import REPORT_KEYS, dump_reports
 from hankelpf.qcalc import delta_product
 from hankelpf.scalars import derive_rng, poly, poly_gen
+from hankelpf.tensors import Tensor
 
 # the ids the battery must cover, grouped the way the layers stack
 CORE_IDS = [
@@ -392,6 +394,26 @@ def test_cli_verify_with_params(capsys, tmp_path):
     assert doc["lhs"] == "5" and doc["params"] == {"n": 2}
 
 
+@pytest.fixture
+def quarter_second_clock(monkeypatch):
+    """harness.suite's clock, advancing 0.25 s per reading."""
+    ticks = itertools.count(0, 0.25)
+    monkeypatch.setattr(suite, "time",
+                        types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+
+
+def test_timing_records_the_clock(capsys, quarter_second_clock):
+    assert main(["verify", "motzkin-pf", "--timing", "--json", "-"]) == 0
+    _, doc = capsys.readouterr().out.split("\n", 1)
+    assert json.loads(doc)["elapsed_ms"] == 250
+    assert main(["verify", "motzkin-pf", "--json", "-"]) == 0
+    _, doc = capsys.readouterr().out.split("\n", 1)
+    assert json.loads(doc)["elapsed_ms"] == 0
+    reports = run_suite(level="smoke", timing=True)
+    assert reports and all(r.elapsed_ms == 250 for r in reports)
+    assert all(r.elapsed_ms == 0 for r in run_suite(level="smoke"))
+
+
 def test_readme_verify_example_matches_output(capsys):
     readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
     lines = readme.read_text(encoding="utf-8").splitlines()
@@ -511,6 +533,38 @@ def test_cli_eval_sizes_past_the_entries(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == out
         assert captured.err.count("\n") == (code == 2)
+
+
+def test_cli_eval_boolean_index_is_out_of_bounds(capsys, tmp_path):
+    # JSON true equals 1 in Python, but it is no index in either kind
+    tensor = {"kind": "tensor", "m": 2, "n": 2,
+              "entries": [{"idx": [True, 2], "value": "3"},
+                          {"idx": [2, 1], "value": "-3"}]}
+    blocks = {"kind": "block_array", "l": 2, "m": 1, "size": 2,
+              "entries": [{"idx": [[True, 2]], "value": "3"}]}
+    path = tmp_path / "doc.json"
+    for kind, doc in (("pfaffian", tensor), ("hyperdet", tensor),
+                      ("pfaffian", blocks)):
+        path.write_text(json.dumps(doc))
+        assert main(["eval", kind, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hpf: BoundsError:")
+        assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("shape", [[2.9, 2], ["2", 2], [True, 2]])
+def test_tensor_shape_entries_are_ints(capsys, tmp_path, shape):
+    doc = {"kind": "tensor", "m": 2, "shape": shape,
+           "entries": [{"idx": [1, 2], "value": "3"},
+                       {"idx": [2, 1], "value": "-3"}]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "hyperdet", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hpf: ParseError:") and "'shape'" in err
+    with pytest.raises(ShapeMismatch):
+        Tensor(shape)
 
 
 @pytest.mark.parametrize("kind,doc", [

@@ -315,6 +315,13 @@ def test_kronecker_product_matches_schoolbook():
     assert poly._pmul(neg, neg) == _schoolbook_mul(neg, neg)
 
 
+def _num_den(r):
+    """The numerator and denominator lists of a `ratfunc` result."""
+    if isinstance(r, RatFunc):
+        return list(r.num), list(r.den)
+    return list(r.coeffs) if isinstance(r, UniPoly) else [r] if r else [], [1]
+
+
 def test_integer_gcd_matches_euclid():
     rng = derive_rng("prs-gcd")
     for _ in range(300):
@@ -322,18 +329,26 @@ def test_integer_gcd_matches_euclid():
         a = poly._pmul(_rand_coeffs(rng, rng.randint(0, 4)), g)
         b = poly._pmul(_rand_coeffs(rng, rng.randint(0, 4)), g)
         if rng.random() < 0.3:
-            # a monomial c*q^k on one side: the fast path
+            # a monomial c*q^k on one side, as every Laurent denominator is
             b = [Fraction(0)] * rng.randint(0, 4) + [Fraction(
                 rng.randint(1, 9))]
             a, b = (b, a) if rng.random() < 0.5 else (a, b)
-        gcd = poly._pgcd(a, b)
-        assert gcd == _euclid_gcd(a, b)
-        assert all(type(c) is Fraction for c in gcd)
-    q = [Fraction(0), Fraction(1)]
-    assert poly._pgcd([Fraction(0)] * 2 + [Fraction(5), Fraction(1)],
-                      [Fraction(0)] * 3 + [Fraction(2)]) == \
-        [Fraction(0)] * 2 + [Fraction(1)]
-    assert poly._pgcd([Fraction(3)], q) == [Fraction(1)]
+        if a and b:
+            (ia, ib), _ = poly.scale_to_ints((a, b))
+            gcd = poly._pgcd(ia, ib)
+            assert all(type(c) is int for c in gcd)
+            assert [Fraction(c, gcd[-1]) for c in gcd] == _euclid_gcd(a, b)
+        if b:
+            # ratfunc reduces zero and monomial sides without _pgcd
+            num, den = _num_den(ratfunc("q", a, b))
+            assert den[-1] == 1
+            assert not num or _euclid_gcd(num, den) == [1]
+            assert poly._pmul(num, b) == poly._pmul(a, den)
+    assert ratfunc("q", [0, 0, 5, 1], [0, 0, 0, 2]) == RatFunc(
+        "q", [Fraction(5, 2), Fraction(1, 2)], [0, 1])
+    assert ratfunc("q", [3], [0, 1]) == RatFunc("q", [3], [0, 1])
+    assert ratfunc("q", [0, 0, 4], [0, 2]) == unipoly("q", [0, 2])
+    assert ratfunc("q", [], [0, 1]) == 0
 
 
 def test_ratfunc_cancels_non_monomial_gcd():
@@ -347,8 +362,7 @@ def test_ratfunc_cancels_non_monomial_gcd():
         if not a or len(b) < 2:
             continue
         r = ratfunc("q", poly._pmul(a, g), poly._pmul(b, g))
-        num, den = (list(r.num), list(r.den)) if isinstance(r, RatFunc) \
-            else (list(r.coeffs) if isinstance(r, UniPoly) else [r], [1])
+        num, den = _num_den(r)
         # lowest terms with a monic denominator, and the same quotient
         assert den[-1] == 1 and _euclid_gcd(num, den) == [1]
         assert poly._pmul(num, b) == poly._pmul(a, den)
@@ -703,6 +717,19 @@ def test_parse_scalar_error_messages(text, message):
     with pytest.raises(ParseError) as exc:
         parse_scalar(text)
     assert str(exc.value) == message
+
+
+def test_parse_scalar_bounds_exponents():
+    assert len(parse_scalar("a^10000").coeffs) == 10001
+    assert parse_scalar("q^-10000").den[-1] == 1
+    for text, term in (("a^10001 + 1", "a^10001"),
+                       ("1 - 2*q^-10001", "- 2*q^-10001"),
+                       ("a^999999999", "a^999999999"),
+                       ("a^" + "9" * 5000, "a^" + "9" * 5000)):
+        with pytest.raises(ParseError) as exc:
+            parse_scalar(text)
+        assert str(exc.value) == (f"exponent of term {term!r} exceeds "
+                                  "10000 in absolute value")
 
 
 def test_parse_format_round_trip_seeded():
