@@ -1,15 +1,16 @@
-"""Mechanical verification harness for the identity catalogue."""
+"""Mechanical verification harness for the identity catalogue.
 
-from .registry import (IdentitySpec, all_identities, filter_identities,
-                       get_identity)
-from .reports import (CheckParams, CheckReport, dump_reports,
-                      format_report_line, format_report_table,
-                      report_from_json)
-from .suite import run_check, run_suite, suite_exit_code, summarize
+The exports resolve on first access, so `hpf eval`, which runs no
+check, loads neither the registry nor the suite.
+"""
 
-__all__ = [
-    "IdentitySpec", "all_identities", "filter_identities", "get_identity",
-    "CheckParams", "CheckReport", "dump_reports", "format_report_line",
-    "format_report_table", "report_from_json",
-    "run_check", "run_suite", "suite_exit_code", "summarize",
-]
+from .. import _lazy_exports
+
+__all__ = _lazy_exports(globals(), {
+    "registry": ("IdentitySpec", "all_identities", "filter_identities",
+                 "get_identity"),
+    "reports": ("CheckParams", "CheckReport", "dump_reports",
+                "format_report_line", "format_report_table",
+                "report_from_json"),
+    "suite": ("run_check", "run_suite", "suite_exit_code", "summarize"),
+})

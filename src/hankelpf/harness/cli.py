@@ -7,8 +7,12 @@ Subcommands:
   eval    evaluate one array read from a JSON file
 
 Exit codes: 0 all good (reported discrepancies and open conjectures do
-not count against), 1 hard failure on a theorem-status check, 2 usage
-or input-parsing trouble.
+not count against), 1 hard failure on a theorem-status check or a
+checker that raised, 2 usage or input-parsing trouble.
+
+Each command imports what it runs: `eval` the engines, tensors and
+scalars, the others the registry and suite, whose checkers load when a
+check first runs.
 """
 
 import argparse
@@ -16,14 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
-from ..engines import hyperdet, hyperhafnian, hyperpfaffian, pfaffian
 from ..errors import HpfError, ParseError
-from ..scalars import format_scalar
-from ..tensors import BlockArray, block_array_from_json, tensor_from_json
-from .registry import filter_identities, get_identity
-from .reports import CheckParams, dump_reports, format_report_line, \
-    format_report_table
-from .suite import run_check, run_suite, suite_exit_code, summarize
 
 
 def coerce_param(text: str):
@@ -64,6 +61,7 @@ def _write_json(path, payload):
 
 
 def _cmd_list(args):
+    from .registry import filter_identities
     for spec in filter_identities(args.filter):
         print(f"{spec.id:<18} {spec.status:<21} {spec.strategy:<36} "
               f"{spec.title}")
@@ -71,6 +69,9 @@ def _cmd_list(args):
 
 
 def _cmd_verify(args):
+    from .registry import get_identity
+    from .reports import CheckParams, format_report_line
+    from .suite import run_check, suite_exit_code
     spec = get_identity(args.identity)
     params = dict(spec.smoke[0])
     params.update(_parse_param_overrides(args.param))
@@ -85,6 +86,8 @@ def _cmd_verify(args):
 
 
 def _cmd_suite(args):
+    from .reports import dump_reports, format_report_table
+    from .suite import run_suite, suite_exit_code, summarize
     reports = run_suite(level=args.level, filter_tag=args.filter,
                         jobs=args.jobs, seed=args.seed, trials=args.trials,
                         timing=args.timing)
@@ -109,6 +112,8 @@ def _load_json_file(path):
 
 def _pfaffian(arr):
     """The Pfaffian of a block array or of a matrix tensor's upper half."""
+    from ..engines import pfaffian
+    from ..tensors import BlockArray
     if isinstance(arr, BlockArray):
         return pfaffian(arr)
     if arr.m != 2:
@@ -118,23 +123,28 @@ def _pfaffian(arr):
                     size=arr.n)
 
 
-# eval kind -> (the document kinds it reads, its engine)
-_EVALS = {"pfaffian": (("tensor", "block_array"), _pfaffian),
-          "hyperpfaffian": (("block_array",), hyperpfaffian),
-          "hyperdet": (("tensor",), hyperdet),
-          "hafnian": (("block_array",), hyperhafnian)}
+# eval kind -> (the document kinds it reads, its engine in
+# hankelpf.engines; pfaffian's is _pfaffian)
+_EVALS = {"pfaffian": (("tensor", "block_array"), "pfaffian"),
+          "hyperpfaffian": (("block_array",), "hyperpfaffian"),
+          "hyperdet": (("tensor",), "hyperdet"),
+          "hafnian": (("block_array",), "hyperhafnian")}
 
 
 def _cmd_eval(args):
+    from .. import engines
+    from ..scalars import format_scalar
+    from ..tensors import block_array_from_json, tensor_from_json
     doc = _load_json_file(args.input)
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError("input file needs a top-level object with a "
                          "'kind' field")
-    kinds, engine = _EVALS[args.kind]
+    kinds, name = _EVALS[args.kind]
     if doc["kind"] not in kinds:
         raise ParseError(f"{args.kind} needs a {' or '.join(kinds)} input")
     read = tensor_from_json if doc["kind"] == "tensor" else \
         block_array_from_json
+    engine = _pfaffian if name == "pfaffian" else getattr(engines, name)
     print(format_scalar(engine(read(doc))))
     return 0
 

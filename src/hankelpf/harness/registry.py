@@ -1,10 +1,12 @@
 """Registry of every identity the harness can check.
 
-Each entry names a statement by what it computes, points at its checker,
-and carries two parameter grids: a smoke grid (one smallest instance)
-and a full grid (the complete desk-scale coverage). The grids state what
-a check runs. With `_SIZES` and the entry's `accepts` they also state
-what it takes, and `run_check` holds every params dict to that schema
+Each entry names a statement by what it computes, names its checker as
+"<checks module>.<function>" (imported the first time `spec.check` is
+read, so listing or planning a suite loads no checker), and carries two
+parameter grids: a smoke grid (one smallest instance) and a full grid
+(the complete desk-scale coverage). The grids state what a check runs.
+With `_SIZES` and the entry's `accepts` they also state what it takes,
+and `run_check` holds every params dict to that schema
 (`IdentitySpec.validate`): a size-like key takes its `_SIZES` range,
 any other key only the values the grids give it, and a params dict
 names every key that all grid instances name. Anything else raises one
@@ -12,14 +14,14 @@ UnsupportedArgument. Checkers hold no parameter defaults but the float
 checks' `a`, `q` and `K`, which `accepts` declares and no grid names.
 """
 
+import functools
+import importlib
 import itertools
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..errors import UnknownIdentity, UnknownTag, UnsupportedArgument
-from . import (checks_bridges, checks_integrals, checks_narayana,
-               checks_qpoly, checks_structural)
 
 STATUSES = ("theorem", "corollary", "conjecture", "reported-discrepancy")
 
@@ -98,7 +100,7 @@ class IdentitySpec:
     title: str
     status: str
     strategy: str
-    check: object
+    checker: str     # "<module in this package>.<function>"
     smoke: tuple
     full: tuple
     tags: tuple = ()
@@ -122,6 +124,13 @@ class IdentitySpec:
             **self.accepts})
         object.__setattr__(self, "required",
                            frozenset.intersection(*map(frozenset, grids)))
+
+    @functools.cached_property
+    def check(self):
+        """The checker function, imported on first use."""
+        module, _, name = self.checker.partition(".")
+        return getattr(importlib.import_module(f"{__package__}.{module}"),
+                       name)
 
     def validate(self, params):
         """UnsupportedArgument unless params names every key that all
@@ -193,7 +202,7 @@ _register(
     id="laplace-expansion",
     title="subset expansion of the hyperdeterminant along leading axes",
     status="theorem", strategy="random-rational-points(entries, count)",
-    check=checks_structural.check_laplace,
+    checker="checks_structural.check_laplace",
     smoke=({"count": 3, "orders": (2, 4), "dim": 3},),
     full=({"count": 50, "orders": (2, 4), "dim": 3},),
     tags=("structural",))
@@ -202,7 +211,7 @@ _register(
     id="hyper-minor",
     title="minors of a tensor assembled from positional index lists",
     status="theorem", strategy="random-rational-points(entries, count)",
-    check=checks_structural.check_hyper_minor,
+    checker="checks_structural.check_hyper_minor",
     smoke=({"count": 3, "orders": (2, 4)},),
     full=({"count": 50, "orders": (2, 4)},),
     tags=("structural",))
@@ -211,7 +220,7 @@ _register(
     id="subpf-indicator",
     title="sub-Pfaffians of aligned-pair arrays reduce to 0/1 indicators",
     status="theorem", strategy="random-rational-points(entries, count)",
-    check=checks_structural.check_subpf_indicator,
+    checker="checks_structural.check_subpf_indicator",
     smoke=({"count": 3, "pairs": 2},),
     full=({"count": 50, "pairs": 3},),
     tags=("structural",))
@@ -221,7 +230,7 @@ _register(
     title="minor summation: subset sum of weighted minors equals a "
           "kernel hyperpfaffian",
     status="theorem", strategy="random-rational-points(entries, count)",
-    check=checks_structural.check_msf_general,
+    checker="checks_structural.check_msf_general",
     smoke=({"count": 2, "shapes": _MSF_SHAPES[:2], "max_n": 5},),
     full=({"count": 50, "shapes": _MSF_SHAPES, "max_n": 6},),
     tags=("structural",),
@@ -233,7 +242,7 @@ _register(
     title="matrix case of the minor summation: kernel entries are "
           "weighted 2x2 minors",
     status="theorem", strategy="random-rational-points(entries, count)",
-    check=checks_structural.check_msf_det,
+    checker="checks_structural.check_msf_det",
     smoke=({"count": 3},),
     full=({"count": 50},),
     tags=("structural",))
@@ -243,7 +252,7 @@ _register(
     title="diagonal weight arrays split by slot parity into signed and "
           "unsigned subset sums",
     status="theorem", strategy="random-rational-points(entries, count)",
-    check=checks_structural.check_pf_hf,
+    checker="checks_structural.check_pf_hf",
     smoke=({"count": 3, "slot_counts": (1, 2)},),
     full=({"count": 50, "slot_counts": (1, 2, 3)},),
     tags=("structural",))
@@ -253,7 +262,7 @@ _register(
     title="flattening a block array into long blocks preserves the "
           "hyperpfaffian",
     status="theorem", strategy="random-rational-points(entries, count)",
-    check=checks_structural.check_matsumoto,
+    checker="checks_structural.check_matsumoto",
     smoke=({"count": 2},),
     full=({"count": 50},),
     tags=("structural",))
@@ -263,7 +272,7 @@ _register(
     title="enumeration engine against the exterior-algebra evaluation "
           "of the hyperdeterminant",
     status="theorem", strategy="random-rational-points(entries, count)",
-    check=checks_structural.check_engine_exterior,
+    checker="checks_structural.check_engine_exterior",
     smoke=({"count": 5, "orders": (2, 4)},),
     full=({"count": 50, "orders": (2, 4)},),
     tags=("structural",))
@@ -272,7 +281,7 @@ _register(
     id="pf-definition",
     title="fast Pfaffian against the literal signed block-permutation sum",
     status="theorem", strategy="random-rational-points(entries, count)",
-    check=checks_structural.check_pf_definition,
+    checker="checks_structural.check_pf_definition",
     smoke=({"count": 3, "max_pairs": 2},),
     full=({"count": 50, "max_pairs": 3},),
     tags=("structural",))
@@ -284,7 +293,7 @@ _register(
     title="ordered integral of determinant products equals the kernel "
           "hyperpfaffian over a finite measure",
     status="theorem", strategy="discrete-measure",
-    check=checks_bridges.check_debruijn_discrete,
+    checker="checks_bridges.check_debruijn_discrete",
     smoke=({"classical": True, "n": 2},),
     full=({"classical": True, "n": 2}, {"classical": True, "n": 3},
           {"r": 1, "l": 2, "n": 2, "count": 3},
@@ -301,7 +310,7 @@ _register(
     title="even family counts: the signed kernel sum matches the ordered "
           "integral where the printed unsigned form does not",
     status="reported-discrepancy", strategy="discrete-measure",
-    check=checks_bridges.check_debruijn_even_r,
+    checker="checks_bridges.check_debruijn_even_r",
     smoke=({},),
     full=({},),
     tags=("bridge", "conjecture"))
@@ -311,7 +320,7 @@ _register(
     title="q-difference-weighted moment hyperpfaffian equals the scaled "
           "cube integral of the cancelled pair product",
     status="theorem", strategy="discrete-measure",
-    check=checks_bridges.check_q_hankel,
+    checker="checks_bridges.check_q_hankel",
     smoke=({"l": 2, "n": 2, "u": 0},),
     full=_grid(l=(2, 4), n=(1, 2, 3), u=(0, 1, 2)),
     tags=("bridge",))
@@ -321,7 +330,7 @@ _register(
     title="index-gap-weighted moment hyperpfaffian equals the cube "
           "integral of an even Vandermonde power",
     status="theorem", strategy="discrete-measure",
-    check=checks_bridges.check_hankel_classical,
+    checker="checks_bridges.check_hankel_classical",
     smoke=({"l": 2, "n": 2, "u": 0, "atoms": ((2, 1), (3, 1))},),
     full=_grid(l=(2, 4), n=(1, 2, 3), u=(0, 1, 2))
     + ({"l": 2, "n": 2, "u": 0, "atoms": ((2, 1), (3, 1))},),
@@ -331,7 +340,7 @@ _register(
     id="delta-relations",
     title="rewrites among the four pair-interaction products",
     status="theorem", strategy="random-rational-points(points, count)",
-    check=checks_bridges.check_delta_relations,
+    checker="checks_bridges.check_delta_relations",
     smoke=({"sizes": (2,), "ks": (1,)},),
     full=({"sizes": (2, 3), "ks": (1, 2)},),
     tags=("bridge",))
@@ -340,7 +349,7 @@ _register(
     id="delta-integral",
     title="cube integrals of the squared and doubled pair products agree",
     status="theorem", strategy="discrete-measure",
-    check=checks_bridges.check_delta_integral,
+    checker="checks_bridges.check_delta_integral",
     smoke=({"n": 2, "k": 1, "atoms": 3},),
     full=({"n": 2, "k": 1, "atoms": 4}, {"n": 2, "k": 2, "atoms": 4},
           {"n": 3, "k": 1, "atoms": 4}),
@@ -351,7 +360,7 @@ _register(
     title="q-difference-weighted moment Pfaffian equals the normalized "
           "cube integral of the doubled pair product",
     status="theorem", strategy="discrete-measure",
-    check=checks_bridges.check_pf_delta2,
+    checker="checks_bridges.check_pf_delta2",
     smoke=({"n": 2, "r": 0},),
     full=_grid(n=(1, 2, 3), r=(0, 1, 2)),
     tags=("bridge",))
@@ -363,7 +372,7 @@ _register(
     title="closed beta-type n-fold integral against brute-force "
           "polynomial integration",
     status="theorem", strategy="exact-rational",
-    check=checks_integrals.check_selberg,
+    checker="checks_integrals.check_selberg",
     smoke=({"n": 2, "alpha": 1, "beta": 1, "gamma": 1},),
     full=_grid(n=(1, 2, 3), alpha=(1, 2), beta=(1, 2), gamma=(1, 2)),
     tags=("integral",))
@@ -373,7 +382,7 @@ _register(
     title="closed form of the k-marked beta-type integral against "
           "brute force",
     status="theorem", strategy="exact-rational",
-    check=checks_integrals.check_aomoto,
+    checker="checks_integrals.check_aomoto",
     smoke=({"n": 2, "k": 1, "alpha": 1, "beta": 1, "gamma": 1},),
     full=tuple(p for p in _grid(n=(1, 2, 3), k=(1, 2, 3), alpha=(1, 2),
                                 beta=(1, 2), gamma=(1, 2))
@@ -384,7 +393,7 @@ _register(
     id="selberg-phi",
     title="binomial-product form of the half-integer beta-type integral",
     status="theorem", strategy="exact-rational",
-    check=checks_integrals.check_selberg_phi,
+    checker="checks_integrals.check_selberg_phi",
     smoke=({"n": 1, "r": 0, "s": 0, "m": 1},),
     full=_grid(n=(1, 2), r=(0, 1, 2), s=(0, 1, 2), m=(1, 2)),
     tags=("integral",))
@@ -394,7 +403,7 @@ _register(
     title="q-analogue of the integer-parameter beta-type integral with "
           "doubled interaction",
     status="theorem", strategy="random-rational-points(q, trials)",
-    check=checks_integrals.check_ahk,
+    checker="checks_integrals.check_ahk",
     smoke=({"n": 2, "k": 1, "x": 1, "y": 1},),
     full=_grid(n=(1, 2, 3), k=(1, 2), x=(1, 2, 3), y=(1, 2, 3)),
     tags=("integral",))
@@ -404,7 +413,7 @@ _register(
     title="shifted Pfaffian of q-difference-weighted little q-Jacobi "
           "moments in closed form",
     status="theorem", strategy="random-rational-points(a,b,q, trials)",
-    check=checks_integrals.check_little_qjacobi,
+    checker="checks_integrals.check_little_qjacobi",
     smoke=({"n": 1, "r": 0},),
     full=_grid(n=(1, 2, 3), r=(0, 1, 2, 3)),
     tags=("integral",))
@@ -421,7 +430,7 @@ for _variant, _vtitle in (
         title=f"Pfaffian of q-difference-weighted Rogers-Szego type "
               f"polynomials, {_vtitle}",
         status="theorem", strategy="exact-symbolic-in-a",
-        check=checks_qpoly.check_asc,
+        checker="checks_qpoly.check_asc",
         smoke=({"variant": _variant, "n": 1},),
         full=tuple({"variant": _variant, "n": n} for n in (1, 2, 3)),
         tags=("q",))
@@ -431,7 +440,7 @@ _register(
     title="closed form of the moment polynomials against their "
           "three-term recurrence",
     status="theorem", strategy="random-rational-points(t, trials)",
-    check=checks_qpoly.check_ftilde_rec,
+    checker="checks_qpoly.check_ftilde_rec",
     smoke=({"max_i": 4},),
     full=({"max_i": 8},),
     tags=("q",))
@@ -441,7 +450,7 @@ _register(
     title="discrete weight moments on [a,1] against the Rogers-Szego "
           "polynomial, floating point",
     status="theorem", strategy="numeric(1e-6)",
-    check=checks_qpoly.check_rs_moment_u,
+    checker="checks_qpoly.check_rs_moment_u",
     smoke=({"max_m": 2},),
     full=({"max_m": 4},),
     tags=("q", "numeric"),
@@ -452,7 +461,7 @@ _register(
     title="n-fold interaction integral of the [a,1] weight in closed "
           "form, floating point",
     status="theorem", strategy="numeric(1e-6)",
-    check=checks_qpoly.check_bf_u_integral,
+    checker="checks_qpoly.check_bf_u_integral",
     smoke=({"n": 2, "k": 1},),
     full=_grid(n=(1, 2), k=(1, 2)),
     tags=("q", "numeric"),
@@ -464,7 +473,7 @@ for _gx in range(1, 6):
         title=f"conjectured Pfaffian evaluation for ternary-tree "
               f"sequence {_gx}",
         status="conjecture", strategy="exact-rational",
-        check=checks_qpoly.check_gx,
+        checker="checks_qpoly.check_gx",
         smoke=({"index": _gx, "max_n": 2},),
         full=({"index": _gx, "max_n": 5},),
         tags=("q", "conjecture"))
@@ -474,7 +483,7 @@ _register(
     title="ternary-tree sequences against their hypergeometric "
           "quotient series",
     status="theorem", strategy="exact-rational",
-    check=checks_qpoly.check_gx_defs,
+    checker="checks_qpoly.check_gx_defs",
     smoke=({"order": 6},),
     full=({"order": 8},),
     tags=("q",))
@@ -514,36 +523,31 @@ for _case, (_subtitle, _strategy) in _TILDEN_META.items():
         id=f"tilden-{_case}",
         title=f"block-moment hyperpfaffian in closed form: {_subtitle}",
         status="theorem", strategy=_strategy,
-        check=checks_narayana.check_tilden,
+        checker="checks_narayana.check_tilden",
         smoke=_smoke, full=_full, tags=_tags)
 
 # ------------------------------------------------------- classical corollaries
 
-for _seq, _fn in (("motzkin", checks_narayana.check_motzkin_pf),
-                  ("delannoy", checks_narayana.check_delannoy_pf),
-                  ("schroeder", checks_narayana.check_schroeder_pf)):
+for _seq in ("motzkin", "delannoy", "schroeder"):
     _register(
         id=f"{_seq}-pf",
         title=f"Hankel-type Pfaffian of gap-weighted {_seq} numbers in "
               f"product form",
         status="corollary", strategy="exact-rational",
-        check=_fn,
+        checker=f"checks_narayana.check_{_seq}_pf",
         smoke=({"n": 2},),
         full=tuple({"n": n} for n in (1, 2, 3, 4, 5)),
         tags=("narayana",))
 
-for _seq, _fn, _strategy in (
-        ("motzkin", checks_narayana.check_motzkin_shift, "exact-rational"),
-        ("delannoy", checks_narayana.check_delannoy_shift,
-         "quad-ext(sqrt2)"),
-        ("schroeder", checks_narayana.check_schroeder_shift,
-         "quad-ext(sqrt2)")):
+for _seq, _strategy in (("motzkin", "exact-rational"),
+                        ("delannoy", "quad-ext(sqrt2)"),
+                        ("schroeder", "quad-ext(sqrt2)")):
     _register(
         id=f"{_seq}-shift",
         title=f"shifted {_seq} Pfaffian against the absolute-value "
               f"display, sign recorded",
         status="corollary", strategy=_strategy,
-        check=_fn,
+        checker=f"checks_narayana.check_{_seq}_shift",
         smoke=({"n": 2},),
         full=tuple({"n": n} for n in (1, 2, 3, 4)),
         tags=("narayana",))
@@ -552,7 +556,7 @@ _register(
     id="catalan-r",
     title="r-shifted Catalan Pfaffian display (size read as 2n)",
     status="reported-discrepancy", strategy="exact-rational",
-    check=checks_narayana.check_catalan_r,
+    checker="checks_narayana.check_catalan_r",
     smoke=({"n": 2, "r": 1},),
     full=_grid(n=(1, 2, 3), r=(0, 1, 2, 3)),
     tags=("narayana", "conjecture"))
@@ -562,7 +566,7 @@ _register(
     title="r-shifted central-binomial Pfaffian display against the "
           "theorem-derived value",
     status="reported-discrepancy", strategy="exact-rational",
-    check=checks_narayana.check_cbc_r,
+    checker="checks_narayana.check_cbc_r",
     smoke=({"n": 1, "r": 1},),
     full=_grid(n=(1, 2, 3), r=(0, 1, 2, 3)),
     tags=("narayana", "conjecture"))
@@ -572,7 +576,7 @@ _register(
     title="r-shifted third-family Pfaffian display against the signed "
           "theorem-derived value",
     status="reported-discrepancy", strategy="exact-rational",
-    check=checks_narayana.check_typed_r,
+    checker="checks_narayana.check_typed_r",
     smoke=({"n": 1, "r": 2},),
     full=_grid(n=(1, 2, 3), r=(0, 1, 2, 3)),
     tags=("narayana", "conjecture"))
@@ -583,7 +587,7 @@ for _x in ("a", "b", "d"):
         title=f"algebraic generating function of the type-{_x.upper()} "
               f"polynomials against direct values",
         status="corollary", strategy="exact-rational",
-        check=checks_narayana.check_gf_narayana,
+        checker="checks_narayana.check_gf_narayana",
         smoke=({"type": _x.upper(), "order": 8, "a": 1},),
         full=({"type": _x.upper(), "order": 12, "a": 1},
               {"type": _x.upper(), "order": 12, "a": "random"}),
@@ -613,7 +617,7 @@ for _which, _subtitle, _strategy in _SPECIAL_META:
         id=f"special-{_which}",
         title=f"sequence specialization: {_subtitle}",
         status="corollary", strategy=_strategy,
-        check=checks_narayana.check_special,
+        checker="checks_narayana.check_special",
         smoke=({"which": _which, "max_n": 5},),
         full=({"which": _which, "max_n": 10},),
         tags=("gf",))

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..errors import BoundsError, ParseError
-from ..scalars import format_scalar
 
 REPORT_KEYS = ("identity", "params", "status", "lhs", "rhs", "terms",
                "elapsed_ms")
@@ -22,6 +21,8 @@ def scalar_text(value) -> str:
         return str(value)
     if isinstance(value, float):
         return repr(value)
+    # imported here: the scalar package is loaded once a check has run
+    from ..scalars import format_scalar
     try:
         return format_scalar(value)
     except ParseError:

@@ -4,14 +4,18 @@ A report for a given (identity, params, seed) triple is byte-identical
 across runs and across worker counts: the random stream is derived by
 hashing that triple, results are aggregated in registry order, and
 elapsed_ms stays 0 unless wall-clock timing is requested explicitly.
+
+A checker that raises something other than an HpfError gives a
+`check-error` report naming the exception, and the suite goes on; such
+a report gates the exit code whatever the identity's status.
 """
 
 import os
 import re
 import time
 
-from ..errors import BoundsError, PoleEncountered, SizeBudgetExceeded
-from ..scalars.sampling import derive_rng
+from ..errors import (BoundsError, HpfError, PoleEncountered,
+                      SizeBudgetExceeded)
 from .registry import GATING_STATUSES, filter_identities, get_identity
 from .reports import (CheckParams, CheckReport, canonical_params,
                       params_json, scalar_text)
@@ -22,6 +26,8 @@ FAILING_REPORT_STATUSES = ("counterexample", "numeric-fail")
 def run_check(p: CheckParams) -> CheckReport:
     """Execute one check and package the outcome as a report. Params
     outside the identity's schema raise UnsupportedArgument first."""
+    # imported here: planning or listing a suite needs no scalar type
+    from ..scalars import derive_rng
     spec = get_identity(p.identity)
     spec.validate(p.params)
     rng = derive_rng(p.identity, canonical_params(p.params), p.seed)
@@ -31,6 +37,12 @@ def run_check(p: CheckParams) -> CheckReport:
     except (SizeBudgetExceeded, PoleEncountered) as exc:
         outcome = None
         status, lhs, rhs, terms = "budget-exceeded", "", "", 0
+        note = f"{type(exc).__name__}: {exc}"
+    except HpfError:
+        raise
+    except Exception as exc:
+        outcome = None
+        status, lhs, rhs, terms = "check-error", "", "", 0
         note = f"{type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - start
     if outcome is not None:
@@ -83,6 +95,13 @@ def run_suite(level="smoke", filter_tag=None, jobs=1, seed=0, trials=5,
                         trials=trials, timing=timing)
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # load every checker here, so that forked workers inherit the
+        # modules rather than each importing them on every run
+        for identity in dict.fromkeys(p.identity for p in tasks):
+            try:
+                get_identity(identity).check
+            except Exception:
+                pass    # the workers report it as a check-error
         # imported here: it pulls in multiprocessing, which only a pooled
         # run needs, and costs every other command's start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -109,9 +128,12 @@ def _range_order(text):
 
 
 def _gating_failure(report) -> bool:
-    """A hard failure (counterexample or numeric-fail) of a theorem or
-    corollary. Conjecture mismatches, reported discrepancies and budget
-    overruns never gate."""
+    """A checker that raised (check-error), or a hard failure
+    (counterexample or numeric-fail) of a theorem or corollary.
+    Conjecture mismatches, reported discrepancies and budget overruns
+    never gate."""
+    if report.status == "check-error":
+        return True
     return (report.status in FAILING_REPORT_STATUSES
             and get_identity(report.identity).status in GATING_STATUSES)
 

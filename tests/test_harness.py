@@ -3,6 +3,7 @@
 import collections
 import concurrent.futures
 import importlib
+import inspect
 import itertools
 import json
 import math
@@ -75,7 +76,12 @@ def test_registry_entries_well_formed():
         assert spec.strategy
         assert spec.title
         assert spec.smoke and spec.full
-        assert callable(spec.check)
+        # the checker name resolves to a module-level checks_* function
+        check = spec.check
+        assert inspect.isfunction(check), spec.id
+        assert check.__module__.startswith("hankelpf.harness.checks_")
+        assert vars(sys.modules[check.__module__])[check.__qualname__] \
+            is check
         for grid in (spec.smoke, spec.full):
             for params in grid:
                 assert isinstance(params, dict)
@@ -261,6 +267,45 @@ def test_hankel_pf_empty_and_negative_sizes():
         hankel_pf(2, -1, gap_prefactor, lambda d: 1, 0)
 
 
+def _planted_fault(params, rng, opts):
+    raise ZeroDivisionError("planted fault")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_suite_finishes_past_a_checker_that_raises(monkeypatch, jobs):
+    # a corollary and a reported discrepancy: check-error gates for both;
+    # jobs=2 forks real workers, which inherit the planted checkers
+    for cid in ("motzkin-pf", "catalan-r"):
+        monkeypatch.setitem(vars(get_identity(cid)), "check", _planted_fault)
+    tasks = suite.suite_tasks(level="smoke", filter_tag="narayana")
+    reports = run_suite(level="smoke", filter_tag="narayana", jobs=jobs)
+    assert [(r.identity, r.params) for r in reports] == \
+        [(p.identity, p.params) for p in tasks]
+    errors = [r for r in reports if r.status == "check-error"]
+    assert [(r.identity, r.params) for r in errors] == \
+        [("motzkin-pf", {"n": 2}), ("catalan-r", {"n": 2, "r": 1})]
+    for r in errors:
+        assert r.note == "ZeroDivisionError: planted fault"
+        assert (r.lhs, r.rhs, r.terms) == ("", "", 0)
+    assert summarize(reports)["failed"] == 2
+    assert suite_exit_code(reports) == 1
+
+
+def test_cli_checker_faults(monkeypatch, capsys):
+    spec = get_identity("motzkin-pf")
+    monkeypatch.setitem(vars(spec), "check", _planted_fault)
+    assert main(["verify", "motzkin-pf"]) == 1
+    out = capsys.readouterr().out
+    assert "check-error" in out and "[ZeroDivisionError: planted fault]" in out
+
+    def bounds(params, rng, opts):
+        raise BoundsError("planted")
+    # a package error from a checker is still a usage error
+    monkeypatch.setitem(vars(spec), "check", bounds)
+    assert main(["verify", "motzkin-pf"]) == 2
+    assert capsys.readouterr().err == "hpf: BoundsError: planted\n"
+
+
 # ---------------------------------------------------------------- suite layer
 
 def test_smoke_suite_all_green():
@@ -292,13 +337,17 @@ def test_suite_json_document():
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps
+    """Stands in for ProcessPoolExecutor: records max_workers, and the
+    ids whose checker is loaded when the pool starts, and maps
     in-process, so no worker is ever started."""
 
     made: list = []
+    loaded: list = []
 
     def __init__(self, max_workers):
         self.made.append(max_workers)
+        self.loaded.append([spec.id for spec in all_identities()
+                            if "check" in vars(spec)])
 
     def __enter__(self):
         return self
@@ -313,6 +362,7 @@ class _RecordingPool:
 @pytest.fixture
 def recording_pool(monkeypatch):
     monkeypatch.setattr(_RecordingPool, "made", [])
+    monkeypatch.setattr(_RecordingPool, "loaded", [])
     # run_suite imports the pool class when it starts one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         _RecordingPool)
@@ -339,6 +389,21 @@ def test_run_suite_caps_workers(recording_pool, monkeypatch):
     ids = run_suite(level="full", jobs=2)
     assert ids == [p.identity for p in suite.suite_tasks(level="full")]
     assert recording_pool == [2, 2]
+
+
+def test_pooled_suite_loads_checkers_before_the_pool(recording_pool,
+                                                     monkeypatch):
+    # forked workers then inherit the checker modules
+    for spec in all_identities():
+        monkeypatch.delitem(vars(spec), "check", raising=False)
+    monkeypatch.setattr(suite, "run_check", lambda p: p.identity)
+    monkeypatch.setattr(suite.os, "cpu_count", lambda: 2)
+    assert run_suite(filter_tag="numeric", jobs=2) == \
+        ["rs-moment-u", "bf-u-integral"]
+    assert _RecordingPool.loaded == [["rs-moment-u", "bf-u-integral"]]
+    assert run_suite(filter_tag="numeric", jobs=1) == \
+        ["rs-moment-u", "bf-u-integral"]
+    assert recording_pool == [2]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -689,6 +754,46 @@ def test_cli_import_leaves_out_the_pool():
          "print('concurrent.futures.process' in sys.modules)"],
         capture_output=True, text=True, timeout=60, env=env)
     assert proc.stdout == "False\n"
+
+
+def _modules_after(code):
+    """The hankelpf modules a fresh interpreter has loaded after code."""
+    src = pathlib.Path(hankelpf.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport json, sys\nprint(json.dumps("
+         "[m for m in sys.modules if m.startswith('hankelpf')]))"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+CHECKER_MODULES = {f"hankelpf.harness.checks_{name}" for name in (
+    "bridges", "integrals", "narayana", "qpoly", "structural")}
+
+
+def _hpf(*argv):
+    return f"from hankelpf.harness.cli import main\nmain({list(argv)!r})"
+
+
+def test_each_command_imports_only_what_it_runs():
+    engine_side = {"hankelpf.engines", "hankelpf.tensors", "hankelpf.qcalc",
+                   "hankelpf.sequences", "hankelpf.harness.common"}
+    for code in ("import hankelpf.harness\nfrom hankelpf.harness.suite "
+                 "import suite_tasks\nsuite_tasks(level='full')",
+                 _hpf("list")):
+        loaded = _modules_after(code)
+        assert not loaded & (engine_side | CHECKER_MODULES), code
+        assert not any(m.startswith("hankelpf.scalars") for m in loaded)
+    loaded = _modules_after(
+        _hpf("eval", "pfaffian", "--input",
+             str(DEMOS / "pfaffian_matrix.json")))
+    assert "hankelpf.engines" in loaded
+    assert not loaded & (CHECKER_MODULES | {
+        "hankelpf.harness.common", "hankelpf.qcalc", "hankelpf.sequences",
+        "hankelpf.harness.registry", "hankelpf.harness.suite"})
+    loaded = _modules_after(_hpf("verify", "motzkin-pf"))
+    assert loaded & CHECKER_MODULES == {"hankelpf.harness.checks_narayana"}
 
 
 @pytest.mark.parametrize("module", [
