@@ -17,12 +17,13 @@ Design notes that matter for reading this file:
   entries give a plain int. When every entry is exactly a Fraction, a
   UniPoly or a QuadExt, with the UniPolys all in one variable or the
   QuadExts all in one extension, the kernel runs over packed ints
-  (`_packed_entries`): coefficients are scaled by the lcm D of their
-  denominators, each entry becomes one int, its value at x = 2^B, and
-  each result is unpacked once into its coefficients digits / D**steps.
-  Those give unipoly(var, ...), a UniPoly in the entries' variable, or
-  quad_reduce(p, r, ..., sym), a QuadExt of the entries' extension;
-  either is a Fraction when it is constant, even when whole or zero.
+  (`_packed_entries`): each entry's int numerators are packed into one
+  int, its value at x = 2^B, which is scaled once by D / den to the lcm
+  D of the entries' denominators, and each result is unpacked once into
+  int digits over D**steps. Those give a UniPoly in the entries'
+  variable (`poly._poly`), or a QuadExt of the entries' extension
+  (`quad_reduce`); either is a Fraction when it is constant, even when
+  whole or zero.
   All-Fraction entries are the one-digit case. A result no term
   reaches, because no term has all its entries present, is int 0.
   Mixed int/Fraction, UniPoly with QuadExt, RatFunc, two-variable and
@@ -58,8 +59,7 @@ from fractions import Fraction
 from .errors import (BoundsError, CardinalityMismatch,
                      CardinalityNotMultipleOfL, OddBlockLength, OddDimension,
                      OddSize, ShapeMismatch)
-from .scalars.poly import (UniPoly, kron_pack, kron_unpack, scale_to_ints,
-                           unipoly)
+from .scalars.poly import UniPoly, _poly, kron_pack, kron_unpack
 from .scalars.quadext import QuadExt, quad_reduce
 from .tensors import BlockArray, Tensor
 
@@ -103,10 +103,12 @@ def _packed_entries(entries, l, start, steps):
     Packing applies when every entry is exactly a Fraction, a UniPoly or
     a QuadExt, with the UniPolys all in one variable or the QuadExts all
     in one extension (p, r, sym), not both. A QuadExt u + v*theta counts
-    as the polynomial u + v*theta in theta. All coefficients are scaled
-    by the lcm D of their denominators, and each entry becomes the int
-    `kron_pack(coeffs, B)`, its value at x = 2^B. Evaluation at 2^B is a
-    ring map, so the kernel's +, - and * over these ints give each final
+    as the polynomial u + v*theta in theta. Each entry is read as int
+    numerators over one denominator: a UniPoly's own `nums` and `den`,
+    a Fraction's numerator and denominator. Over the lcm D of those
+    denominators, each entry becomes the int `kron_pack(nums, B)`, its
+    value at x = 2^B, times D / den once. Evaluation at 2^B is a ring
+    map, so the kernel's +, - and * over these ints give each final
     state's polynomial evaluated at 2^B, times D**steps. For QuadExts
     that polynomial is then reduced by theta^2 = p*theta + r
     (`quad_reduce`), which gives the same element as reducing after
@@ -116,52 +118,60 @@ def _packed_entries(entries, l, start, steps):
     absolute value below 2^(B-1). A final coefficient sums one term per
     path into its state. A term is a product of `steps` entries, each
     with at most L coefficients of absolute value at most C (the largest
-    scaled one), so its coefficients are at most C**steps * L**(steps-1).
-    The paths into any state are at most all the paths from `start`: at
-    step t the first slot, with f_1 - t*l free points, takes a block
-    holding its lowest one, in comb(f_1 - t*l - 1, l - 1) ways, and slot
-    s takes any of comb(f_s - t*l, l) blocks. So B is one more than the
-    bit length of (paths) * C**steps * L**(steps-1). A QuadExt has
-    L = 2, and the same derivation holds.
+    numerator times D / den), so its coefficients are at most
+    C**steps * L**(steps-1). The paths into any state are at most all
+    the paths from `start`: at step t the first slot, with f_1 - t*l
+    free points, takes a block holding its lowest one, in
+    comb(f_1 - t*l - 1, l - 1) ways, and slot s takes any of
+    comb(f_s - t*l, l) blocks. So B is one more than the bit length of
+    (paths) * C**steps * L**(steps-1). A QuadExt has L = 2, and the same
+    derivation holds.
 
     Returns (packed entries, B, D**steps, digits per final state,
-    finish), where `finish` turns a final state's coefficient list into
-    its value: `unipoly(var, ...)`, or `quad_reduce(p, r, ..., sym)`.
+    finish), where `finish(digits, D**steps)` is a final state's value:
+    `_poly(var, ...)`, `quad_reduce(p, r, ..., sym=sym)`, or a Fraction.
     With only Fractions, L = 1: each entry and each final state is one
-    scaled int, and no width is needed.
+    int, and no width is needed.
     """
     if not steps or not entries:
         return None
+    values = entries.values()
+    if all(type(v) is Fraction for v in values):
+        ratios = [v.as_integer_ratio() for v in values]
+        D = math.lcm(*[d for _, d in ratios])
+        packed = {k: a * (D // d) for k, (a, d) in zip(entries, ratios)}
+        return packed, 0, D ** steps, 1, lambda ds, scale: Fraction(*ds, scale)
     tag = None
-    lists = []
-    for v in entries.values():
+    parts = []      # (int numerators, denominator) per entry
+    for v in values:
         if type(v) is Fraction:
-            lists.append((v,))
+            a, d = v.as_integer_ratio()
+            parts.append(((a,), d))
         elif type(v) is UniPoly and tag in (None, v.var):
             tag = v.var
-            lists.append(v.coeffs)
+            parts.append((v.nums, v.den))
         elif type(v) is QuadExt and tag in (None, (v.p, v.r, v.sym)):
             tag = (v.p, v.r, v.sym)
-            lists.append((v.u, v.v))
+            (a, b), (c, d) = v.u.as_integer_ratio(), v.v.as_integer_ratio()
+            parts.append(((a * d, c * b), b * d))
         else:
             return None
     if type(tag) is tuple:
         p, r, sym = tag
         finish = functools.partial(quad_reduce, p, r, sym=sym)
     else:
-        finish = functools.partial(unipoly, tag)
-    ints, D = scale_to_ints(lists)
-    L = max(map(len, ints))
-    B = 0
-    if L > 1:
-        C = max(abs(c) for cs in ints for c in cs)
-        free = [p.bit_count() for p in start]
-        paths = 1
-        for t in range(steps):
-            paths *= math.comb(max(free[0] - t * l - 1, 0), l - 1) \
-                * math.prod(math.comb(max(f - t * l, 0), l) for f in free[1:])
-        B = (paths * C ** steps * L ** (steps - 1)).bit_length() + 1
-    packed = dict(zip(entries, (kron_pack(cs, B) for cs in ints)))
+        finish = functools.partial(_poly, tag)
+    D = math.lcm(*[d for _, d in parts])
+    L = max([len(nums) for nums, _ in parts])
+    C = max([max(map(abs, nums)) * (D // d) for nums, d in parts])
+    free = [p.bit_count() for p in start]
+    paths = 1
+    for t in range(steps):
+        paths *= math.comb(max(free[0] - t * l - 1, 0), l - 1) \
+            * math.prod(math.comb(max(f - t * l, 0), l) for f in free[1:])
+    B = (paths * C ** steps * L ** (steps - 1)).bit_length() + 1
+    packed = dict(zip(entries, [kron_pack(nums, B) * (D // d)
+                                for nums, d in parts]))
     return packed, B, D ** steps, steps * (L - 1) + 1, finish
 
 
@@ -365,8 +375,7 @@ def _expand(entries, l, m, start, steps, signed, minors=False):
         cur = nxt
     if packed is not None:
         _, B, scale, n, finish = packed
-        cur = [None if v is None else
-               finish([Fraction(d, scale) for d in kron_unpack(v, B, n)])
+        cur = [None if v is None else finish(kron_unpack(v, B, n), scale)
                for v in cur]
     return plan, cur
 

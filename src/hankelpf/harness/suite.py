@@ -6,7 +6,8 @@ hashing that triple, results are aggregated in registry order, and
 elapsed_ms stays 0 unless wall-clock timing is requested explicitly.
 
 A checker that raises something other than an HpfError gives a
-`check-error` report naming the exception, and the suite goes on; such
+`check-error` report naming the exception and the file and line where
+it was raised, and the suite goes on; such
 a report gates the exit code whatever the identity's status.
 """
 
@@ -21,6 +22,14 @@ from .reports import (CheckParams, CheckReport, canonical_params,
                       params_json, scalar_text)
 
 FAILING_REPORT_STATUSES = ("counterexample", "numeric-fail")
+
+
+def _where(exc):
+    """'<file>:<line>' of the innermost frame an exception passed, the
+    file without its directory."""
+    import traceback
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    return f"{os.path.basename(frame.filename)}:{frame.lineno}"
 
 
 def run_check(p: CheckParams) -> CheckReport:
@@ -43,7 +52,7 @@ def run_check(p: CheckParams) -> CheckReport:
     except Exception as exc:
         outcome = None
         status, lhs, rhs, terms = "check-error", "", "", 0
-        note = f"{type(exc).__name__}: {exc}"
+        note = f"{type(exc).__name__}: {exc} ({_where(exc)})"
     elapsed = time.perf_counter() - start
     if outcome is not None:
         status = outcome.status

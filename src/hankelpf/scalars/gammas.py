@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from ..errors import DivisionByZero, PoleAtQEqualsOne, UnsupportedArgument
-from .poly import RATIONAL_TYPES, _frac, num_den
+from .poly import RATIONAL_TYPES, num_den
 
 
 class HalfGamma:
@@ -20,7 +20,7 @@ class HalfGamma:
     __slots__ = ("coeff", "pi_half_power")
 
     def __init__(self, coeff, pi_half_power: int = 0):
-        self.coeff = _frac(coeff)
+        self.coeff = Fraction(coeff)
         self.pi_half_power = pi_half_power
 
     def __mul__(self, other):
@@ -47,7 +47,7 @@ class HalfGamma:
 
     def __rtruediv__(self, other):
         if isinstance(other, RATIONAL_TYPES):
-            return HalfGamma(_frac(other), 0).__truediv__(self)
+            return HalfGamma(Fraction(other), 0).__truediv__(self)
         return NotImplemented
 
     def __eq__(self, other):
@@ -75,7 +75,7 @@ def gamma_exact(x) -> HalfGamma:
 
     Gamma(n) = (n-1)!; Gamma(n + 1/2) = ((2n)! / (4^n n!)) * sqrt(pi).
     """
-    x = _frac(x)
+    x = Fraction(x)
     if x <= 0:
         raise UnsupportedArgument(f"gamma_exact needs x > 0, got {x}")
     if x.denominator == 1:

@@ -12,22 +12,25 @@ Grammar by example:
 Without a quadratic-extension context, a letter parses as a polynomial
 variable.  An exponent's absolute value is at most MAX_EXPONENT.
 
-A sum of terms is read over ints: each coefficient is a numerator and a
-denominator, the terms are summed per exponent in one pass, and each
-exponent's sum becomes one Fraction at the end.  For the extension
-letter, that polynomial in theta is reduced by theta^2 = p*theta + r
-with `quad_reduce`, the helper the engines' kernel uses, and a negative
-lowest exponent lo contributes one theta**lo factor.
+A sum of terms is read over ints: the terms are summed per exponent in
+one pass, as int numerators over one denominator D that grows to the
+lcm of the coefficients' denominators, which gives a polynomial's int
+numerators and denominator with no Fraction between.  For the
+extension letter, that polynomial in theta is reduced by
+theta^2 = p*theta + r with `quad_reduce`, the helper the engines'
+kernel uses, and a negative lowest exponent lo contributes one
+theta**lo factor.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
 from ..errors import ParseError
 from .gammas import HalfGamma
-from .poly import RATIONAL_TYPES, RatFunc, UniPoly, ratfunc, unipoly
+from .poly import RATIONAL_TYPES, RatFunc, UniPoly, _poly, _ratfunc
 from .quadext import QuadExt, quad_reduce, quadext
 from .series import TruncSeries
 
@@ -71,8 +74,8 @@ def format_scalar(x) -> str:
     if isinstance(x, RATIONAL_TYPES):
         return str(x)
     if isinstance(x, UniPoly):
-        return _fmt_terms([(e, c) for e, c in enumerate(x.coeffs) if c != 0],
-                          x.var)
+        return _fmt_terms([(e, Fraction(c, x.den))
+                           for e, c in enumerate(x.nums) if c], x.var)
     if isinstance(x, QuadExt):
         return _fmt_terms([(e, c) for e, c in ((0, x.u), (1, x.v)) if c != 0],
                           x.sym)
@@ -80,10 +83,11 @@ def format_scalar(x) -> str:
         inner = ", ".join(str(c) for c in x.coeffs)
         return f"[{inner}] @{x.var} up to {x.order}"
     if isinstance(x, RatFunc):
-        num = _fmt_terms([(e, c) for e, c in enumerate(x.num) if c != 0],
-                         x.var)
-        den = _fmt_terms([(e, c) for e, c in enumerate(x.den) if c != 0],
-                         x.var)
+        # printed with a monic denominator
+        lead = x.den[-1]
+        num, den = (_fmt_terms([(e, Fraction(c, lead))
+                                for e, c in enumerate(cs) if c], x.var)
+                    for cs in (x.num, x.den))
         return f"({num})/({den})"
     if isinstance(x, HalfGamma):
         return str(x)
@@ -97,11 +101,13 @@ _SERIES = re.compile(
 _QUOTIENT = re.compile(r"^\s*\((?P<num>[^()]*)\)\s*/\s*\((?P<den>[^()]*)\)\s*$")
 _TERM = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?:"
-    r"(?P<coef>\d+(?:/\d+)?)\s*(?:\*\s*(?P<var1>[A-Za-z])(?:\^(?P<exp1>-?\d+))?)?"
+    r"(?P<coef>(?P<num>\d+)(?:/(?P<den>\d+))?)"
+    r"\s*(?:\*\s*(?P<var1>[A-Za-z])(?:\^(?P<exp1>-?\d+))?)?"
     r"|(?P<var2>[A-Za-z])(?:\^(?P<exp2>-?\d+))?"
     r")\s*")
 # Larger exponents would build dense coefficient lists of that length.
 MAX_EXPONENT = 10_000
+_EXPONENT_DIGITS = len(str(MAX_EXPONENT))
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -133,62 +139,62 @@ def parse_scalar(text: str, ext: QuadContext | None = None):
             raise ParseError("zero denominator")
         return num / den
 
-    # sum of signed terms: int coefficients, summed per exponent
-    sums = {}                    # exponent -> [numerator, denominator]
+    # sum of signed terms: int numerators over one running denominator D
+    sums, D = {}, 1              # exponent -> numerator over D
     letter, others = None, set()
     pos = 0
     while pos < len(text):
         m = _TERM.match(text, pos)
         if not m or m.end() == pos:
             raise ParseError(f"cannot parse scalar {text!r} at offset {pos}")
-        sign, coef, var1, exp1, var2, exp2 = m.groups()
+        sign, coef, num, den, var1, exp1, var, exp = m.groups()
         if pos and sign is None:
             raise ParseError(f"missing +/- between terms in {text!r}")
-        var, exp = (var2, exp2) if coef is None else (var1, exp1)
-        num, _, den = (coef or "1").partition("/")
-        try:
-            num, den = int(num), int(den or 1)
-        except ValueError:      # beyond int()'s digit limit
-            den = 0
-        if not den:
-            raise ParseError(f"bad rational {coef!r}")
+        if coef is None:
+            num = den = 1
+        else:
+            var, exp = var1, exp1
+            try:
+                num, den = int(num), int(den) if den else 1
+            except ValueError:      # beyond int()'s digit limit
+                den = 0
+            if not den:
+                raise ParseError(f"bad rational {coef!r}")
         if sign == "-":
             num = -num
         e = 0
         if var is not None:
+            e = 1
             # the length test spares int() an exponent of 4,300 digits
-            if exp and (len(exp.lstrip("-0")) > len(str(MAX_EXPONENT))
-                        or abs(int(exp)) > MAX_EXPONENT):
+            if exp and (len(exp.lstrip("-0")) > _EXPONENT_DIGITS
+                        or abs(e := int(exp)) > MAX_EXPONENT):
                 raise ParseError(f"exponent of term {m.group().strip()!r} "
                                  f"exceeds {MAX_EXPONENT} in absolute value")
-            e = int(exp) if exp else 1
             if letter is None:
                 letter = var
             elif var != letter:
                 others.add(var)
-        acc = sums.get(e)
-        if acc is None:
-            sums[e] = [num, den]
-        elif acc[1] == den:
-            acc[0] += num
-        else:
-            acc[0] = acc[0] * den + num * acc[1]
-            acc[1] *= den
+        if D % den:
+            f = den // math.gcd(D, den)
+            sums = {k: c * f for k, c in sums.items()}
+            D *= f
+        sums[e] = sums.get(e, 0) + num * (D // den)
         pos = m.end()
 
     if others:
         raise ParseError(f"more than one variable in {text!r}: "
                          f"{sorted(others | {letter})}")
     if letter is None:
-        return Fraction(*sums[0])
+        return Fraction(sums[0], D)
     lo = min(min(sums), 0)
-    coeffs = [Fraction(*sums[e]) if e in sums else 0
-              for e in range(lo, max(sums) + 1)]
+    nums = [0] * (max(sums) + 1 - lo)
+    for e, c in sums.items():
+        nums[e - lo] = c
     if ext is not None and letter == ext.letter:
-        x = quad_reduce(ext.p, ext.r, coeffs, letter)
+        x = quad_reduce(ext.p, ext.r, nums, D, letter)
         if lo < 0:
             x = x * quadext(ext.p, ext.r, 0, 1, letter) ** lo
         return x
     if lo < 0:
-        return ratfunc(letter, coeffs, [0] * (-lo) + [1])
-    return unipoly(letter, coeffs)
+        return _ratfunc(letter, nums, [0] * (-lo) + [D])
+    return _poly(letter, nums, D)

@@ -1,20 +1,23 @@
 """Dense univariate polynomials and rational functions.
 
-Ints inside, Fractions at the boundary: `.coeffs`, `.num` and `.den`
-hold Fractions, and so do the coefficient lists the helpers return, but
-products and gcds run over Python ints.  `scale_to_ints` clears the
-denominators, here, in the engines' kernel and in the exact loops of
-`qcalc` (the pair expansion of the beta-type integrals and the rows
-that feed it); `num_den` splits one scalar into the ints a/D of a
-rational.  A product packs each operand into one int, its value at
-x = 2^B (Kronecker substitution), multiplies once and unpacks balanced
-digits; the engines' kernel shares `kron_pack` and `kron_unpack`.
-`ratfunc` drops the common power of the variable, the whole gcd when a
-side is a monomial, else divides exactly by the int gcd of both sides.
+Ints inside, Fractions at the boundary: a UniPoly is a tuple `nums` of
+int numerators over one positive int denominator `den` (the layout of
+FLINT's fmpq_poly), with gcd(den, *nums) = 1 and a nonzero top
+numerator; a RatFunc is two coprime int tuples `num` and `den` whose
+ints share no common factor, with a positive leading `den`.  Sums,
+products, gcds and evaluation at a rational run over these ints and
+divide once; `coefficient(k)` and `coeffs` give Fractions.  `num_den`
+splits one scalar into the ints a/D of a rational.  A product packs each
+operand into one int, its value at x = 2^B (Kronecker substitution),
+multiplies once and unpacks balanced digits; the engines' kernel shares
+`kron_pack` and `kron_unpack`.  `ratfunc` drops the common power of the
+variable, the whole gcd when a side is a monomial, else divides exactly
+by the int gcd of both sides.
 
-The factories (`unipoly`, `poly_gen`, `ratfunc`) are the one place that
-coerces coefficients to Fractions; they trim zeros and demote
-degenerate values one step down the chain
+The factories (`unipoly`, `poly_gen`, `ratfunc`) take int or Fraction
+coefficients, put them over one denominator, and, like `_poly` and
+`_ratfunc` on int lists, trim zeros, reduce and demote degenerate values
+one step down the chain
 
     Rational -> UniPoly -> RatFunc
 
@@ -22,8 +25,8 @@ so canonical forms are unique and the derived `==` is structural.
 Operations accept plain ints and Fractions on either side; mixing two
 different variables raises IncompatibleTags.  Division promotes along
 the chain (a quotient of polynomials that does not divide exactly
-becomes a RatFunc with monic, gcd-reduced denominator).  A Laurent
-polynomial such as q^-1 + 1 is the RatFunc (q + 1)/(q).
+becomes a RatFunc in lowest terms).  A Laurent polynomial such as
+q^-1 + 1 is the RatFunc (q + 1)/(q).
 
 `ScalarOps` is the base of UniPoly, RatFunc, QuadExt and TruncSeries:
 it derives `==`, `-`, `/`, `**` and `str` from each type's slots and
@@ -78,7 +81,7 @@ class ScalarOps:
         if isinstance(other, RATIONAL_TYPES):
             if other == 0:
                 raise DivisionByZero("division by zero")
-            return self.__mul__(1 / _frac(other))
+            return self.__mul__(Fraction(other.denominator, other.numerator))
         if not isinstance(other, ScalarOps):
             return NotImplemented
         try:
@@ -126,46 +129,26 @@ def horner(cs, x):
     return v
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-# -- low-level coefficient-list arithmetic ----------------------------------
-
-def _trim(cs: list[Fraction]) -> list[Fraction]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
-
-
-def scale_to_ints(lists):
-    """(int lists, D): every coefficient times the lcm D of all their
-    denominators, so lists[i][k] == ints[i][k] / D."""
-    # Unpack a list, not a generator: CPython sizes the argument tuple
-    # of a generator by resizing it, and the freed tuples then pile up
-    # on its tuple free lists until a full gc (240 KB per 3,000 calls
-    # under tracemalloc), which raised the peak resident memory.
-    D = math.lcm(*[c.denominator for cs in lists for c in cs])
-    return [[c.numerator * (D // c.denominator) for c in cs]
-            for cs in lists], D
-
-
 def num_den(q):
     """(a, D) with q == a / D: coprime ints for an int or a Fraction q,
     else (q, 1)."""
     if isinstance(q, RATIONAL_TYPES):
         return q.numerator, q.denominator
     return q, 1
+
+
+# -- int coefficient lists ---------------------------------------------------
+
+def _trim(cs: list) -> list:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
 
 def kron_pack(ints, B):
@@ -193,23 +176,18 @@ def kron_unpack(x, B, n):
 
 
 def _pmul(a, b):
-    """Product by Kronecker substitution: one big-int multiply.
-
-    Each product coefficient sums at most min(len a, len b) products of
-    one scaled coefficient from each side, which bounds B.
-    """
+    """Product of int lists by Kronecker substitution: one big-int
+    multiply.  Each product coefficient sums at most min(len a, len b)
+    products of one coefficient from each side, which bounds B."""
     if not a or not b:
         return []
     if len(a) == 1 or len(b) == 1:
         (c,), p = (a, b) if len(a) == 1 else (b, a)
-        return _trim([c * x for x in p])
-    (ia, ib), D = scale_to_ints((a, b))
-    bound = min(len(a), len(b)) * max(map(abs, ia)) * max(map(abs, ib))
+        return [c * x for x in p]
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
     B = bound.bit_length() + 1
-    prod = kron_pack(ia, B) * kron_pack(ib, B)
-    D *= D
-    return _trim([Fraction(d, D)
-                  for d in kron_unpack(prod, B, len(a) + len(b) - 1)])
+    return kron_unpack(kron_pack(a, B) * kron_pack(b, B), B,
+                       len(a) + len(b) - 1)
 
 
 def _pquo(a, b):
@@ -230,16 +208,29 @@ def _primitive(cs):
 
 
 def _prem(a, b):
-    """Pseudo-remainder of int lists: a times a power of lc(b), mod b."""
+    """Pseudo-remainder of int lists: a times lc(b)^s, mod b, after its
+    s steps.
+
+    A step scales the remainder by lc(b) and subtracts a multiple of b
+    from the window of len(b) - 1 coefficients below its top.  Windows
+    only move down, so a coefficient below the current window is still
+    a's own, and takes lc(b)^s in one multiply when the window reaches
+    it, or at the end; a step costs len(b) multiplies, not len(a).
+    """
     r, lead, n = list(a), b[-1], len(b)
+    low, power = len(r), 1      # r[low:] is current; r[:low] wants power
     while len(r) >= n:
         c = r.pop()
+        if len(r) < low:
+            c *= power
         k = len(r) - n + 1
-        r = [x * lead for x in r]
+        step = power * lead
         for i in range(n - 1):
-            r[k + i] -= c * b[i]
+            j = k + i
+            r[j] = r[j] * (lead if j >= low else step) - c * b[i]
+        low, power = k, step
         _trim(r)
-    return r
+    return _trim([c * power for c in r[:low]] + r[low:])
 
 
 def _pgcd(a, b):
@@ -255,16 +246,30 @@ def _pgcd(a, b):
     return a
 
 
+def _over_one_den(coeffs):
+    """(int list, D): int or Fraction coefficients over their lcm D."""
+    D = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (D // c.denominator) for c in coeffs], D
+
+
 # -- UniPoly ----------------------------------------------------------------
 
+def _poly(var, nums, den):
+    """The polynomial sum(nums[k] * var^k) / den from an int list and a
+    positive int: trimmed, reduced, and a Fraction when constant."""
+    _trim(nums)
+    if len(nums) < 2:
+        return Fraction(nums[0], den) if nums else Fraction(0)
+    g = math.gcd(den, *nums)
+    if g > 1:
+        nums, den = [c // g for c in nums], den // g
+    return UniPoly(var, nums, den)
+
+
 def unipoly(var: str, coeffs) -> "UniPoly | Fraction":
-    """Build a polynomial, demoting constants to Fraction."""
-    cs = _trim([_frac(c) for c in coeffs])
-    if not cs:
-        return Fraction(0)
-    if len(cs) == 1:
-        return cs[0]
-    return UniPoly(var, cs)
+    """Build a polynomial from int or Fraction coefficients, demoting
+    constants to Fraction."""
+    return _poly(var, *_over_one_den(coeffs))
 
 
 def poly_at(p, x):
@@ -274,24 +279,29 @@ def poly_at(p, x):
 
 def poly_gen(var: str) -> "UniPoly":
     """The generator polynomial `var` itself."""
-    return UniPoly(var, [Fraction(0), Fraction(1)])
+    return UniPoly(var, [0, 1], 1)
 
 
 class UniPoly(ScalarOps):
-    """Polynomial in one variable; coeffs[k] is the coefficient of var^k."""
+    """Polynomial in one variable: sum(nums[k] * var^k) / den."""
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("var", "nums", "den")
 
-    def __init__(self, var, coeffs):
-        self.var, self.coeffs = var, tuple(coeffs)
+    def __init__(self, var, nums, den):
+        self.var, self.nums, self.den = var, tuple(nums), den
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, lowest degree first."""
+        return tuple([Fraction(c, self.den) for c in self.nums])
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.nums):
+            return Fraction(self.nums[k], self.den)
         return Fraction(0)
 
     def _same_var(self, other: "UniPoly"):
@@ -301,12 +311,20 @@ class UniPoly(ScalarOps):
 
     def __add__(self, other):
         if isinstance(other, RATIONAL_TYPES):
-            cs = list(self.coeffs)
-            cs[0] = cs[0] + other
-            return unipoly(self.var, cs)
+            a, b = other.numerator, other.denominator
+            cs = [c * b for c in self.nums] if b != 1 else list(self.nums)
+            cs[0] += a * self.den
+            return _poly(self.var, cs, self.den * b)
         if isinstance(other, UniPoly):
             self._same_var(other)
-            return unipoly(self.var, _padd(self.coeffs, other.coeffs))
+            d1, d2 = self.den, other.den
+            if d1 == d2:
+                return _poly(self.var, _padd(self.nums, other.nums), d1)
+            g = math.gcd(d1, d2)
+            f1, f2 = d2 // g, d1 // g
+            return _poly(self.var, _padd([c * f1 for c in self.nums],
+                                         [c * f2 for c in other.nums]),
+                         d1 * f1)
         if isinstance(other, RatFunc):
             return other.__radd__(self)
         return NotImplemented
@@ -314,16 +332,18 @@ class UniPoly(ScalarOps):
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(self.var, [-c for c in self.coeffs])
+        return UniPoly(self.var, [-c for c in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, RATIONAL_TYPES):
             if other == 0:
                 return Fraction(0)
-            return unipoly(self.var, [c * other for c in self.coeffs])
+            a, b = other.numerator, other.denominator
+            return _poly(self.var, [c * a for c in self.nums], self.den * b)
         if isinstance(other, UniPoly):
             self._same_var(other)
-            return unipoly(self.var, _pmul(self.coeffs, other.coeffs))
+            return _poly(self.var, _pmul(self.nums, other.nums),
+                         self.den * other.den)
         if isinstance(other, RatFunc):
             return other.__rmul__(self)
         return NotImplemented
@@ -331,26 +351,34 @@ class UniPoly(ScalarOps):
     __rmul__ = __mul__
 
     def reciprocal(self):
-        return ratfunc(self.var, [1], self.coeffs)
+        return _ratfunc(self.var, [self.den], list(self.nums))
 
     def evaluate(self, x):
-        """Horner evaluation; x may be any compatible scalar."""
-        return horner(self.coeffs, x)
+        """Horner evaluation; x may be any compatible scalar.  For a
+        rational x = p/q the sum is taken over ints, homogeneously in p
+        and q, and divided once."""
+        if isinstance(x, RATIONAL_TYPES):
+            p, q = x.numerator, x.denominator
+            v, qk = self.nums[-1], 1
+            for c in reversed(self.nums[:-1]):
+                qk *= q
+                v = v * p + c * qk
+            return Fraction(v, self.den * qk)
+        v = horner(self.nums, x)
+        return v / self.den if self.den != 1 else v
 
     def __repr__(self):
-        return f"UniPoly({self.var!r}, {list(self.coeffs)!r})"
+        return f"UniPoly({self.var!r}, {list(self.nums)!r}, {self.den!r})"
 
 
 # -- RatFunc ----------------------------------------------------------------
 
-def ratfunc(var: str, num, den):
-    """num/den reduced to lowest terms with monic denominator.
-
-    Demotes to UniPoly (and further to Fraction) when the denominator
-    reduces to a constant.
-    """
-    num = _trim([_frac(c) for c in num])
-    den = _trim([_frac(c) for c in den])
+def _ratfunc(var, num, den):
+    """num/den for int lists, in lowest terms with coprime ints and a
+    positive leading denominator; a UniPoly or Fraction when the
+    denominator reduces to a constant."""
+    _trim(num)
+    _trim(den)
     if not den:
         raise DivisionByZero("rational function with zero denominator")
     if not num:
@@ -359,25 +387,35 @@ def ratfunc(var: str, num, den):
     k = min(next(i for i, c in enumerate(x) if c) for x in (num, den))
     num, den = num[k:], den[k:]
     if any(num[:-1]) and any(den[:-1]):
-        (inum, iden), _ = scale_to_ints((num, den))
-        g = _pgcd(inum, iden)
+        g = _pgcd(num, den)
         if len(g) > 1:
             # the primitive gcd divides both sides exactly over the ints
             # (Gauss's lemma)
-            inum, iden = _pquo(inum, g), _pquo(iden, g)
-            num = [Fraction(c, iden[-1]) for c in inum]
-            den = [Fraction(c, iden[-1]) for c in iden]
-    lead = den[-1]
-    if lead != 1:
-        num = [c / lead for c in num]
-        den = [c / lead for c in den]
+            num, den = _pquo(num, g), _pquo(den, g)
     if len(den) == 1:
-        return unipoly(var, num)
+        d = den[0]
+        return _poly(var, num if d > 0 else [-c for c in num], abs(d))
+    g = math.gcd(*den, *num)
+    if den[-1] < 0:
+        g = -g
+    if g != 1:
+        num, den = [c // g for c in num], [c // g for c in den]
     return RatFunc(var, num, den)
 
 
+def ratfunc(var: str, num, den):
+    """num/den, two lists of int or Fraction coefficients, reduced to
+    lowest terms.
+
+    Demotes to UniPoly (and further to Fraction) when the denominator
+    reduces to a constant.
+    """
+    (num, dn), (den, dd) = _over_one_den(num), _over_one_den(den)
+    return _ratfunc(var, [c * dd for c in num], [c * dn for c in den])
+
+
 class RatFunc(ScalarOps):
-    """Quotient of two UniPoly coefficient lists in one variable."""
+    """Quotient of two int coefficient lists in one variable."""
 
     __slots__ = ("var", "num", "den")
 
@@ -385,19 +423,20 @@ class RatFunc(ScalarOps):
         self.var, self.num, self.den = var, tuple(num), tuple(den)
 
     def _parts(self, other):
-        """Coerce other to a (num, den) pair in this variable."""
+        """Coerce other to a (num, den) pair of int lists in this
+        variable."""
         if isinstance(other, RATIONAL_TYPES):
-            return ([_frac(other)] if other != 0 else []), [Fraction(1)]
+            return ([other.numerator] if other else []), [other.denominator]
         if isinstance(other, UniPoly):
             if other.var != self.var:
                 raise IncompatibleTags(
                     f"rational function in {self.var!r} vs {other.var!r}")
-            return list(other.coeffs), [Fraction(1)]
+            return other.nums, [other.den]
         if isinstance(other, RatFunc):
             if other.var != self.var:
                 raise IncompatibleTags(
                     f"rational functions in {self.var!r} and {other.var!r}")
-            return list(other.num), list(other.den)
+            return other.num, other.den
         return None
 
     def __add__(self, other):
@@ -405,9 +444,9 @@ class RatFunc(ScalarOps):
         if p is None:
             return NotImplemented
         n2, d2 = p
-        return ratfunc(self.var,
-                       _padd(_pmul(self.num, d2), _pmul(n2, self.den)),
-                       _pmul(self.den, d2))
+        return _ratfunc(self.var,
+                        _padd(_pmul(self.num, d2), _pmul(n2, self.den)),
+                        _pmul(self.den, d2))
 
     __radd__ = __add__
 
@@ -419,12 +458,12 @@ class RatFunc(ScalarOps):
         if p is None:
             return NotImplemented
         n2, d2 = p
-        return ratfunc(self.var, _pmul(self.num, n2), _pmul(self.den, d2))
+        return _ratfunc(self.var, _pmul(self.num, n2), _pmul(self.den, d2))
 
     __rmul__ = __mul__
 
     def reciprocal(self):
-        return ratfunc(self.var, self.den, self.num)
+        return _ratfunc(self.var, list(self.den), list(self.num))
 
     def __repr__(self):
         return f"RatFunc({self.var!r}, {list(self.num)!r}, {list(self.den)!r})"

@@ -16,23 +16,28 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import DivisionByZero, IncompatibleTags
-from .poly import RATIONAL_TYPES, ScalarOps, _frac
+from .poly import RATIONAL_TYPES, ScalarOps
 
 
 def quadext(p, r, u, v, sym: str = "w"):
-    """Build u + v*theta, demoting to Fraction when v = 0."""
-    u, v = _frac(u), _frac(v)
-    if v == 0:
-        return u
-    return QuadExt(_frac(p), _frac(r), u, v, sym)
+    """Build u + v*theta from ints or Fractions, demoting to Fraction
+    when v = 0."""
+    return _quad(Fraction(p), Fraction(r), Fraction(u), Fraction(v), sym)
 
 
-def quad_reduce(p, r, coeffs, sym: str = "w"):
-    """sum(coeffs[k] * theta**k) as u + v*theta, through `quadext`.
+def _quad(p, r, u, v, sym):
+    """u + v*theta from Fractions, or u when v = 0."""
+    return QuadExt(p, r, u, v, sym) if v else u
+
+
+def quad_reduce(p, r, coeffs, den=1, sym: str = "w"):
+    """sum(coeffs[k] * theta**k) / den as u + v*theta, for Fractions p
+    and r and int or Fraction coefficients; a Fraction when v = 0.
 
     Each top term c*theta^k becomes c*theta^(k-2) * (p*theta + r), from
     the highest power down. Q[theta] -> Q(theta) is a ring map, so a
-    product of elements may be reduced once at the end.
+    product of elements may be reduced once at the end, and divided by
+    den once after that.
     """
     cs = list(coeffs) + [0, 0]
     for k in range(len(cs) - 3, 1, -1):
@@ -40,7 +45,7 @@ def quad_reduce(p, r, coeffs, sym: str = "w"):
         if c:
             cs[k - 1] += p * c
             cs[k - 2] += r * c
-    return quadext(p, r, cs[0], cs[1], sym)
+    return _quad(p, r, Fraction(cs[0], den), Fraction(cs[1], den), sym)
 
 
 def omega() -> "QuadExt":
@@ -70,11 +75,11 @@ class QuadExt(ScalarOps):
 
     def __add__(self, other):
         if isinstance(other, RATIONAL_TYPES):
-            return quadext(self.p, self.r, self.u + other, self.v, self.sym)
+            return _quad(self.p, self.r, self.u + other, self.v, self.sym)
         if isinstance(other, QuadExt):
             self._check(other)
-            return quadext(self.p, self.r, self.u + other.u,
-                           self.v + other.v, self.sym)
+            return _quad(self.p, self.r, self.u + other.u,
+                         self.v + other.v, self.sym)
         return NotImplemented
 
     __radd__ = __add__
@@ -86,15 +91,15 @@ class QuadExt(ScalarOps):
         if isinstance(other, RATIONAL_TYPES):
             if other == 0:
                 return Fraction(0)
-            return quadext(self.p, self.r, self.u * other, self.v * other,
-                           self.sym)
+            return _quad(self.p, self.r, self.u * other, self.v * other,
+                         self.sym)
         if isinstance(other, QuadExt):
             self._check(other)
             # (u1 + v1 t)(u2 + v2 t), t^2 = p t + r
             u = self.u * other.u + self.r * self.v * other.v
             v = (self.u * other.v + self.v * other.u
                  + self.p * self.v * other.v)
-            return quadext(self.p, self.r, u, v, self.sym)
+            return _quad(self.p, self.r, u, v, self.sym)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -105,8 +110,8 @@ class QuadExt(ScalarOps):
             - self.r * self.v * self.v
         if norm == 0:
             raise DivisionByZero("quadratic-extension element has norm 0")
-        return quadext(self.p, self.r, (self.u + self.p * self.v) / norm,
-                       -self.v / norm, self.sym)
+        return _quad(self.p, self.r, (self.u + self.p * self.v) / norm,
+                     -self.v / norm, self.sym)
 
     def __repr__(self):
         return f"QuadExt(p={self.p}, r={self.r}, u={self.u}, v={self.v})"

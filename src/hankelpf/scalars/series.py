@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from ..errors import (ConstantTermNotOne, IncompatibleTags,
                       ZeroConstantDenominator)
-from .poly import RATIONAL_TYPES, ScalarOps, _frac
+from .poly import RATIONAL_TYPES, ScalarOps
 
 
 class TruncSeries(ScalarOps):
@@ -21,7 +21,7 @@ class TruncSeries(ScalarOps):
     __slots__ = ("var", "order", "coeffs")
 
     def __init__(self, var, order, coeffs):
-        cs = [_frac(c) for c in coeffs][: order + 1]
+        cs = [Fraction(c) for c in coeffs][: order + 1]
         cs += [Fraction(0)] * (order + 1 - len(cs))
         self.var = var
         self.order = order

@@ -5,9 +5,9 @@ Both containers keep a dict from 1-based index keys to scalars; missing
 keys mean zero. A BlockArray stores only sorted block keys and
 synthesizes the sign when asked for a permuted one, so indicator-style
 arrays stay tiny. `tensor_from_json` and `block_array_from_json` read
-the two `hpf eval` document kinds through one routine, which parses each
-distinct value text and checks and sorts each distinct block once per
-call.
+the two `hpf eval` document kinds through one routine, which parses and
+zero-tests each distinct value text and checks and sorts each distinct
+block once per call.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from operator import countOf
 
 from .errors import BoundsError, ParseError, ShapeMismatch
 from .scalars import check_combinable
@@ -83,11 +84,15 @@ class Tensor:
         return self.entries.get(self._check(idx), 0)
 
     def set(self, idx, value):
+        self._set(idx, value, value != 0)
+
+    def _set(self, idx, value, nonzero):
+        """`set`, given whether the value is nonzero."""
         idx = self._check(idx)
-        if value == 0:
-            self.entries.pop(idx, None)
-        else:
+        if nonzero:
             self.entries[idx] = value
+        else:
+            self.entries.pop(idx, None)
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
@@ -164,26 +169,26 @@ class BlockArray:
     def _canonical(self, key, seen=None):
         """(sorted key, sign) of a key whose blocks may come in any order,
         or (None, 0) when a block repeats an index. `seen`, a dict that
-        the caller keeps, holds the result of each block already checked,
-        keyed on the block and its indices' exact types, since 2.0 and
-        True hash like 2 and 1."""
-        key = tuple(map(tuple, key))
+        the caller may keep, holds the result of each block already
+        checked; a block found there counts only when its indices are
+        exactly ints, since 2.0 and True hash like 2 and 1."""
+        key = tuple(key)
         if len(key) != self.m:
-            raise BoundsError(f"key {key} has {len(key)} slots, need {self.m}")
+            raise BoundsError(f"key {tuple(map(tuple, key))} has {len(key)} "
+                              f"slots, need {self.m}")
+        if seen is None:
+            seen = {}
         sign = 1
         out = []
         for block in key:
-            if seen is None:
-                block, s = _block_signed(block, self.l, self.size)
-            else:
-                typed = (block, *map(type, block))
-                try:
-                    block, s = seen[typed]
-                except KeyError:
-                    block, s = seen[typed] = _block_signed(
-                        block, self.l, self.size)
-                except TypeError:   # an unhashable index: the check names it
-                    block, s = _block_signed(block, self.l, self.size)
+            block = tuple(block)
+            try:
+                found = seen.get(block)
+            except TypeError:   # an unhashable index: the check names it
+                found = None
+            if found is None or countOf(map(type, block), int) < len(block):
+                found = seen[block] = _block_signed(block, self.l, self.size)
+            block, s = found
             if s == 0:
                 return None, 0
             sign *= s
@@ -198,21 +203,21 @@ class BlockArray:
         return v if sign > 0 else -v
 
     def set(self, key, value):
-        self._set(key, value, None)
+        self._set(None, key, value, value != 0)
 
-    def _set(self, key, value, seen):
-        """`set`, with `seen` passed on to `_canonical`."""
+    def _set(self, seen, key, value, nonzero):
+        """`set`, given whether the value is nonzero, with `seen` passed
+        on to `_canonical`."""
         canon, sign = self._canonical(key, seen)
         if sign == 0:
-            if value != 0:
+            if nonzero:
                 raise BoundsError(
                     f"key {key} repeats an index inside a block; "
                     "its value is identically zero")
-            return
-        if value == 0:
+        elif not nonzero:
             self.entries.pop(canon, None)
-            return
-        self.entries[canon] = value if sign > 0 else -value
+        else:
+            self.entries[canon] = value if sign > 0 else -value
 
     def __eq__(self, other):
         if not isinstance(other, BlockArray):
@@ -274,10 +279,11 @@ def _array_from_json(doc, kind):
     tensor given by `n` gets its m axes only once the first entry's
     index has as many.
 
-    Entries are stored as `set` would store them, one by one in order.
-    Each distinct value text is parsed once per call, and each distinct
-    block checked and sorted once, in dicts that live for the call only;
-    scalars are immutable, so entries may share one."""
+    Entries are stored as `set` would store them, one by one in order,
+    through the array's own `_set`. Each distinct value text is parsed
+    and tested for zero once per call, and each distinct block checked
+    and sorted once, in dicts that live for the call only; scalars are
+    immutable, so entries may share one."""
     if doc.get("kind") != kind:
         raise ParseError(f"expected kind {kind!r}, got {doc.get('kind')!r}")
     m = _field(doc, "m", kind, int)
@@ -298,7 +304,7 @@ def _array_from_json(doc, kind):
         if len(shape) != m:
             raise ParseError("tensor shape does not match m")
         arr, idx_form = Tensor(shape), "a list of indices,"
-        store = arr.set
+        store = arr._set
     else:
         l = _field(doc, "l", kind, int)
         if "size" in doc:
@@ -307,17 +313,25 @@ def _array_from_json(doc, kind):
             size = l * _field(doc, "n", "block_array without 'size'", int)
         arr = BlockArray(l, m, size)
         idx_form = "a list of blocks, each a list of indices;"
-        store = functools.partial(arr._set, seen={})
+        # positional: a partial with a keyword builds a dict per call
+        store = functools.partial(arr._set, {})
     ctx = _ext_context(doc)
-    values = {}     # value text -> its scalar, parsed once per call
+    what = f"{kind} entry"
+    values = {}     # value text -> (its scalar, nonzero), read once per call
     for e in _entries(doc, kind):
-        idx = _field(e, "idx", f"{kind} entry")
-        text = _field(e, "value", f"{kind} entry", str)
-        value = values.get(text)
-        if value is None:
-            value = values[text] = parse_scalar(text, ctx)
         try:
-            store(idx, value)
+            idx, text = e["idx"], e["value"]
+        except (KeyError, TypeError):   # _field names the fault
+            idx, text = _field(e, "idx", what), _field(e, "value", what)
+        if type(text) is not str:
+            _field(e, "value", what, str)
+        known = values.get(text)
+        if known is None:
+            value = parse_scalar(text, ctx)
+            known = values[text] = value, value != 0
+        value, nonzero = known
+        try:
+            store(idx, value, nonzero)
         except TypeError:   # idx is not of the form the array's keys take
             raise ParseError(f"{kind} entry 'idx' must be {idx_form} "
                              f"got {idx!r}") from None

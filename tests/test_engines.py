@@ -1178,6 +1178,52 @@ def test_block_array_json_reads_repeats_like_set():
                          ((3, 4), (1, 2)): Fraction(-1, 2)}
 
 
+def _set_one_by_one(l, m, size, entries):
+    """BlockArray.set applied to each (idx, text) in order: the array,
+    or the class and message of the first error."""
+    arr = BlockArray(l, m, size)
+    try:
+        for idx, text in entries:
+            arr.set(idx, parse_scalar(text))
+    except BoundsError as exc:
+        return type(exc), str(exc)
+    return arr
+
+
+def test_block_array_json_matches_set_entry_by_entry():
+    # seeded documents with permuted blocks, repeated indices, duplicate
+    # keys, zeros after nonzero values, and now and then one bad index
+    rng = derive_rng("json-reader-against-set")
+    texts = ["0", "1/2", "-3", "a + 1", "2*a^2 - 1/3"]
+    bad = [[1, 1], [True, 2], [1, [2]], [2.0, 1], [0, 3]]
+    for _ in range(300):
+        entries = []
+        for _ in range(rng.randint(1, 12)):
+            if entries and rng.random() < 0.25:     # a key seen before
+                idx = [list(b) for b in rng.choice(entries)[0]]
+            else:
+                idx = [rng.sample(range(1, 5), 2) for _ in range(2)]
+            text = rng.choice(texts)
+            if rng.random() < 0.1:                  # a repeated index
+                idx[rng.randrange(2)] = [3, 3]
+                text = "0" if rng.random() < 0.7 else text
+            entries.append((idx, text))
+        if rng.random() < 0.3:
+            entries.insert(rng.randint(0, len(entries)),
+                           ([[1, 2], rng.choice(bad)], "5"))
+        doc = {"kind": "block_array", "l": 2, "m": 2, "size": 4,
+               "entries": [{"idx": idx, "value": t} for idx, t in entries]}
+        want = _set_one_by_one(2, 2, 4, entries)
+        if isinstance(want, tuple):
+            with pytest.raises(want[0]) as exc:
+                block_array_from_json(doc)
+            assert str(exc.value) == want[1]
+            continue
+        got = block_array_from_json(doc).entries
+        assert [(k, type(v), v) for k, v in got.items()] == \
+            [(k, type(v), v) for k, v in want.entries.items()]
+
+
 @pytest.mark.parametrize("idx, message", [
     ([[1, 2.0]], "index 2.0 out of [1,4]"),
     ([[1, [2]]], "index [2] out of [1,4]"),

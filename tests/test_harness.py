@@ -271,6 +271,12 @@ def _planted_fault(params, rng, opts):
     raise ZeroDivisionError("planted fault")
 
 
+# the note of a check-error report from `_planted_fault`: the exception
+# and the file and line of the innermost frame, with no directory
+PLANTED_NOTE = ("ZeroDivisionError: planted fault (test_harness.py:"
+                f"{_planted_fault.__code__.co_firstlineno + 1})")
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_suite_finishes_past_a_checker_that_raises(monkeypatch, jobs):
     # a corollary and a reported discrepancy: check-error gates for both;
@@ -285,7 +291,7 @@ def test_suite_finishes_past_a_checker_that_raises(monkeypatch, jobs):
     assert [(r.identity, r.params) for r in errors] == \
         [("motzkin-pf", {"n": 2}), ("catalan-r", {"n": 2, "r": 1})]
     for r in errors:
-        assert r.note == "ZeroDivisionError: planted fault"
+        assert r.note == PLANTED_NOTE
         assert (r.lhs, r.rhs, r.terms) == ("", "", 0)
     assert summarize(reports)["failed"] == 2
     assert suite_exit_code(reports) == 1
@@ -296,7 +302,7 @@ def test_cli_checker_faults(monkeypatch, capsys):
     monkeypatch.setitem(vars(spec), "check", _planted_fault)
     assert main(["verify", "motzkin-pf"]) == 1
     out = capsys.readouterr().out
-    assert "check-error" in out and "[ZeroDivisionError: planted fault]" in out
+    assert "check-error" in out and f"[{PLANTED_NOTE}]" in out
 
     def bounds(params, rng, opts):
         raise BoundsError("planted")

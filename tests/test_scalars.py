@@ -1,6 +1,7 @@
 """Ring axioms, series recurrences, quadratic extensions, gamma values,
 seeded RNG derivation, and the scalar text grammar."""
 
+import math
 import operator
 from fractions import Fraction
 
@@ -79,6 +80,46 @@ def test_ring_axioms_random_triples(tag, maker):
         assert a + 0 == a
         assert a * 1 == a
         assert a + b - b == a
+
+
+def _assert_int_form(x):
+    """The canonical int form of a UniPoly or RatFunc result: positive
+    denominator, no common factor, nonzero tops, no constant left."""
+    if isinstance(x, UniPoly):
+        assert type(x.den) is int and x.den > 0
+        assert all(type(c) is int for c in x.nums)
+        assert len(x.nums) >= 2 and x.nums[-1] != 0
+        assert math.gcd(x.den, *x.nums) == 1
+        for k, c in enumerate(x.nums):
+            assert x.coefficient(k) == Fraction(c, x.den)
+            assert type(x.coefficient(k)) is Fraction
+    elif isinstance(x, RatFunc):
+        assert all(type(c) is int for c in x.num + x.den)
+        assert len(x.den) >= 2 and x.den[-1] > 0
+        assert x.num and x.num[-1] != 0
+        assert math.gcd(*x.num, *x.den) == 1
+    else:
+        assert type(x) is Fraction
+
+
+@pytest.mark.parametrize("tag,maker", SCALAR_MAKERS[:4],
+                         ids=[t for t, _ in SCALAR_MAKERS[:4]])
+def test_ring_results_keep_the_int_form(tag, maker):
+    rng = derive_rng("int-form", tag)
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+    for _ in range(300):
+        a, b = maker(rng), rng.choice(SCALAR_MAKERS[:4])[1](rng)
+        for x, y in ((a, b), (b, a)):
+            for op in ops:
+                try:
+                    _assert_int_form(op(x, y))
+                except (IncompatibleTags, ZeroDivisionError):
+                    pass
+            for e in (-2, -1, 2, 3):
+                try:
+                    _assert_int_form(x ** e)
+                except ZeroDivisionError:
+                    pass
 
 
 def test_rational_canonical_form():
@@ -304,21 +345,25 @@ def _euclid_gcd(a, b):
 
 
 def test_kronecker_product_matches_schoolbook():
+    # _pmul multiplies int lists: the numerators of the coefficients
     rng = derive_rng("kronecker-pmul")
     for _ in range(500):
-        a = _rand_coeffs(rng, rng.randint(0, 7))
-        b = _rand_coeffs(rng, rng.choice((1, 1, 2, 5, 9)))
+        a = [c.numerator for c in _rand_coeffs(rng, rng.randint(0, 7))]
+        b = [c.numerator for c in
+             _rand_coeffs(rng, rng.choice((1, 1, 2, 5, 9)))]
         product = poly._pmul(a, b)
         assert product == _schoolbook_mul(a, b)
-        assert all(type(c) is Fraction for c in product)
-    neg = [Fraction(-(2 ** 70) + 1, 3)] * 6
+        assert all(type(c) is int for c in product)
+    neg = [-(2 ** 70) + 1] * 6
     assert poly._pmul(neg, neg) == _schoolbook_mul(neg, neg)
 
 
 def _num_den(r):
-    """The numerator and denominator lists of a `ratfunc` result."""
+    """The numerator and monic denominator lists of a `ratfunc` result."""
     if isinstance(r, RatFunc):
-        return list(r.num), list(r.den)
+        lead = r.den[-1]
+        return ([Fraction(c, lead) for c in r.num],
+                [Fraction(c, lead) for c in r.den])
     return list(r.coeffs) if isinstance(r, UniPoly) else [r] if r else [], [1]
 
 
@@ -326,15 +371,15 @@ def test_integer_gcd_matches_euclid():
     rng = derive_rng("prs-gcd")
     for _ in range(300):
         g = _rand_coeffs(rng, rng.randint(0, 3))
-        a = poly._pmul(_rand_coeffs(rng, rng.randint(0, 4)), g)
-        b = poly._pmul(_rand_coeffs(rng, rng.randint(0, 4)), g)
+        a = _schoolbook_mul(_rand_coeffs(rng, rng.randint(0, 4)), g)
+        b = _schoolbook_mul(_rand_coeffs(rng, rng.randint(0, 4)), g)
         if rng.random() < 0.3:
             # a monomial c*q^k on one side, as every Laurent denominator is
             b = [Fraction(0)] * rng.randint(0, 4) + [Fraction(
                 rng.randint(1, 9))]
             a, b = (b, a) if rng.random() < 0.5 else (a, b)
         if a and b:
-            (ia, ib), _ = poly.scale_to_ints((a, b))
+            (ia, _), (ib, _) = poly._over_one_den(a), poly._over_one_den(b)
             gcd = poly._pgcd(ia, ib)
             assert all(type(c) is int for c in gcd)
             assert [Fraction(c, gcd[-1]) for c in gcd] == _euclid_gcd(a, b)
@@ -343,9 +388,10 @@ def test_integer_gcd_matches_euclid():
             num, den = _num_den(ratfunc("q", a, b))
             assert den[-1] == 1
             assert not num or _euclid_gcd(num, den) == [1]
-            assert poly._pmul(num, b) == poly._pmul(a, den)
+            assert _schoolbook_mul(num, b) == _schoolbook_mul(a, den)
+    # (5 + q)/(2q): coprime int numerators, positive leading denominator
     assert ratfunc("q", [0, 0, 5, 1], [0, 0, 0, 2]) == RatFunc(
-        "q", [Fraction(5, 2), Fraction(1, 2)], [0, 1])
+        "q", [5, 1], [0, 2])
     assert ratfunc("q", [3], [0, 1]) == RatFunc("q", [3], [0, 1])
     assert ratfunc("q", [0, 0, 4], [0, 2]) == unipoly("q", [0, 2])
     assert ratfunc("q", [], [0, 1]) == 0
@@ -361,12 +407,13 @@ def test_ratfunc_cancels_non_monomial_gcd():
         b = _rand_coeffs(rng, rng.randint(2, 4))
         if not a or len(b) < 2:
             continue
-        r = ratfunc("q", poly._pmul(a, g), poly._pmul(b, g))
+        r = ratfunc("q", _schoolbook_mul(a, g), _schoolbook_mul(b, g))
         num, den = _num_den(r)
-        # lowest terms with a monic denominator, and the same quotient
+        # lowest terms, and the same quotient
         assert den[-1] == 1 and _euclid_gcd(num, den) == [1]
-        assert poly._pmul(num, b) == poly._pmul(a, den)
-        assert all(type(c) is Fraction for c in num + den[:-1])
+        assert _schoolbook_mul(num, b) == _schoolbook_mul(a, den)
+        if isinstance(r, RatFunc):
+            assert all(type(c) is int for c in r.num + r.den)
 
 
 # -------------------------------------------------------------------- series
@@ -722,6 +769,9 @@ def test_parse_scalar_error_messages(text, message):
 def test_parse_scalar_bounds_exponents():
     assert len(parse_scalar("a^10000").coeffs) == 10001
     assert parse_scalar("q^-10000").den[-1] == 1
+    # coprime sides: the gcd pseudo-divides by 1 - 3a 9,999 times
+    assert parse_scalar("(a^10000 + 1)/(a^9999 + 3)") == RatFunc(
+        "a", [1] + [0] * 9999 + [1], [3] + [0] * 9998 + [1])
     for text, term in (("a^10001 + 1", "a^10001"),
                        ("1 - 2*q^-10001", "- 2*q^-10001"),
                        ("a^999999999", "a^999999999"),
