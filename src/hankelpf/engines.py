@@ -41,6 +41,16 @@ Design notes that matter for reading this file:
   so a cached transition costs about 8 bytes and the garbage collector
   never scans the cache. The minor decode that `row_minors` attaches
   to a plan is mostly arrays too, and is charged to the same bound.
+* A plan costs a few value passes to build, not dozens. Each slot's
+  free masks are numbered by combinatorial rank, so a state's number is
+  arithmetic on its slots' ranks and `_plan_size` counts every layer in
+  closed form before anything is built. The columns come from one small
+  option table per slot and layer, paired by list comprehensions, with
+  no dict keyed by a tuple; plans whose start masks have equal sizes
+  share their columns. On a 2-core Xeon with CPython 3.11 a build costs
+  two to three value passes over the same transitions (about 0.1 s
+  against 0.04 s for a 22-point Pfaffian), so a shape over the cache
+  bound pays about three value passes a call.
 * One contraction, `contract_slots`, builds both minor summation
   kernels: `msf_build_Q` here and `qcalc.debruijn_kernel`, whose atom
   weights are a diagonal array. It sums an array against one table of
@@ -53,6 +63,7 @@ import functools
 import itertools
 import math
 import operator
+import weakref
 from array import array
 from fractions import Fraction
 
@@ -70,31 +81,9 @@ def _points(mask):
     return tuple(p for p in range(1, mask.bit_length()) if mask >> p & 1)
 
 
-def _slot_options(l, free, head):
-    """The blocks one slot can take next, given its free-point mask.
-
-    Three parallel tuples: the blocks, the mask each leaves free, and
-    each one's sign flip. With `head` only the blocks that hold the
-    lowest free point qualify. The flip is the parity of the pairs (x in
-    the block, y free after it, y < x). If the k-th point of the block
-    (k from 0) has i_k free points below it, k of those are in the
-    block, so there are sum(i_k - k) pairs.
-    """
-    pts = _points(free)
-    if len(pts) < l:
-        return (), (), ()
-    lead = 1 if head else 0
-    tail, k = pts[lead:], l - lead
-    blocks = itertools.combinations(tail, k)
-    if head:
-        blocks = (pts[:1] + blk for blk in blocks)
-    left = free - (1 << pts[0]) if head else free
-    shift = l * (l - 1) // 2
-    return (tuple(blk if l > 1 else blk[0] for blk in blocks),
-            tuple(left - b for b in map(sum, itertools.combinations(
-                [1 << p for p in tail], k))),
-            tuple((s - shift) & 1 for s in map(sum, itertools.combinations(
-                range(lead, len(pts)), k))))
+def _bits(mask):
+    """The bits set in `mask`, ascending, each as a mask."""
+    return tuple(1 << p for p in _points(mask))
 
 
 def _packed_entries(entries, l, start, steps):
@@ -120,11 +109,9 @@ def _packed_entries(entries, l, start, steps):
     with at most L coefficients of absolute value at most C (the largest
     numerator times D / den), so its coefficients are at most
     C**steps * L**(steps-1). The paths into any state are at most all
-    the paths from `start`: at step t the first slot, with f_1 - t*l
-    free points, takes a block holding its lowest one, in
-    comb(f_1 - t*l - 1, l - 1) ways, and slot s takes any of
-    comb(f_s - t*l, l) blocks. So B is one more than the bit length of
-    (paths) * C**steps * L**(steps-1). A QuadExt has L = 2, and the same
+    the paths from `start`, the product of the per-state fan-outs of
+    `_plan_size`. So B is one more than the bit length of (paths) *
+    C**steps * L**(steps-1). A QuadExt has L = 2, and the same
     derivation holds.
 
     Returns (packed entries, B, D**steps, digits per final state,
@@ -164,11 +151,7 @@ def _packed_entries(entries, l, start, steps):
     D = math.lcm(*[d for _, d in parts])
     L = max([len(nums) for nums, _ in parts])
     C = max([max(map(abs, nums)) * (D // d) for nums, d in parts])
-    free = [p.bit_count() for p in start]
-    paths = 1
-    for t in range(steps):
-        paths *= math.comb(max(free[0] - t * l - 1, 0), l - 1) \
-            * math.prod(math.comb(max(f - t * l, 0), l) for f in free[1:])
+    paths = math.prod(_plan_size(l, [p.bit_count() for p in start], steps)[1])
     B = (paths * C ** steps * L ** (steps - 1)).bit_length() + 1
     packed = dict(zip(entries, [kron_pack(nums, B) * (D // d)
                                 for nums, d in parts]))
@@ -176,85 +159,223 @@ def _packed_entries(entries, l, start, steps):
 
 
 # The plan cache holds at most this many transitions in all. A cached
-# transition costs about 8 bytes (two array cells, its share of the
-# per-state counts and of the key columns), so a full cache holds about
-# 2 MB; the full suite's 83 shapes take 126k transitions, 1 MB. A minor
-# decode is charged in the same 8-byte units (`_Plan.decode_minors`).
+# transition costs about 8 bytes (two array cells and its share of the
+# per-state counts and of the final masks), so a full cache holds about
+# 2 MB; the full suite's 83 shapes take 126k transitions, 1 MB, and
+# 79k of them are built once plans of equal sizes share their columns.
+# A minor decode is charged in the same 8-byte units
+# (`_Plan.decode_minors`).
 PLAN_CACHE_TRANSITIONS = 1 << 18
 
 
-class _Interner(dict):
-    """Numbers its keys 0, 1, 2, ... in the order they are first looked up."""
+def _comb(n, k):
+    """C(n, k), and 0 when n or k is negative."""
+    return math.comb(n, k) if n >= 0 and k >= 0 else 0
 
-    def __missing__(self, key):
-        self[key] = n = len(self)
-        return n
+
+def _plan_size(l, sizes, steps):
+    """The size of the plan of `steps` block steps from start masks of
+    `sizes` points, in closed form.
+
+    Returns (states, fanout): states[t] for the layers t = 0..steps, and
+    fanout[t], the transitions out of each state of layer t < steps.
+    After t steps the first slot has used its t lowest points and
+    t*l - t others, so it holds any (|P_0| - t*l)-subset of the rest,
+    and slot s holds any (|P_s| - t*l)-subset of its points; every
+    combination is reached. The first slot then takes its lowest free
+    point and l - 1 of the others, slot s any l free points.
+    """
+    head, rest = sizes[0], sizes[1:]
+    states, fanout = [], []
+    for t in range(steps + 1):
+        used = t * l
+        states.append(_comb(head - t, head - used)
+                      * math.prod(_comb(n, used) for n in rest))
+        fanout.append(_comb(head - used - 1, l - 1)
+                      * math.prod(_comb(n - used, l) for n in rest))
+    return states, fanout[:steps]
+
+
+_TYPECODES = tuple((t, 8 * array(t).itemsize) for t in "BHIQ")
 
 
 def _column(values, top):
     """`values`, all in [0, top], as an array of the narrowest typecode
     that holds them, or as a tuple when top needs more than 64 bits."""
-    for t in "BHIQ":
-        if top >> 8 * array(t).itemsize == 0:
-            return array(t, values)
+    for t, bits in _TYPECODES:
+        if top >> bits == 0:
+            # bytes() reads a list into a byte array three times faster
+            return array(t, bytes(values) if t == "B" else values)
     return tuple(values)
+
+
+def _masks(ground, l, t, head):
+    """One slot's free masks after t steps of l-blocks, in rank order:
+    the (n - t*l)-subsets of its n bits `ground`, less its t lowest bits
+    when it is the first slot."""
+    k = len(ground) - t * l
+    return list(map(sum, itertools.combinations(
+        ground[t:] if head else ground, k))) if k >= 0 else []
+
+
+@functools.lru_cache(maxsize=256)
+def _slot_blocks(l, mask, pad):
+    """The blocks of one slot's points in rank order (lexicographic), as
+    entry key parts; with `pad`, padded with None to a power of two."""
+    pts = _points(mask)
+    blocks = tuple(pts if l == 1 else itertools.combinations(pts, l))
+    if pad:
+        blocks += (None,) * ((1 << (len(blocks) - 1).bit_length())
+                             - len(blocks))
+    return blocks
+
+
+def _subsets(bits, l):
+    """The masks of the l-subsets of the bit tuple `bits`, in rank order."""
+    return bits if l == 1 else map(sum, itertools.combinations(bits, l))
+
+
+def _slot_table(l, head, ground, cur, nxt, weight, block_key):
+    """The options of every free mask one slot can hold before a step.
+
+    `cur` holds the masks, the k-subsets of the bits `ground` in rank
+    order. The options of each are its blocks in rank order, with
+    `head` only those that hold its lowest free point. Returns two
+    lists, over the masks and then their options: `weight` times the
+    rank in `nxt` of the mask the option leaves, and the option's
+    `block_key` with its sign flip in bit 0.
+
+    The flip is the parity of the pairs (x in the block, y free after
+    it, y < x). If the j-th point of the block (j from 0) is the i_j-th
+    free point (from 0), j of the i_j free points below it are in the
+    block, so there are sum(i_j - j) pairs: the same for every mask.
+    """
+    k, lead = cur[0].bit_count(), 1 if head else 0
+    flips = [(s - l * (l - 1) // 2) & 1 for s in map(
+        sum, itertools.combinations(range(lead, k), l - lead))]
+    frees = itertools.combinations(ground, k)
+    if head:
+        chosen = [free[0] + b for free in frees
+                  for b in _subsets(free[1:], l - 1)]
+    else:
+        chosen = [b for free in frees for b in _subsets(free, l)]
+    rank = dict(zip(nxt, range(0, len(nxt) * weight, weight)))
+    return ([rank[f - b] for f, b in zip(itertools.chain.from_iterable(
+                map(itertools.repeat, cur, itertools.repeat(len(flips)))),
+                chosen)],
+            [block_key[b] | f for b, f in zip(chosen, itertools.cycle(flips))])
+
+
+def _layers(l, sizes, steps, states, fanout):
+    """The columns of `_Plan` for start masks of `sizes` points.
+
+    They are built on the points' positions, since they depend on the
+    sizes alone. Each step builds one option table per slot
+    (`_slot_table`) and pairs the tables, the last slot's ranks and
+    options outermost, so that each state's transitions stay together.
+    """
+    m = len(sizes)
+    grounds = [tuple(1 << i for i in range(n)) for n in sizes]
+    masks = [[_masks(g, l, t, s == 0) for t in range(steps + 1)]
+             for s, g in enumerate(grounds)]
+    # slot s's block keys: its block ranks, shifted past the flip in
+    # bit 0 and the fields of the later slots; the first slot's field is
+    # the top one, so only the others are padded to a power of two
+    block_keys, shift = [None] * m, 1
+    for s in reversed(range(m)):
+        n = math.comb(sizes[s], l)
+        block_keys[s] = dict(zip(map(sum, itertools.combinations(
+            grounds[s], l)), range(0, n << shift, 1 << shift)))
+        top = (max(n, 1) << shift) - 1
+        shift += (n - 1).bit_length()
+    cols = []
+    for t in range(steps):
+        # one option table per slot, the last slot first
+        tables, weight = [], 1
+        for s in reversed(range(m) if states[t] * fanout[t] else ()):
+            tables.append(_slot_table(
+                l, s == 0, grounds[s][t:] if s == 0 else grounds[s],
+                masks[s][t], masks[s][t + 1], weight, block_keys[s]))
+            weight *= len(masks[s][t + 1])
+        # the option pairs of each state of the first m - 1 slots, in
+        # state order: rank parts add, and key parts xor, because their
+        # fields are disjoint and their flips add mod 2
+        prefixes = [([0], [0])]
+        for (d, k), free in zip(tables[:0:-1], masks):
+            f = len(d) // len(free[t])
+            prefixes = [([a + b for a in pd for b in d[i:i + f]],
+                         [a ^ b for a in pk for b in k[i:i + f]])
+                        for pd, pk in prefixes for i in range(0, len(d), f)]
+        # one prefix at a time, so that no list holds a whole layer
+        dst, key = _column((), states[t + 1]), _column((), top)
+        d, k = tables[0] if tables else ((), ())
+        for pd, pk in prefixes if m > 1 else ():
+            dst += _column([a + b for a in d for b in pd], states[t + 1])
+            key += _column([a ^ b for a in k for b in pk], top)
+        if m == 1:
+            dst, key = _column(d, states[t + 1]), _column(k, top)
+        cols.append((_column((fanout[t],), fanout[t]) * states[t], key, dst))
+    return tuple(cols)
+
+
+# The plans alive anywhere, by (l, start sizes, steps). Plans of one
+# size share their columns. The index holds no plan alive, so the plan
+# cache stays the only bound on them.
+_SHARED = weakref.WeakValueDictionary()
 
 
 class _Plan:
     """The state graph of one (l, m, start, steps) shape, without values.
 
-    The shape pass of `_expand`. Layer 0 is the one state `start`; the
-    states of each later layer are numbered in the order they are first
-    reached. `steps` holds one triple of columns per step:
+    The shape pass of `_expand`. A state holds one free mask per slot.
+    After t steps slot s holds a k-subset of a ground set (its start
+    points; for the first slot, less its t lowest), and each mask is
+    numbered by its rank among those subsets (lexicographic order of
+    the combinatorial number system, Knuth, TAOCP 4A 7.2.1.3). A state
+    is numbered by its slots' ranks in mixed radix, the last slot
+    fastest, and `_plan_size` counts each layer in closed form. The
+    columns (`_layers`) depend on the sizes of the start masks alone,
+    so plans of equal sizes share them (`_SHARED`). `steps` holds one
+    triple of columns per step:
     - counts: for each state of the layer, how many transitions leave it;
       the transitions are stored grouped by source, in state order;
     - key: for each transition, 2*k + flip, with k the index of the entry
       key it multiplies by and flip the parity of its sign flips;
     - dst: for each transition, its target state's index in the next
       layer.
-    Key k is the m-tuple of blocks `blocks[keys[s][k]]`, s = 0..m-1, and
-    final state i has mask `final[s][i]` in slot s. All of these are
+    Key k is the m-tuple of blocks numbered k in `product(*blocks)`:
+    blocks[s] lists slot s's blocks in rank order, and for s > 0 pads
+    them with None to a power of two, so that the slots' fields of k are
+    disjoint bits.
+    Final state i has mask `final[s][i]` in slot s. All columns are
     arrays of the narrowest typecode (a final mask wider than 64 bits
     is kept in a tuple), so a plan holds no per-state or per-key Python
-    objects. `states` counts each layer's states exactly, and
-    `transitions` is the length of the key columns together. `minors`
-    is None until `decode_minors` fills it, and `weight`, what the plan
-    cache charges, is `transitions` plus the decode's charge.
+    objects. `states` counts each layer's states, and `transitions` is
+    the length of the key columns together. `minors` is None until
+    `decode_minors` fills it, and `weight`, what the plan cache
+    charges, is `transitions` plus the decode's charge.
     """
 
-    __slots__ = ("blocks", "keys", "steps", "final", "states", "transitions",
-                 "minors", "weight")
+    __slots__ = ("blocks", "steps", "final", "states", "transitions",
+                 "minors", "weight", "__weakref__")
 
     def __init__(self, l, m, start, steps):
-        keys = _Interner()
-        heads = (True,) + (False,) * (m - 1)
-        options = functools.cache(functools.partial(_slot_options, l))
-        layer, cols, states = (start,), [], [1]
-        for _ in range(steps):
-            nxt = _Interner()
-            # four bytes a transition while building, where a list would
-            # hold a pointer and, above 256, an int object
-            counts, key, dst = [], array("I"), array("I")
-            for state in layer:
-                blocks, rests, flips = zip(*map(options, state, heads))
-                n = len(key)
-                ks = map(keys.__getitem__, itertools.product(*blocks))
-                odd = map((1).__and__, map(sum, itertools.product(*flips)))
-                key.extend(map(operator.add, map((2).__mul__, ks), odd))
-                dst.extend(map(nxt.__getitem__, itertools.product(*rests)))
-                counts.append(len(key) - n)
-            cols.append((_column(counts, max(counts, default=0)),
-                         _column(key, 2 * len(keys)), _column(dst, len(nxt))))
-            layer = tuple(nxt)
-            states.append(len(layer))
-        ids = _Interner()
-        self.keys = tuple(_column(list(map(ids.__getitem__, col)), len(ids))
-                          for col in zip(*keys))
-        self.blocks = tuple(ids)
-        self.steps = tuple(cols)
-        self.final = tuple(map(_column, zip(*layer), start))
+        sizes = tuple(p.bit_count() for p in start)
+        states, fanout = _plan_size(l, sizes, steps)
+        shared = _SHARED.get((l, sizes, steps))
+        if shared is None:
+            self.steps = _layers(l, sizes, steps, states, fanout)
+            _SHARED[l, sizes, steps] = self
+        else:
+            self.steps = shared.steps
+        self.blocks = tuple(_slot_blocks(l, p, s > 0)
+                            for s, p in enumerate(start))
+        final = [_masks(_bits(p), l, steps, s == 0)
+                 for s, p in enumerate(start)]
+        self.final = tuple(map(_column, zip(*itertools.product(*final)),
+                               start))
         self.states = tuple(states)
-        self.transitions = self.weight = sum(len(key) for _, key, _ in cols)
+        self.transitions = self.weight = sum(map(operator.mul, states, fanout))
         self.minors = None
 
     def decode_minors(self, start):
@@ -274,14 +395,19 @@ class _Plan:
         """
         m, r = len(start), len(self.steps)
         fixed = (m - 1) * (r * (r + 1) // 2)
-        index = _Interner()
-        ids = [[index[f ^ rest] for rest in col]
-               for f, col in zip(start[1:], self.final[1:])]
+        index = {}
+        # per later slot, the sets of its final masks in rank order
+        ids = [[index.setdefault(f ^ rest, len(index))
+                for rest in _masks(_bits(f), 1, r, False)]
+               for f in start[1:]]
         sets = tuple(map(_points, index))
         parity = [sum(pts) & 1 for pts in sets]
-        flips = bytes((sum(map(parity.__getitem__, i)) - fixed) & 1
-                      for i in zip(*ids))
-        ids = tuple(_column(col, len(sets)) for col in ids)
+        flips = [fixed & 1]
+        for col in ids:
+            flips = [a ^ parity[i] for a in flips for i in col]
+        flips = bytes(flips)
+        ids = tuple(_column(col, len(sets))
+                    for col in zip(*itertools.product(*ids)))
         self.minors = sets, ids, flips
         self.weight += (sum(len(col) * col.itemsize for col in ids)
                         + len(flips) + 7) // 8 + len(sets) * (r + 6)
@@ -330,7 +456,7 @@ def _expand(entries, l, m, start, steps, signed, minors=False):
     are zero. A state holds one bitmask of free points per slot (bit p
     for point p). Each step gives every slot its next block: the first
     slot the block holding its lowest free point, the others any free
-    block (`_slot_options`), and multiplies by the entry those blocks
+    block (`_slot_table`), and multiplies by the entry those blocks
     key. With `signed` the sign flips of the steps are summed, which
     counts, per slot, the pairs (x chosen, y still free, y < x).
 
@@ -340,8 +466,9 @@ def _expand(entries, l, m, start, steps, signed, minors=False):
     that bound is built for its call and dropped. With `minors` the plan
     carries its minor decode. Tests swap `_PLANS` for a fresh or a
     zero-bound cache. The value pass reads each entry once into a list,
-    next to its negation, and accumulates layer by layer over the plan's
-    columns, building no tuple and probing no dict per transition.
+    in the order of the plan's key numbering, next to its negation, and
+    accumulates layer by layer over the plan's columns, building no
+    tuple and probing no dict per transition.
 
     Returns the plan and the list of its final states' values, in the
     order of `plan.final`; a state no path reaches holds None (zero).
@@ -354,10 +481,10 @@ def _expand(entries, l, m, start, steps, signed, minors=False):
     packed = _packed_entries(entries, l, start, steps)
     if packed is not None:
         entries = packed[0]
-    vals = []
-    for v in map(entries.get, zip(*(map(plan.blocks.__getitem__, col)
-                                    for col in plan.keys))):
-        vals += (v, -v if signed and v is not None else v)
+    keyed = list(map(entries.get, itertools.product(*plan.blocks)))
+    vals = [None] * (2 * len(keyed))
+    vals[::2] = keyed
+    vals[1::2] = [v if v is None else -v for v in keyed] if signed else keyed
     cur = [1]
     for (counts, key, dst), size in zip(plan.steps, plan.states[1:]):
         nxt = [None] * size
@@ -423,7 +550,7 @@ def row_minors(A: Tensor, rows):
     _require_even_order(A)
     r = len(rows)
     if len(set(rows)) != r or not all(
-            isinstance(i, int) and 1 <= i <= A.shape[0] for i in rows):
+            type(i) is int and 1 <= i <= A.shape[0] for i in rows):
         raise BoundsError(f"rows {tuple(rows)} are not distinct indices "
                           f"of [{A.shape[0]}]")
     full = tuple((1 << s + 1) - 2 for s in A.shape[1:])
@@ -598,7 +725,7 @@ def pfaffian(M, size=None):
 
     Accepts an upper-triangle dict {(i,j): value} with i<j, of size
     `size` or else its largest j, or a one-slot 2-block array. Runs in
-    O(size * 2^size), fine through size 20.
+    O(size * 2^size), fine through size 24.
     """
     if size is not None and size < 0:
         raise BoundsError(f"pfaffian size must be >= 0, got {size}")
@@ -609,7 +736,7 @@ def pfaffian(M, size=None):
                 "use hyperpfaffian for anything bigger")
         M, size = {key[0]: v for key, v in M.entries.items()}, M.size
     for i, j in M:
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j):
+        if not (type(i) is int and type(j) is int and 1 <= i < j):
             raise BoundsError(f"upper-triangle key ({i},{j}) needs 1 <= i < j")
     n = size if size is not None else max((j for _, j in M), default=0)
     if n % 2:

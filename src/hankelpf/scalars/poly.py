@@ -190,14 +190,21 @@ def _pmul(a, b):
                        len(a) + len(b) - 1)
 
 
+def _terms(b):
+    """The nonzero coefficients of b below its top, with their degrees."""
+    return [(i, x) for i, x in enumerate(b[:-1]) if x]
+
+
 def _pquo(a, b):
-    """a / b for int lists, when b divides a exactly over the ints."""
-    a, n, lead = list(a), len(b), b[-1]
+    """a / b for int lists, when b divides a exactly over the ints.  Each
+    step subtracts only b's nonzero terms."""
+    a, n, lead, terms = list(a), len(b), b[-1], _terms(b)
     quo = [0] * (len(a) - n + 1)
     for k in range(len(quo) - 1, -1, -1):
         c = quo[k] = a[k + n - 1] // lead
-        for i in range(n - 1):
-            a[k + i] -= c * b[i]
+        if c:
+            for i, x in terms:
+                a[k + i] -= c * x
     return quo
 
 
@@ -215,20 +222,27 @@ def _prem(a, b):
     from the window of len(b) - 1 coefficients below its top.  Windows
     only move down, so a coefficient below the current window is still
     a's own, and takes lc(b)^s in one multiply when the window reaches
-    it, or at the end; a step costs len(b) multiplies, not len(a).
+    it, or at the end; a step costs len(b) multiplies, not len(a).  With
+    lc(b) = 1 nothing is scaled, so a step touches only b's nonzero
+    terms, and a step by a monic binomial costs two operations.
     """
     r, lead, n = list(a), b[-1], len(b)
+    terms = _terms(b) if lead == 1 else ()
     low, power = len(r), 1      # r[low:] is current; r[:low] wants power
     while len(r) >= n:
         c = r.pop()
         if len(r) < low:
             c *= power
         k = len(r) - n + 1
-        step = power * lead
-        for i in range(n - 1):
-            j = k + i
-            r[j] = r[j] * (lead if j >= low else step) - c * b[i]
-        low, power = k, step
+        if lead == 1:
+            for i, x in terms:
+                r[k + i] -= c * x
+        else:
+            step = power * lead
+            for i in range(n - 1):
+                j = k + i
+                r[j] = r[j] * (lead if j >= low else step) - c * b[i]
+            low, power = k, step
         _trim(r)
     return _trim([c * power for c in r[:low]] + r[low:])
 

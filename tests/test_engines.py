@@ -4,7 +4,9 @@ summation, flattening, and the JSON container formats."""
 import gc
 import itertools
 import math
+import operator
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -196,6 +198,14 @@ def test_row_minors_rejects_bad_rows():
             row_minors(H, rows)
 
 
+def test_row_minors_refuses_bool_rows():
+    # True hashes and compares like 1, but it is not a row index
+    H = Tensor.from_function((3, 4), lambda i, j: i + j)
+    for rows in ((True, 2), (2, False), (True,)):
+        with pytest.raises(BoundsError, match="not distinct indices"):
+            row_minors(H, rows)
+
+
 def test_minor_tensor_examples():
     A = Tensor.from_matrix([[1, 2], [3, 4]])
     M = minor_tensor(A, [(1,), (2,)])
@@ -238,6 +248,14 @@ def test_pfaffian_smallest_cases():
     assert pfaffian({(1, 2): 5}) == 5
     with pytest.raises(BoundsError, match="size must be >= 0, got -1"):
         pfaffian({}, size=-1)
+
+
+def test_pfaffian_refuses_bool_indices():
+    # True hashes and compares like 1, but it is not an index
+    for M in ({(True, 2): 5}, {(1, 2): 1, (True, 3): 2, (3, 4): 1},
+              {(1, True): 5}):
+        with pytest.raises(BoundsError, match="needs 1 <= i < j"):
+            pfaffian(M, size=4)
 
 
 def test_pfaffian_four_by_four_generic():
@@ -604,41 +622,77 @@ def _row_minor_tables(H, rows_list):
     return [row_minors(H, rows) for rows in rows_list]
 
 
+# (shape, row sets): four steps on a matrix, and six axes; the first
+# is checked against the literal definition by
+# test_row_minors_match_literal_definition, the others here
+ROW_MINOR_CASES = (((3,) * 4, [(1,), (2, 3), (1, 3), (1, 2, 3)]),
+                   ((4, 5), [(1, 2, 3, 4), (1, 2, 4)]),
+                   ((2, 3, 2, 3, 2, 3), [(1, 2), (2,)]))
+
+
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 def test_row_minors_same_cold_warm_and_after_eviction(kind, monkeypatch):
     # the minor decode is held on the plan: a table is the same whether
     # its plan and decode were just built, read from the cache, built
-    # over the bound and dropped, or evicted and built again
-    rng = derive_rng("row-minors-decode", kind)
-    H = Tensor((3,) * 4, {idx: _kernel_entry(rng, kind)
-                          for idx in itertools.product(range(1, 4), repeat=4)
+    # over the bound and dropped, or evicted and built again, and it
+    # matches the literal definition
+    for dims, rows_list in ROW_MINOR_CASES:
+        rng = derive_rng("row-minors-decode", kind, str(dims))
+        H = Tensor(dims, {idx: _kernel_entry(rng, kind)
+                          for idx in itertools.product(
+                              *(range(1, s + 1) for s in dims))
                           if rng.random() < 0.8})
-    rows_list = [(1,), (2, 3), (1, 3), (1, 2, 3)]
+        # cold: no plan of these sizes is alive to share its columns
+        monkeypatch.setattr(engines, "_SHARED", weakref.WeakValueDictionary())
+        cache = engines._PlanCache(engines.PLAN_CACHE_TRANSITIONS)
+        monkeypatch.setattr(engines, "_PLANS", cache)
+        cold = _row_minor_tables(H, rows_list)
+        plans = dict(cache.plans)
+        assert len(plans) == len(rows_list)
+        assert all(p.minors is not None and p.weight > p.transitions
+                   for p in plans.values())
+        assert cache.weight == sum(p.weight for p in plans.values())
+        warm = _row_minor_tables(H, rows_list)
+        assert all(cache.plans[shape] is p for shape, p in plans.items())
+        # room for the largest plan alone: each call evicts the one before
+        tight = engines._PlanCache(max(p.weight for p in plans.values()))
+        monkeypatch.setattr(engines, "_PLANS", tight)
+        evicted = [_row_minor_tables(H, rows_list) for _ in range(2)]
+        assert len(tight.plans) == 1
+        over_bound = engines._PlanCache(0)
+        monkeypatch.setattr(engines, "_PLANS", over_bound)
+        over = _row_minor_tables(H, rows_list)
+        assert over_bound.plans == {} and over_bound.weight == 0
+        for rows, want, *tables in zip(rows_list, cold, warm, *evicted, over):
+            assert want and all(table == want for table in tables)
+            for cols, v in want.items():
+                _check_type(v, kind)
+                assert all(type(table[cols]) is type(v) for table in tables)
+            if dims != ROW_MINOR_CASES[0][0]:
+                for cols in itertools.product(*(itertools.combinations(
+                        range(1, s + 1), len(rows)) for s in dims[1:])):
+                    minor = minor_tensor(H, (rows,) + cols).entries
+                    assert want.get(cols, 0) == _literal_block_sum(
+                        minor, 1, len(dims), len(rows))
+
+
+def test_plans_of_equal_sizes_share_their_columns(monkeypatch):
+    # the columns depend on the sizes of the start masks alone
+    monkeypatch.setattr(engines, "_SHARED", weakref.WeakValueDictionary())
     cache = engines._PlanCache(engines.PLAN_CACHE_TRANSITIONS)
-    monkeypatch.setattr(engines, "_PLANS", cache)
-    cold = _row_minor_tables(H, rows_list)
-    plans = dict(cache.plans)
-    assert len(plans) == len(rows_list)
-    assert all(p.minors is not None and p.weight > p.transitions
-               for p in plans.values())
-    assert cache.weight == sum(p.weight for p in plans.values())
-    warm = _row_minor_tables(H, rows_list)
-    assert all(cache.plans[shape] is p for shape, p in plans.items())
-    # room for the largest plan alone: each call evicts the one before
-    tight = engines._PlanCache(max(p.weight for p in plans.values()))
-    monkeypatch.setattr(engines, "_PLANS", tight)
-    evicted = [_row_minor_tables(H, rows_list) for _ in range(2)]
-    assert len(tight.plans) == 1
-    over_bound = engines._PlanCache(0)
-    monkeypatch.setattr(engines, "_PLANS", over_bound)
-    over = _row_minor_tables(H, rows_list)
-    assert over_bound.plans == {} and over_bound.weight == 0
-    # test_row_minors_match_literal_definition checks the values
-    for want, *tables in zip(cold, warm, *evicted, over):
-        assert want and all(table == want for table in tables)
-        for cols, v in want.items():
-            _check_type(v, kind)
-            assert all(type(table[cols]) is type(v) for table in tables)
+    full = (1 << 6) - 2
+    a = cache.get(1, 2, (0b110, full), 2, minors=True)
+    b = cache.get(1, 2, (0b101000, full), 2, minors=True)
+    c = cache.get(1, 2, (0b1110, full), 2)
+    assert a.steps is b.steps and a.steps is not c.steps
+    assert a.final == b.final and a.blocks != b.blocks
+    assert a.minors == b.minors
+    assert cache.weight == a.weight + b.weight + c.weight
+    # an index entry holds no plan alive
+    del a, b, c
+    cache.plans.clear()
+    gc.collect()
+    assert not engines._SHARED
 
 
 def test_row_minors_decode_is_charged_to_the_plan_cache():
@@ -715,6 +769,26 @@ def test_plan_cache_cold_warm_and_over_bound(monkeypatch):
                 assert type(results[1][key]) is type(results[2][key]) \
                     is type(v)
 
+    # an l = 4 and an m = 3 shape on each entry kind, against the literal
+    # definition, with one result type cold, warm and over the bound
+    for kind in KINDS:
+        for l, m, n in ((4, 1, 2), (2, 3, 2)):
+            rng = derive_rng("plan-cache-literal", kind, f"{l}.{m}.{n}")
+            entries = {k: _random_scalar(rng, kind) for k in _all_keys(l, m, n)
+                       if rng.random() < 0.8}
+            monkeypatch.setattr(engines, "_SHARED",
+                                weakref.WeakValueDictionary())
+            results = []
+            for cache in (engines._PlanCache(engines.PLAN_CACHE_TRANSITIONS),
+                          None, engines._PlanCache(0)):
+                if cache is not None:
+                    monkeypatch.setattr(engines, "_PLANS", cache)
+                results.append(engines._block_sum(entries, l, m, l * n))
+            want = _literal_block_sum(entries, l, m, n)
+            assert all(v == want for v in results)
+            assert len({type(v) for v in results}) == 1
+            _check_type(results[0], kind)
+
 
 def test_plan_cache_evicts_least_recently_used():
     shapes = [(2, 1, (0b11110,), 2), (1, 2, (0b1110, 0b1110), 3),
@@ -743,6 +817,14 @@ def test_plan_counts_states_and_transitions():
     assert plan.transitions == sum(math.comb(N, t) ** (m - 1)
                                    * (N - t) ** (m - 1) for t in range(N))
     assert [tuple(col) for col in plan.final] == [(0,)] * m
+    # the sizes the closed forms give (ROADMAP item 1)
+    full = (1 << 9) - 2
+    plan = engines._Plan(2, 2, (full, full), 4)
+    assert plan.states == (1, 196, 1050, 280, 1)
+    assert plan.transitions == 34076
+    assert engines._Plan(4, 1, ((1 << 13) - 2,), 3).transitions == 6150
+    plan = engines._Plan(1, 4, (0b110, 0b11110, 0b11110, 0b1111110), 2)
+    assert plan.states == (1, 96, 540) and plan.transitions == 4416
 
 
 def _tier1_shapes():
@@ -755,6 +837,73 @@ def _tier1_shapes():
                        (4, 4, (2, 3))):
         yield 1, m, (sum(1 << i for i in rows),) \
             + ((1 << N + 1) - 2,) * (m - 1), len(rows)
+
+
+def _comb0(n, k):
+    return math.comb(n, k) if n >= 0 and 0 <= k else 0
+
+
+def _walk(l, start, steps):
+    # the state graph by brute force from its definition: per layer the
+    # states reached, and the transitions out of each layer
+    layer, states, moves = {start}, [1], []
+    for _ in range(steps):
+        nxt, count = set(), 0
+        for state in layer:
+            options = []
+            for s, free in enumerate(state):
+                pts = [p for p in range(free.bit_length()) if free >> p & 1]
+                options.append([free - sum(1 << p for p in blk)
+                                for blk in itertools.combinations(pts, l)
+                                if s or blk[0] == pts[0]])
+            for rests in itertools.product(*options):
+                nxt.add(rests)
+                count += 1
+        layer = nxt
+        states.append(len(layer))
+        moves.append(count)
+    return states, moves
+
+
+def _closed_form_shapes():
+    # full starts of 1..6 blocks for l, m = 1..4, up to 10,000
+    # transitions, and the row_minors starts of _tier1_shapes
+    for l in range(1, 5):
+        for m in range(1, 5):
+            for n in range(1, 7):
+                states, fanout = engines._plan_size(l, [l * n] * m, n)
+                if sum(map(operator.mul, states, fanout)) > 10_000:
+                    break
+                yield l, m, ((1 << l * n + 1) - 2,) * m, n
+    yield from (s for s in _tier1_shapes() if len(set(s[2])) > 1)
+
+
+def test_plan_sizes_match_their_closed_forms():
+    # states(t) = C(|P_0| - t, |P_0| - t*l) * prod_s C(|P_s|, t*l), and
+    # transitions(t) = states(t) * C(|P_0| - t*l - 1, l - 1)
+    #                  * prod_s C(|P_s| - t*l, l)
+    # against the plan, its columns and a brute-force walk
+    shapes = list(_closed_form_shapes())
+    assert len(shapes) > 40
+    for l, m, start, steps in shapes:
+        head, *rest = [p.bit_count() for p in start]
+        states = [_comb0(head - t, head - t * l)
+                  * math.prod(_comb0(n, t * l) for n in rest)
+                  for t in range(steps + 1)]
+        moves = [states[t] * _comb0(head - t * l - 1, l - 1)
+                 * math.prod(_comb0(n - t * l, l) for n in rest)
+                 for t in range(steps)]
+        plan = engines._Plan(l, m, start, steps)
+        assert list(plan.states) == states
+        assert plan.transitions == sum(moves)
+        assert engines._plan_size(l, [head, *rest], steps) == (
+            states, [s and t // s for s, t in zip(states, moves)])
+        for t, (counts, key, dst) in enumerate(plan.steps):
+            assert len(counts) == states[t] and sum(counts) == moves[t]
+            assert len(key) == len(dst) == moves[t]
+            # every state of the next layer is reached
+            assert set(dst) == set(range(states[t + 1])) or not moves[t]
+        assert _walk(l, start, steps) == (states, moves)
 
 
 def test_plan_cache_memory_stays_small():

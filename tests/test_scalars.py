@@ -416,6 +416,29 @@ def test_ratfunc_cancels_non_monomial_gcd():
             assert all(type(c) is int for c in r.num + r.den)
 
 
+def test_division_by_sparse_divisors():
+    # _prem and _pquo subtract only the divisor's nonzero terms, and skip
+    # the window scaling when the divisor is monic
+    rng = derive_rng("sparse-divisors")
+    for _ in range(400):
+        b = [rng.choice((0, 0, 0, rng.randint(-5, 5)))
+             for _ in range(rng.randint(0, 6))] + [rng.choice((1, 1, -1, 3, -4))]
+        a = [rng.choice((0, 0, rng.randint(-9, 9)))
+             for _ in range(rng.randint(0, 12))] + [rng.randint(1, 9)]
+        # a pseudo-remainder is lc(b)^s times the remainder, for some s
+        exact = _rem([Fraction(c) for c in a], b)
+        rem = poly._prem(a, b)
+        assert all(type(c) is int for c in rem)
+        assert any(rem == [c * b[-1] ** s for c in exact]
+                   for s in range(len(a) + 1))
+        quo = poly._pquo(poly._pmul(a, b), b)
+        assert quo == a and all(type(c) is int for c in quo)
+    # 5,000 steps of two operations each
+    value = parse_scalar("(a^10000 - 1)/(a^5000 - 1)")
+    assert type(value) is UniPoly
+    assert value == unipoly("a", [1] + [0] * 4999 + [1])
+
+
 # -------------------------------------------------------------------- series
 
 def test_series_sqrt_catalan_kernel():
