@@ -106,6 +106,7 @@ _TERM = re.compile(
     r"|(?P<var2>[A-Za-z])(?:\^(?P<exp2>-?\d+))?"
     r")\s*")
 # Larger exponents would build dense coefficient lists of that length.
+# `poly._gcdheu` states its worst case for quotients of this degree.
 MAX_EXPONENT = 10_000
 _EXPONENT_DIGITS = len(str(MAX_EXPONENT))
 

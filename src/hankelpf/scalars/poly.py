@@ -11,8 +11,9 @@ splits one scalar into the ints a/D of a rational.  A product packs each
 operand into one int, its value at x = 2^B (Kronecker substitution),
 multiplies once and unpacks balanced digits; the engines' kernel shares
 `kron_pack` and `kron_unpack`.  `ratfunc` drops the common power of the
-variable, the whole gcd when a side is a monomial, else divides exactly
-by the int gcd of both sides.
+variable, the whole gcd when a side is a monomial; else it reads the gcd
+of both sides from the int gcd of their values at one power of two,
+and keeps the cofactors once their products rebuild both sides (GCDHEU).
 
 The factories (`unipoly`, `poly_gen`, `ratfunc`) take int or Fraction
 coefficients, put them over one denominator, and, like `_poly` and
@@ -151,8 +152,17 @@ def _padd(a, b):
     return _trim([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
 
+# Longer lists pack and unpack by halves, in O(n B log n) bit operations
+# against one loop's n shifts of up to n B bits each.
+_KRON_SPLIT = 32
+
+
 def kron_pack(ints, B):
     """The int sum(c_k << B*k): the polynomial evaluated at x = 2^B."""
+    n = len(ints)
+    if n > _KRON_SPLIT:
+        h = n // 2
+        return kron_pack(ints[:h], B) + (kron_pack(ints[h:], B) << B * h)
     x = 0
     for c in reversed(ints):
         x = (x << B) + c
@@ -170,8 +180,17 @@ def kron_unpack(x, B, n):
     if n == 1:
         return [x]
     half = 1 << (B - 1)
+    x += half * (((1 << B * n) - 1) // ((1 << B) - 1))
+    return _balanced(x, B, n, half)
+
+
+def _balanced(x, B, n, half):
+    """The n lowest B-bit digits of the offset x >= 0, each less half."""
+    if n > _KRON_SPLIT:
+        h = n // 2
+        return (_balanced(x & ((1 << B * h) - 1), B, h, half)
+                + _balanced(x >> B * h, B, n - h, half))
     mask = (1 << B) - 1
-    x += half * (((1 << B * n) - 1) // mask)
     return [((x >> B * k) & mask) - half for k in range(n)]
 
 
@@ -190,74 +209,52 @@ def _pmul(a, b):
                        len(a) + len(b) - 1)
 
 
-def _terms(b):
-    """The nonzero coefficients of b below its top, with their degrees."""
-    return [(i, x) for i, x in enumerate(b[:-1]) if x]
-
-
-def _pquo(a, b):
-    """a / b for int lists, when b divides a exactly over the ints.  Each
-    step subtracts only b's nonzero terms."""
-    a, n, lead, terms = list(a), len(b), b[-1], _terms(b)
-    quo = [0] * (len(a) - n + 1)
-    for k in range(len(quo) - 1, -1, -1):
-        c = quo[k] = a[k + n - 1] // lead
-        if c:
-            for i, x in terms:
-                a[k + i] -= c * x
-    return quo
-
-
 def _primitive(cs):
     """An int list divided by its content (the gcd of its entries)."""
     g = math.gcd(*cs)
     return [c // g for c in cs] if g > 1 else cs
 
 
-def _prem(a, b):
-    """Pseudo-remainder of int lists: a times lc(b)^s, mod b, after its
-    s steps.
+def _gcdheu(f, g):
+    """(h, f/h, g/h) for nonzero int lists f and g, h their gcd,
+    primitive with a positive lead: the heuristic gcd GCDHEU (Char,
+    Geddes and Gonnet, J. Symbolic Comput. 7, 1989).
 
-    A step scales the remainder by lc(b) and subtracts a multiple of b
-    from the window of len(b) - 1 coefficients below its top.  Windows
-    only move down, so a coefficient below the current window is still
-    a's own, and takes lc(b)^s in one multiply when the window reaches
-    it, or at the end; a step costs len(b) multiplies, not len(a).  With
-    lc(b) = 1 nothing is scaled, so a step touches only b's nonzero
-    terms, and a step by a monic binomial costs two operations.
+    A round packs f and g at 2^B (`kron_pack`) and takes the int gcd
+    gamma > 0 of the two values.  h is the primitive part of gamma's
+    balanced digits (`kron_unpack`), the top one positive as gamma is,
+    each cofactor the digits of f(2^B) // h(2^B), and the round accepts
+    when `_pmul` rebuilds f and g from them; else B doubles.  The first
+    B has 2^B >= 2 min(|f|, |g|) + 2, |f| the largest |coefficient| of
+    f, so by Cauchy's bound each root of a nonconstant common factor c
+    lies within 2^(B-1) of 0, and |c(2^B)| > 2^(B-1).  As c(2^B) divides
+    gamma, gamma < 2^(B-1) proves f and g coprime, and a candidate that
+    divides both sides is their whole gcd (op. cit., Theorem 1).
+
+    Why doubling ends: with f = h f1 and g = h g1, gamma / h(2^B) divides
+    Res(f1, g1) whatever B is, so a round accepts once 2^(B-1) exceeds
+    |Res(f1, g1)| |h| and the cofactors' coefficients.  By Hadamard's
+    bound on Res and Mignotte's on the factors of f and g, that holds at
+    B >= (2d + 1)L + 2, with d the larger degree and L = d + log2 of the
+    larger 2-norm, after at most log2 of that many rounds.  For sides of
+    degree MAX_EXPONENT (`grammar`) that is B near 2 10^8 bits; the
+    quotients of degree 10,000 in the tests take one or two rounds.
     """
-    r, lead, n = list(a), b[-1], len(b)
-    terms = _terms(b) if lead == 1 else ()
-    low, power = len(r), 1      # r[low:] is current; r[:low] wants power
-    while len(r) >= n:
-        c = r.pop()
-        if len(r) < low:
-            c *= power
-        k = len(r) - n + 1
-        if lead == 1:
-            for i, x in terms:
-                r[k + i] -= c * x
-        else:
-            step = power * lead
-            for i in range(n - 1):
-                j = k + i
-                r[j] = r[j] * (lead if j >= low else step) - c * b[i]
-            low, power = k, step
-        _trim(r)
-    return _trim([c * power for c in r[:low]] + r[low:])
-
-
-def _pgcd(a, b):
-    """Primitive gcd of two nonzero int lists, by the primitive remainder
-    sequence: each pseudo-remainder is divided by its content, which
-    keeps the ints small (Collins, JACM 1967; Knuth, TAOCP vol. 2,
-    4.6.1)."""
-    a, b = _primitive(a), _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _primitive(_prem(a, b))
-    return a
+    B = (2 * min(max(map(abs, f)), max(map(abs, g))) + 1).bit_length()
+    while True:
+        F, G = kron_pack(f, B), kron_pack(g, B)
+        gamma = math.gcd(F, G)
+        if gamma >> (B - 1) == 0:
+            return [1], f, g
+        h = _primitive(_trim(kron_unpack(gamma, B,
+                                         gamma.bit_length() // B + 1)))
+        if len(h) <= min(len(f), len(g)):
+            hx = kron_pack(h, B)
+            cf = kron_unpack(F // hx, B, len(f) - len(h) + 1)
+            cg = kron_unpack(G // hx, B, len(g) - len(h) + 1)
+            if _pmul(h, cf) == f and _pmul(h, cg) == g:
+                return h, cf, cg
+        B *= 2
 
 
 def _over_one_den(coeffs):
@@ -401,11 +398,7 @@ def _ratfunc(var, num, den):
     k = min(next(i for i, c in enumerate(x) if c) for x in (num, den))
     num, den = num[k:], den[k:]
     if any(num[:-1]) and any(den[:-1]):
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            # the primitive gcd divides both sides exactly over the ints
-            # (Gauss's lemma)
-            num, den = _pquo(num, g), _pquo(den, g)
+        _, num, den = _gcdheu(num, den)
     if len(den) == 1:
         d = den[0]
         return _poly(var, num if d > 0 else [-c for c in num], abs(d))

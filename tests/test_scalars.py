@@ -356,6 +356,13 @@ def test_kronecker_product_matches_schoolbook():
         assert all(type(c) is int for c in product)
     neg = [-(2 ** 70) + 1] * 6
     assert poly._pmul(neg, neg) == _schoolbook_mul(neg, neg)
+    # past 32 coefficients kron_pack and kron_unpack work by halves
+    digits = [rng.randint(-8, 7) for _ in range(10_000)] + [7]
+    x = 0
+    for c in reversed(digits):
+        x = (x << 4) + c
+    assert poly.kron_pack(digits, 4) == x
+    assert poly.kron_unpack(x, 4, 10_001) == digits
 
 
 def _num_den(r):
@@ -367,8 +374,41 @@ def _num_den(r):
     return list(r.coeffs) if isinstance(r, UniPoly) else [r] if r else [], [1]
 
 
+def _check_gcd(a, b):
+    """_gcdheu against Euclid's gcd, and ratfunc's reduction of a/b."""
+    if a and b:
+        (ia, _), (ib, _) = poly._over_one_den(a), poly._over_one_den(b)
+        gcd, ca, cb = poly._gcdheu(ia, ib)
+        assert all(type(c) is int for c in gcd + ca + cb)
+        assert gcd[-1] > 0 and math.gcd(*gcd) == 1
+        assert [Fraction(c, gcd[-1]) for c in gcd] == _euclid_gcd(a, b)
+        assert poly._pmul(gcd, ca) == ia and poly._pmul(gcd, cb) == ib
+    if b:
+        # ratfunc reduces zero and monomial sides without _gcdheu
+        num, den = _num_den(ratfunc("q", a, b))
+        assert den[-1] == 1
+        assert not num or _euclid_gcd(num, den) == [1]
+        assert _schoolbook_mul(num, b) == _schoolbook_mul(a, den)
+
+
+def _gcd_rounds(f, g):
+    """_gcdheu(f, g) and the B of each of its rounds, each of which packs
+    f and then g."""
+    calls, kron_pack = [], poly.kron_pack
+
+    def pack(ints, B):
+        calls.append((list(ints), B))
+        return kron_pack(ints, B)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(poly, "kron_pack", pack)
+        out = poly._gcdheu(f, g)
+    return out, [B for (x, B), (y, C) in zip(calls, calls[1:])
+                 if x == f and y == g and B == C]
+
+
 def test_integer_gcd_matches_euclid():
-    rng = derive_rng("prs-gcd")
+    rng = derive_rng("integer-gcd")
     for _ in range(300):
         g = _rand_coeffs(rng, rng.randint(0, 3))
         a = _schoolbook_mul(_rand_coeffs(rng, rng.randint(0, 4)), g)
@@ -378,17 +418,34 @@ def test_integer_gcd_matches_euclid():
             b = [Fraction(0)] * rng.randint(0, 4) + [Fraction(
                 rng.randint(1, 9))]
             a, b = (b, a) if rng.random() < 0.5 else (a, b)
+        _check_gcd(a, b)
+    # int factors whose coefficients are up to 3 or up to 1,000: a side
+    # with small coefficients sets a small first B, under the other
+    # side's cofactor, so many pairs double B
+    rounds = []
+    for _ in range(300):
+        g, a, b = [[Fraction(rng.randint(-c, c)) for _ in range(n)]
+                   for c, n in [(rng.choice((3, 1000)), rng.randint(1, k))
+                                for k in (4, 5, 5)]]
+        a, b = _schoolbook_mul(a, g), _schoolbook_mul(b, g)
+        _check_gcd(a, b)
         if a and b:
             (ia, _), (ib, _) = poly._over_one_den(a), poly._over_one_den(b)
-            gcd = poly._pgcd(ia, ib)
-            assert all(type(c) is int for c in gcd)
-            assert [Fraction(c, gcd[-1]) for c in gcd] == _euclid_gcd(a, b)
-        if b:
-            # ratfunc reduces zero and monomial sides without _pgcd
-            num, den = _num_den(ratfunc("q", a, b))
-            assert den[-1] == 1
-            assert not num or _euclid_gcd(num, den) == [1]
-            assert _schoolbook_mul(num, b) == _schoolbook_mul(a, den)
+            rounds.append(len(_gcd_rounds(ia, ib)[1]))
+    assert max(rounds) > 1 and rounds.count(1) > len(rounds) // 2
+    # x - 1 sets B = 2, at which the cofactor of x - 1 in the cubic,
+    # -951x^2 + 783x - 834, has no balanced digits; it fits at B = 16
+    f, g = [-1, 1], [-834, 1617, -1734, 951]
+    assert _gcd_rounds(f, g) == (
+        ([-1, 1], [1], [834, -783, 951]), [2, 4, 8, 16])
+    # x^3 + x^2 - x - 1 and x^4 + x^3 + x + 1 share (x + 1)^2 = x^2 + 2x
+    # + 1; at B = 2 its value 25 has the digits 1, -2, -2, 1
+    f, g = [-1, -1, 1, 1], [1, 1, 0, 1, 1]
+    assert _gcd_rounds(f, g) == (
+        ([1, 2, 1], [-1, 1], [1, -1, 1]), [2, 4])
+    # gcd(f(4), x^4 + 1 at 4) = gcd(75, 257) = 1 < 2 proves them coprime
+    g = [1, 0, 0, 0, 1]
+    assert _gcd_rounds(f, g) == (([1], f, g), [2])
     # (5 + q)/(2q): coprime int numerators, positive leading denominator
     assert ratfunc("q", [0, 0, 5, 1], [0, 0, 0, 2]) == RatFunc(
         "q", [5, 1], [0, 2])
@@ -417,26 +474,20 @@ def test_ratfunc_cancels_non_monomial_gcd():
 
 
 def test_division_by_sparse_divisors():
-    # _prem and _pquo subtract only the divisor's nonzero terms, and skip
-    # the window scaling when the divisor is monic
-    rng = derive_rng("sparse-divisors")
-    for _ in range(400):
-        b = [rng.choice((0, 0, 0, rng.randint(-5, 5)))
-             for _ in range(rng.randint(0, 6))] + [rng.choice((1, 1, -1, 3, -4))]
-        a = [rng.choice((0, 0, rng.randint(-9, 9)))
-             for _ in range(rng.randint(0, 12))] + [rng.randint(1, 9)]
-        # a pseudo-remainder is lc(b)^s times the remainder, for some s
-        exact = _rem([Fraction(c) for c in a], b)
-        rem = poly._prem(a, b)
-        assert all(type(c) is int for c in rem)
-        assert any(rem == [c * b[-1] ** s for c in exact]
-                   for s in range(len(a) + 1))
-        quo = poly._pquo(poly._pmul(a, b), b)
-        assert quo == a and all(type(c) is int for c in quo)
-    # 5,000 steps of two operations each
     value = parse_scalar("(a^10000 - 1)/(a^5000 - 1)")
     assert type(value) is UniPoly
     assert value == unipoly("a", [1] + [0] * 4999 + [1])
+
+
+def test_dense_quotient_reduces_at_once():
+    # degree 10,000 over degree 4,000: one integer gcd at 2^4 proves the
+    # sides coprime
+    num = [-2] + [0] * 4999 + [7] + [0] * 4999 + [1]
+    den = [-5] + [0] * 16 + [1] + [0] * 3982 + [3]
+    value = parse_scalar("(a^10000 + 7*a^5000 - 2)/(3*a^4000 + a^17 - 5)")
+    assert type(value) is RatFunc
+    assert (poly._pmul(list(value.num), den)
+            == poly._pmul(num, list(value.den)))
 
 
 # -------------------------------------------------------------------- series
@@ -792,7 +843,7 @@ def test_parse_scalar_error_messages(text, message):
 def test_parse_scalar_bounds_exponents():
     assert len(parse_scalar("a^10000").coeffs) == 10001
     assert parse_scalar("q^-10000").den[-1] == 1
-    # coprime sides: the gcd pseudo-divides by 1 - 3a 9,999 times
+    # coprime sides: gcd(4^10000 + 1, 4^9999 + 3) = 1 proves it at once
     assert parse_scalar("(a^10000 + 1)/(a^9999 + 3)") == RatFunc(
         "a", [1] + [0] * 9999 + [1], [3] + [0] * 9998 + [1])
     for text, term in (("a^10001 + 1", "a^10001"),
