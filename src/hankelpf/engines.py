@@ -33,10 +33,12 @@ Design notes that matter for reading this file:
 * Signs are applied by negating, never by scalar powers.
 * The kernel runs in two passes, as the symbolic and numeric phases of
   a sparse direct solver do. A shape pass (`_Plan`) builds the state
-  graph of one (l, m, start masks, steps) shape as flat integer arrays,
-  and `_PLANS` caches it, bounded by PLAN_CACHE_TRANSITIONS transitions
-  in all, because the same few dozen shapes recur across the calls of
-  a run. A value pass reads each entry once and accumulates over those
+  graph of one (l, sizes, steps) shape as flat integer arrays, where
+  `sizes` holds the point counts of the start masks, so one plan serves
+  every start of those sizes. `_PLANS` caches it, bounded by
+  PLAN_CACHE_TRANSITIONS transitions in all, because the same few
+  dozen shapes recur across the calls of a run. A value pass reads
+  each entry once, by this start's blocks, and accumulates over those
   arrays. The arrays hold small unsigned ints and no Python objects,
   so a cached transition costs about 8 bytes and the garbage collector
   never scans the cache. The minor decode that `row_minors` attaches
@@ -46,11 +48,10 @@ Design notes that matter for reading this file:
   arithmetic on its slots' ranks and `_plan_size` counts every layer in
   closed form before anything is built. The columns come from one small
   option table per slot and layer, paired by list comprehensions, with
-  no dict keyed by a tuple; plans whose start masks have equal sizes
-  share their columns. On a 2-core Xeon with CPython 3.11 a build costs
-  two to three value passes over the same transitions (about 0.1 s
-  against 0.04 s for a 22-point Pfaffian), so a shape over the cache
-  bound pays about three value passes a call.
+  no dict keyed by a tuple. On a 2-core Xeon with CPython 3.11 a build
+  costs two to three value passes over the same transitions (about
+  0.1 s against 0.04 s for a 22-point Pfaffian), so a shape over the
+  cache bound pays about three value passes a call.
 * One contraction, `contract_slots`, builds both minor summation
   kernels: `msf_build_Q` here and `qcalc.debruijn_kernel`, whose atom
   weights are a diagonal array. It sums an array against one table of
@@ -63,7 +64,6 @@ import functools
 import itertools
 import math
 import operator
-import weakref
 from array import array
 from fractions import Fraction
 
@@ -86,7 +86,7 @@ def _bits(mask):
     return tuple(1 << p for p in _points(mask))
 
 
-def _packed_entries(entries, l, start, steps):
+def _packed_entries(entries, l, sizes, steps):
     """The entries as packed ints, or None when they must run as they are.
 
     Packing applies when every entry is exactly a Fraction, a UniPoly or
@@ -109,10 +109,10 @@ def _packed_entries(entries, l, start, steps):
     with at most L coefficients of absolute value at most C (the largest
     numerator times D / den), so its coefficients are at most
     C**steps * L**(steps-1). The paths into any state are at most all
-    the paths from `start`, the product of the per-state fan-outs of
-    `_plan_size`. So B is one more than the bit length of (paths) *
-    C**steps * L**(steps-1). A QuadExt has L = 2, and the same
-    derivation holds.
+    the paths from start masks of `sizes` points, the product of the
+    per-state fan-outs of `_plan_size`. So B is one more than the bit
+    length of (paths) * C**steps * L**(steps-1). A QuadExt has L = 2,
+    and the same derivation holds.
 
     Returns (packed entries, B, D**steps, digits per final state,
     finish), where `finish(digits, D**steps)` is a final state's value:
@@ -151,7 +151,7 @@ def _packed_entries(entries, l, start, steps):
     D = math.lcm(*[d for _, d in parts])
     L = max([len(nums) for nums, _ in parts])
     C = max([max(map(abs, nums)) * (D // d) for nums, d in parts])
-    paths = math.prod(_plan_size(l, [p.bit_count() for p in start], steps)[1])
+    paths = math.prod(_plan_size(l, sizes, steps)[1])
     B = (paths * C ** steps * L ** (steps - 1)).bit_length() + 1
     packed = dict(zip(entries, [kron_pack(nums, B) * (D // d)
                                 for nums, d in parts]))
@@ -160,11 +160,10 @@ def _packed_entries(entries, l, start, steps):
 
 # The plan cache holds at most this many transitions in all. A cached
 # transition costs about 8 bytes (two array cells and its share of the
-# per-state counts and of the final masks), so a full cache holds about
-# 2 MB; the full suite's 83 shapes take 126k transitions, 1 MB, and
-# 79k of them are built once plans of equal sizes share their columns.
-# A minor decode is charged in the same 8-byte units
-# (`_Plan.decode_minors`).
+# per-state counts), so a full cache holds about 2 MB; the full suite's
+# 43 plans take 79k transitions and, with their 28 minor decodes,
+# 82k in weight, under 1 MB. A minor decode is charged in the same
+# 8-byte units (`_Plan.decode_minors`).
 PLAN_CACHE_TRANSITIONS = 1 << 18
 
 
@@ -318,88 +317,70 @@ def _layers(l, sizes, steps, states, fanout):
     return tuple(cols)
 
 
-# The plans alive anywhere, by (l, start sizes, steps). Plans of one
-# size share their columns. The index holds no plan alive, so the plan
-# cache stays the only bound on them.
-_SHARED = weakref.WeakValueDictionary()
-
-
 class _Plan:
-    """The state graph of one (l, m, start, steps) shape, without values.
+    """The state graph of one (l, sizes, steps) shape, without values.
 
-    The shape pass of `_expand`. A state holds one free mask per slot.
-    After t steps slot s holds a k-subset of a ground set (its start
-    points; for the first slot, less its t lowest), and each mask is
-    numbered by its rank among those subsets (lexicographic order of
+    The shape pass of `_expand`, for start masks of `sizes` points: one
+    plan serves every start of those sizes. A state holds one free mask
+    per slot. After t steps slot s holds a k-subset of a ground set (its
+    start points; for the first slot, less its t lowest), and each mask
+    is numbered by its rank among those subsets (lexicographic order of
     the combinatorial number system, Knuth, TAOCP 4A 7.2.1.3). A state
     is numbered by its slots' ranks in mixed radix, the last slot
     fastest, and `_plan_size` counts each layer in closed form. The
-    columns (`_layers`) depend on the sizes of the start masks alone,
-    so plans of equal sizes share them (`_SHARED`). `steps` holds one
-    triple of columns per step:
+    columns (`_layers`) are built on the points' positions. `steps`
+    holds one triple of columns per step:
     - counts: for each state of the layer, how many transitions leave it;
       the transitions are stored grouped by source, in state order;
     - key: for each transition, 2*k + flip, with k the index of the entry
       key it multiplies by and flip the parity of its sign flips;
     - dst: for each transition, its target state's index in the next
       layer.
-    Key k is the m-tuple of blocks numbered k in `product(*blocks)`:
-    blocks[s] lists slot s's blocks in rank order, and for s > 0 pads
-    them with None to a power of two, so that the slots' fields of k are
-    disjoint bits.
-    Final state i has mask `final[s][i]` in slot s. All columns are
-    arrays of the narrowest typecode (a final mask wider than 64 bits
-    is kept in a tuple), so a plan holds no per-state or per-key Python
-    objects. `states` counts each layer's states, and `transitions` is
-    the length of the key columns together. `minors` is None until
-    `decode_minors` fills it, and `weight`, what the plan cache
-    charges, is `transitions` plus the decode's charge.
+    Key k is the m-tuple of blocks numbered k in `product(*blocks)`,
+    where blocks[s] is `_slot_blocks(l, start[s], s > 0)`: slot s's
+    blocks in rank order, for s > 0 padded with None to a power of two,
+    so that the slots' fields of k are disjoint bits.
+    All columns are arrays of the narrowest typecode (a key column wider
+    than 64 bits is kept in a tuple), so a plan holds no per-state or
+    per-key Python objects. `states` counts each layer's
+    states, and `transitions` is the length of the key columns together.
+    `minors` is None until `decode_minors` fills it, and `weight`, what
+    the plan cache charges, is `transitions` plus the decode's charge.
     """
 
-    __slots__ = ("blocks", "steps", "final", "states", "transitions",
-                 "minors", "weight", "__weakref__")
+    __slots__ = ("steps", "states", "transitions", "minors", "weight")
 
-    def __init__(self, l, m, start, steps):
-        sizes = tuple(p.bit_count() for p in start)
+    def __init__(self, l, sizes, steps):
         states, fanout = _plan_size(l, sizes, steps)
-        shared = _SHARED.get((l, sizes, steps))
-        if shared is None:
-            self.steps = _layers(l, sizes, steps, states, fanout)
-            _SHARED[l, sizes, steps] = self
-        else:
-            self.steps = shared.steps
-        self.blocks = tuple(_slot_blocks(l, p, s > 0)
-                            for s, p in enumerate(start))
-        final = [_masks(_bits(p), l, steps, s == 0)
-                 for s, p in enumerate(start)]
-        self.final = tuple(map(_column, zip(*itertools.product(*final)),
-                               start))
+        self.steps = _layers(l, sizes, steps, states, fanout)
         self.states = tuple(states)
         self.transitions = self.weight = sum(map(operator.mul, states, fanout))
         self.minors = None
 
-    def decode_minors(self, start):
+    def decode_minors(self, sizes):
         """Read each final state as `row_minors` does, once per plan.
 
+        Assumes slots 2..m start full, from the points 1..sizes[s], as
+        in `row_minors`, and that the first slot uses all its points.
         Fills `minors` with (sets, ids, flips). `sets` holds each
         distinct column tuple once; ids[k][i] is the index in `sets` of
-        S_(k+2) at final state i, the points of start_(k+2) its slot
-        used; flips[i] is 1 when that state's value is negated. The
-        flips of `_expand` also count, per later slot, the free points
-        outside S_k below each chosen point: sum(S_k) - |S_k|(|S_k|+1)/2
-        of them, which depends on S_k alone, so an odd total over the
+        S_(k+2) at final state i, the points of slot k+2 it used;
+        flips[i] is 1 when that state's value is negated. The flips of
+        `_expand` also count, per later slot, the free points outside
+        S_k below each chosen point: sum(S_k) - |S_k|(|S_k|+1)/2 of
+        them, which depends on S_k alone, so an odd total over the
         slots is undone by a negation. `ids` are narrow arrays, so a
         state costs about m bytes. The decode is charged its size in
         8-byte words, as transitions, with r + 6 words for each column
         tuple of r points and its pointer.
         """
-        m, r = len(start), len(self.steps)
+        m, r = len(sizes), len(self.steps)
         fixed = (m - 1) * (r * (r + 1) // 2)
         index = {}
         # per later slot, the sets of its final masks in rank order
         ids = [[index.setdefault(f ^ rest, len(index))
                 for rest in _masks(_bits(f), 1, r, False)]
-               for f in start[1:]]
+               for f in [(1 << n + 1) - 2 for n in sizes[1:]]]
         sets = tuple(map(_points, index))
         parity = [sum(pts) & 1 for pts in sets]
         flips = [fixed & 1]
@@ -414,8 +395,9 @@ class _Plan:
 
 
 class _PlanCache:
-    """Plans by shape, least recently used first, bounded by their total
-    `weight`: their transitions and the charge of their minor decodes.
+    """Plans by (l, sizes, steps), least recently used first, bounded by
+    their total `weight`: their transitions and the charge of their
+    minor decodes.
 
     With `minors` the plan comes with its decode (`_Plan.decode_minors`),
     built on first request. A plan over the bound on its own is built
@@ -427,15 +409,15 @@ class _PlanCache:
         self.weight = 0
         self.plans = {}
 
-    def get(self, l, m, start, steps, minors=False):
-        shape = (l, m, start, steps)
+    def get(self, l, sizes, steps, minors=False):
+        shape = (l, sizes, steps)
         plan = self.plans.pop(shape, None)
         if plan is None:
-            plan = _Plan(l, m, start, steps)
+            plan = _Plan(l, sizes, steps)
         else:
             self.weight -= plan.weight
         if minors and plan.minors is None:
-            plan.decode_minors(start)
+            plan.decode_minors(sizes)
         if plan.weight > self.limit:
             return plan
         self.weight += plan.weight
@@ -448,7 +430,7 @@ class _PlanCache:
 _PLANS = _PlanCache(PLAN_CACHE_TRANSITIONS)
 
 
-def _expand(entries, l, m, start, steps, signed, minors=False):
+def _expand(entries, l, start, steps, signed, minors=False):
     """Run `steps` block steps from the free masks `start`, one per slot.
 
     `entries` maps m-tuples of blocks to values; a block is a sorted
@@ -460,28 +442,33 @@ def _expand(entries, l, m, start, steps, signed, minors=False):
     key. With `signed` the sign flips of the steps are summed, which
     counts, per slot, the pairs (x chosen, y still free, y < x).
 
-    Two passes. The shape pass (`_Plan`) depends on (l, m, start,
-    steps) alone, so `_PLANS` caches it by shape, least recently used
-    first, up to PLAN_CACHE_TRANSITIONS transitions in all; a plan over
-    that bound is built for its call and dropped. With `minors` the plan
-    carries its minor decode. Tests swap `_PLANS` for a fresh or a
-    zero-bound cache. The value pass reads each entry once into a list,
-    in the order of the plan's key numbering, next to its negation, and
-    accumulates layer by layer over the plan's columns, building no
-    tuple and probing no dict per transition.
+    Two passes. The shape pass (`_Plan`) depends on l, the sizes of the
+    start masks and steps alone, so `_PLANS` caches one plan per
+    (l, sizes, steps), least recently used first, up to
+    PLAN_CACHE_TRANSITIONS transitions in all; a plan over that bound
+    is built for its call and dropped. With `minors` the plan carries
+    its minor decode. Tests swap `_PLANS` for a fresh or a zero-bound
+    cache. The value pass reads each entry once into a list, in the
+    order of the plan's key numbering over this start's blocks
+    (`_slot_blocks`), next to its negation, and accumulates layer by
+    layer over the plan's columns, building no tuple and probing no
+    dict per transition.
 
-    Returns the plan and the list of its final states' values, in the
-    order of `plan.final`; a state no path reaches holds None (zero).
+    Returns the plan and the list of its final states' values, in state
+    order: the product, in rank order, of each slot's final masks among
+    its start points; a state no path reaches holds None (zero).
     Fraction, one-variable UniPoly and one-extension QuadExt entries run
     as packed ints (`_packed_entries`), and each final state is unpacked
     once into its coefficients digits / D**steps and finished into a
     value.
     """
-    plan = _PLANS.get(l, m, start, steps, minors)
-    packed = _packed_entries(entries, l, start, steps)
+    sizes = tuple([p.bit_count() for p in start])
+    plan = _PLANS.get(l, sizes, steps, minors)
+    packed = _packed_entries(entries, l, sizes, steps)
     if packed is not None:
         entries = packed[0]
-    keyed = list(map(entries.get, itertools.product(*plan.blocks)))
+    keyed = list(map(entries.get, itertools.product(
+        *[_slot_blocks(l, p, s > 0) for s, p in enumerate(start)])))
     vals = [None] * (2 * len(keyed))
     vals[::2] = keyed
     vals[1::2] = [v if v is None else -v for v in keyed] if signed else keyed
@@ -524,7 +511,7 @@ def _block_sum(entries, l, m, points, signed=True):
     if not entries or any(len(set(col)) < points for col in slots):
         return 0    # a slot misses a point: no term has all its entries
     full = (1 << points + 1) - 2  # points 1..points all free
-    _, (value,) = _expand(entries, l, m, (full,) * m, points // l, signed)
+    _, (value,) = _expand(entries, l, (full,) * m, points // l, signed)
     return 0 if value is None else value
 
 
@@ -554,9 +541,8 @@ def row_minors(A: Tensor, rows):
         raise BoundsError(f"rows {tuple(rows)} are not distinct indices "
                           f"of [{A.shape[0]}]")
     full = tuple((1 << s + 1) - 2 for s in A.shape[1:])
-    plan, values = _expand(A.entries, 1, A.m,
-                           (sum(1 << i for i in rows),) + full, r, True,
-                           minors=True)
+    plan, values = _expand(A.entries, 1, (sum(1 << i for i in rows),) + full,
+                           r, True, minors=True)
     sets, ids, flips = plan.minors
     cols = zip(*[map(sets.__getitem__, col) for col in ids])
     return {c: -v if flip else v

@@ -12,7 +12,7 @@ from ..blocks import enum_block_perms
 from ..engines import (flatten_matsumoto, hyperdet, hyperdet_laplace,
                        hyperdet_via_exterior, hyperhafnian, hyperpfaffian,
                        minor_tensor, msf_build_Q, msf_lhs, pfaffian,
-                       restrict_block_array, subhyperpfaffian)
+                       restrict_block_array, row_minors, subhyperpfaffian)
 from ..tensors import BlockArray, Tensor
 from .common import outcome_all, random_block_array
 
@@ -136,6 +136,8 @@ def check_pf_hf(params, rng, opts):
                            {(K,): v for K, v in weights.items() if v})
         H = [Tensor.from_function((l * n, N), lambda *i: rng.randint(-2, 2))
              for _ in range(r)]
+        # every maximal minor of each tensor, by its columns P
+        minors = [row_minors(h, range(1, l * n + 1)) for h in H]
         rhs = 0
         for P in itertools.combinations(range(1, N + 1), l * n):
             restricted = restrict_block_array(A_one, [P])
@@ -143,10 +145,7 @@ def check_pf_hf(params, rng, opts):
                       else hyperhafnian(restricted))
             if weight == 0:
                 continue
-            dets = math.prod(
-                hyperdet(minor_tensor(H[s], [tuple(range(1, l * n + 1)), P]))
-                for s in range(r))
-            rhs += weight * dets
+            rhs += weight * math.prod(table.get((P,), 0) for table in minors)
         pairs.append((hyperpfaffian(msf_build_Q(A_diag, H)), rhs))
     return outcome_all(pairs)
 

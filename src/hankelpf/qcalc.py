@@ -9,7 +9,7 @@ product over pairs i<j of one bivariate factor is multiplied out one
 pair at a time, and each monomial integrates coordinate by coordinate
 against a table of one-variable integrals. For rational entries the
 expansion, and the rows of askey_lhs_exact and askey_A_n, run over ints
-scaled once by `scale_to_ints` and divide once at the end,
+scaled once by `poly.scale_to_ints` and divide once at the end,
 instead of paying a gcd at every Fraction step. q_powers
 is the one table of q^v, v of either sign, that delta_product and its
 fast float loops share. The de Bruijn kernel (debruijn_kernel) is the
@@ -30,7 +30,7 @@ from .errors import (GeometricPole, MomentPole, PoleInNegativeRange,
                      ZeroCoordinate)
 from .scalars import (HalfGamma, format_scalar, gamma_exact, q_gamma_table,
                       sdiv)
-from .scalars.poly import num_den
+from .scalars.poly import num_den, scale_to_ints
 from .tensors import BlockArray, Tensor
 
 __all__ = [
@@ -291,17 +291,6 @@ def selberg_closed(p: SelbergParams) -> HalfGamma:
                * gamma_exact(p.gamma + 1))
         total = total * (num / den)
     return total
-
-
-def scale_to_ints(lists):
-    """(int lists, D): every coefficient times the lcm D of all their
-    denominators, so lists[i][k] == ints[i][k] / D."""
-    # Unpack a list, not a generator: CPython sizes the argument tuple
-    # of a generator by resizing it, and the freed tuples then pile up
-    # on its tuple free lists until a full gc.
-    D = math.lcm(*[c.denominator for cs in lists for c in cs])
-    return [[c.numerator * (D // c.denominator) for c in cs]
-            for cs in lists], D
 
 
 def _has_fraction(values):

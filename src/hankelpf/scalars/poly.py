@@ -153,7 +153,9 @@ def _padd(a, b):
 
 
 # Longer lists pack and unpack by halves, in O(n B log n) bit operations
-# against one loop's n shifts of up to n B bits each.
+# against one loop's n shifts of up to n B bits each. A half of zeros
+# packs to 0 at once, so the zeros of a sparse list such as a^10000 + k
+# cost a scan, not shifts.
 _KRON_SPLIT = 32
 
 
@@ -161,6 +163,8 @@ def kron_pack(ints, B):
     """The int sum(c_k << B*k): the polynomial evaluated at x = 2^B."""
     n = len(ints)
     if n > _KRON_SPLIT:
+        if not any(ints):
+            return 0
         h = n // 2
         return kron_pack(ints[:h], B) + (kron_pack(ints[h:], B) << B * h)
     x = 0
@@ -257,10 +261,15 @@ def _gcdheu(f, g):
         B *= 2
 
 
-def _over_one_den(coeffs):
-    """(int list, D): int or Fraction coefficients over their lcm D."""
-    D = math.lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (D // c.denominator) for c in coeffs], D
+def scale_to_ints(lists):
+    """(int lists, D): every int or Fraction coefficient times the lcm D
+    of all their denominators, so lists[i][k] == ints[i][k] / D."""
+    # Unpack a list, not a generator: CPython sizes the argument tuple
+    # of a generator by resizing it, and the freed tuples then pile up
+    # on its tuple free lists until a full gc.
+    D = math.lcm(*[c.denominator for cs in lists for c in cs])
+    return [[c.numerator * (D // c.denominator) for c in cs]
+            for cs in lists], D
 
 
 # -- UniPoly ----------------------------------------------------------------
@@ -280,7 +289,8 @@ def _poly(var, nums, den):
 def unipoly(var: str, coeffs) -> "UniPoly | Fraction":
     """Build a polynomial from int or Fraction coefficients, demoting
     constants to Fraction."""
-    return _poly(var, *_over_one_den(coeffs))
+    (nums,), D = scale_to_ints([coeffs])
+    return _poly(var, nums, D)
 
 
 def poly_at(p, x):
@@ -417,8 +427,8 @@ def ratfunc(var: str, num, den):
     Demotes to UniPoly (and further to Fraction) when the denominator
     reduces to a constant.
     """
-    (num, dn), (den, dd) = _over_one_den(num), _over_one_den(den)
-    return _ratfunc(var, [c * dd for c in num], [c * dn for c in den])
+    (num, den), _ = scale_to_ints([num, den])
+    return _ratfunc(var, num, den)
 
 
 class RatFunc(ScalarOps):

@@ -6,7 +6,6 @@ import itertools
 import math
 import operator
 import tracemalloc
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -642,13 +641,12 @@ def test_row_minors_same_cold_warm_and_after_eviction(kind, monkeypatch):
                           for idx in itertools.product(
                               *(range(1, s + 1) for s in dims))
                           if rng.random() < 0.8})
-        # cold: no plan of these sizes is alive to share its columns
-        monkeypatch.setattr(engines, "_SHARED", weakref.WeakValueDictionary())
+        # cold: a fresh cache, with one plan per row count
         cache = engines._PlanCache(engines.PLAN_CACHE_TRANSITIONS)
         monkeypatch.setattr(engines, "_PLANS", cache)
         cold = _row_minor_tables(H, rows_list)
         plans = dict(cache.plans)
-        assert len(plans) == len(rows_list)
+        assert len(plans) == len({len(rows) for rows in rows_list})
         assert all(p.minors is not None and p.weight > p.transitions
                    for p in plans.values())
         assert cache.weight == sum(p.weight for p in plans.values())
@@ -676,28 +674,39 @@ def test_row_minors_same_cold_warm_and_after_eviction(kind, monkeypatch):
                         minor, 1, len(dims), len(rows))
 
 
-def test_plans_of_equal_sizes_share_their_columns(monkeypatch):
-    # the columns depend on the sizes of the start masks alone
-    monkeypatch.setattr(engines, "_SHARED", weakref.WeakValueDictionary())
+@pytest.mark.parametrize("kind", ("int", "fraction", "unipoly+int"))
+def test_row_minors_of_one_size_share_one_plan_and_decode(kind, monkeypatch):
+    # a plan depends on the sizes of the start masks alone: every row
+    # set of one size builds one plan and decodes its minors once, and
+    # each table still matches the literal definition
     cache = engines._PlanCache(engines.PLAN_CACHE_TRANSITIONS)
-    full = (1 << 6) - 2
-    a = cache.get(1, 2, (0b110, full), 2, minors=True)
-    b = cache.get(1, 2, (0b101000, full), 2, minors=True)
-    c = cache.get(1, 2, (0b1110, full), 2)
-    assert a.steps is b.steps and a.steps is not c.steps
-    assert a.final == b.final and a.blocks != b.blocks
-    assert a.minors == b.minors
-    assert cache.weight == a.weight + b.weight + c.weight
-    # an index entry holds no plan alive
-    del a, b, c
-    cache.plans.clear()
-    gc.collect()
-    assert not engines._SHARED
+    monkeypatch.setattr(engines, "_PLANS", cache)
+    decodes, decode = [], engines._Plan.decode_minors
+    monkeypatch.setattr(engines._Plan, "decode_minors", lambda plan, sizes: (
+        decodes.append(sizes), decode(plan, sizes)))
+    dims = (5, 3, 4, 3)
+    rng = derive_rng("one-plan-per-size", kind)
+    H = Tensor(dims, {idx: _kernel_entry(rng, kind)
+                      for idx in itertools.product(
+                          *(range(1, s + 1) for s in dims))
+                      if rng.random() < 0.8})
+    for rows in itertools.combinations(range(1, dims[0] + 1), 2):
+        table = row_minors(H, rows)
+        for cols in itertools.product(*(itertools.combinations(
+                range(1, s + 1), 2) for s in dims[1:])):
+            minor = minor_tensor(H, (rows,) + cols).entries
+            value = table.get(cols, 0)
+            assert value == _literal_block_sum(minor, 1, len(dims), 2)
+            _check_type(value, kind)
+    assert list(cache.plans) == [(1, (2, 3, 4, 3), 2)]
+    assert decodes == [(2, 3, 4, 3)]
+    (plan,) = cache.plans.values()
+    assert plan.minors is not None and cache.weight == plan.weight
 
 
 def test_row_minors_decode_is_charged_to_the_plan_cache():
     # a decode joins its plan's weight once, and leaves with the plan
-    shape = (1, 4, (0b110,) + ((1 << 7) - 2,) * 3, 2)
+    shape = (1, (2, 6, 6, 6), 2)
     cache = engines._PlanCache(engines.PLAN_CACHE_TRANSITIONS)
     plan = cache.get(*shape)
     assert plan.minors is None and cache.weight == plan.transitions
@@ -720,7 +729,7 @@ def test_row_minors_decode_is_charged_to_the_plan_cache():
 
 
 def test_row_minors_on_an_axis_wider_than_64_points():
-    # final masks over 64 bits do not fit an array and stay exact
+    # an axis of 70 points: masks over 64 bits stay exact
     H = Tensor.from_function((2, 70), lambda i, j: i * 100 + j * j)
     table = row_minors(H, (1, 2))
     assert len(table) == math.comb(70, 2)
@@ -776,8 +785,6 @@ def test_plan_cache_cold_warm_and_over_bound(monkeypatch):
             rng = derive_rng("plan-cache-literal", kind, f"{l}.{m}.{n}")
             entries = {k: _random_scalar(rng, kind) for k in _all_keys(l, m, n)
                        if rng.random() < 0.8}
-            monkeypatch.setattr(engines, "_SHARED",
-                                weakref.WeakValueDictionary())
             results = []
             for cache in (engines._PlanCache(engines.PLAN_CACHE_TRANSITIONS),
                           None, engines._PlanCache(0)):
@@ -791,8 +798,7 @@ def test_plan_cache_cold_warm_and_over_bound(monkeypatch):
 
 
 def test_plan_cache_evicts_least_recently_used():
-    shapes = [(2, 1, (0b11110,), 2), (1, 2, (0b1110, 0b1110), 3),
-              (2, 2, (0b11110, 0b11110), 2)]
+    shapes = [(2, (4,), 2), (1, (3, 3), 3), (2, (4, 4), 2)]
     sizes = [engines._Plan(*shape).transitions for shape in shapes]
     assert sizes == [6, 12, 36]
     cache = engines._PlanCache(sum(sizes) - 1)
@@ -806,37 +812,40 @@ def test_plan_cache_evicts_least_recently_used():
 
 def test_plan_counts_states_and_transitions():
     # Pfaffian of size 4: {1,2,3,4} -> {3,4}, {2,4}, {2,3} -> {}
-    plan = engines._Plan(2, 1, (0b11110,), 2)
+    plan = engines._Plan(2, (4,), 2)
     assert plan.states == (1, 3, 1) and plan.transitions == 6
     # l = 1: the first slot is forced, so layer t has C(N, t)^(m-1)
     # states, and each has (N - t)^(m-1) transitions
     N, m = 4, 4
-    plan = engines._Plan(1, m, ((1 << N + 1) - 2,) * m, N)
+    plan = engines._Plan(1, (N,) * m, N)
     assert plan.states == tuple(math.comb(N, t) ** (m - 1)
                                 for t in range(N + 1))
     assert plan.transitions == sum(math.comb(N, t) ** (m - 1)
                                    * (N - t) ** (m - 1) for t in range(N))
-    assert [tuple(col) for col in plan.final] == [(0,)] * m
     # the sizes the closed forms give (ROADMAP item 1)
-    full = (1 << 9) - 2
-    plan = engines._Plan(2, 2, (full, full), 4)
+    plan = engines._Plan(2, (8, 8), 4)
     assert plan.states == (1, 196, 1050, 280, 1)
     assert plan.transitions == 34076
-    assert engines._Plan(4, 1, ((1 << 13) - 2,), 3).transitions == 6150
-    plan = engines._Plan(1, 4, (0b110, 0b11110, 0b11110, 0b1111110), 2)
+    assert engines._Plan(4, (12,), 3).transitions == 6150
+    plan = engines._Plan(1, (2, 4, 4, 6), 2)
     assert plan.states == (1, 96, 540) and plan.transitions == 4416
 
 
-def _tier1_shapes():
-    # full-mask shapes of the engine tests and partial row_minors starts
+def _tier1_starts():
+    # (l, start masks, steps): the full starts of the engine tests and
+    # partial row_minors starts
     for l, m, size in ([(1, 2, n) for n in range(1, 6)] + [(1, 4, 3), (1, 4, 4)]
                        + [(2, 1, s) for s in range(2, 11, 2)]
                        + [(2, 2, 6), (2, 3, 4), (3, 2, 6), (4, 1, 8)]):
-        yield l, m, ((1 << size + 1) - 2,) * m, size // l
+        yield l, ((1 << size + 1) - 2,) * m, size // l
     for m, N, rows in ((2, 6, (1, 2)), (2, 6, (2, 5)), (4, 4, (1, 3)),
                        (4, 4, (2, 3))):
-        yield 1, m, (sum(1 << i for i in rows),) \
+        yield 1, (sum(1 << i for i in rows),) \
             + ((1 << N + 1) - 2,) * (m - 1), len(rows)
+
+
+def _sizes(start):
+    return tuple(p.bit_count() for p in start)
 
 
 def _comb0(n, k):
@@ -865,35 +874,36 @@ def _walk(l, start, steps):
     return states, moves
 
 
-def _closed_form_shapes():
+def _closed_form_starts():
     # full starts of 1..6 blocks for l, m = 1..4, up to 10,000
-    # transitions, and the row_minors starts of _tier1_shapes
+    # transitions, and the row_minors starts of _tier1_starts
     for l in range(1, 5):
         for m in range(1, 5):
             for n in range(1, 7):
                 states, fanout = engines._plan_size(l, [l * n] * m, n)
                 if sum(map(operator.mul, states, fanout)) > 10_000:
                     break
-                yield l, m, ((1 << l * n + 1) - 2,) * m, n
-    yield from (s for s in _tier1_shapes() if len(set(s[2])) > 1)
+                yield l, ((1 << l * n + 1) - 2,) * m, n
+    yield from (s for s in _tier1_starts() if len(set(s[1])) > 1)
 
 
 def test_plan_sizes_match_their_closed_forms():
     # states(t) = C(|P_0| - t, |P_0| - t*l) * prod_s C(|P_s|, t*l), and
     # transitions(t) = states(t) * C(|P_0| - t*l - 1, l - 1)
     #                  * prod_s C(|P_s| - t*l, l)
-    # against the plan, its columns and a brute-force walk
-    shapes = list(_closed_form_shapes())
-    assert len(shapes) > 40
-    for l, m, start, steps in shapes:
-        head, *rest = [p.bit_count() for p in start]
+    # against the plan of their sizes, its columns and a brute-force
+    # walk from the start masks
+    starts = list(_closed_form_starts())
+    assert len(starts) > 40
+    for l, start, steps in starts:
+        head, *rest = _sizes(start)
         states = [_comb0(head - t, head - t * l)
                   * math.prod(_comb0(n, t * l) for n in rest)
                   for t in range(steps + 1)]
         moves = [states[t] * _comb0(head - t * l - 1, l - 1)
                  * math.prod(_comb0(n - t * l, l) for n in rest)
                  for t in range(steps)]
-        plan = engines._Plan(l, m, start, steps)
+        plan = engines._Plan(l, (head, *rest), steps)
         assert list(plan.states) == states
         assert plan.transitions == sum(moves)
         assert engines._plan_size(l, [head, *rest], steps) == (
@@ -911,11 +921,12 @@ def test_plan_cache_memory_stays_small():
     # Python objects: about 8 bytes a transition, and a minor decode is
     # charged its 8-byte words, so the cache holds at most about
     # 8 * PLAN_CACHE_TRANSITIONS bytes
-    shapes = list(_tier1_shapes())
+    shapes = list(dict.fromkeys((l, _sizes(start), steps)
+                                for l, start, steps in _tier1_starts()))
     for shape in shapes:   # fill the shared point-list cache first
         plan = engines._Plan(*shape)
         if shape[0] == 1:
-            plan.decode_minors(shape[2])
+            plan.decode_minors(shape[1])
     cache = engines._PlanCache(engines.PLAN_CACHE_TRANSITIONS)
     gc.collect()
     tracemalloc.start()

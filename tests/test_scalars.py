@@ -363,6 +363,19 @@ def test_kronecker_product_matches_schoolbook():
         x = (x << 4) + c
     assert poly.kron_pack(digits, 4) == x
     assert poly.kron_unpack(x, 4, 10_001) == digits
+    # sparse lists, whose halves of zeros pack to 0: all zeros,
+    # a^10000 + k, and a few terms scattered over 5,000 zeros
+    sparse = [[0] * 10_001, [7] + [0] * 9_999 + [1], [0] * 40 + [-3]]
+    for _ in range(20):
+        cs = [0] * rng.randint(33, 5_000)
+        for _ in range(rng.randint(1, 4)):
+            cs[rng.randrange(len(cs))] = rng.randint(-8, 7)
+        sparse.append(cs)
+    for cs in sparse:
+        for B in (5, 16):
+            x = sum(c << B * k for k, c in enumerate(cs))
+            assert poly.kron_pack(cs, B) == x
+            assert poly.kron_unpack(x, B, len(cs)) == cs
 
 
 def _num_den(r):
@@ -377,7 +390,8 @@ def _num_den(r):
 def _check_gcd(a, b):
     """_gcdheu against Euclid's gcd, and ratfunc's reduction of a/b."""
     if a and b:
-        (ia, _), (ib, _) = poly._over_one_den(a), poly._over_one_den(b)
+        (ia,), _ = poly.scale_to_ints([a])
+        (ib,), _ = poly.scale_to_ints([b])
         gcd, ca, cb = poly._gcdheu(ia, ib)
         assert all(type(c) is int for c in gcd + ca + cb)
         assert gcd[-1] > 0 and math.gcd(*gcd) == 1
@@ -430,7 +444,8 @@ def test_integer_gcd_matches_euclid():
         a, b = _schoolbook_mul(a, g), _schoolbook_mul(b, g)
         _check_gcd(a, b)
         if a and b:
-            (ia, _), (ib, _) = poly._over_one_den(a), poly._over_one_den(b)
+            (ia,), _ = poly.scale_to_ints([a])
+            (ib,), _ = poly.scale_to_ints([b])
             rounds.append(len(_gcd_rounds(ia, ib)[1]))
     assert max(rounds) > 1 and rounds.count(1) > len(rounds) // 2
     # x - 1 sets B = 2, at which the cofactor of x - 1 in the cubic,
