@@ -41,8 +41,9 @@ Design notes that matter for reading this file:
   each entry once, by this start's blocks, and accumulates over those
   arrays. The arrays hold small unsigned ints and no Python objects,
   so a cached transition costs about 8 bytes and the garbage collector
-  never scans the cache. The minor decode that `row_minors` attaches
-  to a plan is mostly arrays too, and is charged to the same bound.
+  never scans the cache. A plan holds its state graph and nothing else:
+  `row_minors` reads the columns and signs of its final states from
+  small per-axis tables (`_column_sets`), per call.
 * A plan costs a few value passes to build, not dozens. Each slot's
   free masks are numbered by combinatorial rank, so a state's number is
   arithmetic on its slots' ranks and `_plan_size` counts every layer in
@@ -79,11 +80,6 @@ from .tensors import BlockArray, Tensor
 def _points(mask):
     """The points whose bits are set in `mask`, ascending."""
     return tuple(p for p in range(1, mask.bit_length()) if mask >> p & 1)
-
-
-def _bits(mask):
-    """The bits set in `mask`, ascending, each as a mask."""
-    return tuple(1 << p for p in _points(mask))
 
 
 def _packed_entries(entries, l, sizes, steps):
@@ -161,9 +157,7 @@ def _packed_entries(entries, l, sizes, steps):
 # The plan cache holds at most this many transitions in all. A cached
 # transition costs about 8 bytes (two array cells and its share of the
 # per-state counts), so a full cache holds about 2 MB; the full suite's
-# 43 plans take 79k transitions and, with their 28 minor decodes,
-# 82k in weight, under 1 MB. A minor decode is charged in the same
-# 8-byte units (`_Plan.decode_minors`).
+# 43 plans take 79k transitions, under 1 MB.
 PLAN_CACHE_TRANSITIONS = 1 << 18
 
 
@@ -342,66 +336,25 @@ class _Plan:
     so that the slots' fields of k are disjoint bits.
     All columns are arrays of the narrowest typecode (a key column wider
     than 64 bits is kept in a tuple), so a plan holds no per-state or
-    per-key Python objects. `states` counts each layer's
-    states, and `transitions` is the length of the key columns together.
-    `minors` is None until `decode_minors` fills it, and `weight`, what
-    the plan cache charges, is `transitions` plus the decode's charge.
+    per-key Python objects, and nothing but the graph: `row_minors`
+    reads its final states' columns per call. `states` counts each
+    layer's states, and `transitions`, what the plan cache charges, is
+    the length of the key columns together.
     """
 
-    __slots__ = ("steps", "states", "transitions", "minors", "weight")
+    __slots__ = ("steps", "states", "transitions")
 
     def __init__(self, l, sizes, steps):
         states, fanout = _plan_size(l, sizes, steps)
         self.steps = _layers(l, sizes, steps, states, fanout)
         self.states = tuple(states)
-        self.transitions = self.weight = sum(map(operator.mul, states, fanout))
-        self.minors = None
-
-    def decode_minors(self, sizes):
-        """Read each final state as `row_minors` does, once per plan.
-
-        Assumes slots 2..m start full, from the points 1..sizes[s], as
-        in `row_minors`, and that the first slot uses all its points.
-        Fills `minors` with (sets, ids, flips). `sets` holds each
-        distinct column tuple once; ids[k][i] is the index in `sets` of
-        S_(k+2) at final state i, the points of slot k+2 it used;
-        flips[i] is 1 when that state's value is negated. The flips of
-        `_expand` also count, per later slot, the free points outside
-        S_k below each chosen point: sum(S_k) - |S_k|(|S_k|+1)/2 of
-        them, which depends on S_k alone, so an odd total over the
-        slots is undone by a negation. `ids` are narrow arrays, so a
-        state costs about m bytes. The decode is charged its size in
-        8-byte words, as transitions, with r + 6 words for each column
-        tuple of r points and its pointer.
-        """
-        m, r = len(sizes), len(self.steps)
-        fixed = (m - 1) * (r * (r + 1) // 2)
-        index = {}
-        # per later slot, the sets of its final masks in rank order
-        ids = [[index.setdefault(f ^ rest, len(index))
-                for rest in _masks(_bits(f), 1, r, False)]
-               for f in [(1 << n + 1) - 2 for n in sizes[1:]]]
-        sets = tuple(map(_points, index))
-        parity = [sum(pts) & 1 for pts in sets]
-        flips = [fixed & 1]
-        for col in ids:
-            flips = [a ^ parity[i] for a in flips for i in col]
-        flips = bytes(flips)
-        ids = tuple(_column(col, len(sets))
-                    for col in zip(*itertools.product(*ids)))
-        self.minors = sets, ids, flips
-        self.weight += (sum(len(col) * col.itemsize for col in ids)
-                        + len(flips) + 7) // 8 + len(sets) * (r + 6)
+        self.transitions = sum(map(operator.mul, states, fanout))
 
 
 class _PlanCache:
     """Plans by (l, sizes, steps), least recently used first, bounded by
-    their total `weight`: their transitions and the charge of their
-    minor decodes.
-
-    With `minors` the plan comes with its decode (`_Plan.decode_minors`),
-    built on first request. A plan over the bound on its own is built
-    for its call and dropped.
+    their total `weight`, the sum of their transitions. A plan over the
+    bound on its own is built for its call and dropped.
     """
 
     def __init__(self, limit):
@@ -409,20 +362,18 @@ class _PlanCache:
         self.weight = 0
         self.plans = {}
 
-    def get(self, l, sizes, steps, minors=False):
+    def get(self, l, sizes, steps):
         shape = (l, sizes, steps)
         plan = self.plans.pop(shape, None)
         if plan is None:
             plan = _Plan(l, sizes, steps)
         else:
-            self.weight -= plan.weight
-        if minors and plan.minors is None:
-            plan.decode_minors(sizes)
-        if plan.weight > self.limit:
+            self.weight -= plan.transitions
+        if plan.transitions > self.limit:
             return plan
-        self.weight += plan.weight
+        self.weight += plan.transitions
         while self.weight > self.limit:
-            self.weight -= self.plans.pop(next(iter(self.plans))).weight
+            self.weight -= self.plans.pop(next(iter(self.plans))).transitions
         self.plans[shape] = plan
         return plan
 
@@ -430,7 +381,7 @@ class _PlanCache:
 _PLANS = _PlanCache(PLAN_CACHE_TRANSITIONS)
 
 
-def _expand(entries, l, start, steps, signed, minors=False):
+def _expand(entries, l, start, steps, signed):
     """Run `steps` block steps from the free masks `start`, one per slot.
 
     `entries` maps m-tuples of blocks to values; a block is a sorted
@@ -446,24 +397,23 @@ def _expand(entries, l, start, steps, signed, minors=False):
     start masks and steps alone, so `_PLANS` caches one plan per
     (l, sizes, steps), least recently used first, up to
     PLAN_CACHE_TRANSITIONS transitions in all; a plan over that bound
-    is built for its call and dropped. With `minors` the plan carries
-    its minor decode. Tests swap `_PLANS` for a fresh or a zero-bound
-    cache. The value pass reads each entry once into a list, in the
-    order of the plan's key numbering over this start's blocks
-    (`_slot_blocks`), next to its negation, and accumulates layer by
-    layer over the plan's columns, building no tuple and probing no
+    is built for its call and dropped. Tests swap `_PLANS` for a fresh
+    or a zero-bound cache. The value pass reads each entry once into a
+    list, in the order of the plan's key numbering over this start's
+    blocks (`_slot_blocks`), next to its negation, and accumulates layer
+    by layer over the plan's columns, building no tuple and probing no
     dict per transition.
 
-    Returns the plan and the list of its final states' values, in state
-    order: the product, in rank order, of each slot's final masks among
-    its start points; a state no path reaches holds None (zero).
+    Returns the list of the final states' values, in state order: the
+    product, in rank order, of each slot's final masks among its start
+    points; a state no path reaches holds None (zero).
     Fraction, one-variable UniPoly and one-extension QuadExt entries run
     as packed ints (`_packed_entries`), and each final state is unpacked
     once into its coefficients digits / D**steps and finished into a
     value.
     """
     sizes = tuple([p.bit_count() for p in start])
-    plan = _PLANS.get(l, sizes, steps, minors)
+    plan = _PLANS.get(l, sizes, steps)
     packed = _packed_entries(entries, l, sizes, steps)
     if packed is not None:
         entries = packed[0]
@@ -491,7 +441,7 @@ def _expand(entries, l, start, steps, signed, minors=False):
         _, B, scale, n, finish = packed
         cur = [None if v is None else finish(kron_unpack(v, B, n), scale)
                for v in cur]
-    return plan, cur
+    return cur
 
 
 def _block_sum(entries, l, m, points, signed=True):
@@ -511,7 +461,7 @@ def _block_sum(entries, l, m, points, signed=True):
     if not entries or any(len(set(col)) < points for col in slots):
         return 0    # a slot misses a point: no term has all its entries
     full = (1 << points + 1) - 2  # points 1..points all free
-    _, (value,) = _expand(entries, l, (full,) * m, points // l, signed)
+    (value,) = _expand(entries, l, (full,) * m, points // l, signed)
     return 0 if value is None else value
 
 
@@ -521,17 +471,32 @@ def _require_even_order(A: Tensor):
             f"hyperdeterminant needs even dimension, got m={A.m}")
 
 
+@functools.lru_cache(maxsize=256)
+def _column_sets(n, r):
+    """The r-subsets S of [n], in the rank order of their complements,
+    which are the final masks of a slot that starts full (`_masks`), and
+    the parity of each sum(S)."""
+    pts = range(1, n + 1)
+    rests = itertools.combinations(pts, n - r) if r <= n else ()
+    sets = tuple(tuple(sorted(set(pts).difference(rest))) for rest in rests)
+    return sets, tuple(sum(S) & 1 for S in sets)
+
+
 def row_minors(A: Tensor, rows):
     """Hyperdeterminant of every minor of A on the first-axis rows `rows`.
 
     Returns {(S_2, ..., S_m): value} with one sorted index tuple per
     other axis, |S_k| = len(rows); minors that are absent are zero. One
     `_expand` pass: the first slot starts from the row mask, the others
-    from the full mask of their axis, and len(rows) steps are run, so
-    the final state (0, rest_2, ..., rest_m) holds the minor on the
-    columns S_k = full_k - rest_k, read from A's own entries. The
-    columns and the sign fix of each final state depend on the shape
-    alone, so they are decoded once per plan (`_Plan.decode_minors`).
+    from the full mask of their axis, and r = len(rows) steps are run,
+    so the final state (0, rest_2, ..., rest_m) holds the minor on the
+    columns S_k = full_k - rest_k, read from A's own entries. The final
+    states are the product of each axis's final masks in rank order,
+    the last axis fastest, so `itertools.product` of the axes'
+    `_column_sets` walks them in state order. The flips of `_expand`
+    also count, per column axis, the free points outside S_k below each
+    chosen point: sum(S_k) - r(r+1)/2 of them, which depends on S_k
+    alone, so an odd total over the axes is undone by a negation.
     `rows` must be distinct first-axis indices, else BoundsError.
     """
     _require_even_order(A)
@@ -541,12 +506,14 @@ def row_minors(A: Tensor, rows):
         raise BoundsError(f"rows {tuple(rows)} are not distinct indices "
                           f"of [{A.shape[0]}]")
     full = tuple((1 << s + 1) - 2 for s in A.shape[1:])
-    plan, values = _expand(A.entries, 1, (sum(1 << i for i in rows),) + full,
-                           r, True, minors=True)
-    sets, ids, flips = plan.minors
-    cols = zip(*[map(sets.__getitem__, col) for col in ids])
-    return {c: -v if flip else v
-            for c, flip, v in zip(cols, flips, values) if v is not None}
+    values = _expand(A.entries, 1, (sum(1 << i for i in rows),) + full,
+                     r, True)
+    fixed = (A.m - 1) * r * (r + 1) // 2
+    tables = [_column_sets(n, r) for n in A.shape[1:]]
+    cols = itertools.product(*[sets for sets, _ in tables])
+    flips = itertools.product(*[parities for _, parities in tables])
+    return {c: -v if (fixed + sum(p)) & 1 else v
+            for c, p, v in zip(cols, flips, values) if v is not None}
 
 
 def hyperdet(A: Tensor):
@@ -662,7 +629,7 @@ def minor_tensor(A: Tensor, index_lists) -> Tensor:
     r = cards.pop()
     for axis, (lst, s) in enumerate(zip(index_lists, A.shape)):
         for i in lst:
-            if not isinstance(i, int) or not 1 <= i <= s:
+            if type(i) is not int or not 1 <= i <= s:
                 raise BoundsError(
                     f"index {i!r} out of [1,{s}] on axis {axis + 1}")
     out = Tensor((r,) * A.m)
@@ -679,20 +646,16 @@ def hyperdet_laplace(A: Tensor, subset):
 
     Splits the rows into `subset` and its complement, sums minor times
     signed complementary minor over all column-axis subsets. Both
-    minor tables come from one `row_minors` pass each.
+    minor tables come from one `row_minors` pass each, and `row_minors`
+    refuses a `subset` that is not distinct row indices.
     """
     _require_even_order(A)
-    n = A.n
+    points = range(1, A.n + 1)
     subset = tuple(subset)
-    seen = set()
-    for j in subset:
-        if not isinstance(j, int) or not 1 <= j <= n or j in seen:
-            raise BoundsError(f"{subset} is not a subset of [{n}]")
-        seen.add(j)
-    points = range(1, n + 1)
-    co_minors = row_minors(A, [j for j in points if j not in seen])
+    minors = row_minors(A, subset)
+    co_minors = row_minors(A, [j for j in points if j not in subset])
     total = 0
-    for cols, a in row_minors(A, subset).items():
+    for cols, a in minors.items():
         if a == 0:
             continue
         cof = co_minors.get(tuple([tuple([j for j in points if j not in S])
@@ -777,7 +740,7 @@ def restrict_block_array(B: BlockArray, subsets) -> BlockArray:
         if len(set(P)) != len(P):
             raise BoundsError(f"{P} repeats an index")
         for i in P:
-            if not isinstance(i, int) or not 1 <= i <= B.size:
+            if type(i) is not int or not 1 <= i <= B.size:
                 raise BoundsError(f"index {i!r} out of [1,{B.size}]")
     out = BlockArray(B.l, B.m, lr)
     block_choices = [list(itertools.combinations(P, B.l)) for P in subsets]

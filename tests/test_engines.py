@@ -160,6 +160,20 @@ def test_hyperdet_laplace_examples():
         hyperdet_laplace(A, (3,))
 
 
+def test_hyperdet_laplace_refuses_a_bad_subset_first(monkeypatch):
+    # the subset is checked by its own row_minors call, before any
+    # minor table is built; True is not a row index
+    done = []
+    monkeypatch.setattr(engines, "row_minors", lambda A, rows: done.append(
+        rows) or row_minors(A, rows))
+    A = Tensor.from_function((2, 2, 2, 2), lambda *i: sum(i))
+    for subset in ((True,), (0,), (3,), (1, 1), (2, True)):
+        with pytest.raises(BoundsError, match="not distinct indices"):
+            hyperdet_laplace(A, subset)
+        assert done == [subset]
+        done.clear()
+
+
 def test_hyperdet_polynomial_entries():
     a = poly_gen("a")
     A = Tensor.from_matrix([[a, 1], [1, a]])
@@ -238,6 +252,14 @@ def test_minor_tensor_cardinality_mismatch():
         minor_tensor(A, [(1,)])
     with pytest.raises(BoundsError):
         minor_tensor(A, [(3,), (1,)])
+
+
+def test_minor_tensor_refuses_bool_indices():
+    # True hashes and compares like 1, but it is not an index
+    A = Tensor.from_matrix([[1, 2], [3, 4]])
+    for lists in ([(True,), (2,)], [(1, 2), (2, False)]):
+        with pytest.raises(BoundsError, match="out of"):
+            minor_tensor(A, lists)
 
 
 # ------------------------------------------------------------------ pfaffian
@@ -631,10 +653,10 @@ ROW_MINOR_CASES = (((3,) * 4, [(1,), (2, 3), (1, 3), (1, 2, 3)]),
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 def test_row_minors_same_cold_warm_and_after_eviction(kind, monkeypatch):
-    # the minor decode is held on the plan: a table is the same whether
-    # its plan and decode were just built, read from the cache, built
-    # over the bound and dropped, or evicted and built again, and it
-    # matches the literal definition
+    # a plan holds only its state graph, and the columns and signs are
+    # read per call: a table is the same whether its plan was just
+    # built, read from the cache, built over the bound and dropped, or
+    # evicted and built again, and it matches the literal definition
     for dims, rows_list in ROW_MINOR_CASES:
         rng = derive_rng("row-minors-decode", kind, str(dims))
         H = Tensor(dims, {idx: _kernel_entry(rng, kind)
@@ -647,13 +669,12 @@ def test_row_minors_same_cold_warm_and_after_eviction(kind, monkeypatch):
         cold = _row_minor_tables(H, rows_list)
         plans = dict(cache.plans)
         assert len(plans) == len({len(rows) for rows in rows_list})
-        assert all(p.minors is not None and p.weight > p.transitions
-                   for p in plans.values())
-        assert cache.weight == sum(p.weight for p in plans.values())
+        assert cache.weight == sum(p.transitions for p in plans.values())
         warm = _row_minor_tables(H, rows_list)
         assert all(cache.plans[shape] is p for shape, p in plans.items())
         # room for the largest plan alone: each call evicts the one before
-        tight = engines._PlanCache(max(p.weight for p in plans.values()))
+        tight = engines._PlanCache(max(p.transitions
+                                       for p in plans.values()))
         monkeypatch.setattr(engines, "_PLANS", tight)
         evicted = [_row_minor_tables(H, rows_list) for _ in range(2)]
         assert len(tight.plans) == 1
@@ -675,15 +696,12 @@ def test_row_minors_same_cold_warm_and_after_eviction(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ("int", "fraction", "unipoly+int"))
-def test_row_minors_of_one_size_share_one_plan_and_decode(kind, monkeypatch):
+def test_row_minors_of_one_size_share_one_plan(kind, monkeypatch):
     # a plan depends on the sizes of the start masks alone: every row
-    # set of one size builds one plan and decodes its minors once, and
-    # each table still matches the literal definition
+    # set of one size builds one plan, and each table still matches the
+    # literal definition
     cache = engines._PlanCache(engines.PLAN_CACHE_TRANSITIONS)
     monkeypatch.setattr(engines, "_PLANS", cache)
-    decodes, decode = [], engines._Plan.decode_minors
-    monkeypatch.setattr(engines._Plan, "decode_minors", lambda plan, sizes: (
-        decodes.append(sizes), decode(plan, sizes)))
     dims = (5, 3, 4, 3)
     rng = derive_rng("one-plan-per-size", kind)
     H = Tensor(dims, {idx: _kernel_entry(rng, kind)
@@ -699,33 +717,8 @@ def test_row_minors_of_one_size_share_one_plan_and_decode(kind, monkeypatch):
             assert value == _literal_block_sum(minor, 1, len(dims), 2)
             _check_type(value, kind)
     assert list(cache.plans) == [(1, (2, 3, 4, 3), 2)]
-    assert decodes == [(2, 3, 4, 3)]
     (plan,) = cache.plans.values()
-    assert plan.minors is not None and cache.weight == plan.weight
-
-
-def test_row_minors_decode_is_charged_to_the_plan_cache():
-    # a decode joins its plan's weight once, and leaves with the plan
-    shape = (1, (2, 6, 6, 6), 2)
-    cache = engines._PlanCache(engines.PLAN_CACHE_TRANSITIONS)
-    plan = cache.get(*shape)
-    assert plan.minors is None and cache.weight == plan.transitions
-    assert cache.get(*shape, minors=True) is plan
-    sets, ids, flips = plan.minors
-    # the three column axes share their 15 column sets, so one byte
-    # indexes them
-    assert len(sets) == math.comb(6, 2) and len(ids) == 3
-    assert all(len(col) == len(flips) == math.comb(6, 2) ** 3
-               for col in ids)
-    charged = plan.weight - plan.transitions
-    assert charged == (4 * len(flips) + 7) // 8 + len(sets) * (2 + 6)
-    assert cache.weight == plan.weight
-    assert cache.get(*shape, minors=True) is plan
-    assert cache.weight == plan.weight
-    small = engines._PlanCache(plan.transitions)
-    assert small.get(*shape) is not None and small.weight == plan.transitions
-    small.get(*shape, minors=True)   # now over the bound: dropped
-    assert small.plans == {} and small.weight == 0
+    assert cache.weight == plan.transitions
 
 
 def test_row_minors_on_an_axis_wider_than_64_points():
@@ -763,7 +756,7 @@ def test_plan_cache_cold_warm_and_over_bound(monkeypatch):
     cold = [f() for f in _plan_cache_calls()]
     plans = dict(cache.plans)
     assert plans and cache.weight == sum(
-        p.weight for p in plans.values())
+        p.transitions for p in plans.values())
     warm = [f() for f in _plan_cache_calls()]
     assert all(cache.plans[shape] is p for shape, p in plans.items())
     over_bound = engines._PlanCache(0)
@@ -918,28 +911,23 @@ def test_plan_sizes_match_their_closed_forms():
 
 def test_plan_cache_memory_stays_small():
     # a plan holds flat arrays of small ints and no per-state or per-key
-    # Python objects: about 8 bytes a transition, and a minor decode is
-    # charged its 8-byte words, so the cache holds at most about
-    # 8 * PLAN_CACHE_TRANSITIONS bytes
+    # Python objects: about 8 bytes a transition, so the cache holds at
+    # most about 8 * PLAN_CACHE_TRANSITIONS bytes
     shapes = list(dict.fromkeys((l, _sizes(start), steps)
                                 for l, start, steps in _tier1_starts()))
-    for shape in shapes:   # fill the shared point-list cache first
-        plan = engines._Plan(*shape)
-        if shape[0] == 1:
-            plan.decode_minors(shape[1])
     cache = engines._PlanCache(engines.PLAN_CACHE_TRANSITIONS)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for shape in shapes:
-            cache.get(*shape, minors=shape[0] == 1)
+            cache.get(*shape)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(cache.plans) == len(shapes)
-    assert cache.weight > sum(p.transitions for p in cache.plans.values())
+    assert cache.weight == sum(p.transitions for p in cache.plans.values())
     assert cache.weight <= engines.PLAN_CACHE_TRANSITIONS
     assert retained <= 8 * cache.weight + 2048 * len(cache.plans)
     assert retained <= 8 * engines.PLAN_CACHE_TRANSITIONS
@@ -1059,6 +1047,16 @@ def test_restrict_block_array_relabels():
     R = restrict_block_array(B, [(2, 4, 5, 6)])
     assert R.size == 4
     assert R.entries == {((1, 3),): 7}
+
+
+def test_restrict_block_array_refuses_bool_indices():
+    # True hashes and compares like 1, but it is not an index
+    B = BlockArray(2, 1, 4, {((1, 2),): 5, ((2, 3),): 1, ((3, 4),): 2})
+    for P in ((True, 2), (True, 2, 3, 4)):
+        with pytest.raises(BoundsError, match="out of"):
+            restrict_block_array(B, [P])
+        with pytest.raises(BoundsError, match="out of"):
+            subhyperpfaffian(B, [P])
 
 
 # ----------------------------------------------------------------- flattening

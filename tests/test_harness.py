@@ -25,7 +25,8 @@ from hankelpf.harness import (CheckParams, all_identities,
                               filter_identities, get_identity,
                               report_from_json, run_check, run_suite,
                               suite_exit_code, summarize)
-from hankelpf.harness import checks_qpoly, suite
+from hankelpf import engines
+from hankelpf.harness import checks_qpoly, checks_structural, suite
 from hankelpf.harness.cli import coerce_param, main
 from hankelpf.harness.common import (gap_prefactor, hankel_pf, outcome_all,
                                      q_gap_prefactor)
@@ -183,6 +184,26 @@ def test_selberg_phi_mismatch_is_a_counterexample(monkeypatch, capsys):
                         lambda n, r, s, m: 0)
     assert main(["verify", "selberg-phi"]) == 1
     assert "counterexample" in capsys.readouterr().out
+
+
+def test_subpf_indicator_catches_a_broken_restriction(monkeypatch):
+    # the random pairs compare a sub-Pfaffian with the three-term
+    # Pfaffian of its entries, not with the restriction it is defined
+    # by, so a restriction that drops negative entries is caught
+    # wherever it is read
+    params = CheckParams("subpf-indicator", {"count": 50, "pairs": 3})
+    assert run_check(params).status == "verified"
+    restrict = engines.restrict_block_array
+
+    def drop_negative(B, subsets):
+        R = restrict(B, subsets)
+        R.entries = {k: v for k, v in R.entries.items() if v >= 0}
+        return R
+
+    monkeypatch.setattr(engines, "restrict_block_array", drop_negative)
+    monkeypatch.setattr(checks_structural, "restrict_block_array",
+                        drop_negative)
+    assert run_check(params).status == "counterexample"
 
 
 def test_exit_code_is_summary_failed(monkeypatch):
