@@ -9,19 +9,23 @@ Design notes that matter for reading this file:
   every minor of one row set at once (through `row_minors`): each is a
   sum over m-tuples of ordered block partitions, read as a dynamic
   program over free-point bitmasks.
+* Each call's start masks are the points it reads: all of a full
+  array's, a sub-array's `subsets` (the Pf(A_P) of the minor summation)
+  or `row_minors`' rows. No array is copied; `_indices` checks both.
 * No division inside the expansion. Scalars may be polynomials, so all
   algorithms are expansion-based; the usual 1/n! prefactors are removed
   by fixing the block order of the first summation slot (see
   `_block_sum`).
 * Exact types never degrade. The expansion only uses +, - and *, so int
-  entries give a plain int. When every entry is exactly a Fraction, a
-  UniPoly or a QuadExt, with the UniPolys all in one variable or the
-  QuadExts all in one extension, the kernel runs over packed ints
-  (`_packed_entries`): each entry's int numerators are packed into one
-  int, its value at x = 2^B, which is scaled once by D / den to the lcm
-  D of the entries' denominators, and each result is unpacked once into
-  int digits over D**steps. Those give a UniPoly in the entries'
-  variable (`poly._poly`), or a QuadExt of the entries' extension
+  entries give a plain int. When every entry a call reads is exactly a
+  Fraction, a UniPoly or a QuadExt, with the UniPolys all in one
+  variable or the QuadExts all in one extension, the kernel runs over
+  packed ints (`_packed_entries`): each entry's int numerators are
+  packed into one int, its value at x = 2^B, which is scaled once by
+  D / den to the lcm D of the entries' denominators, and each result is
+  unpacked once into int digits over D**steps. Those give a UniPoly in
+  the entries' variable (`poly._poly`), or a QuadExt of the entries'
+  extension
   (`quad_reduce`); either is a Fraction when it is constant, even when
   whole or zero.
   All-Fraction entries are the one-digit case. A result no term
@@ -82,16 +86,17 @@ def _points(mask):
     return tuple(p for p in range(1, mask.bit_length()) if mask >> p & 1)
 
 
-def _packed_entries(entries, l, sizes, steps):
-    """The entries as packed ints, or None when they must run as they are.
+def _packed_entries(keyed, l, sizes, steps):
+    """The values read, `keyed` (None where missing), as packed ints, or
+    None when they must run as they are. Unread entries play no part.
 
-    Packing applies when every entry is exactly a Fraction, a UniPoly or
+    Packing applies when every value is exactly a Fraction, a UniPoly or
     a QuadExt, with the UniPolys all in one variable or the QuadExts all
     in one extension (p, r, sym), not both. A QuadExt u + v*theta counts
-    as the polynomial u + v*theta in theta. Each entry is read as int
+    as the polynomial u + v*theta in theta. Each value is read as int
     numerators over one denominator: a UniPoly's own `nums` and `den`,
     a Fraction's numerator and denominator. Over the lcm D of those
-    denominators, each entry becomes the int `kron_pack(nums, B)`, its
+    denominators, each value becomes the int `kron_pack(nums, B)`, its
     value at x = 2^B, times D / den once. Evaluation at 2^B is a ring
     map, so the kernel's +, - and * over these ints give each final
     state's polynomial evaluated at 2^B, times D**steps. For QuadExts
@@ -101,7 +106,7 @@ def _packed_entries(entries, l, sizes, steps):
 
     Why B is safe: unpacking returns the true coefficients when each has
     absolute value below 2^(B-1). A final coefficient sums one term per
-    path into its state. A term is a product of `steps` entries, each
+    path into its state. A term is a product of `steps` values, each
     with at most L coefficients of absolute value at most C (the largest
     numerator times D / den), so its coefficients are at most
     C**steps * L**(steps-1). The paths into any state are at most all
@@ -110,22 +115,22 @@ def _packed_entries(entries, l, sizes, steps):
     length of (paths) * C**steps * L**(steps-1). A QuadExt has L = 2,
     and the same derivation holds.
 
-    Returns (packed entries, B, D**steps, digits per final state,
-    finish), where `finish(digits, D**steps)` is a final state's value:
+    Returns (packed list, B, D**steps, digits per final state, finish),
+    where `finish(digits, D**steps)` is a final state's value:
     `_poly(var, ...)`, `quad_reduce(p, r, ..., sym=sym)`, or a Fraction.
-    With only Fractions, L = 1: each entry and each final state is one
+    With only Fractions, L = 1: each value and each final state is one
     int, and no width is needed.
     """
-    if not steps or not entries:
+    values = [v for v in keyed if v is not None]
+    if not steps or not values:
         return None
-    values = entries.values()
     if all(type(v) is Fraction for v in values):
-        ratios = [v.as_integer_ratio() for v in values]
-        D = math.lcm(*[d for _, d in ratios])
-        packed = {k: a * (D // d) for k, (a, d) in zip(entries, ratios)}
+        D = math.lcm(*[v.denominator for v in values])
+        packed = [v if v is None else v.numerator * (D // v.denominator)
+                  for v in keyed]
         return packed, 0, D ** steps, 1, lambda ds, scale: Fraction(*ds, scale)
     tag = None
-    parts = []      # (int numerators, denominator) per entry
+    parts = []      # (int numerators, denominator) per value
     for v in values:
         if type(v) is Fraction:
             a, d = v.as_integer_ratio()
@@ -149,8 +154,8 @@ def _packed_entries(entries, l, sizes, steps):
     C = max([max(map(abs, nums)) * (D // d) for nums, d in parts])
     paths = math.prod(_plan_size(l, sizes, steps)[1])
     B = (paths * C ** steps * L ** (steps - 1)).bit_length() + 1
-    packed = dict(zip(entries, [kron_pack(nums, B) * (D // d)
-                                for nums, d in parts]))
+    ints = iter([kron_pack(nums, B) * (D // d) for nums, d in parts])
+    packed = [v if v is None else next(ints) for v in keyed]
     return packed, B, D ** steps, steps * (L - 1) + 1, finish
 
 
@@ -398,27 +403,27 @@ def _expand(entries, l, start, steps, signed):
     (l, sizes, steps), least recently used first, up to
     PLAN_CACHE_TRANSITIONS transitions in all; a plan over that bound
     is built for its call and dropped. Tests swap `_PLANS` for a fresh
-    or a zero-bound cache. The value pass reads each entry once into a
-    list, in the order of the plan's key numbering over this start's
-    blocks (`_slot_blocks`), next to its negation, and accumulates layer
-    by layer over the plan's columns, building no tuple and probing no
-    dict per transition.
+    or a zero-bound cache. The value pass reads each entry of this
+    start's blocks once into a list, in the order of the plan's key
+    numbering over them (`_slot_blocks`), packs the values read, sets
+    each next to its negation, and accumulates layer by layer over the
+    plan's columns, building no tuple and probing no dict per transition.
 
     Returns the list of the final states' values, in state order: the
     product, in rank order, of each slot's final masks among its start
     points; a state no path reaches holds None (zero).
-    Fraction, one-variable UniPoly and one-extension QuadExt entries run
+    Fraction, one-variable UniPoly and one-extension QuadExt values run
     as packed ints (`_packed_entries`), and each final state is unpacked
     once into its coefficients digits / D**steps and finished into a
     value.
     """
     sizes = tuple([p.bit_count() for p in start])
     plan = _PLANS.get(l, sizes, steps)
-    packed = _packed_entries(entries, l, sizes, steps)
-    if packed is not None:
-        entries = packed[0]
     keyed = list(map(entries.get, itertools.product(
         *[_slot_blocks(l, p, s > 0) for s, p in enumerate(start)])))
+    packed = _packed_entries(keyed, l, sizes, steps)
+    if packed is not None:
+        keyed = packed[0]
     vals = [None] * (2 * len(keyed))
     vals[::2] = keyed
     vals[1::2] = [v if v is None else -v for v in keyed] if signed else keyed
@@ -444,24 +449,27 @@ def _expand(entries, l, start, steps, signed):
     return cur
 
 
-def _block_sum(entries, l, m, points, signed=True):
-    """Sum over m-tuples of ordered partitions of [points] into l-blocks.
+def _block_sum(entries, l, slots, signed=True):
+    """Sum over tuples of ordered partitions of `slots`, one collection
+    of points per slot (all of one size), into l-blocks.
 
     Each term is the product of the values read slot by slot down the
     partitions. The first slot is pinned to blocks ordered by their
     minima, which removes the 1/n! of the defining sums. With `signed`
-    each term also carries the product of the slot-word signs: when
-    every point starts free, the flips of `_expand` count exactly the
-    inversions of each slot word.
+    each term also carries the product of the slot-word signs: the flips
+    of `_expand` count exactly the inversions of each slot word. A slot
+    that misses a point gives 0 before any mask or plan is built.
     """
+    points = len(slots[0])
     if not points:
         return 1
-    slots = zip(*entries) if l == 1 else (
+    used = zip(*entries) if l == 1 else (
         itertools.chain.from_iterable(col) for col in zip(*entries))
-    if not entries or any(len(set(col)) < points for col in slots):
+    if not entries or any(len(col) < points or not col.issuperset(P)
+                          for P, col in zip(slots, map(set, used))):
         return 0    # a slot misses a point: no term has all its entries
-    full = (1 << points + 1) - 2  # points 1..points all free
-    (value,) = _expand(entries, l, (full,) * m, points // l, signed)
+    start = tuple([sum(1 << p for p in P) for P in slots])
+    (value,) = _expand(entries, l, start, points // l, signed)
     return 0 if value is None else value
 
 
@@ -482,6 +490,16 @@ def _column_sets(n, r):
     return sets, tuple(sum(S) & 1 for S in sets)
 
 
+def _indices(idx, size):
+    """`idx` as a tuple of distinct ints in [1, size], else BoundsError;
+    each is tested before any is hashed."""
+    idx = tuple(idx)
+    if not all(type(i) is int and 1 <= i <= size for i in idx) \
+            or len(set(idx)) != len(idx):
+        raise BoundsError(f"{idx} are not distinct indices of [{size}]")
+    return idx
+
+
 def row_minors(A: Tensor, rows):
     """Hyperdeterminant of every minor of A on the first-axis rows `rows`.
 
@@ -500,11 +518,8 @@ def row_minors(A: Tensor, rows):
     `rows` must be distinct first-axis indices, else BoundsError.
     """
     _require_even_order(A)
+    rows = _indices(rows, A.shape[0])
     r = len(rows)
-    if len(set(rows)) != r or not all(
-            type(i) is int and 1 <= i <= A.shape[0] for i in rows):
-        raise BoundsError(f"rows {tuple(rows)} are not distinct indices "
-                          f"of [{A.shape[0]}]")
     full = tuple((1 << s + 1) - 2 for s in A.shape[1:])
     values = _expand(A.entries, 1, (sum(1 << i for i in rows),) + full,
                      r, True)
@@ -525,7 +540,7 @@ def hyperdet(A: Tensor):
     the row axis.
     """
     _require_even_order(A)
-    return _block_sum(A.entries, 1, A.m, A.n)
+    return _block_sum(A.entries, 1, (range(1, A.n + 1),) * A.m)
 
 
 def det_matrix(rows):
@@ -535,7 +550,7 @@ def det_matrix(rows):
         raise ShapeMismatch("determinant needs a square matrix")
     entries = {(i, j): v for i, row in enumerate(rows, start=1)
                for j, v in enumerate(row, start=1) if v != 0}
-    return _block_sum(entries, 1, 2, n)
+    return _block_sum(entries, 1, (range(1, n + 1),) * 2)
 
 
 class ExteriorElement:
@@ -684,9 +699,10 @@ def pfaffian(M, size=None):
                 "pfaffian needs a 2-block array with one slot; "
                 "use hyperpfaffian for anything bigger")
         M, size = {key[0]: v for key, v in M.entries.items()}, M.size
-    for i, j in M:
-        if not (type(i) is int and type(j) is int and 1 <= i < j):
-            raise BoundsError(f"upper-triangle key ({i},{j}) needs 1 <= i < j")
+    for key in M:
+        if not (type(key) is tuple and len(key) == 2
+                and all(type(i) is int for i in key) and 1 <= key[0] < key[1]):
+            raise BoundsError(f"upper-triangle key {key!r} needs 1 <= i < j")
     n = size if size is not None else max((j for _, j in M), default=0)
     if n % 2:
         raise OddSize(f"pfaffian needs even size, got {n}")
@@ -694,11 +710,28 @@ def pfaffian(M, size=None):
         if j > n:
             raise BoundsError(f"entry ({i},{j}) outside size {n}")
     entries = {(blk,): v for blk, v in M.items() if v != 0}
-    return _block_sum(entries, 2, 1, n)
+    return _block_sum(entries, 2, (range(1, n + 1),))
 
 
-def hyperpfaffian(B: BlockArray):
-    """Signed block-partition expansion of a block array.
+def _slots(B: BlockArray, subsets=None):
+    """The points each slot of B reads: [B.l * B.n], or `subsets`, one
+    per slot, all of one size, a multiple of B.l."""
+    if subsets is None:
+        return (range(1, B.l * B.n + 1),) * B.m
+    subsets = [_indices(P, B.size) for P in subsets]
+    if len(subsets) != B.m:
+        raise CardinalityMismatch(
+            f"got {len(subsets)} subsets for {B.m} slots")
+    cards = sorted({len(P) for P in subsets})
+    if len(cards) != 1 or cards[0] % B.l:
+        raise CardinalityNotMultipleOfL(
+            f"subset sizes {cards} are not one multiple of l={B.l}")
+    return subsets
+
+
+def hyperpfaffian(B: BlockArray, subsets=None):
+    """Signed block-partition expansion of a block array, or of its
+    sub-array on `subsets`, one subset of points per slot.
 
     The defining sum carries 1/n!; `_block_sum` instead runs the first
     slot over block orders sorted by minimum, which picks exactly one
@@ -706,57 +739,23 @@ def hyperpfaffian(B: BlockArray):
     even-l partition never changes its sign (tested against the literal
     definition).
     """
+    # bad subsets are refused; a full array's n is read past the l rule
+    slots = None if subsets is None else _slots(B, subsets)
     if B.l % 2:
         if B.m % 2 == 0:
             raise OddBlockLength(
                 f"pfaffian-type sum needs even block length, got l={B.l}")
         return 0  # odd l, odd m: reordering blocks flips the sign
-    return _block_sum(B.entries, B.l, B.m, B.l * B.n)
+    return _block_sum(B.entries, B.l, slots or _slots(B))
 
 
-def hyperhafnian(B: BlockArray):
+def hyperhafnian(B: BlockArray, subsets=None):
     """Unsigned companion of hyperpfaffian; any block length."""
+    slots = _slots(B, subsets)
     entries = B.entries
     if B.l == 1:
         entries = {tuple(p for (p,) in key): v for key, v in entries.items()}
-    return _block_sum(entries, B.l, B.m, B.l * B.n, signed=False)
-
-
-def restrict_block_array(B: BlockArray, subsets) -> BlockArray:
-    """Relabel B onto the sorted subsets, one per slot."""
-    subsets = [tuple(sorted(P)) for P in subsets]
-    if len(subsets) != B.m:
-        raise CardinalityMismatch(
-            f"got {len(subsets)} subsets for {B.m} slots")
-    cards = {len(P) for P in subsets}
-    if len(cards) != 1:
-        raise CardinalityNotMultipleOfL(
-            f"subsets have mixed cardinalities {sorted(cards)}")
-    lr = cards.pop()
-    if lr % B.l:
-        raise CardinalityNotMultipleOfL(
-            f"cardinality {lr} is not a multiple of block length {B.l}")
-    for P in subsets:
-        if len(set(P)) != len(P):
-            raise BoundsError(f"{P} repeats an index")
-        for i in P:
-            if type(i) is not int or not 1 <= i <= B.size:
-                raise BoundsError(f"index {i!r} out of [1,{B.size}]")
-    out = BlockArray(B.l, B.m, lr)
-    block_choices = [list(itertools.combinations(P, B.l)) for P in subsets]
-    pos = [{e: k + 1 for k, e in enumerate(P)} for P in subsets]
-    for key in itertools.product(*block_choices):
-        v = B.entries.get(key)
-        if v is not None:
-            new_key = tuple(tuple(pos[s][e] for e in key[s])
-                            for s in range(B.m))
-            out.entries[new_key] = v
-    return out
-
-
-def subhyperpfaffian(B: BlockArray, subsets):
-    """Hyperpfaffian of B restricted to one sorted subset per slot."""
-    return hyperpfaffian(restrict_block_array(B, subsets))
+    return _block_sum(entries, B.l, slots, signed=False)
 
 
 def flatten_matsumoto(B: BlockArray) -> BlockArray:
@@ -862,7 +861,7 @@ def msf_lhs(A: BlockArray, H):
                   for h in H]
     total = 0
     for choice in itertools.product(*det_tables):
-        pf = subhyperpfaffian(A, [P for P, _ in choice])
+        pf = hyperpfaffian(A, [P for P, _ in choice])
         if pf == 0:
             continue
         total = total + pf * math.prod(d for _, d in choice)

@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import operator
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -20,9 +21,7 @@ from hankelpf.engines import (contract_slots, det_matrix, flatten_matsumoto,
                               hyperdet, hyperdet_laplace,
                               hyperdet_via_exterior, hyperhafnian,
                               hyperpfaffian, minor_tensor,
-                              msf_build_Q, msf_lhs, pfaffian,
-                              restrict_block_array, row_minors,
-                              subhyperpfaffian)
+                              msf_build_Q, msf_lhs, pfaffian, row_minors)
 from hankelpf.scalars import (QuadExt, UniPoly, derive_rng, omega,
                               parse_scalar, poly_gen, quadext, sqrt2, unipoly)
 from hankelpf.tensors import (BlockArray, Tensor, block_array_from_json,
@@ -277,6 +276,13 @@ def test_pfaffian_refuses_bool_indices():
               {(1, True): 5}):
         with pytest.raises(BoundsError, match="needs 1 <= i < j"):
             pfaffian(M, size=4)
+
+
+def test_pfaffian_refuses_keys_that_are_not_pairs():
+    for M in ({(1, 2, 3): 1}, {1: 2}, {(1,): 2}, {(2, 1): 1},
+              {(1, 2): 1, "12": 3}):
+        with pytest.raises(BoundsError, match="needs 1 <= i < j"):
+            pfaffian(M)
 
 
 def test_pfaffian_four_by_four_generic():
@@ -592,6 +598,11 @@ SIGNED_SHAPES = [(1, 2, 3), (1, 4, 2), (2, 1, 3), (2, 2, 2), (2, 3, 2),
 UNSIGNED_SHAPES = SIGNED_SHAPES + [(1, 1, 3), (1, 3, 2), (3, 1, 2)]
 
 
+def _full(l, m, n):
+    # the points of every slot of a full array of m slots of n l-blocks
+    return (range(1, l * n + 1),) * m
+
+
 def _kernel_entry(rng, kind):
     base, _, mix = kind.partition("+")
     if mix and rng.random() < 0.3:
@@ -608,11 +619,11 @@ def test_block_sum_matches_literal_definition(kind, signed):
         for _ in range(2):
             entries = {k: _kernel_entry(rng, kind) for k in keys
                        if rng.random() < 0.7}
-            value = engines._block_sum(entries, l, m, l * n, signed)
+            value = engines._block_sum(entries, l, _full(l, m, n), signed)
             assert value == _literal_block_sum(entries, l, m, n, signed)
             _check_type(value, kind)
         # no entry present: plain int 0
-        value = engines._block_sum({}, l, m, l * n, signed)
+        value = engines._block_sum({}, l, _full(l, m, n), signed)
         assert value == 0 and type(value) is int
 
 
@@ -783,7 +794,8 @@ def test_plan_cache_cold_warm_and_over_bound(monkeypatch):
                           None, engines._PlanCache(0)):
                 if cache is not None:
                     monkeypatch.setattr(engines, "_PLANS", cache)
-                results.append(engines._block_sum(entries, l, m, l * n))
+                results.append(engines._block_sum(entries, l,
+                                                  _full(l, m, n)))
             want = _literal_block_sum(entries, l, m, n)
             assert all(v == want for v in results)
             assert len({type(v) for v in results}) == 1
@@ -1013,13 +1025,14 @@ def test_hyperpfaffian_multilinear_in_one_index():
         assert hyperpfaffian(scaled) == 3 * hyperpfaffian(B)
 
 
-# --------------------------------------------------------- subhyperpfaffian
+# ------------------------------------------------------------- sub-arrays
 
 def test_subhyperpfaffian_full_subsets():
     rng = derive_rng("subpf-full")
     B = _random_block_array(rng, 2, 2, 4)
     full = (1, 2, 3, 4)
-    assert subhyperpfaffian(B, [full, full]) == hyperpfaffian(B)
+    assert hyperpfaffian(B, [full, full]) == hyperpfaffian(B)
+    assert hyperhafnian(B, [full, full]) == hyperhafnian(B)
 
 
 def test_subhyperpfaffian_indicator_lemma_exhaustive():
@@ -1031,32 +1044,120 @@ def test_subhyperpfaffian_indicator_lemma_exhaustive():
         for P in itertools.combinations(range(1, 2 * big_n + 1), 2 * n):
             aligned = all(P[i] % 2 == 1 and P[i + 1] == P[i] + 1
                           for i in range(0, 2 * n, 2))
-            assert subhyperpfaffian(A, [P]) == (1 if aligned else 0)
+            assert hyperpfaffian(A, [P]) == (1 if aligned else 0)
 
 
 def test_subhyperpfaffian_cardinality_errors():
     B = _random_block_array(derive_rng("subpf-err"), 2, 1, 6)
     with pytest.raises(CardinalityNotMultipleOfL):
-        subhyperpfaffian(B, [(1, 2, 3)])
+        hyperpfaffian(B, [(1, 2, 3)])
     with pytest.raises(BoundsError):
-        subhyperpfaffian(B, [(1, 2, 3, 9)])
+        hyperpfaffian(B, [(1, 2, 3, 9)])
+    with pytest.raises(CardinalityMismatch):
+        hyperhafnian(B, [(1, 2), (3, 4)])
+    C = _random_block_array(derive_rng("subpf-err"), 2, 2, 6)
+    with pytest.raises(CardinalityNotMultipleOfL, match=r"\[2, 4\]"):
+        hyperpfaffian(C, [(1, 2), (3, 4, 5, 6)])
 
 
-def test_restrict_block_array_relabels():
-    B = BlockArray(2, 1, 6, {((2, 5),): 7, ((1, 2),): 3})
-    R = restrict_block_array(B, [(2, 4, 5, 6)])
-    assert R.size == 4
-    assert R.entries == {((1, 3),): 7}
-
-
-def test_restrict_block_array_refuses_bool_indices():
-    # True hashes and compares like 1, but it is not an index
+def test_subsets_refuse_bad_indices():
+    # True hashes and compares like 1, but it is not an index; None and
+    # a list cannot be sorted or hashed: each index is tested first
     B = BlockArray(2, 1, 4, {((1, 2),): 5, ((2, 3),): 1, ((3, 4),): 2})
-    for P in ((True, 2), (True, 2, 3, 4)):
-        with pytest.raises(BoundsError, match="out of"):
-            restrict_block_array(B, [P])
-        with pytest.raises(BoundsError, match="out of"):
-            subhyperpfaffian(B, [P])
+    for P in ((True, 2), (True, 2, 3, 4), (1, None, 2, 3), (1, 2, [3], 4),
+              (1, 2.0), ("1", 2), (1, 1), (0, 1), (4, 5)):
+        for engine in (hyperpfaffian, hyperhafnian):
+            with pytest.raises(BoundsError, match="not distinct indices"):
+                engine(B, [P])
+
+
+def _sub_array_literal(entries, l, subsets):
+    # the entries on the subsets, relabeled by position in each sorted
+    # subset, in the key form of _literal_block_sum
+    pos = [{p: k for k, p in enumerate(sorted(P), start=1)} for P in subsets]
+    out = {}
+    for key, v in entries.items():
+        if all(set(blk) <= set(at) for blk, at in zip(key, pos)):
+            new = tuple(tuple(at[p] for p in blk) for blk, at in zip(key, pos))
+            out[tuple(blk[0] for blk in new) if l == 1 else new] = v
+    return out
+
+
+# (engine, signed, l, m, size, subsets): unsorted subsets are read in
+# their sorted order
+SUB_ARRAY_CASES = [
+    (hyperpfaffian, True, 2, 1, 7, [(2, 3, 5, 7)]),
+    (hyperpfaffian, True, 2, 1, 7, [(6, 1, 4, 2, 3, 7)]),
+    (hyperpfaffian, True, 2, 2, 6, [(1, 3, 4, 6), (2, 3, 5, 6)]),
+    (hyperhafnian, False, 2, 1, 7, [(1, 2, 4, 5, 6, 7)]),
+    (hyperhafnian, False, 2, 2, 6, [(5, 1, 2, 3), (2, 4, 5, 6)]),
+    (hyperhafnian, False, 1, 1, 5, [(1, 3, 4)]),
+    (hyperhafnian, False, 1, 2, 5, [(2, 5, 4), (1, 3, 5)]),
+]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sub_arrays_match_literal_definition(kind):
+    for engine, signed, l, m, size, subsets in SUB_ARRAY_CASES:
+        rng = derive_rng("sub-array-literal", kind, f"{l}.{m}.{size}",
+                         str(subsets))
+        B = BlockArray.from_function(
+            l, m, size, lambda *k: _random_scalar(rng, kind)
+            if rng.random() < 0.8 else 0)
+        want = _literal_block_sum(_sub_array_literal(B.entries, l, subsets),
+                                  l, m, len(subsets[0]) // l, signed)
+        value = engine(B, subsets)
+        assert value == want
+        _check_type(value, kind)
+
+
+def test_sub_array_unread_entries_of_another_type(monkeypatch):
+    # Fraction entries on the subset, polynomial and extension entries
+    # off it: the values read are packed as Fractions, and the result is
+    # the Fraction the literal definition gives
+    rng = derive_rng("sub-array-unread")
+    P = (1, 2, 4, 5)
+    B = BlockArray(2, 1, 6)
+    for i, j in itertools.combinations(range(1, 7), 2):
+        if i in P and j in P:
+            B.entries[((i, j),)] = Fraction(rng.choice((-3, -1, 2, 5)),
+                                            rng.choice((1, 2, 3)))
+        else:
+            B.entries[((i, j),)] = (poly_gen("y") if i % 2 else omega()) + i
+    packed = []
+    pack = engines._packed_entries
+
+    def spy(*args):
+        packed.append(pack(*args))
+        return packed[-1]
+
+    monkeypatch.setattr(engines, "_packed_entries", spy)
+    read = _sub_array_literal(B.entries, 2, [P])
+    for engine, signed in ((hyperpfaffian, True), (hyperhafnian, False)):
+        value = engine(B, [P])
+        assert value == _literal_block_sum(read, 2, 1, 2, signed)
+        assert type(value) is Fraction
+    # width 0: the one-digit, all-Fraction packing
+    assert len(packed) == 2 and all(p is not None and p[1] == 0
+                                    for p in packed)
+
+
+def test_slot_missing_a_point_is_zero_before_masks_and_plans(monkeypatch):
+    # the zero test reads the slots' points, not bitmasks: two entries
+    # on 2 * 10**9 points are 0 at once, and no plan is built
+    cache = engines._PlanCache(engines.PLAN_CACHE_TRANSITIONS)
+    monkeypatch.setattr(engines, "_PLANS", cache)
+    huge = BlockArray(2, 1, 2 * 10 ** 9, {((1, 2),): 3, ((3, 4),): 5})
+    start = time.perf_counter()
+    assert hyperpfaffian(huge) == 0 and hyperhafnian(huge) == 0
+    assert time.perf_counter() - start < 0.5
+    # point 6 of the subset is on no entry
+    B = BlockArray(2, 1, 6, {((1, 2),): 3, ((3, 4),): 5, ((1, 5),): 7})
+    assert hyperpfaffian(B, [(1, 2, 5, 6)]) == 0
+    assert hyperhafnian(B, [(1, 2, 5, 6)]) == 0
+    assert cache.plans == {} and cache.weight == 0
+    assert hyperpfaffian(B, [(1, 2, 3, 4)]) == 15
+    assert len(cache.plans) == 1
 
 
 # ----------------------------------------------------------------- flattening
@@ -1220,9 +1321,7 @@ def test_msf_diagonal_array_gives_pfaffian_hafnian_dichotomy(r):
     Q = msf_build_Q(A_diag, H)
     rhs = 0
     for P in itertools.combinations(range(1, N + 1), l * n):
-        restricted = restrict_block_array(A_one, [P])
-        weight = (hyperpfaffian(restricted) if r % 2
-                  else hyperhafnian(restricted))
+        weight = (hyperpfaffian if r % 2 else hyperhafnian)(A_one, [P])
         if weight == 0:
             continue
         dets = math.prod(

@@ -26,7 +26,7 @@ from hankelpf.harness import (CheckParams, all_identities,
                               report_from_json, run_check, run_suite,
                               suite_exit_code, summarize)
 from hankelpf import engines
-from hankelpf.harness import checks_qpoly, checks_structural, suite
+from hankelpf.harness import checks_qpoly, suite
 from hankelpf.harness.cli import coerce_param, main
 from hankelpf.harness.common import (gap_prefactor, hankel_pf, outcome_all,
                                      q_gap_prefactor)
@@ -188,21 +188,17 @@ def test_selberg_phi_mismatch_is_a_counterexample(monkeypatch, capsys):
 
 def test_subpf_indicator_catches_a_broken_restriction(monkeypatch):
     # the random pairs compare a sub-Pfaffian with the three-term
-    # Pfaffian of its entries, not with the restriction it is defined
-    # by, so a restriction that drops negative entries is caught
-    # wherever it is read
+    # Pfaffian of its entries, read through B.get, so a kernel that
+    # drops the negative entries of the sub-array it reads is caught
     params = CheckParams("subpf-indicator", {"count": 50, "pairs": 3})
     assert run_check(params).status == "verified"
-    restrict = engines.restrict_block_array
+    block_sum = engines._block_sum
 
-    def drop_negative(B, subsets):
-        R = restrict(B, subsets)
-        R.entries = {k: v for k, v in R.entries.items() if v >= 0}
-        return R
+    def drop_negative(entries, l, slots, signed=True):
+        return block_sum({k: v for k, v in entries.items() if v >= 0},
+                         l, slots, signed)
 
-    monkeypatch.setattr(engines, "restrict_block_array", drop_negative)
-    monkeypatch.setattr(checks_structural, "restrict_block_array",
-                        drop_negative)
+    monkeypatch.setattr(engines, "_block_sum", drop_negative)
     assert run_check(params).status == "counterexample"
 
 
