@@ -22,10 +22,10 @@ Design notes that matter for reading this file:
   variable or the QuadExts all in one extension, the kernel runs over
   packed ints (`_packed_entries`): each entry's int numerators are
   packed into one int, its value at x = 2^B, which is scaled once by
-  D / den to the lcm D of the entries' denominators, and each result is
-  unpacked once into int digits over D**steps. Those give a UniPoly in
-  the entries' variable (`poly._poly`), or a QuadExt of the entries'
-  extension
+  D / den to the lcm D of the entries' denominators. The packer returns
+  `(packed, unpack)`, and `unpack` reads each result once as int digits
+  over D**steps. Those give a UniPoly in the entries' variable
+  (`poly._poly`), or a QuadExt of the entries' extension
   (`quad_reduce`); either is a Fraction when it is constant, even when
   whole or zero.
   All-Fraction entries are the one-digit case. A result no term
@@ -37,11 +37,11 @@ Design notes that matter for reading this file:
 * Signs are applied by negating, never by scalar powers.
 * The kernel runs in two passes, as the symbolic and numeric phases of
   a sparse direct solver do. A shape pass (`_Plan`) builds the state
-  graph of one (l, sizes, steps) shape as flat integer arrays, where
-  `sizes` holds the point counts of the start masks, so one plan serves
-  every start of those sizes. `_PLANS` caches it, bounded by
-  PLAN_CACHE_TRANSITIONS transitions in all, because the same few
-  dozen shapes recur across the calls of a run. A value pass reads
+  graph of one (l, sizes, steps) shape as a fan-out per layer and flat
+  integer arrays, where `sizes` holds the point counts of the start
+  masks, so one plan serves every start of those sizes. `_PLANS` caches
+  it, bounded by PLAN_CACHE_TRANSITIONS transitions in all, because the
+  same few dozen shapes recur across the calls of a run. A value pass reads
   each entry once, by this start's blocks, and accumulates over those
   arrays. The arrays hold small unsigned ints and no Python objects,
   so a cached transition costs about 8 bytes and the garbage collector
@@ -80,13 +80,7 @@ from .scalars.quadext import QuadExt, quad_reduce
 from .tensors import BlockArray, Tensor
 
 
-@functools.lru_cache(maxsize=4096)
-def _points(mask):
-    """The points whose bits are set in `mask`, ascending."""
-    return tuple(p for p in range(1, mask.bit_length()) if mask >> p & 1)
-
-
-def _packed_entries(keyed, l, sizes, steps):
+def _packed_entries(keyed, plan):
     """The values read, `keyed` (None where missing), as packed ints, or
     None when they must run as they are. Unread entries play no part.
 
@@ -99,10 +93,11 @@ def _packed_entries(keyed, l, sizes, steps):
     denominators, each value becomes the int `kron_pack(nums, B)`, its
     value at x = 2^B, times D / den once. Evaluation at 2^B is a ring
     map, so the kernel's +, - and * over these ints give each final
-    state's polynomial evaluated at 2^B, times D**steps. For QuadExts
-    that polynomial is then reduced by theta^2 = p*theta + r
-    (`quad_reduce`), which gives the same element as reducing after
-    every product, because Q[theta] -> Q(theta) is a ring map too.
+    state's polynomial evaluated at 2^B, times D**steps, where steps
+    counts the plan's layers. For QuadExts that polynomial is then
+    reduced by theta^2 = p*theta + r (`quad_reduce`), which gives the
+    same element as reducing after every product, because
+    Q[theta] -> Q(theta) is a ring map too.
 
     Why B is safe: unpacking returns the true coefficients when each has
     absolute value below 2^(B-1). A final coefficient sums one term per
@@ -110,25 +105,26 @@ def _packed_entries(keyed, l, sizes, steps):
     with at most L coefficients of absolute value at most C (the largest
     numerator times D / den), so its coefficients are at most
     C**steps * L**(steps-1). The paths into any state are at most all
-    the paths from start masks of `sizes` points, the product of the
-    per-state fan-outs of `_plan_size`. So B is one more than the bit
-    length of (paths) * C**steps * L**(steps-1). A QuadExt has L = 2,
-    and the same derivation holds.
+    the paths from the start masks, the product of the plan's fan-out
+    per layer. So B is one more than the bit length of
+    (paths) * C**steps * L**(steps-1). A QuadExt has L = 2, and the same
+    derivation holds.
 
-    Returns (packed list, B, D**steps, digits per final state, finish),
-    where `finish(digits, D**steps)` is a final state's value:
-    `_poly(var, ...)`, `quad_reduce(p, r, ..., sym=sym)`, or a Fraction.
-    With only Fractions, L = 1: each value and each final state is one
-    int, and no width is needed.
+    Returns (packed, unpack), where `unpack(v)` is the value of a final
+    state whose packed value is v: `_poly(var, ...)`,
+    `quad_reduce(p, r, ..., sym=sym)`, or a Fraction. With only
+    Fractions, L = 1: each value and each final state is one int, and
+    `unpack` is Fraction over D**steps.
     """
     values = [v for v in keyed if v is not None]
+    steps = len(plan.steps)
     if not steps or not values:
         return None
     if all(type(v) is Fraction for v in values):
         D = math.lcm(*[v.denominator for v in values])
         packed = [v if v is None else v.numerator * (D // v.denominator)
                   for v in keyed]
-        return packed, 0, D ** steps, 1, lambda ds, scale: Fraction(*ds, scale)
+        return packed, functools.partial(Fraction, denominator=D ** steps)
     tag = None
     parts = []      # (int numerators, denominator) per value
     for v in values:
@@ -152,17 +148,18 @@ def _packed_entries(keyed, l, sizes, steps):
     D = math.lcm(*[d for _, d in parts])
     L = max([len(nums) for nums, _ in parts])
     C = max([max(map(abs, nums)) * (D // d) for nums, d in parts])
-    paths = math.prod(_plan_size(l, sizes, steps)[1])
+    paths = math.prod([n for n, _, _ in plan.steps])
     B = (paths * C ** steps * L ** (steps - 1)).bit_length() + 1
     ints = iter([kron_pack(nums, B) * (D // d) for nums, d in parts])
     packed = [v if v is None else next(ints) for v in keyed]
-    return packed, B, D ** steps, steps * (L - 1) + 1, finish
+    digits, scale = steps * (L - 1) + 1, D ** steps
+    return packed, lambda v: finish(kron_unpack(v, B, digits), scale)
 
 
 # The plan cache holds at most this many transitions in all. A cached
-# transition costs about 8 bytes (two array cells and its share of the
-# per-state counts), so a full cache holds about 2 MB; the full suite's
-# 43 plans take 79k transitions, under 1 MB.
+# transition costs at most about 8 bytes (two array cells), so a full
+# cache holds about 2 MB; the full suite's 43 plans take 79k
+# transitions, under 1 MB.
 PLAN_CACHE_TRANSITIONS = 1 << 18
 
 
@@ -220,7 +217,7 @@ def _masks(ground, l, t, head):
 def _slot_blocks(l, mask, pad):
     """The blocks of one slot's points in rank order (lexicographic), as
     entry key parts; with `pad`, padded with None to a power of two."""
-    pts = _points(mask)
+    pts = [p for p in range(1, mask.bit_length()) if mask >> p & 1]
     blocks = tuple(pts if l == 1 else itertools.combinations(pts, l))
     if pad:
         blocks += (None,) * ((1 << (len(blocks) - 1).bit_length())
@@ -265,7 +262,8 @@ def _slot_table(l, head, ground, cur, nxt, weight, block_key):
 
 
 def _layers(l, sizes, steps, states, fanout):
-    """The columns of `_Plan` for start masks of `sizes` points.
+    """The layers of `_Plan` for start masks of `sizes` points: each
+    step's fan-out and columns.
 
     They are built on the points' positions, since they depend on the
     sizes alone. Each step builds one option table per slot
@@ -307,12 +305,10 @@ def _layers(l, sizes, steps, states, fanout):
         # one prefix at a time, so that no list holds a whole layer
         dst, key = _column((), states[t + 1]), _column((), top)
         d, k = tables[0] if tables else ((), ())
-        for pd, pk in prefixes if m > 1 else ():
+        for pd, pk in prefixes:
             dst += _column([a + b for a in d for b in pd], states[t + 1])
             key += _column([a ^ b for a in k for b in pk], top)
-        if m == 1:
-            dst, key = _column(d, states[t + 1]), _column(k, top)
-        cols.append((_column((fanout[t],), fanout[t]) * states[t], key, dst))
+        cols.append((fanout[t], key, dst))
     return tuple(cols)
 
 
@@ -328,9 +324,10 @@ class _Plan:
     is numbered by its slots' ranks in mixed radix, the last slot
     fastest, and `_plan_size` counts each layer in closed form. The
     columns (`_layers`) are built on the points' positions. `steps`
-    holds one triple of columns per step:
-    - counts: for each state of the layer, how many transitions leave it;
-      the transitions are stored grouped by source, in state order;
+    holds one triple per step, a fan-out per layer and two columns:
+    - fan-out: the int number of transitions that leave each state of
+      the layer, the same for all (`_plan_size`); the transitions are
+      stored grouped by source, in state order;
     - key: for each transition, 2*k + flip, with k the index of the entry
       key it multiplies by and flip the parity of its sign flips;
     - dst: for each transition, its target state's index in the next
@@ -406,32 +403,32 @@ def _expand(entries, l, start, steps, signed):
     or a zero-bound cache. The value pass reads each entry of this
     start's blocks once into a list, in the order of the plan's key
     numbering over them (`_slot_blocks`), packs the values read, sets
-    each next to its negation, and accumulates layer by layer over the
-    plan's columns, building no tuple and probing no dict per transition.
+    each next to its negation, and accumulates layer by layer, taking
+    the layer's fan-out of transitions from the plan's columns for each
+    state, building no tuple and probing no dict per transition.
 
     Returns the list of the final states' values, in state order: the
     product, in rank order, of each slot's final masks among its start
     points; a state no path reaches holds None (zero).
     Fraction, one-variable UniPoly and one-extension QuadExt values run
-    as packed ints (`_packed_entries`), and each final state is unpacked
-    once into its coefficients digits / D**steps and finished into a
-    value.
+    as packed ints (`_packed_entries`, which returns `(packed, unpack)`),
+    and each final state is unpacked once into a value.
     """
     sizes = tuple([p.bit_count() for p in start])
     plan = _PLANS.get(l, sizes, steps)
     keyed = list(map(entries.get, itertools.product(
         *[_slot_blocks(l, p, s > 0) for s, p in enumerate(start)])))
-    packed = _packed_entries(keyed, l, sizes, steps)
+    packed = _packed_entries(keyed, plan)
     if packed is not None:
-        keyed = packed[0]
+        keyed, unpack = packed
     vals = [None] * (2 * len(keyed))
     vals[::2] = keyed
     vals[1::2] = [v if v is None else -v for v in keyed] if signed else keyed
     cur = [1]
-    for (counts, key, dst), size in zip(plan.steps, plan.states[1:]):
+    for (n, key, dst), size in zip(plan.steps, plan.states[1:]):
         nxt = [None] * size
         moves = zip(key, dst)
-        for acc, n in zip(cur, counts):
+        for acc in cur:
             if acc is None:
                 next(itertools.islice(moves, n, n), None)
                 continue
@@ -443,9 +440,7 @@ def _expand(entries, l, start, steps, signed):
                 nxt[d] = acc * v if old is None else old + acc * v
         cur = nxt
     if packed is not None:
-        _, B, scale, n, finish = packed
-        cur = [None if v is None else finish(kron_unpack(v, B, n), scale)
-               for v in cur]
+        cur = [None if v is None else unpack(v) for v in cur]
     return cur
 
 

@@ -26,21 +26,6 @@ def _tail_sum(n, m2, t0, b0, base):
     return total
 
 
-def _sqrt_tail_poly(s, n, m2, t0, b0, extra_s_power):
-    """The a = s^2 form of the tail sum, cleared of denominators:
-    a^(E) sum_k C(n,k) B^(n-k) prod(...) with B = (s-1)^2/(4s) becomes a
-    plain polynomial in s once the a-power is folded in."""
-    total = 0
-    for k in range(n + 1):
-        term = (Fraction(math.comb(n, k), 4 ** (n - k))
-                * (s - 1) ** (2 * (n - k)) * s ** (extra_s_power + k))
-        for j in range(1, k + 1):
-            term = term * (t0 + m2 * (n - j))
-            term = term / (b0 + m2 * (2 * n - j - 1))
-        total = total + term
-    return total
-
-
 def _narayana_pf(X, l, n, r, a):
     """Hyperpfaffian of gap_prefactor(I) times the X-type Narayana
     polynomial of degree sum(I) + r - l, evaluated at a."""
@@ -77,8 +62,8 @@ def check_tilden(params, rng, opts):
         s = poly_gen("s")
         lhs = _narayana_pf("A", l, n, r, s * s)
         rhs = (Fraction(2 ** n * tower, nfact) * phi_product(n, 1, 1, m2)
-               * _sqrt_tail_poly(s, n, m2, Fraction(3, 2), 3,
-                                 2 * n + 2 * m2 * half))
+               * s ** (3 * n + 2 * m2 * half)
+               * _tail_sum(n, m2, Fraction(3, 2), 3, (s - 1) ** 2 / (4 * s)))
     elif case == "b1":
         r = params["r"]
         lhs = _narayana_pf("B", l, n, r, Fraction(1))
@@ -94,7 +79,8 @@ def check_tilden(params, rng, opts):
         s = poly_gen("s")
         lhs = _narayana_pf("B", l, n, r, s * s)
         rhs = (Fraction(4 ** n * tower, nfact) * phi_product(n, 0, 0, m2)
-               * _sqrt_tail_poly(s, n, m2, Fraction(1, 2), 1, 2 * m2 * half))
+               * s ** (n + 2 * m2 * half)
+               * _tail_sum(n, m2, Fraction(1, 2), 1, (s - 1) ** 2 / (4 * s)))
     elif case == "d1":
         r = params["r"]
         lhs = _narayana_pf("D", l, n, r, Fraction(1))

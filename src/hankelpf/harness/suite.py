@@ -125,15 +125,6 @@ def run_suite(level="smoke", filter_tag=None, jobs=1, seed=0, trials=5,
 
 
 _RANGE_NOTE = re.compile(r"verified range ([^;\s]+)")
-_UPPER_BOUND = re.compile(r"<=\s*(\d+)$")
-
-
-def _range_order(text):
-    """Sort key so wider verified ranges win the per-id merge."""
-    if text == "none":
-        return -1
-    m = _UPPER_BOUND.search(text)
-    return int(m.group(1)) if m else 0
 
 
 def _gating_failure(report) -> bool:
@@ -160,9 +151,7 @@ def summarize(reports) -> dict:
         if spec.status == "conjecture":
             m = _RANGE_NOTE.search(report.note)
             if m:
-                prev = ranges.get(report.identity)
-                if prev is None or _range_order(m.group(1)) > _range_order(prev):
-                    ranges[report.identity] = m.group(1)
+                ranges[report.identity] = m.group(1)
     return {"verified": verified, "failed": failed,
             "conjecture_ranges": ranges}
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from fractions import Fraction
 from operator import countOf
 
@@ -256,7 +257,7 @@ def _ext_context(doc):
 def _field(doc, key, what, kind=None):
     """doc[key], or a ParseError naming the missing field or the value
     that is not an object; with `kind`, also a ParseError when the value
-    is not exactly of that type."""
+    is not exactly of that type, or is an int past sys.maxsize."""
     if not isinstance(doc, dict):
         raise ParseError(f"{what} must be an object, got {doc!r}")
     try:
@@ -266,6 +267,8 @@ def _field(doc, key, what, kind=None):
     if kind is not None and type(v) is not kind:
         raise ParseError(f"{what} field {key!r} must be "
                          f"{kind.__name__}, got {v!r}")
+    if kind is int and abs(v) > sys.maxsize:
+        raise ParseError(f"{what} field {key!r} is past sys.maxsize: {v}")
     return v
 
 
@@ -290,9 +293,9 @@ def _array_from_json(doc, kind):
     if kind == "tensor":
         if "shape" in doc:
             shape = _field(doc, "shape", kind, list)
-            if any(type(s) is not int for s in shape):
+            if any(type(s) is not int or abs(s) > sys.maxsize for s in shape):
                 raise ParseError(f"tensor field 'shape' must be a list of "
-                                 f"ints, got {shape!r}")
+                                 f"ints up to sys.maxsize, got {shape!r}")
         else:
             n = _field(doc, "n", "tensor without 'shape'", int)
             first = (_entries(doc, kind) or [{}])[0]
@@ -311,6 +314,9 @@ def _array_from_json(doc, kind):
             size = _field(doc, "size", kind, int)
         else:
             size = l * _field(doc, "n", "block_array without 'size'", int)
+            if abs(size) > sys.maxsize:
+                raise ParseError(f"block_array size l * n is past "
+                                 f"sys.maxsize: {size}")
         arr = BlockArray(l, m, size)
         idx_form = "a list of blocks, each a list of indices;"
         # positional: a partial with a keyword builds a dict per call

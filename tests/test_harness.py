@@ -655,6 +655,35 @@ def test_tensor_shape_entries_are_ints(capsys, tmp_path, shape):
         Tensor(shape)
 
 
+BLOCKS = {"kind": "block_array", "l": 2, "m": 1, "size": 4,
+          "entries": [{"idx": [[1, 2]], "value": "3"}]}
+CUBE = {"kind": "tensor", "m": 2, "n": 2,
+        "entries": [{"idx": [1, 2], "value": "3"}]}
+
+
+@pytest.mark.parametrize("kind,doc,field", [
+    ("hyperpfaffian", dict(BLOCKS, l=10 ** 20), "'l'"),
+    ("hyperpfaffian", dict(BLOCKS, m=10 ** 20), "'m'"),
+    ("hyperpfaffian", dict(BLOCKS, size=10 ** 20), "'size'"),
+    ("hafnian", {"kind": "block_array", "l": 2, "m": 1, "n": 10 ** 20},
+     "'n'"),
+    ("hafnian", {"kind": "block_array", "l": 2 ** 40, "m": 1, "n": 2 ** 40},
+     "l * n"),
+    ("hyperdet", dict(CUBE, n=10 ** 20), "'n'"),
+    ("pfaffian", {"kind": "tensor", "m": 10 ** 20, "n": 2}, "'m'"),
+    ("hyperdet", {"kind": "tensor", "m": -10 ** 20, "n": 2}, "'m'"),
+    ("hyperdet", dict(CUBE, shape=[10 ** 20] * 2), "'shape'"),
+])
+def test_cli_eval_int_fields_past_maxsize(capsys, tmp_path, kind, doc, field):
+    # a size, length or count no index can reach is refused by name
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", kind, "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hpf: ParseError:") and err.count("\n") == 1
+    assert field in err and "sys.maxsize" in err
+
+
 @pytest.mark.parametrize("kind,doc", [
     ("hyperpfaffian", {"kind": "block_array"}),
     ("hyperpfaffian", {"kind": "block_array", "l": 2, "n": 1}),
