@@ -55,7 +55,7 @@ Design notes that matter for reading this file:
   option table per slot and layer, paired by list comprehensions, with
   no dict keyed by a tuple. On a 2-core Xeon with CPython 3.11 a build
   costs two to three value passes over the same transitions (about
-  0.1 s against 0.04 s for a 22-point Pfaffian), so a shape over the
+  0.08 s against 0.03 s for a 22-point Pfaffian), so a shape over the
   cache bound pays about three value passes a call.
 * One contraction, `contract_slots`, builds both minor summation
   kernels: `msf_build_Q` here and `qcalc.debruijn_kernel`, whose atom
@@ -302,12 +302,15 @@ def _layers(l, sizes, steps, states, fanout):
             prefixes = [([a + b for a in pd for b in d[i:i + f]],
                          [a ^ b for a in pk for b in k[i:i + f]])
                         for pd, pk in prefixes for i in range(0, len(d), f)]
-        # one prefix at a time, so that no list holds a whole layer
+        # one prefix at a time, so that no list holds a whole layer; the
+        # empty prefix (m = 1) adds nothing, so its table is not copied
         dst, key = _column((), states[t + 1]), _column((), top)
         d, k = tables[0] if tables else ((), ())
         for pd, pk in prefixes:
-            dst += _column([a + b for a in d for b in pd], states[t + 1])
-            key += _column([a ^ b for a in k for b in pk], top)
+            dst += _column(d if pd == [0] else [a + b for a in d for b in pd],
+                           states[t + 1])
+            key += _column(k if pk == [0] else [a ^ b for a in k for b in pk],
+                           top)
         cols.append((fanout[t], key, dst))
     return tuple(cols)
 

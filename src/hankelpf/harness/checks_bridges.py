@@ -17,14 +17,14 @@ from .common import (Outcome, gap_prefactor, hankel_pf, outcome_all,
                      rand_q)
 
 
-def _poly_family(rng, rows, l, deg=2):
-    """rows x l random polynomials of degree <= deg with Fraction
+def _poly_family(rng, rows, l):
+    """rows x l random polynomials of degree <= 2 with Fraction
     coefficients in [-2, 2], each a function of one point."""
     fam = []
     for _ in range(rows):
         row = []
         for _ in range(l):
-            cs = [Fraction(rng.randint(-2, 2)) for _ in range(deg + 1)]
+            cs = [Fraction(rng.randint(-2, 2)) for _ in range(3)]
             row.append(functools.partial(horner, cs))
         fam.append(row)
     return fam
@@ -117,7 +117,7 @@ def check_q_hankel(params, rng, opts):
                 t *= (xs[j] - xs[i]) ** l
                 for v in range(1, l):
                     t *= ((xs[j] - q ** v * xs[i])
-                          * (xs[j] - sdiv(1, q ** v) * xs[i])) ** (l - v)
+                          * (xs[j] - q ** -v * xs[i])) ** (l - v)
         return t
 
     rhs = sdiv(scale * discrete_cube_integral(mu, n, integrand),
@@ -196,6 +196,17 @@ def check_delta_relations(params, rng, opts):
     return outcome_all(pairs)
 
 
+def _delta_times_power(q, k, variant, r):
+    """The integrand xs -> delta_product(xs, q, k, variant) times
+    prod_i x_i^(r+1)."""
+    def f(xs):
+        t = delta_product(xs, q, k, variant)
+        for x in xs:
+            t *= x ** (r + 1)
+        return t
+    return f
+
+
 def check_delta_integral(params, rng, opts):
     """Cube integrals of the two double products differ by the factor
     n! over the q^k-integer factorial of n, measure-independently."""
@@ -204,17 +215,8 @@ def check_delta_integral(params, rng, opts):
     mu = rand_measure(rng, params["atoms"])
     q = rand_q(rng)
     r = rng.randint(0, 2)
-
-    def with_power(variant):
-        def f(xs):
-            t = delta_product(xs, q, k, variant)
-            for x in xs:
-                t *= x ** (r + 1)
-            return t
-        return f
-
-    lhs = discrete_cube_integral(mu, n, with_power("D1"))
-    rhs = discrete_cube_integral(mu, n, with_power("D2"))
+    lhs = discrete_cube_integral(mu, n, _delta_times_power(q, k, "D1", r))
+    rhs = discrete_cube_integral(mu, n, _delta_times_power(q, k, "D2", r))
     return outcome_eq(lhs,
                       sdiv(math.factorial(n), q_gamma_int(n, q ** k)) * rhs,
                       terms=len(mu.atoms) ** n)
@@ -228,13 +230,7 @@ def check_pf_delta2(params, rng, opts):
     q = rand_q(rng)
     lhs = hankel_pf(2, n, q_gap_prefactor(q),
                     lambda d: discrete_moment(mu, d), r - 2)
-
-    def f(xs):
-        t = delta_product(xs, q, 2, "D2")
-        for x in xs:
-            t *= x ** (r + 1)
-        return t
-
+    cube = discrete_cube_integral(mu, n, _delta_times_power(q, 2, "D2", r))
     rhs = (q ** (n * (n - 1)) * (1 - q) ** n
-           * sdiv(discrete_cube_integral(mu, n, f), q_gamma_int(n, q ** 2)))
+           * sdiv(cube, q_gamma_int(n, q ** 2)))
     return outcome_eq(lhs, rhs, terms=len(mu.atoms) ** n)

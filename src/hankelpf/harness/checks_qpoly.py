@@ -19,14 +19,6 @@ from .common import (Outcome, hankel_pf, outcome_all, q_gap_prefactor,
                      rand_fraction, rand_q, seq_pfaffian)
 
 
-def _int_qpow(q, num, den=1):
-    e = Fraction(num, den)
-    if e.denominator != 1:
-        raise ValueError(f"q-power exponent {e} is not integral")
-    e = int(e)
-    return q ** e if e >= 0 else 1 / (q ** (-e))
-
-
 def _rs_pfaffian(kind, shift, n, q):
     """Pf of (q^(i-1) - q^(j-1)) * RS_(i+j+shift)(a; q), 1 <= i < j <= 2n."""
     return hankel_pf(2, n, q_gap_prefactor(q),
@@ -38,6 +30,8 @@ def check_asc(params, rng, opts):
     kept symbolic in a and spot-checked at random rational q."""
     variant, n = params["variant"], params["n"]
     a = poly_gen("a")
+    # n(n-1) is even, and one of n, n-1, 4n-5 (or 2n-1) is divisible by
+    # 3 for every n mod 3, so the q exponents below divide exactly
     lhs = rhs = None
     for _ in range(opts.trials):
         q = rand_q(rng)
@@ -46,22 +40,21 @@ def check_asc(params, rng, opts):
             base = base * q_pochhammer(q, q, 2 * k - 1)
         if variant == "u-rm1":
             lhs = _rs_pfaffian("F", -3, n, q)
-            rhs = base * _int_qpow(q, n * (n - 1) * (4 * n - 5), 6)
+            rhs = base * q ** (n * (n - 1) * (4 * n - 5) // 6)
         elif variant == "u-r0":
             lhs = _rs_pfaffian("F", -2, n, q)
-            extra = sum(_int_qpow(q, k * (k - 1) + (n - k) * (n - k - 1))
+            extra = sum(q ** (k * (k - 1) + (n - k) * (n - k - 1))
                         * c * a ** k
                         for k, c in enumerate(q_binomial_row(n, q * q)))
-            rhs = base * _int_qpow(q, n * (n - 1) * (4 * n - 5), 6) * extra
+            rhs = base * q ** (n * (n - 1) * (4 * n - 5) // 6) * extra
         elif variant == "v-rm1":
             lhs = _rs_pfaffian("G", -3, n, q)
-            rhs = base * _int_qpow(q, -n * (n - 1) * (4 * n - 5), 3)
+            rhs = base * q ** (-n * (n - 1) * (4 * n - 5) // 3)
         else:   # v-r0
             lhs = _rs_pfaffian("G", -2, n, q)
             extra = sum(c * a ** k
                         for k, c in enumerate(q_binomial_row(n, q * q)))
-            rhs = (base * _int_qpow(q, -2 * n * (n - 1) * (2 * n - 1), 3)
-                   * extra)
+            rhs = base * q ** (-2 * n * (n - 1) * (2 * n - 1) // 3) * extra
         if not lhs == rhs:
             return Outcome("counterexample", lhs, rhs, n, f"q = {q}")
     return Outcome("verified", lhs, rhs, n,
@@ -186,7 +179,7 @@ def _float_params(params):
 
 
 @functools.lru_cache(maxsize=4)
-def _weighted_atoms(a, q, K, nfactors=400):
+def _weighted_atoms(a, q, K):
     """Support points and weights, as two tuples of floats, of the
     two-sided Jackson sum on [a, 1] truncated after K powers of q, each
     weight multiplied by a truncation of the biorthogonality weight
@@ -203,8 +196,8 @@ def _weighted_atoms(a, q, K, nfactors=400):
     alone, and the float checks of one grid share them, so the last few
     are cached.
     """
-    ps = [1.0]
-    for _ in range(nfactors - 1):
+    ps = [1.0]   # q^0..q^399: each infinite product keeps 400 factors
+    for _ in range(399):
         ps.append(ps[-1] * q)
     den = 1.0 - a
     for p in ps:
@@ -280,8 +273,8 @@ def check_bf_u_integral(params, rng, opts):
             w1 * math.fsum([w2 * d for w2, d in zip(ws, row)])
             for w1, row in zip(ws, _d2_rows(xs, p["qf"], k)))
     pref = ((1 - q) ** n * (-a) ** (k * n * (n - 1) // 2)
-            * _int_qpow(q, k * k * math.comb(n, 3)
-                        - (k * (k - 1) // 2) * math.comb(n, 2)))
+            * q ** (k * k * math.comb(n, 3)
+                    - (k * (k - 1) // 2) * math.comb(n, 2)))
     prod = Fraction(1)
     for i in range(1, n + 1):
         prod *= q_pochhammer(q, q, k * i) / q_pochhammer(q, q, k)

@@ -17,8 +17,8 @@ from ..tensors import BlockArray, Tensor
 from .common import outcome_all, random_block_array
 
 
-def _random_tensor(rng, m, n, lo=-3, hi=3):
-    return Tensor.from_function((n,) * m, lambda *i: rng.randint(lo, hi))
+def _random_tensor(rng, m, n):
+    return Tensor.from_function((n,) * m, lambda *i: rng.randint(-3, 3))
 
 
 def check_laplace(params, rng, opts):

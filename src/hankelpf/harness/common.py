@@ -59,8 +59,8 @@ def outcome_all(pairs, note=""):
 
 # ------------------------------------------------------------------ sampling
 
-def rand_fraction(rng, lo=-3, hi=3, den=5, avoid=None, retries=64):
-    for _ in range(retries):
+def rand_fraction(rng, lo=-3, hi=3, den=5, avoid=None):
+    for _ in range(64):
         v = Fraction(rng.randint(lo, hi), rng.randint(1, den))
         if avoid is not None and avoid(v):
             continue
@@ -74,10 +74,10 @@ def rand_q(rng):
     return Fraction(num, rng.randint(num + 1, 13))
 
 
-def rand_points(rng, n, den=6):
+def rand_points(rng, n):
     pts = []
     while len(pts) < n:
-        v = Fraction(rng.randint(1, 12), rng.randint(1, den))
+        v = Fraction(rng.randint(1, 12), rng.randint(1, 6))
         if all(v != p for p in pts):
             pts.append(v)
     return pts

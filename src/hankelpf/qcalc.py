@@ -8,9 +8,10 @@ integral (askey_lhs_exact) share one pair-product expansion: the
 product over pairs i<j of one bivariate factor is multiplied out one
 pair at a time, and each monomial integrates coordinate by coordinate
 against a table of one-variable integrals. For rational entries the
-expansion, and the rows of askey_lhs_exact and askey_A_n, run over ints
-scaled once by `poly.scale_to_ints` and divide once at the end,
-instead of paying a gcd at every Fraction step. q_powers
+expansion, the rows of askey_lhs_exact and askey_A_n and the products
+of _linear_product run over ints scaled once by one rule, `_int_scaled`,
+and divide once at the end, instead of paying a gcd at every Fraction
+step. q_powers
 is the one table of q^v, v of either sign, that delta_product and its
 fast float loops share. The de Bruijn kernel (debruijn_kernel) is the
 minor summation kernel of its atom weights, built by the same
@@ -153,18 +154,24 @@ def discrete_moment(mu: DiscreteMeasure, k: int):
     return total
 
 
-def discrete_cube_integral(mu: DiscreteMeasure, n: int, f):
-    """Integral of f over the n-fold product measure.
-
-    f receives a tuple of n support points; atoms repeat freely.
-    """
+def _atom_sum(combos, f):
+    """The sum of f(points) * weight over tuples of (point, weight)
+    atoms, weight the product of the tuple's weights."""
     total = 0
-    for combo in itertools.product(mu.atoms, repeat=n):
+    for combo in combos:
         weight = 1
         for _, w in combo:
             weight = weight * w
         total = total + f(tuple(x for x, _ in combo)) * weight
     return total
+
+
+def discrete_cube_integral(mu: DiscreteMeasure, n: int, f):
+    """Integral of f over the n-fold product measure.
+
+    f receives a tuple of n support points; atoms repeat freely.
+    """
+    return _atom_sum(itertools.product(mu.atoms, repeat=n), f)
 
 
 def discrete_ordered_integral(mu: DiscreteMeasure, n: int, f):
@@ -174,13 +181,7 @@ def discrete_ordered_integral(mu: DiscreteMeasure, n: int, f):
     support must be orderable (rational in practice).
     """
     atoms = sorted(mu.atoms, key=lambda aw: aw[0])
-    total = 0
-    for combo in itertools.combinations(atoms, n):
-        weight = 1
-        for _, w in combo:
-            weight = weight * w
-        total = total + f(tuple(x for x, _ in combo)) * weight
-    return total
+    return _atom_sum(itertools.combinations(atoms, n), f)
 
 
 # --------------------------------------------------------------------------
@@ -293,13 +294,16 @@ def selberg_closed(p: SelbergParams) -> HalfGamma:
     return total
 
 
-def _has_fraction(values):
-    """True when every value is an int or a Fraction and one at least
-    is a Fraction. The exact loops below then run over ints scaled by
-    `scale_to_ints` and divide once at the end; all-int values stay
-    ints, and any other scalar runs the same loop at scale 1."""
-    kinds = {type(c) for c in values}
-    return Fraction in kinds and kinds <= {int, Fraction}
+def _int_scaled(lists):
+    """(lists, D): `scale_to_ints(lists)` when every value is an int or
+    a Fraction and one at least is a Fraction, else the lists unchanged
+    and D = None. The exact loops below then run over ints and divide
+    once at the end, by a power of D, only when they got one: all-int
+    values stay ints, and any other scalar runs the same loop as it is."""
+    kinds = {type(c) for cs in lists for c in cs}
+    if Fraction in kinds and kinds <= {int, Fraction}:
+        return scale_to_ints(lists)
+    return lists, None
 
 
 def _pair_integral(n: int, pair, tables):
@@ -310,15 +314,13 @@ def _pair_integral(n: int, pair, tables):
     coefficient}, dropping cancelled terms after each pair; tables[i]
     holds the integral of t^e against coordinate i's weight.
 
-    Rational entries are scaled to ints (`_has_fraction`): pair by the
+    Rational entries are scaled to ints (`_int_scaled`): pair by the
     lcm Dp of its denominators, the tables by theirs, Dt. Each monomial
     takes one pair entry per pair and one table entry per coordinate,
-    so the int sum is divided by Dp^C(n,2) Dt^n once, into a Fraction.
+    so the sum is divided by Dp^C(n,2) Dt^n once, a missing D read as 1.
     """
-    scaled = _has_fraction(itertools.chain(pair, *tables))
-    if scaled:
-        (pair,), Dp = scale_to_ints([pair])
-        tables, Dt = scale_to_ints(tables)
+    (pair,), Dp = _int_scaled([pair])
+    tables, Dt = _int_scaled(tables)
     d = len(pair) - 1
     poly = {(0,) * n: 1}
     for i in range(n):
@@ -337,9 +339,9 @@ def _pair_integral(n: int, pair, tables):
         for table, ei in zip(tables, e):
             c = c * table[ei]
         total = total + c
-    if scaled:
-        return Fraction(total, Dp ** math.comb(n, 2) * Dt ** n)
-    return total
+    if Dp is None and Dt is None:
+        return total
+    return sdiv(total, (Dp or 1) ** math.comb(n, 2) * (Dt or 1) ** n)
 
 
 def _int_or_raise(value, name) -> int:
@@ -426,7 +428,7 @@ def _positive_int(value, name) -> int:
 def askey_A_n(n: int, x: int, y: int, k: int, q):
     """The q-gamma product side of the q-analogue, exact in q.
 
-    For rational q the table is scaled to ints (`_has_fraction`), the
+    For rational q the table is scaled to ints (`_int_scaled`), the
     two products run over them and one quotient divides at the end.
     """
     n = _positive_int(n, "n")
@@ -436,9 +438,7 @@ def askey_A_n(n: int, x: int, y: int, k: int, q):
     # Gamma_q(t) at a positive integer t is g[t - 1], all 5n factors
     # read from one table
     g = q_gamma_table(max(x + y + (2 * n - 2) * k - 1, n * k), q)
-    scaled = _has_fraction(g)
-    if scaled:
-        (g,), D = scale_to_ints([g])
+    (g,), D = _int_scaled([g])
     num = 1
     den = 1
     for j in range(1, n + 1):
@@ -447,7 +447,7 @@ def askey_A_n(n: int, x: int, y: int, k: int, q):
         num = num * g[j * k]
         den = den * g[x + y + (n + j - 2) * k - 1]
         den = den * g[k]
-    if scaled:
+    if D:
         den = den * D ** n   # 3n factors over 2n
     return sdiv(num, den)
 
@@ -456,19 +456,15 @@ def _linear_product(cs):
     """Coefficients of prod_c (1 - c t), lowest power of t first.
 
     Rational cs are scaled to ints C = D c by the lcm D of their
-    denominators (`_has_fraction`), and each coefficient of the product
+    denominators (`_int_scaled`), and each coefficient of the product
     of the (D - C t) is divided by D^len(cs) once. Other cs run the
     same loop with D = 1.
     """
-    cs = list(cs)
-    D = 1
-    scaled = _has_fraction(cs)
-    if scaled:
-        (cs,), D = scale_to_ints([cs])
+    (cs,), D = _int_scaled([list(cs)])
     out = [1]
     for c in cs:
-        out = [D * a - c * b for a, b in zip(out + [0], [0] + out)]
-    if scaled:
+        out = [(D or 1) * a - c * b for a, b in zip(out + [0], [0] + out)]
+    if D:
         return [Fraction(a, D ** len(cs)) for a in out]
     return out
 
@@ -484,7 +480,7 @@ def askey_lhs_exact(n: int, x: int, y: int, k: int, q):
     monomial integrates coordinate by coordinate, so the integral is
     sum_e c_e prod_i L(e_i) with L(e) = sum_j u_j J(e + x - 1 + j) and
     J(m) the Jackson integral of t^m over [0, 1]. For rational q, u and
-    J are scaled to ints by one D (`_has_fraction`), so each L(e) is one
+    J are scaled to ints by one D (`_int_scaled`), so each L(e) is one
     quotient by D^2.
     """
     n = _positive_int(n, "n")
@@ -497,12 +493,10 @@ def askey_lhs_exact(n: int, x: int, y: int, k: int, q):
     u = _linear_product(q ** s for s in range(1, y))
     top = 2 * k * (n - 1)   # highest power of one variable in the pair part
     J = [jackson_monomial(q, m) for m in range(x + top + y - 1)]
-    scaled = _has_fraction(u + J)
-    if scaled:
-        (u, J), D = scale_to_ints([u, J])
+    (u, J), D = _int_scaled([u, J])
     L = [sum(uj * J[e + x - 1 + j] for j, uj in enumerate(u))
          for e in range(top + 1)]
-    if scaled:
+    if D:
         L = [Fraction(c, D * D) for c in L]
     P = _linear_product(q_powers(q, -k + 1, k + 1).values())
     return _pair_integral(n, P, [L] * n)

@@ -94,9 +94,9 @@ class TruncSeries(ScalarOps):
         return f"TruncSeries({self.var!r}, {self.order}, {list(self.coeffs)!r})"
 
 
-def series_sqrt(s: TruncSeries, order: int | None = None) -> TruncSeries:
+def series_sqrt(s: TruncSeries) -> TruncSeries:
     """Principal square root of a series with constant term 1."""
-    n = s.order if order is None else min(order, s.order)
+    n = s.order
     if s.coeffs[0] != 1:
         raise ConstantTermNotOne(
             f"series_sqrt needs constant term 1, got {s.coeffs[0]}")
@@ -109,12 +109,10 @@ def series_sqrt(s: TruncSeries, order: int | None = None) -> TruncSeries:
     return TruncSeries(s.var, n, t)
 
 
-def series_div(num: TruncSeries, den: TruncSeries,
-               order: int | None = None) -> TruncSeries:
-    """num/den to the given order; den needs a nonzero constant term."""
+def series_div(num: TruncSeries, den: TruncSeries) -> TruncSeries:
+    """num/den to the lower of their orders; den needs a nonzero
+    constant term."""
     n = min(num.order, den.order)
-    if order is not None:
-        n = min(n, order)
     d0 = den.coeffs[0]
     if d0 == 0:
         raise ZeroConstantDenominator("series division by constant term 0")

@@ -13,7 +13,8 @@ from hankelpf.errors import (GeometricPole, MomentPole, PoleInNegativeRange,
                              ShapeMismatch, SizeBudgetExceeded,
                              UnsupportedArgument, ZeroCoordinate)
 from hankelpf.qcalc import (DiscreteMeasure, QJacobiParams, SelbergParams,
-                            _pair_integral, aomoto_bruteforce, aomoto_closed,
+                            _linear_product, _pair_integral,
+                            aomoto_bruteforce, aomoto_closed,
                             askey_A_n, askey_lhs_exact, debruijn_kernel,
                             debruijn_ordered_integral, delta_product,
                             discrete_cube_integral, discrete_moment,
@@ -21,8 +22,9 @@ from hankelpf.qcalc import (DiscreteMeasure, QJacobiParams, SelbergParams,
                             lqj_moment, q_binomial_row, q_pochhammer, q_powers,
                             selberg_bruteforce, selberg_closed,
                             selberg_phi_bridge)
-from hankelpf.scalars import (HalfGamma, UniPoly, derive_rng, gamma_exact,
-                              poly_gen, q_gamma_int, sdiv)
+from hankelpf.scalars import (HalfGamma, RatFunc, UniPoly, derive_rng,
+                              gamma_exact, poly_gen, q_gamma_int, sdiv,
+                              unipoly)
 from hankelpf.tensors import BlockArray, Tensor
 
 Q = poly_gen("q")
@@ -344,6 +346,36 @@ def test_pair_integral_keeps_value_and_type():
         assert got == want and type(got) is F, (p, tables)
     got = _pair_integral(2, pair, [[1, Q, 3]] * 2)
     assert got == 6 - 2 * Q ** 2 and type(got) is UniPoly
+
+
+# (1+q) (1+q^2) (1+q+q^2)^2: the q-gamma denominator of askey_A_n(2, 1, 2, 1)
+_ASKEY_DEN = unipoly("q", [1, 3, 6, 8, 8, 6, 3, 1])
+
+
+@pytest.mark.parametrize("call, q, want, kinds", [
+    # all-int factors stay ints: only a Fraction makes the rule scale
+    (lambda q: _linear_product([1, q, q * q]), 2,
+     [1, -7, 14, -8], [int] * 4),
+    (lambda q: _linear_product([1, q, q * q]), F(1, 2),
+     [1, F(-7, 4), F(7, 8), F(-1, 8)], [F] * 4),
+    (lambda q: _linear_product([1, q, q * q]), Q,
+     [1, -1 - Q - Q ** 2, Q + Q ** 2 + Q ** 3, -Q ** 3],
+     [F, UniPoly, UniPoly, UniPoly]),
+    (lambda q: askey_A_n(2, 1, 2, 1, q), 2, F(1, 735), F),
+    (lambda q: askey_A_n(2, 1, 2, 1, q), F(1, 2), F(128, 735), F),
+    (lambda q: askey_A_n(2, 1, 2, 1, q), Q, sdiv(1, _ASKEY_DEN), RatFunc),
+    (lambda q: askey_lhs_exact(2, 1, 2, 1, q), 2, F(2, 735), F),
+    (lambda q: askey_lhs_exact(2, 1, 2, 1, q), F(1, 2), F(64, 735), F),
+    (lambda q: askey_lhs_exact(2, 1, 2, 1, q), Q, sdiv(Q, _ASKEY_DEN),
+     RatFunc),
+])
+def test_int_scaling_keeps_value_and_type(call, q, want, kinds):
+    got = call(q)
+    assert got == want
+    if isinstance(got, list):
+        assert [type(c) for c in got] == kinds
+    else:
+        assert type(got) is kinds
 
 
 def test_selberg_closed_equals_bruteforce():
