@@ -8,6 +8,7 @@ loops without changing a single float.
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from ..qcalc import q_binomial_row, q_pochhammer, q_powers
@@ -244,19 +245,22 @@ def check_rs_moment_u(params, rng, opts):
 
 def _d2_rows(xs, q, k):
     """For each x1 in xs, the list of delta_product((x1, x2), q, k, "D2")
-    over x2 in xs, as floats.
+    over x2 in xs, as floats, for k >= 1.
 
     Each pair factor x1 - q^v x2 is rounded exactly as delta_product
     rounds it, and the factors multiply left to right in the same v
     order, so every value is the same float; q^v x2 is formed once per
-    point rather than once per pair.
+    point rather than once per pair. The 2k factors are taken two per
+    pass: the first pass starts from their product, as 1 * f is f, and
+    each later one multiplies d * f * g left to right.
     """
     cols = [[p * x2 for x2 in xs]
             for p in q_powers(q, -k + 1, k + 1).values()]
+    (c0, c1), *rest = zip(cols[::2], cols[1::2])
     for x1 in xs:
-        row = [1] * len(xs)
-        for col in cols:
-            row = [d * (x1 - c) for d, c in zip(row, col)]
+        row = [(x1 - a) * (x1 - b) for a, b in zip(c0, c1)]
+        for ca, cb in rest:
+            row = [d * (x1 - a) * (x1 - b) for d, a, b in zip(row, ca, cb)]
         yield row
 
 
@@ -270,7 +274,7 @@ def check_bf_u_integral(params, rng, opts):
         lhs = math.fsum(ws)
     else:
         lhs = math.fsum(
-            w1 * math.fsum([w2 * d for w2, d in zip(ws, row)])
+            w1 * math.fsum(map(operator.mul, ws, row))
             for w1, row in zip(ws, _d2_rows(xs, p["qf"], k)))
     pref = ((1 - q) ** n * (-a) ** (k * n * (n - 1) // 2)
             * q ** (k * k * math.comb(n, 3)

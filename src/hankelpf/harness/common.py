@@ -59,7 +59,7 @@ def outcome_all(pairs, note=""):
 
 # ------------------------------------------------------------------ sampling
 
-def rand_fraction(rng, lo=-3, hi=3, den=5, avoid=None):
+def rand_fraction(rng, lo, hi, den, avoid=None):
     for _ in range(64):
         v = Fraction(rng.randint(lo, hi), rng.randint(1, den))
         if avoid is not None and avoid(v):

@@ -7,13 +7,12 @@ Aomoto/Selberg integral (aomoto_bruteforce) and the exact q-Selberg
 integral (askey_lhs_exact) share one pair-product expansion: the
 product over pairs i<j of one bivariate factor is multiplied out one
 pair at a time, and each monomial integrates coordinate by coordinate
-against a table of one-variable integrals. For rational entries the
-expansion, the rows of askey_lhs_exact and askey_A_n and the products
-of _linear_product run over ints scaled once by one rule, `_int_scaled`,
-and divide once at the end, instead of paying a gcd at every Fraction
-step. q_powers
-is the one table of q^v, v of either sign, that delta_product and its
-fast float loops share. The de Bruijn kernel (debruijn_kernel) is the
+against a table of one-variable integrals. A q enters these exact
+loops once, as (a, D) = num_den(q) with q = a/D (D = 1 for an int or a
+polynomial q): every row is built over its own denominator, ints for a
+rational q, and one quotient divides at the end, instead of paying a gcd
+at every Fraction step. q_powers is the one table of q^v, v of either
+sign, that delta_product and its fast float loops share. The de Bruijn kernel (debruijn_kernel) is the
 minor summation kernel of its atom weights, built by the same
 engines.contract_slots as engines.msf_build_Q.
 """
@@ -29,9 +28,9 @@ from .engines import contract_slots, det_matrix, row_minors
 from .errors import (GeometricPole, MomentPole, PoleInNegativeRange,
                      ShapeMismatch, SizeBudgetExceeded, UnsupportedArgument,
                      ZeroCoordinate)
-from .scalars import (HalfGamma, format_scalar, gamma_exact, q_gamma_table,
-                      sdiv)
-from .scalars.poly import num_den, scale_to_ints
+from .scalars import HalfGamma, format_scalar, gamma_exact, sdiv
+from .scalars.gammas import q_brackets, scaled_q_factorials
+from .scalars.poly import num_den
 from .tensors import BlockArray, Tensor
 
 __all__ = [
@@ -294,54 +293,41 @@ def selberg_closed(p: SelbergParams) -> HalfGamma:
     return total
 
 
-def _int_scaled(lists):
-    """(lists, D): `scale_to_ints(lists)` when every value is an int or
-    a Fraction and one at least is a Fraction, else the lists unchanged
-    and D = None. The exact loops below then run over ints and divide
-    once at the end, by a power of D, only when they got one: all-int
-    values stay ints, and any other scalar runs the same loop as it is."""
-    kinds = {type(c) for cs in lists for c in cs}
-    if Fraction in kinds and kinds <= {int, Fraction}:
-        return scale_to_ints(lists)
-    return lists, None
-
-
-def _pair_integral(n: int, pair, tables):
+def _pair_integral(n: int, pair, pair_den, tables, table_den):
     """sum_e c_e prod_i tables[i][e_i] over the monomials c_e t^e of
-    prod_{i<j} sum_r pair[r] t_i^(d-r) t_j^r, d = len(pair) - 1.
+    prod_{i<j} sum_r pair[r] t_i^(d-r) t_j^r, d = len(pair) - 1,
+    divided by pair_den^C(n,2) table_den^n.
 
-    The product is expanded one pair at a time into {exponent tuple:
-    coefficient}, dropping cancelled terms after each pair; tables[i]
-    holds the integral of t^e against coordinate i's weight.
-
-    Rational entries are scaled to ints (`_int_scaled`): pair by the
-    lcm Dp of its denominators, the tables by theirs, Dt. Each monomial
-    takes one pair entry per pair and one table entry per coordinate,
-    so the sum is divided by Dp^C(n,2) Dt^n once, a missing D read as 1.
+    The rows come over their denominators: the pair factor is
+    sum_r (pair[r] / pair_den) t_i^(d-r) t_j^r, and tables[i][e] /
+    table_den is the integral of t^e against coordinate i's weight.
+    Each monomial takes one pair entry per pair and one table entry per
+    coordinate, so int rows keep the whole loop in ints, and the sum is
+    divided once at the end. The product is expanded one pair at a time
+    into {exponents: coefficient}, dropping cancelled terms after each
+    pair. No exponent of one variable reaches B = d(n-1) + 1, so the
+    exponents are one int, sum_i e_i B^i, and a pair's term
+    t_i^(d-r) t_j^r adds one int to it.
     """
-    (pair,), Dp = _int_scaled([pair])
-    tables, Dt = _int_scaled(tables)
     d = len(pair) - 1
-    poly = {(0,) * n: 1}
+    B = d * (n - 1) + 1   # one variable's exponent stays below B
+    poly = {0: 1}
     for i in range(n):
         for j in range(i + 1, n):
+            steps = [(d - r) * B ** i + r * B ** j for r in range(d + 1)]
             out = {}
             for e, c in poly.items():
-                for r, p in enumerate(pair):
-                    f = list(e)
-                    f[i] += d - r
-                    f[j] += r
-                    f = tuple(f)
+                for s, p in zip(steps, pair):
+                    f = e + s
                     out[f] = out[f] + c * p if f in out else c * p
             poly = {e: c for e, c in out.items() if c != 0}
     total = 0
     for e, c in poly.items():
-        for table, ei in zip(tables, e):
+        for table in tables:
+            e, ei = divmod(e, B)
             c = c * table[ei]
         total = total + c
-    if Dp is None and Dt is None:
-        return total
-    return sdiv(total, (Dp or 1) ** math.comb(n, 2) * (Dt or 1) ** n)
+    return sdiv(total, pair_den ** math.comb(n, 2) * table_den ** n)
 
 
 def _int_or_raise(value, name) -> int:
@@ -377,8 +363,8 @@ def aomoto_bruteforce(n: int, k: int, alpha, beta, gamma) -> Fraction:
 
     The pair part prod_{i<j} (t_i - t_j)^(2 gamma) goes through
     `_pair_integral` with the beta table B(alpha + e, beta) for every
-    coordinate; the first k, which carry one more power of t, read it
-    one step further on.
+    coordinate, as ints over one factorial; the first k, which carry one
+    more power of t, read it one step further on.
     """
     alpha = _int_or_raise(alpha, "alpha")
     beta = _int_or_raise(beta, "beta")
@@ -391,12 +377,15 @@ def aomoto_bruteforce(n: int, k: int, alpha, beta, gamma) -> Fraction:
         raise SizeBudgetExceeded(f"brute-force expansion capped at n=3, "
                                  f"got n={n}")
     pair = [(-1) ** r * math.comb(2 * gamma, r) for r in range(2 * gamma + 1)]
-    beta_table = [Fraction(math.factorial(alpha + e - 1)
-                           * math.factorial(beta - 1),
-                           math.factorial(alpha + e + beta - 1))
-                  for e in range(2 * gamma * (n - 1) + 2)]
+    # B(alpha + e, beta) = (alpha+e-1)! (beta-1)! / (alpha+e+beta-1)!
+    # over the last denominator, (alpha+top+beta-1)!
+    top = 2 * gamma * (n - 1) + 1
+    den = math.factorial(alpha + top + beta - 1)
+    beta_table = [math.factorial(alpha + e - 1) * math.factorial(beta - 1)
+                  * (den // math.factorial(alpha + e + beta - 1))
+                  for e in range(top + 1)]
     tables = [beta_table[1:] if i < k else beta_table for i in range(n)]
-    return Fraction(_pair_integral(n, pair, tables))
+    return _pair_integral(n, pair, 1, tables, den)
 
 
 def selberg_phi_bridge(n: int, r: int, s: int, m: int):
@@ -428,45 +417,77 @@ def _positive_int(value, name) -> int:
 def askey_A_n(n: int, x: int, y: int, k: int, q):
     """The q-gamma product side of the q-analogue, exact in q.
 
-    For rational q the table is scaled to ints (`_int_scaled`), the
-    two products run over them and one quotient divides at the end.
+    At q = a/D, Gamma_q(t) is G[t-1] / D^C(t-1, 2) with G the int row
+    `scaled_q_factorials`, so the 3n factors over the 2n are one
+    quotient of products of G entries, the numerator times D^e with e
+    the bottoms' sum of C(t-1, 2) less the tops'. A polynomial q runs
+    the same loop with D = 1.
     """
     n = _positive_int(n, "n")
     x = _positive_int(x, "x")
     y = _positive_int(y, "y")
     k = _positive_int(k, "k")
-    # Gamma_q(t) at a positive integer t is g[t - 1], all 5n factors
-    # read from one table
-    g = q_gamma_table(max(x + y + (2 * n - 2) * k - 1, n * k), q)
-    (g,), D = _int_scaled([g])
-    num = 1
-    den = 1
-    for j in range(1, n + 1):
-        num = num * g[x + (j - 1) * k - 1]
-        num = num * g[y + (j - 1) * k - 1]
-        num = num * g[j * k]
-        den = den * g[x + y + (n + j - 2) * k - 1]
-        den = den * g[k]
-    if D:
-        den = den * D ** n   # 3n factors over 2n
-    return sdiv(num, den)
+    a, D = num_den(q)
+    tops = [t for j in range(1, n + 1)
+            for t in (x + (j - 1) * k, y + (j - 1) * k, j * k + 1)]
+    bottoms = [t for j in range(1, n + 1)
+               for t in (x + y + (n + j - 2) * k, k + 1)]
+    # all 5n factors read from one row
+    G = scaled_q_factorials(max(tops + bottoms) - 1, a, D)
+    num = den = 1
+    for t in tops:
+        num = num * G[t - 1]
+    for t in bottoms:
+        den = den * G[t - 1]
+    # e >= 0. With X, Y >= (j-1)k the j-th tops' t - 1 and
+    # c = 1 + (n-j)k, the j-th bottom's C(X + Y + c, 2) is at least
+    # C(X, 2) + C(Y, 2) + C(c, 2) + XY, where
+    # XY >= (j-1)^2 k^2 >= C(jk, 2) - C(k, 2) - C(1 + (j-1)k, 2), and
+    # the C(c, 2) summed over j are the C(1 + (j-1)k, 2) summed over j.
+    e = (sum(math.comb(t - 1, 2) for t in bottoms)
+         - sum(math.comb(t - 1, 2) for t in tops))
+    return sdiv(num * D ** e, den)
 
 
-def _linear_product(cs):
-    """Coefficients of prod_c (1 - c t), lowest power of t first.
+def _linear_product(a, D, vs):
+    """(cs, den): the product over v in vs of (1 - q^v t) at q = a/D is
+    sum_r cs[r] t^r / den, lowest power of t first.
 
-    Rational cs are scaled to ints C = D c by the lcm D of their
-    denominators (`_int_scaled`), and each coefficient of the product
-    of the (D - C t) is divided by D^len(cs) once. Other cs run the
-    same loop with D = 1.
+    A factor is (D^v - a^v t) / D^v for v >= 0 and
+    (a^-v - D^-v t) / a^-v for v < 0, so the cs are ints for a rational
+    q, and den is the product of the factors' denominators.
     """
-    (cs,), D = _int_scaled([list(cs)])
-    out = [1]
-    for c in cs:
-        out = [(D or 1) * a - c * b for a, b in zip(out + [0], [0] + out)]
-    if D:
-        return [Fraction(a, D ** len(cs)) for a in out]
-    return out
+    cs, den = [1], 1
+    for v in vs:
+        lo, hi = (D ** v, a ** v) if v >= 0 else (a ** -v, D ** -v)
+        cs = [lo * c - hi * b for c, b in zip(cs + [0], [0] + cs)]
+        den = den * lo
+    return cs, den
+
+
+def _jackson_row(a, D, size):
+    """(J, den): the Jackson integrals (1-q)/(1-q^(m+1)) of t^m over
+    [0, 1], m < size, are J[m] / den at q = a/D.
+
+    The m-th is D^m / B_m, with B_m = D^m [m+1]_q the m-th of
+    `q_brackets`, so den is the product of the B_m and J[m] is D^m
+    times the other B's, read from running products from both ends: no
+    division.
+    """
+    brackets = q_brackets(size, a, D)
+    for m, bracket in enumerate(brackets):
+        if a == D or bracket == 0:
+            raise GeometricPole(
+                f"q^{m + 1} = 1 makes the geometric sum diverge")
+    after = [1]   # after[i]: the product of the brackets past the i-th
+    for b in reversed(brackets[1:]):
+        after.append(after[-1] * b)
+    J, before, power = [], 1, 1
+    for b, rest in zip(brackets, reversed(after)):
+        J.append(power * before * rest)
+        before = before * b
+        power = power * D
+    return J, before
 
 
 def askey_lhs_exact(n: int, x: int, y: int, k: int, q):
@@ -479,9 +500,10 @@ def askey_lhs_exact(n: int, x: int, y: int, k: int, q):
     u(t) = t^(x-1) (tq;q)_{y-1} = sum_j u_j t^(x-1+j) never is: each
     monomial integrates coordinate by coordinate, so the integral is
     sum_e c_e prod_i L(e_i) with L(e) = sum_j u_j J(e + x - 1 + j) and
-    J(m) the Jackson integral of t^m over [0, 1]. For rational q, u and
-    J are scaled to ints by one D (`_int_scaled`), so each L(e) is one
-    quotient by D^2.
+    J(m) the Jackson integral of t^m over [0, 1]. q enters once, as
+    (a, D) = num_den(q): u, J, L and P are rows over their
+    denominators (`_linear_product`, `_jackson_row`), ints for a
+    rational q, and the one division is `_pair_integral`'s.
     """
     n = _positive_int(n, "n")
     x = _positive_int(x, "x")
@@ -490,16 +512,14 @@ def askey_lhs_exact(n: int, x: int, y: int, k: int, q):
     if n > 3 or k > 2:
         raise SizeBudgetExceeded(
             f"exact expansion capped at n=3, k=2; got n={n}, k={k}")
-    u = _linear_product(q ** s for s in range(1, y))
+    a, D = num_den(q)
+    u, u_den = _linear_product(a, D, range(1, y))
     top = 2 * k * (n - 1)   # highest power of one variable in the pair part
-    J = [jackson_monomial(q, m) for m in range(x + top + y - 1)]
-    (u, J), D = _int_scaled([u, J])
+    J, J_den = _jackson_row(a, D, x + top + y - 1)
     L = [sum(uj * J[e + x - 1 + j] for j, uj in enumerate(u))
          for e in range(top + 1)]
-    if D:
-        L = [Fraction(c, D * D) for c in L]
-    P = _linear_product(q_powers(q, -k + 1, k + 1).values())
-    return _pair_integral(n, P, [L] * n)
+    P, P_den = _linear_product(a, D, range(-k + 1, k + 1))
+    return _pair_integral(n, P, P_den, [L] * n, u_den * J_den)
 
 
 @dataclass(frozen=True)

@@ -87,32 +87,46 @@ def gamma_exact(x) -> HalfGamma:
     raise UnsupportedArgument(f"gamma_exact needs half-integer x, got {x}")
 
 
+def q_brackets(n: int, a, D) -> list:
+    """[D^(j-1) [j]_q for j in 1..n] at q = a/D, where
+    [j]_q = 1 + q + ... + q^(j-1).
+
+    Built by D^(j-1) [j]_q = a D^(j-2) [j-1]_q + D^(j-1), with no
+    division: ints for a rational q = a/D, and polynomials for a
+    polynomial q = a with D = 1.
+    """
+    row, bracket, power = [], 1, 1
+    for _ in range(n):
+        row.append(bracket)
+        power = power * D
+        bracket = bracket * a + power
+    return row
+
+
+def scaled_q_factorials(n: int, a, D) -> list:
+    """[D^(k(k-1)/2) [k]_q! for k in 0..n] at q = a/D: the running
+    product of `q_brackets(n, a, D)`."""
+    if n < 0:
+        raise UnsupportedArgument(f"Gamma_q(n+1) needs n >= 0, got n={n}")
+    if a == D:
+        raise PoleAtQEqualsOne("Gamma_q has a pole at q = 1")
+    row = [1]
+    for bracket in q_brackets(n, a, D):
+        row.append(row[-1] * bracket)
+    return row
+
+
 def q_gamma_table(n: int, q):
     """[Gamma_q(1), ..., Gamma_q(n+1)]: entry k is q_gamma_int(k, q).
 
-    One running product of the q-brackets [j]_q = 1 + q + ... + q^(j-1),
-    with no division in the loop, so it works for polynomial q as well
-    as rational q. A rational q = a/D runs it over ints, on the scaled
-    brackets D^(j-1) [j]_q = a D^(j-2) [j-1]_q + D^(j-1), and divides
-    entry k by D^(k(k-1)/2) once; any other q runs the same loop with
-    a = q, D = 1 and divides nothing.
+    Entry k is `scaled_q_factorials(n, a, D)[k]` at q = a/D, divided by
+    D^(k(k-1)/2) when it is an int; a polynomial q has D = 1 and divides
+    nothing. The running product has no division in its loop, so it
+    works for polynomial q as well as rational q.
     """
-    if n < 0:
-        raise UnsupportedArgument(f"Gamma_q(n+1) needs n >= 0, got n={n}")
-    if q == 1:
-        raise PoleAtQEqualsOne("Gamma_q has a pole at q = 1")
     a, D = num_den(q)
-    # bracket = D^(j-1) [j]_q, power = D^(j-1), scale = D^(j(j-1)/2)
-    bracket, power, total, scale = 1, 1, 1, 1
-    table = [Fraction(1)]
-    for _ in range(n):
-        total = total * bracket
-        table.append(Fraction(total, scale) if isinstance(total, int)
-                     else total)
-        power = power * D
-        scale = scale * power
-        bracket = bracket * a + power
-    return table
+    return [Fraction(t, D ** math.comb(k, 2)) if isinstance(t, int) else t
+            for k, t in enumerate(scaled_q_factorials(n, a, D))]
 
 
 def q_gamma_int(n: int, q):

@@ -1150,3 +1150,18 @@ def test_d2_rows_match_delta_product():
             for x1, row in zip(xs, rows):
                 assert row == [delta_product((x1, x2), q, k, "D2")
                                for x2 in xs]
+
+
+def test_bf_u_integral_lhs_is_the_literal_pair_sum():
+    # the check's lhs, bit for bit, against the double sum written out
+    # with delta_product, at a = -2/3, q = 1/3 where pair factors round
+    a, q, K = Fraction(-2, 3), Fraction(1, 3), 12
+    xs, ws = checks_qpoly._weighted_atoms(float(a), float(q), K)
+    for k in (1, 2):
+        want = math.fsum(
+            w1 * math.fsum([w2 * delta_product((x1, x2), float(q), k, "D2")
+                            for x2, w2 in zip(xs, ws)])
+            for x1, w1 in zip(xs, ws))
+        got = checks_qpoly.check_bf_u_integral(
+            {"n": 2, "k": k, "a": a, "q": q, "K": K}, None, None)
+        assert got.lhs.hex() == want.hex(), k

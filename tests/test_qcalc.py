@@ -25,6 +25,7 @@ from hankelpf.qcalc import (DiscreteMeasure, QJacobiParams, SelbergParams,
 from hankelpf.scalars import (HalfGamma, RatFunc, UniPoly, derive_rng,
                               gamma_exact, poly_gen, q_gamma_int, sdiv,
                               unipoly)
+from hankelpf.scalars.poly import num_den
 from hankelpf.tensors import BlockArray, Tensor
 
 Q = poly_gen("q")
@@ -334,18 +335,22 @@ def test_selberg_bruteforce_guards():
 
 
 def test_pair_integral_keeps_value_and_type():
-    # (t1 - t2)^2 against t^e -> [1, 2, 3]: 3 - 2 * 2 * 2 + 3
+    # (t1 - t2)^2 against t^e -> [1, 2, 3]: 3 - 2 * 2 * 2 + 3; each
+    # monomial takes one pair entry and two table entries, so the sum is
+    # divided by pair_den * table_den^2
     pair = [1, -2, 1]
-    got = _pair_integral(2, pair, [[1, 2, 3]] * 2)
-    assert got == -2 and type(got) is int
-    for p, tables, want in (
-            (pair, [[1, 2, F(3)], [1, 2, 3]], -2),
-            ([1, F(-2), 1], [[1, 2, 3]] * 2, -2),
-            (pair, [[1, F(1, 2), 3]] * 2, F(11, 2))):
-        got = _pair_integral(2, p, tables)
-        assert got == want and type(got) is F, (p, tables)
-    got = _pair_integral(2, pair, [[1, Q, 3]] * 2)
+    for p, p_den, tables, t_den, want in (
+            (pair, 1, [[1, 2, 3]] * 2, 1, -2),
+            ([3, -6, 3], 3, [[1, 2, 3]] * 2, 1, -2),
+            (pair, 1, [[2, 4, 6]] * 2, 2, -2),
+            (pair, 1, [[2, 1, 6]] * 2, 2, F(11, 2)),
+            (pair, 5, [[1, 2, 3]] * 2, 7, F(-2, 5 * 49))):
+        got = _pair_integral(2, p, p_den, tables, t_den)
+        assert got == want and type(got) is F, (p, p_den, tables, t_den)
+    got = _pair_integral(2, pair, 1, [[1, Q, 3]] * 2, 1)
     assert got == 6 - 2 * Q ** 2 and type(got) is UniPoly
+    got = _pair_integral(2, pair, Q, [[1, 2, 3]] * 2, 1)
+    assert got == sdiv(-2, Q) and type(got) is RatFunc
 
 
 # (1+q) (1+q^2) (1+q+q^2)^2: the q-gamma denominator of askey_A_n(2, 1, 2, 1)
@@ -353,14 +358,14 @@ _ASKEY_DEN = unipoly("q", [1, 3, 6, 8, 8, 6, 3, 1])
 
 
 @pytest.mark.parametrize("call, q, want, kinds", [
-    # all-int factors stay ints: only a Fraction makes the rule scale
-    (lambda q: _linear_product([1, q, q * q]), 2,
-     [1, -7, 14, -8], [int] * 4),
-    (lambda q: _linear_product([1, q, q * q]), F(1, 2),
-     [1, F(-7, 4), F(7, 8), F(-1, 8)], [F] * 4),
-    (lambda q: _linear_product([1, q, q * q]), Q,
-     [1, -1 - Q - Q ** 2, Q + Q ** 2 + Q ** 3, -Q ** 3],
-     [F, UniPoly, UniPoly, UniPoly]),
+    # (1 - t)(1 - q t)(1 - q^2 t): ints over D^3 at q = a/D
+    (lambda q: _linear_product(*num_den(q), range(3)), 2,
+     ([1, -7, 14, -8], 1), [int] * 5),
+    (lambda q: _linear_product(*num_den(q), range(3)), F(1, 2),
+     ([8, -14, 7, -1], 8), [int] * 5),
+    (lambda q: _linear_product(*num_den(q), range(3)), Q,
+     ([1, -1 - Q - Q ** 2, Q + Q ** 2 + Q ** 3, -Q ** 3], 1),
+     [F, UniPoly, UniPoly, UniPoly, int]),
     (lambda q: askey_A_n(2, 1, 2, 1, q), 2, F(1, 735), F),
     (lambda q: askey_A_n(2, 1, 2, 1, q), F(1, 2), F(128, 735), F),
     (lambda q: askey_A_n(2, 1, 2, 1, q), Q, sdiv(1, _ASKEY_DEN), RatFunc),
@@ -368,12 +373,32 @@ _ASKEY_DEN = unipoly("q", [1, 3, 6, 8, 8, 6, 3, 1])
     (lambda q: askey_lhs_exact(2, 1, 2, 1, q), F(1, 2), F(64, 735), F),
     (lambda q: askey_lhs_exact(2, 1, 2, 1, q), Q, sdiv(Q, _ASKEY_DEN),
      RatFunc),
+    # a factor (1 - q^v t) with v < 0 is (a^-v - D^-v t) over a^-v
+    (lambda q: _linear_product(*num_den(q), range(-1, 3)), F(3, 5),
+     ([375, -1360, 1666, -816, 135], 375), [int] * 6),
+    (lambda q: _linear_product(*num_den(q), range(-1, 3)), Q,
+     ([Q, -1 - Q - Q ** 2 - Q ** 3, 1 + Q + 2 * Q ** 2 + Q ** 3 + Q ** 4,
+       -Q - Q ** 2 - Q ** 3 - Q ** 4, Q ** 3], Q), [UniPoly] * 6),
+    # n = 3, k = 2: P has negative powers of q, and u, J, L and P all
+    # carry a denominator; the value is the q-Selberg identity's
+    (lambda q: askey_lhs_exact(3, 2, 2, 2, q), 2,
+     F(1048576, 18728425401915979816605), F),
+    (lambda q: askey_lhs_exact(3, 2, 2, 2, q), F(3, 5),
+     F(3, 5) ** 20 * askey_A_n(3, 2, 2, 2, F(3, 5)), F),
+    (lambda q: askey_lhs_exact(3, 2, 2, 2, q), F(-3, 7),
+     F(-3, 7) ** 20 * askey_A_n(3, 2, 2, 2, F(-3, 7)), F),
+    (lambda q: askey_lhs_exact(3, 2, 2, 2, q), Q,
+     Q ** 20 * askey_A_n(3, 2, 2, 2, Q), RatFunc),
+    # the beta table is ints over one factorial
+    (lambda q: aomoto_bruteforce(3, 1, 2, 3, 2), None,
+     F(1, 1412611200), F),
 ])
 def test_int_scaling_keeps_value_and_type(call, q, want, kinds):
     got = call(q)
     assert got == want
-    if isinstance(got, list):
-        assert [type(c) for c in got] == kinds
+    if isinstance(got, tuple):
+        cs, den = got
+        assert [type(c) for c in cs + [den]] == kinds
     else:
         assert type(got) is kinds
 
