@@ -10,11 +10,10 @@ from ..qcalc import (DiscreteMeasure, debruijn_kernel,
                      debruijn_ordered_integral, delta_product,
                      discrete_cube_integral, discrete_moment, q_pochhammer)
 from ..scalars import q_gamma_int, sdiv
-from ..scalars.poly import horner
+from ..scalars.poly import horner, num_den
 from ..tensors import BlockArray
-from .common import (Outcome, gap_prefactor, hankel_pf, outcome_all,
-                     outcome_eq, q_gap_prefactor, rand_measure, rand_points,
-                     rand_q)
+from .common import (Outcome, hankel_pf, outcome_all, outcome_eq,
+                     rand_measure, rand_points, rand_q)
 
 
 def _poly_family(rng, rows, l):
@@ -95,33 +94,54 @@ def check_debruijn_even_r(params, rng, opts):
     return Outcome("discrepancy-reported", ordered, signed, 3, note)
 
 
+def _cube_over_ints(mu, n, e, degree, pairs):
+    """The cube integral of prod_i x_i^e times pairs(xs), for `pairs`
+    homogeneous of `degree` in each pair of points, over ints.
+
+    x^e moves into the weights, and the points and the new weights go
+    over their common denominators L and W, so `pairs` runs on int
+    points and the sum divides once by L^(C(n, 2) degree) W^n.
+    """
+    atoms = [(x, w * x ** e) for x, w in mu.atoms]
+    L = math.lcm(*[x.denominator for x, _ in atoms])
+    W = math.lcm(*[w.denominator for _, w in atoms])
+    ints = DiscreteMeasure(tuple(
+        (x.numerator * (L // x.denominator),
+         w.numerator * (W // w.denominator)) for x, w in atoms))
+    return sdiv(discrete_cube_integral(ints, n, pairs),
+                L ** (math.comb(n, 2) * degree) * W ** n)
+
+
 def check_q_hankel(params, rng, opts):
     """Hyperpfaffian of q-difference-weighted moments against the cube
     integral of the cancelled pair product."""
     l, n, u = params["l"], params["n"], params["u"]
     q = rand_q(rng)
     mu = rand_measure(rng, max(n, 2))
-    lhs = hankel_pf(l, n, q_gap_prefactor(q),
-                    lambda d: discrete_moment(mu, d), u - l)
+    lhs = hankel_pf(l, n, lambda d: discrete_moment(mu, d), u - l, q)
     scale = q ** (math.comb(l, 3) * math.comb(n + 1, 2)
                   + 2 * math.comb(l + 1, 3) * math.comb(n, 2))
     for k in range(1, l + 1):
         scale *= q_pochhammer(q, q, k - 1) ** n
 
-    def integrand(xs):
+    # at q = a/D, (x_j - q^v x_i)(x_j - q^-v x_i) is the int
+    # (D^v x_j - a^v x_i)(a^v x_j - D^v x_i) over (a D)^v
+    a, D = num_den(q)
+    shifts = [(D ** v, a ** v, l - v) for v in range(1, l)]
+
+    def pairs(xs):
         t = 1
-        for x in xs:
-            t *= x ** (u + math.comb(l, 2))
         for i in range(n):
             for j in range(i + 1, n):
                 t *= (xs[j] - xs[i]) ** l
-                for v in range(1, l):
-                    t *= ((xs[j] - q ** v * xs[i])
-                          * (xs[j] - q ** -v * xs[i])) ** (l - v)
+                for dv, av, e in shifts:
+                    t *= ((dv * xs[j] - av * xs[i])
+                          * (av * xs[j] - dv * xs[i])) ** e
         return t
 
-    rhs = sdiv(scale * discrete_cube_integral(mu, n, integrand),
-               math.factorial(n))
+    cube = _cube_over_ints(mu, n, u + math.comb(l, 2), l * l, pairs)
+    rhs = sdiv(scale * cube, math.factorial(n) * (a * D) ** (
+        math.comb(n, 2) * math.comb(l + 1, 3)))
     return outcome_eq(lhs, rhs, terms=len(mu.atoms) ** n)
 
 
@@ -143,23 +163,20 @@ def check_hankel_classical(params, rng, opts):
             (Fraction(x), Fraction(w)) for x, w in params["atoms"]))
     else:
         mu = rand_measure(rng, max(n, 2) + 1)
-    lhs = hankel_pf(l, n, gap_prefactor, lambda d: discrete_moment(mu, d),
-                    u - l)
+    lhs = hankel_pf(l, n, lambda d: discrete_moment(mu, d), u - l)
     scale = Fraction(1)
     for k in range(1, l + 1):
         scale *= Fraction(math.factorial(k - 1)) ** n
 
-    def integrand(xs):
+    def pairs(xs):
         t = 1
-        for x in xs:
-            t *= x ** (u + math.comb(l, 2))
         for i in range(n):
             for j in range(i + 1, n):
                 t *= (xs[j] - xs[i]) ** (l * l)
         return t
 
-    rhs = sdiv(scale * discrete_cube_integral(mu, n, integrand),
-               math.factorial(n))
+    rhs = sdiv(scale * _cube_over_ints(mu, n, u + math.comb(l, 2), l * l,
+                                       pairs), math.factorial(n))
     return outcome_eq(lhs, rhs, terms=len(mu.atoms) ** n)
 
 
@@ -228,8 +245,7 @@ def check_pf_delta2(params, rng, opts):
     n, r = params["n"], params["r"]
     mu = rand_measure(rng, max(2, n))
     q = rand_q(rng)
-    lhs = hankel_pf(2, n, q_gap_prefactor(q),
-                    lambda d: discrete_moment(mu, d), r - 2)
+    lhs = hankel_pf(2, n, lambda d: discrete_moment(mu, d), r - 2, q)
     cube = discrete_cube_integral(mu, n, _delta_times_power(q, 2, "D2", r))
     rhs = (q ** (n * (n - 1)) * (1 - q) ** n
            * sdiv(cube, q_gamma_int(n, q ** 2)))

@@ -7,8 +7,8 @@ from ..qcalc import (QJacobiParams, SelbergParams, aomoto_bruteforce,
                      aomoto_closed, askey_A_n, askey_lhs_exact, lqj_moment,
                      q_pochhammer, selberg_bruteforce, selberg_closed,
                      selberg_phi_bridge)
-from .common import (hankel_pf, outcome_all, outcome_eq, q_gap_prefactor,
-                     rand_fraction, rand_q)
+from .common import (hankel_pf, outcome_all, outcome_eq, rand_fraction,
+                     rand_q)
 
 import math
 
@@ -75,8 +75,7 @@ def check_little_qjacobi(params, rng, opts):
 
 def _lqj_instance(n, r, a, b, q):
     p = QJacobiParams(a, b, q)
-    lhs = hankel_pf(2, n, q_gap_prefactor(q), lambda d: lqj_moment(d, p),
-                    r - 2)
+    lhs = hankel_pf(2, n, lambda d: lqj_moment(d, p), r - 2, q)
     e = n * (n - 1) * (4 * n + 1) // 3 + n * (n - 1) * r
     rhs = a ** (n * (n - 1)) * q ** e
     for k in range(1, n + 1):

@@ -10,8 +10,8 @@ from fractions import Fraction
 from ..scalars import omega, poly_at, poly_gen, sqrt2
 from ..sequences import (narayana_gf_series, narayana_poly,
                          omega_specialization, phi_product, sequence_value)
-from .common import (Outcome, factorial_tower, gap_prefactor, hankel_pf,
-                     outcome_all, outcome_eq, rand_fraction, seq_pfaffian)
+from .common import (Outcome, factorial_tower, hankel_pf, outcome_all,
+                     outcome_eq, rand_fraction, seq_pfaffian)
 
 
 def _tail_sum(n, m2, t0, b0, base):
@@ -27,10 +27,9 @@ def _tail_sum(n, m2, t0, b0, base):
 
 
 def _narayana_pf(X, l, n, r, a):
-    """Hyperpfaffian of gap_prefactor(I) times the X-type Narayana
+    """Hyperpfaffian of the classical gap of I times the X-type Narayana
     polynomial of degree sum(I) + r - l, evaluated at a."""
-    return hankel_pf(l, n, gap_prefactor,
-                     lambda d: poly_at(narayana_poly(X, d), a), r - l)
+    return hankel_pf(l, n, lambda d: poly_at(narayana_poly(X, d), a), r - l)
 
 
 def check_tilden(params, rng, opts):
@@ -222,8 +221,7 @@ def check_typed_r(params, rng, opts):
     n, r = params["n"], params["r"]
     # the weight 3(i+j+r) - 8 is 3d + 1 at degree d = i+j+r-3
     entries_pf = hankel_pf(
-        2, n, gap_prefactor,
-        lambda d: (3 * d + 1) * sequence_value("catalan", d), r - 3)
+        2, n, lambda d: (3 * d + 1) * sequence_value("catalan", d), r - 3)
     derived = (Fraction(4 ** n, math.factorial(n))
                * phi_product(n, r, 0, 2)
                * _tail_sum(n, 2, r + Fraction(1, 2), r + 1, Fraction(-1, 4)))

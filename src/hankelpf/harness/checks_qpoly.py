@@ -16,14 +16,13 @@ from ..scalars import poly_at, poly_gen
 from ..sequences import (ftilde, ftilde_recurrence,
                          gx_hypergeometric_series, rogers_szego,
                          sequence_value)
-from .common import (Outcome, hankel_pf, outcome_all, q_gap_prefactor,
-                     rand_fraction, rand_q, seq_pfaffian)
+from .common import (Outcome, hankel_pf, outcome_all, rand_fraction, rand_q,
+                     seq_pfaffian)
 
 
 def _rs_pfaffian(kind, shift, n, q):
     """Pf of (q^(i-1) - q^(j-1)) * RS_(i+j+shift)(a; q), 1 <= i < j <= 2n."""
-    return hankel_pf(2, n, q_gap_prefactor(q),
-                     lambda d: rogers_szego(kind, d, q), shift)
+    return hankel_pf(2, n, lambda d: rogers_szego(kind, d, q), shift, q)
 
 
 def check_asc(params, rng, opts):

@@ -10,6 +10,9 @@ Exit codes: 0 all good (reported discrepancies and open conjectures do
 not count against), 1 hard failure on a theorem-status check or a
 checker that raised, 2 usage or input-parsing trouble.
 
+`verify` and `suite` print a text report; with `--json -` the JSON
+takes stdout and the text goes to stderr.
+
 Each command imports what it runs: `eval` the engines, tensors and
 scalars, the others the registry and suite, whose checkers load when a
 check first runs.
@@ -52,6 +55,12 @@ def _parse_param_overrides(pairs):
     return out
 
 
+def _text_stream(args):
+    """Where the text report goes: stderr when the JSON takes stdout, so
+    that stdout is one JSON document."""
+    return sys.stderr if args.json == "-" else sys.stdout
+
+
 def _write_json(path, payload):
     if path == "-":
         sys.stdout.write(payload)
@@ -78,7 +87,7 @@ def _cmd_verify(args):
     p = CheckParams(identity=spec.id, params=params, seed=args.seed,
                     trials=args.trials, timing=args.timing)
     report = run_check(p)
-    print(format_report_line(report))
+    print(format_report_line(report), file=_text_stream(args))
     if args.json:
         _write_json(args.json,
                     json.dumps(report.to_json(), indent=2) + "\n")
@@ -91,12 +100,13 @@ def _cmd_suite(args):
     reports = run_suite(level=args.level, filter_tag=args.filter,
                         jobs=args.jobs, seed=args.seed, trials=args.trials,
                         timing=args.timing)
-    print(format_report_table(reports))
+    text = _text_stream(args)
+    print(format_report_table(reports), file=text)
     summary = summarize(reports)
     print(f"verified {summary['verified']}  failed {summary['failed']}  "
-          f"out of {len(reports)} checks")
+          f"out of {len(reports)} checks", file=text)
     for cid, rng in sorted(summary["conjecture_ranges"].items()):
-        print(f"  {cid}: verified range {rng}")
+        print(f"  {cid}: verified range {rng}", file=text)
     if args.json:
         _write_json(args.json, dump_reports(reports, summary))
     return suite_exit_code(reports)
@@ -172,7 +182,8 @@ def build_parser():
                                "byte-for-byte reproducibility)")
     p_verify.add_argument("--json", metavar="FILE",
                           help="also write the report as JSON ('-' for "
-                               "stdout)")
+                               "stdout, the text line then going to "
+                               "stderr)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_suite = sub.add_parser("suite", help="run a battery of checks")

@@ -10,7 +10,10 @@ job, which keeps the checkers comparison-only.
 
 Most left sides are the (hyper)pfaffian of a Hankel-type moment array,
 entry pref(I) * moment(sum(I) + shift) on the l-subsets I of [l*n];
-`hankel_pf` is the one builder for all of them.
+`hankel_pf` is the one builder for all of them. pref is the classical
+index gap, or with a q the q-gap, whose pair factors at q = a/D are
+ints over one power of D (`gap_nodes`): the array holds int prefactors
+times the moments, and the hyperpfaffian divides once.
 """
 
 import functools
@@ -22,6 +25,8 @@ from fractions import Fraction
 from ..engines import hyperpfaffian
 from ..errors import BoundsError, PoleEncountered
 from ..qcalc import DiscreteMeasure
+from ..scalars import sdiv
+from ..scalars.poly import num_den
 from ..sequences import sequence_value
 from ..tensors import BlockArray
 
@@ -94,44 +99,51 @@ def random_block_array(rng, l, m, size, lo=-3, hi=3):
 
 # ------------------------------------------------- Hankel-type moment arrays
 
-def gap_prefactor(I):
-    """prod_{s<t} (I_t - I_s)."""
-    return math.prod(b - a for a, b in itertools.combinations(I, 2))
+def gap_nodes(size, q=None):
+    """(x, den): the gap prefactor of an l-subset I of [size] is the int
+    prod_{s<t} (x[I_t] - x[I_s]) over den**C(l, 2).
 
-
-def q_gap_prefactor(q):
-    """I -> prod_{s<t} (q^(I_s - 1) - q^(I_t - 1)).
-
-    Each pair difference is computed once per returned function, that
-    is once per `hankel_pf` call: an l-subset array on [l*n] has
-    comb(l*n, l) entries but only comb(l*n, 2) pairs.
+    With no q it is the classical gap prod_{s<t} (I_t - I_s): x[i] = i
+    and den = 1. With q it is the q-gap prod_{s<t} (q^(I_s-1) - q^(I_t-1)):
+    at q = a/D (`num_den`; D = 1 for an int or a polynomial q) the node
+    x[i] = -a^(i-1) D^(size-i) is -q^(i-1) D^(size-1), an int for a
+    rational q, and den = D^(size-1).
     """
-    @functools.cache
-    def gap(a, b):
-        return q ** (a - 1) - q ** (b - 1)
-    return lambda I: math.prod(itertools.starmap(
-        gap, itertools.combinations(I, 2)))
+    if q is None:
+        return range(size + 1), 1
+    a, D = num_den(q)
+    return ([0] + [-a ** (i - 1) * D ** (size - i)
+                   for i in range(1, size + 1)], D ** max(size - 1, 0))
 
 
-def hankel_pf(l, n, pref, moment, shift):
+def hankel_pf(l, n, moment, shift, q=None):
     """Hyperpfaffian of the Hankel-type moment array on [l*n].
 
     The entry at an l-subset I is pref(I) * moment(sum(I) + shift), so
     l = 2 gives the Pfaffian of the 2n x 2n antisymmetric matrix with
-    pref((i, j)) * moment(i + j + shift) above the diagonal. `moment` is
-    called once per degree. n < 0 raises BoundsError; n = 0 gives 1.
+    pref((i, j)) * moment(i + j + shift) above the diagonal. pref is the
+    gap prefactor of `gap_nodes(l * n, q)`: the classical gap with no q,
+    the q-gap with q. The array holds the int numerators of the
+    prefactors times the moments, so the prefactors cost int products
+    only, and the hyperpfaffian, n entries per term, is divided once by
+    den**(C(l, 2) n) when that is not 1: an int q, or n = 0, divides
+    nothing. `moment` is called once per degree. n < 0 raises
+    BoundsError; n = 0 gives 1.
     """
     if n < 0:
         raise BoundsError(f"need n >= 0, got n={n}")
+    x, den = gap_nodes(l * n, q)
     moment = functools.cache(moment)    # local to this call
-    return hyperpfaffian(BlockArray.from_function(
-        l, 1, l * n, lambda I: pref(I) * moment(sum(I) + shift)))
+    pf = hyperpfaffian(BlockArray.from_function(
+        l, 1, l * n, lambda I: moment(sum(I) + shift) * math.prod(
+            [x[t] - x[s] for s, t in itertools.combinations(I, 2)])))
+    scale = den ** (math.comb(l, 2) * n)
+    return pf if scale == 1 else sdiv(pf, scale)
 
 
 def seq_pfaffian(seq, shift, n):
     """Pf of the antisymmetric matrix (j - i) * seq(i + j + shift), size 2n."""
-    return hankel_pf(2, n, gap_prefactor,
-                     lambda d: sequence_value(seq, d), shift)
+    return hankel_pf(2, n, lambda d: sequence_value(seq, d), shift)
 
 
 def factorial_tower(l, n):

@@ -11,10 +11,15 @@ against a table of one-variable integrals. A q enters these exact
 loops once, as (a, D) = num_den(q) with q = a/D (D = 1 for an int or a
 polynomial q): every row is built over its own denominator, ints for a
 rational q, and one quotient divides at the end, instead of paying a gcd
-at every Fraction step. q_powers is the one table of q^v, v of either
-sign, that delta_product and its fast float loops share. The de Bruijn kernel (debruijn_kernel) is the
-minor summation kernel of its atom weights, built by the same
-engines.contract_slots as engines.msf_build_Q.
+at every Fraction step. The products of factors (1 - x q^k) follow the
+same rule: q_pochhammer, lqj_moment and q_binomial_row (and through
+them delta_product's D0, rogers_szego and ftilde) multiply ints over one
+denominator (`_q_product`) and divide once, and discrete_moment adds
+its terms as ints over one denominator. q_powers is the one table
+of q^v, v of either sign, that delta_product and its fast float loops
+share. The de Bruijn kernel (debruijn_kernel) is the minor summation
+kernel of its atom weights, built by the same engines.contract_slots as
+engines.msf_build_Q.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .engines import contract_slots, det_matrix, row_minors
-from .errors import (GeometricPole, MomentPole, PoleInNegativeRange,
-                     ShapeMismatch, SizeBudgetExceeded, UnsupportedArgument,
-                     ZeroCoordinate)
+from .errors import (DivisionByZero, GeometricPole, MomentPole,
+                     PoleInNegativeRange, ShapeMismatch, SizeBudgetExceeded,
+                     UnsupportedArgument, ZeroCoordinate)
 from .scalars import HalfGamma, format_scalar, gamma_exact, sdiv
 from .scalars.gammas import q_brackets, scaled_q_factorials
 from .scalars.poly import num_den
@@ -35,7 +40,6 @@ from .tensors import BlockArray, Tensor
 
 __all__ = [
     "q_pochhammer", "q_binomial_row",
-    "jackson_monomial",
     "DiscreteMeasure",
     "discrete_moment", "discrete_cube_integral", "discrete_ordered_integral",
     "q_powers", "delta_product",
@@ -58,31 +62,57 @@ def _signed_power(base, e: int):
 # shifted factorials and Gaussian binomials
 # --------------------------------------------------------------------------
 
-def q_pochhammer(a, q, n: int):
-    """The q-shifted factorial (a;q)_n for any integer n.
+def _q_product(b, E, a, D, n: int):
+    """(num, den): the product over k < n of (1 - x q^k) is num / den at
+    x = b/E and q = a/D, for n >= 0.
 
-    Nonnegative n gives the product (1-a)(1-aq)...(1-aq^(n-1)).  Negative
-    n is defined through (a;q)_n = (a;q)_inf / (aq^n;q)_inf, which reduces
-    to the reciprocal of a finite product over q^(-1), q^(-2), ...; a
-    vanishing factor there is a genuine pole.
+    The k-th factor is (E D^k - b a^k) / (E D^k): num multiplies the
+    tops and den the bottoms, ints for a rational x and q. A polynomial
+    or float x or q comes in over 1, and its factors are then formed as
+    1 - x q^k, by the operations of the product written out, in the
+    same order.
     """
+    num = den = 1
+    for _ in range(n):
+        num = num * (E - b)
+        den = den * E
+        b = b * a
+        E = E * D
+    return num, den
+
+
+def q_pochhammer(x, q, n: int):
+    """The q-shifted factorial (x;q)_n for any integer n.
+
+    Nonnegative n gives the product (1-x)(1-xq)...(1-xq^(n-1)).  Negative
+    n is defined through (x;q)_n = (x;q)_inf / (xq^n;q)_inf, which is
+    1 / (xq^n;q)_(-n), a finite product over q^(-1), q^(-2), ...; a
+    vanishing factor there is a genuine pole.
+
+    x and q enter as (b, E) = num_den(x) and (a, D) = num_den(q), so a
+    rational product is one int over one int (`_q_product`), divided
+    once. The result has the type of the product written out: a
+    Fraction once a Fraction x (from the first factor on) or q (from
+    the second) enters it, else an int for ints and a polynomial for a
+    polynomial; negative n divides, as 1 / (...) does. A float product
+    for n >= 0 is formed as the product written out; for n < 0 its
+    factors are q^m - x q^k over q^m, so the last bits may differ from
+    dividing x by q step by step.
+    """
+    b, E = num_den(x)
+    a, D = num_den(q)
     if n >= 0:
-        total = 1
-        factor = a
-        for _ in range(n):
-            total = total * (1 - factor)
-            factor = factor * q
-        return total
-    denom = 1
-    factor = a
-    for _ in range(-n):
-        factor = sdiv(factor, q)
-        term = 1 - factor
-        if term == 0:
-            raise PoleInNegativeRange(
-                f"(a;q)_{n} hit the vanishing factor 1 - a*q^k")
-        denom = denom * term
-    return sdiv(1, denom)
+        num, den = _q_product(b, E, a, D, n)
+        if any(isinstance(v, Fraction) for v in (x, q)[:n]):
+            return sdiv(num, den)
+        return num
+    if q == 0:
+        raise DivisionByZero(f"(a;q)_{n} divides by q = 0")
+    num, den = _q_product(b * D ** -n, E * a ** -n, a, D, -n)
+    if num == 0:
+        raise PoleInNegativeRange(
+            f"(a;q)_{n} hit the vanishing factor 1 - a*q^k")
+    return sdiv(den, num)
 
 
 def q_binomial_row(n: int, q):
@@ -90,38 +120,26 @@ def q_binomial_row(n: int, q):
     for n >= 0.
 
     Each equals the quotient (q;q)_n / ((q;q)_k (q;q)_{n-k}). Built by
-    the q-Pascal recurrence, with no division, so a polynomial q stays
-    polynomial throughout.
+    the q-Pascal recurrence [i, j] = [i-1, j-1] + q^j [i-1, j], with no
+    division, so a polynomial q stays polynomial throughout. At
+    q = a/D (`num_den`) it runs on the ints N[i][j] = D^(j(i-j)) [i, j]:
+    N[i][j] = D^(i-j) N[i-1][j-1] + a^j N[i-1][j]. A Fraction q then
+    divides each inner entry once, giving the Fractions the recurrence
+    over Fractions gives; the two ends stay the int 1.
     """
+    a, D = num_den(q)
+    apow, dpow = [1], [1]
+    for _ in range(n):
+        apow.append(apow[-1] * a)
+        dpow.append(dpow[-1] * D)
     row = [1]
     for i in range(1, n + 1):
-        prev = row
-        row = [1]
-        power = 1
-        for j in range(1, i):
-            power = power * q
-            row.append(prev[j - 1] + power * prev[j])
-        row.append(1)
+        row = ([1] + [dpow[i - j] * row[j - 1] + apow[j] * row[j]
+                      for j in range(1, i)] + [1])
+    if isinstance(q, Fraction):
+        row[1:-1] = [Fraction(c, D ** (k * (n - k)))
+                     for k, c in enumerate(row[1:-1], 1)]
     return row
-
-
-# --------------------------------------------------------------------------
-# Jackson integration
-# --------------------------------------------------------------------------
-
-def jackson_monomial(q, m: int):
-    """Exact Jackson integral of x^m over [0, 1]: (1-q)/(1-q^(m+1)).
-
-    A rational q = a/D is one quotient of ints,
-    D^m (D - a) / (D^(m+1) - a^(m+1)); any other q has a = q, D = 1.
-    """
-    if m < 0:
-        raise UnsupportedArgument("jackson_monomial needs m >= 0")
-    a, D = num_den(q)
-    denom = D ** (m + 1) - a ** (m + 1)
-    if denom == 0:
-        raise GeometricPole(f"q^{m + 1} = 1 makes the geometric sum diverge")
-    return sdiv(D ** m * (D - a), denom)
 
 
 # --------------------------------------------------------------------------
@@ -146,11 +164,24 @@ class DiscreteMeasure:
 
 
 def discrete_moment(mu: DiscreteMeasure, k: int):
-    """k-th moment: the weighted sum of x^k over the atoms."""
-    total = 0
+    """k-th moment: the weighted sum of x^k over the atoms.
+
+    At x = p/D and w = r/s (`num_den`) the term w x^k is the int
+    r p^k over the int s D^k, read with p and D swapped for k < 0, so
+    the sum is one int over the product of those denominators, divided
+    once. The result has the type of the sum written out: a quotient
+    once a Fraction or a negative power enters it, else an int or a
+    polynomial.
+    """
+    num, den, divide = 0, 1, False
     for x, w in mu.atoms:
-        total = total + w * _signed_power(x, k)
-    return total
+        (p, D), (r, s) = num_den(x), num_den(w)
+        if k < 0:
+            p, D = D, p
+        top, bottom = r * p ** abs(k), s * D ** abs(k)
+        num, den = num * bottom + top * den, den * bottom
+        divide = divide or k < 0 or Fraction in (type(x), type(w))
+    return sdiv(num, den) if divide else num
 
 
 def _atom_sum(combos, f):
@@ -530,13 +561,16 @@ class QJacobiParams:
 
 
 def lqj_moment(n: int, p: QJacobiParams):
-    """Moment sequence (aq;q)_n / (abq^2;q)_n of the q-Jacobi weight."""
+    """Moment sequence (aq;q)_n / (abq^2;q)_n of the q-Jacobi weight:
+    the two `_q_product`s over their denominators, divided once."""
     if n < 0:
         raise UnsupportedArgument("lqj_moment needs n >= 0")
-    den = q_pochhammer(p.a * p.b * p.q * p.q, p.q, n)
-    if den == 0:
+    a, D = num_den(p.q)
+    top, top_den = _q_product(*num_den(p.a * p.q), a, D, n)
+    bottom, bottom_den = _q_product(*num_den(p.a * p.b * p.q * p.q), a, D, n)
+    if bottom == 0:
         raise MomentPole(f"(abq^2;q)_{n} vanished")
-    return sdiv(q_pochhammer(p.a * p.q, p.q, n), den)
+    return sdiv(top * bottom_den, top_den * bottom)
 
 
 # --------------------------------------------------------------------------

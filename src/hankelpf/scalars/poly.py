@@ -6,14 +6,16 @@ FLINT's fmpq_poly), with gcd(den, *nums) = 1 and a nonzero top
 numerator; a RatFunc is two coprime int tuples `num` and `den` whose
 ints share no common factor, with a positive leading `den`.  Sums,
 products, gcds and evaluation at a rational run over these ints and
-divide once; `coefficient(k)` and `coeffs` give Fractions.  `num_den`
-splits one scalar into the ints a/D of a rational.  A product packs each
-operand into one int, its value at x = 2^B (Kronecker substitution),
-multiplies once and unpacks balanced digits; the engines' kernel shares
-`kron_pack` and `kron_unpack`.  `ratfunc` drops the common power of the
-variable, the whole gcd when a side is a monomial; else it reads the gcd
-of both sides from the int gcd of their values at one power of two,
-and keeps the cofactors once their products rebuild both sides (GCDHEU).
+divide once, and evaluation at a monomial c t^k places the numerators
+at the multiples of k; `coefficient(k)` and `coeffs` give Fractions.
+`num_den` splits one scalar into the ints a/D of a rational.  A
+product packs each operand into one int, its value at x = 2^B
+(Kronecker substitution), multiplies once and unpacks balanced digits;
+the engines' kernel shares `kron_pack` and `kron_unpack`.  `ratfunc`
+drops the common power of the variable, the whole gcd when a side is a
+monomial; else it reads the gcd of both sides from the int gcd of their
+values at one power of two, and keeps the cofactors once their products
+rebuild both sides (GCDHEU).
 
 The factories (`unipoly`, `poly_gen`, `ratfunc`) take int or Fraction
 coefficients, put them over one denominator, and, like `_poly` and
@@ -377,7 +379,9 @@ class UniPoly(ScalarOps):
     def evaluate(self, x):
         """Horner evaluation; x may be any compatible scalar.  For a
         rational x = p/q the sum is taken over ints, homogeneously in p
-        and q, and divided once."""
+        and q, and divided once.  A monomial x = (p/q) t^k is a
+        substitution, not a composition: nums[j] p^j q^(d-j) lands at
+        degree k j, over den q^d, d the degree, in one pass."""
         if isinstance(x, RATIONAL_TYPES):
             p, q = x.numerator, x.denominator
             v, qk = self.nums[-1], 1
@@ -385,6 +389,16 @@ class UniPoly(ScalarOps):
                 qk *= q
                 v = v * p + c * qk
             return Fraction(v, self.den * qk)
+        if type(x) is UniPoly and not any(x.nums[:-1]):
+            p, q, k, d = x.nums[-1], x.den, x.degree, self.degree
+            qs = [1]
+            for _ in range(d):
+                qs.append(qs[-1] * q)
+            nums, pj = [0] * (k * d + 1), 1
+            for j, c in enumerate(self.nums):
+                nums[k * j] = c * pj * qs[d - j]
+                pj *= p
+            return _poly(x.var, nums, self.den * qs[d])
         v = horner(self.nums, x)
         return v / self.den if self.den != 1 else v
 

@@ -26,15 +26,15 @@ from hankelpf.harness import (CheckParams, all_identities,
                               report_from_json, run_check, run_suite,
                               suite_exit_code, summarize)
 from hankelpf import engines
-from hankelpf.harness import checks_qpoly, suite
+from hankelpf.harness import checks_bridges, checks_qpoly, suite
 from hankelpf.harness.cli import coerce_param, main
-from hankelpf.harness.common import (gap_prefactor, hankel_pf, outcome_all,
-                                     q_gap_prefactor)
+from hankelpf.harness.common import gap_nodes, hankel_pf, outcome_all
 from hankelpf.harness.registry import GATING_STATUSES, STATUSES
 from hankelpf.harness.reports import REPORT_KEYS, dump_reports
-from hankelpf.qcalc import delta_product
+from hankelpf.qcalc import (DiscreteMeasure, delta_product,
+                            discrete_cube_integral)
 from hankelpf.scalars import derive_rng, poly, poly_gen
-from hankelpf.tensors import Tensor
+from hankelpf.tensors import BlockArray, Tensor
 
 # the ids the battery must cover, grouped the way the layers stack
 CORE_IDS = [
@@ -222,6 +222,16 @@ def test_run_check_needs_every_grid_parameter():
 
 # ------------------------------------------------------ Hankel-type builder
 
+def _literal_gap(q):
+    """The gap prefactor written out: prod_{s<t} (I_t - I_s), or with q
+    prod_{s<t} (q^(I_s - 1) - q^(I_t - 1))."""
+    if q is None:
+        return lambda I: math.prod(
+            b - a for a, b in itertools.combinations(I, 2))
+    return lambda I: math.prod(q ** (a - 1) - q ** (b - 1)
+                               for a, b in itertools.combinations(I, 2))
+
+
 def _literal_hankel(l, n, pref, moment, shift):
     # the defining signed sum over ordered partitions, with its 1/n!
     total = 0
@@ -234,23 +244,24 @@ def _literal_hankel(l, n, pref, moment, shift):
 
 
 HANKEL_MOMENTS = {
+    "int": lambda d: d * d - 3 * d + 1,
     "fraction": lambda d: Fraction(3 * d - 5, d * d + 1),
     "unipoly": lambda d: (poly_gen("a") - d) ** (d % 3) + Fraction(d, 2),
 }
 
 
-@pytest.mark.parametrize("moment", sorted(HANKEL_MOMENTS))
+@pytest.mark.parametrize("moment", ["fraction", "unipoly"])
 @pytest.mark.parametrize("l,n", [(2, 1), (2, 2), (2, 3), (4, 2)])
 def test_hankel_pf_matches_literal_definition(l, n, moment):
-    for pref in (gap_prefactor, q_gap_prefactor(Fraction(2, 5))):
+    for q in (None, Fraction(2, 5)):
         for shift in (-2, 1):
             calls = collections.Counter()
 
             def counted(d):
                 calls[d] += 1
                 return HANKEL_MOMENTS[moment](d)
-            got = hankel_pf(l, n, pref, counted, shift)
-            assert got == _literal_hankel(l, n, pref,
+            got = hankel_pf(l, n, counted, shift, q)
+            assert got == _literal_hankel(l, n, _literal_gap(q),
                                           HANKEL_MOMENTS[moment], shift)
             degrees = {sum(I) + shift for I in
                        itertools.combinations(range(1, l * n + 1), l)}
@@ -258,30 +269,86 @@ def test_hankel_pf_matches_literal_definition(l, n, moment):
             assert set(calls.values()) == {1}
 
 
+@pytest.mark.parametrize("moment", sorted(HANKEL_MOMENTS))
+@pytest.mark.parametrize("q", [None, 2, Fraction(2, 5), Fraction(-3, 4),
+                               poly_gen("a")], ids=str)
+def test_hankel_pf_matches_the_array_of_literal_entries(q, moment):
+    # the int prefactors and the one division against the hyperpfaffian
+    # of the entries pref(I) * moment(sum(I) + shift) written out
+    pref, mom = _literal_gap(q), HANKEL_MOMENTS[moment]
+    for l, n in itertools.product((2, 4), range(4)):
+        if l * n > 8 and isinstance(q, poly.UniPoly):
+            continue    # 12 points of polynomial entries take seconds
+        want = engines.hyperpfaffian(BlockArray.from_function(
+            l, 1, l * n, lambda I: pref(I) * mom(sum(I) - 1)))
+        got = hankel_pf(l, n, mom, -1, q)
+        assert got == want and type(got) is type(want), (l, n)
+
+
+def test_hankel_pf_whole_fraction_q_divides_nothing():
+    # q = 3/1 has D = 1: the int prefactors need no division, so int
+    # moments give an int, of the value the Fraction prefactors give
+    q, mom = Fraction(3), HANKEL_MOMENTS["int"]
+    got = hankel_pf(2, 2, mom, 0, q)
+    assert type(got) is int
+    assert got == _literal_hankel(2, 2, _literal_gap(q), mom, 0)
+
+
 def test_gap_prefactors():
-    assert gap_prefactor((1, 3, 6)) == 2 * 5 * 3
+    x, den = gap_nodes(6)
+    assert den == 1
+    assert math.prod(x[t] - x[s] for s, t in
+                     itertools.combinations((1, 3, 6), 2)) == 2 * 5 * 3
     q = Fraction(1, 3)
-    assert q_gap_prefactor(q)((1, 3, 6)) == \
-        (1 - q ** 2) * (1 - q ** 5) * (q ** 2 - q ** 5)
+    x, den = gap_nodes(6, q)
+    assert den == 3 ** 5
+    assert math.prod(x[t] - x[s] for s, t in
+                     itertools.combinations((1, 3, 6), 2)) == \
+        (1 - q ** 2) * (1 - q ** 5) * (q ** 2 - q ** 5) * den ** 3
 
 
 @pytest.mark.parametrize("q", [Fraction(2, 5), Fraction(-3, 4),
                                poly_gen("q")], ids=str)
 def test_q_gap_prefactor_matches_literal_product(q):
-    pref = q_gap_prefactor(q)
+    x, den = gap_nodes(8, q)
     for l in (1, 2, 3, 4):
         for I in itertools.combinations(range(1, 9), l):
-            want = math.prod(q ** (a - 1) - q ** (b - 1)
-                             for a, b in itertools.combinations(I, 2))
-            got = pref(I)
-            assert got == want and type(got) is type(want), I
+            want = _literal_gap(q)(I)
+            got = math.prod(x[t] - x[s]
+                            for s, t in itertools.combinations(I, 2))
+            assert got == want * den ** math.comb(l, 2), I
+            if isinstance(q, Fraction):
+                assert type(got) is int, I
+            else:
+                assert type(got) is type(want), I
 
 
 def test_hankel_pf_empty_and_negative_sizes():
-    assert hankel_pf(2, 0, gap_prefactor, lambda d: 1 / 0, 0) == 1
-    assert hankel_pf(4, 0, gap_prefactor, lambda d: 1 / 0, 0) == 1
+    assert hankel_pf(2, 0, lambda d: 1 / 0, 0) == 1
+    assert hankel_pf(4, 0, lambda d: 1 / 0, 0) == 1
+    got = hankel_pf(2, 0, lambda d: 1 / 0, 0, Fraction(2, 5))
+    assert got == 1 and type(got) is int
     with pytest.raises(BoundsError):
-        hankel_pf(2, -1, gap_prefactor, lambda d: 1, 0)
+        hankel_pf(2, -1, lambda d: 1, 0)
+
+
+@pytest.mark.parametrize("e", [-2, 0, 3])
+def test_cube_over_ints_is_the_cube_integral_written_out(e):
+    # points and weights over several denominators, a negative power
+    # moved into the weights, and an integrand homogeneous of degree 4
+    # in each pair of points
+    mu = DiscreteMeasure(((Fraction(2, 3), Fraction(5, 2)),
+                          (Fraction(-7, 4), Fraction(1)),
+                          (Fraction(5), Fraction(3, 7))))
+
+    def pairs(xs):
+        return math.prod((b - a) ** 3 * (2 * b - 3 * a)
+                         for a, b in itertools.combinations(xs, 2))
+    for n in range(4):
+        want = discrete_cube_integral(
+            mu, n, lambda xs: math.prod(x ** e for x in xs) * pairs(xs))
+        got = checks_bridges._cube_over_ints(mu, n, e, 4, pairs)
+        assert got == want and type(got) is Fraction, n
 
 
 def _planted_fault(params, rng, opts):
@@ -482,6 +549,21 @@ def test_cli_verify_with_params(capsys, tmp_path):
     assert doc["lhs"] == "5" and doc["params"] == {"n": 2}
 
 
+@pytest.mark.parametrize("argv", [["verify", "motzkin-pf"],
+                                  ["suite", "--level", "smoke"]], ids=str)
+def test_cli_json_to_stdout_is_the_json_file(capsys, tmp_path, argv):
+    # with --json - the text report goes to stderr, and stdout is the
+    # same JSON document that --json FILE writes
+    target = tmp_path / "out.json"
+    assert main(argv + ["--json", str(target)]) == 0
+    text = capsys.readouterr()
+    assert main(argv + ["--json", "-"]) == 0
+    captured = capsys.readouterr()
+    json.loads(captured.out)
+    assert captured.out.encode() == target.read_bytes()
+    assert captured.err == text.out and text.err == ""
+
+
 @pytest.fixture
 def quarter_second_clock(monkeypatch):
     """harness.suite's clock, advancing 0.25 s per reading."""
@@ -492,11 +574,9 @@ def quarter_second_clock(monkeypatch):
 
 def test_timing_records_the_clock(capsys, quarter_second_clock):
     assert main(["verify", "motzkin-pf", "--timing", "--json", "-"]) == 0
-    _, doc = capsys.readouterr().out.split("\n", 1)
-    assert json.loads(doc)["elapsed_ms"] == 250
+    assert json.loads(capsys.readouterr().out)["elapsed_ms"] == 250
     assert main(["verify", "motzkin-pf", "--json", "-"]) == 0
-    _, doc = capsys.readouterr().out.split("\n", 1)
-    assert json.loads(doc)["elapsed_ms"] == 0
+    assert json.loads(capsys.readouterr().out)["elapsed_ms"] == 0
     reports = run_suite(level="smoke", timing=True)
     assert reports and all(r.elapsed_ms == 250 for r in reports)
     assert all(r.elapsed_ms == 0 for r in run_suite(level="smoke"))

@@ -13,12 +13,12 @@ from hankelpf.errors import (GeometricPole, MomentPole, PoleInNegativeRange,
                              ShapeMismatch, SizeBudgetExceeded,
                              UnsupportedArgument, ZeroCoordinate)
 from hankelpf.qcalc import (DiscreteMeasure, QJacobiParams, SelbergParams,
-                            _linear_product, _pair_integral,
+                            _jackson_row, _linear_product, _pair_integral,
                             aomoto_bruteforce, aomoto_closed,
                             askey_A_n, askey_lhs_exact, debruijn_kernel,
                             debruijn_ordered_integral, delta_product,
                             discrete_cube_integral, discrete_moment,
-                            discrete_ordered_integral, jackson_monomial,
+                            discrete_ordered_integral,
                             lqj_moment, q_binomial_row, q_pochhammer, q_powers,
                             selberg_bruteforce, selberg_closed,
                             selberg_phi_bridge)
@@ -26,6 +26,7 @@ from hankelpf.scalars import (HalfGamma, RatFunc, UniPoly, derive_rng,
                               gamma_exact, poly_gen, q_gamma_int, sdiv,
                               unipoly)
 from hankelpf.scalars.poly import num_den
+from hankelpf.sequences import rogers_szego
 from hankelpf.tensors import BlockArray, Tensor
 
 Q = poly_gen("q")
@@ -110,26 +111,120 @@ def test_q_binomial_reduces_to_binomial_at_one():
                                         for k in range(n + 1)]
 
 
+# ------------------------------------------- the rational-q rule, literally
+
+# int, Fraction (a whole one too) and polynomial arguments, in one variable
+RULE_ARGS = [2, -3, F(2, 5), F(-3, 4), F(3), Q, 1 + Q]
+
+
+def _outcome(f, *args):
+    """(value, type) of f(*args), or the class of what it raises."""
+    try:
+        v = f(*args)
+    except ZeroDivisionError as exc:
+        return type(exc)
+    return v, type(v)
+
+
+def _literal_pochhammer(x, q, n):
+    # (x;q)_n as the product written out, 1 / (...) for negative n
+    if n >= 0:
+        total, factor = 1, x
+        for _ in range(n):
+            total = total * (1 - factor)
+            factor = factor * q
+        return total
+    denom, factor = 1, x
+    for _ in range(-n):
+        factor = sdiv(factor, q)
+        if 1 - factor == 0:
+            raise PoleInNegativeRange("vanishing factor")
+        denom = denom * (1 - factor)
+    return sdiv(1, denom)
+
+
+def _literal_binomial_row(n, q):
+    row = [1]
+    for i in range(1, n + 1):
+        prev, row, power = row, [1], 1
+        for j in range(1, i):
+            power = power * q
+            row.append(prev[j - 1] + power * prev[j])
+        row.append(1)
+    return row
+
+
+@pytest.mark.parametrize("q", RULE_ARGS + [0], ids=str)
+def test_q_pochhammer_matches_the_product_written_out(q):
+    for x in RULE_ARGS + [0]:
+        for n in range(-4, 9):
+            assert (_outcome(q_pochhammer, x, q, n)
+                    == _outcome(_literal_pochhammer, x, q, n)), (x, n)
+
+
+def test_q_pochhammer_floats_are_the_product_written_out():
+    for x, q in ((0.3, 0.7), (-1.25, 0.5), (2.0, -0.9)):
+        for n in range(1, 9):
+            got = q_pochhammer(x, q, n)
+            assert got.hex() == _literal_pochhammer(x, q, n).hex()
+
+
+@pytest.mark.parametrize("q", RULE_ARGS, ids=str)
+def test_q_binomial_row_matches_the_recurrence_written_out(q):
+    for n in range(9):
+        got, want = q_binomial_row(n, q), _literal_binomial_row(n, q)
+        assert got == want, n
+        assert list(map(type, got)) == list(map(type, want)), n
+
+
+@pytest.mark.parametrize("q", [2, -3, F(2, 5), F(-3, 4), F(3)], ids=str)
+def test_rogers_szego_reads_the_row_written_out(q):
+    for n in range(9):
+        row = _literal_binomial_row(n, q)
+        want = unipoly("a", row)
+        got = rogers_szego("F", n, q)
+        assert got == want and type(got) is type(want), n
+        want = unipoly("a", [c * F(q) ** (k * (k - n))
+                             for k, c in enumerate(row)])
+        got = rogers_szego("G", n, q)
+        assert got == want and type(got) is type(want), n
+
+
+@pytest.mark.parametrize("a,b,q", [
+    (F(2, 3), F(1, 5), F(1, 2)), (2, 3, F(-3, 4)), (F(3), -2, 3),
+    (2, -3, 5), (Q, F(1, 2), F(2, 5)), (F(1, 3), 2, Q)], ids=str)
+def test_lqj_moment_is_the_quotient_written_out(a, b, q):
+    p = QJacobiParams(a, b, q)
+    for n in range(8):
+        want = sdiv(_literal_pochhammer(a * q, q, n),
+                    _literal_pochhammer(a * b * q * q, q, n))
+        got = lqj_moment(n, p)
+        assert got == want and type(got) is type(want), n
+
+
 # ----------------------------------------------------------------- Jackson
 
-def test_jackson_monomial_examples():
-    assert jackson_monomial(Q, 0) == 1
-    assert jackson_monomial(Q, 1) == sdiv(1, 1 + Q)
-    assert jackson_monomial(Q, 2) == sdiv(1 - Q, 1 - Q ** 3)
+def _jackson_integrals(q, size):
+    J, den = _jackson_row(*num_den(q), size)
+    return [sdiv(j, den) for j in J]
+
+
+def test_jackson_row_examples():
+    assert _jackson_integrals(Q, 3) == [1, sdiv(1, 1 + Q),
+                                        sdiv(1 - Q, 1 - Q ** 3)]
     for q in (F(1, 2), F(-3, 7), 2, -2):
-        for m in range(6):
-            got = jackson_monomial(q, m)
+        for m, got in enumerate(_jackson_integrals(q, 6)):
             want = sdiv(1 - q, 1 - F(q) ** (m + 1))
             assert got == want and type(got) is F, (q, m)
-    with pytest.raises(UnsupportedArgument):
-        jackson_monomial(F(1, 2), -1)
 
 
-def test_jackson_monomial_pole():
-    with pytest.raises(GeometricPole):
-        jackson_monomial(1, 3)
-    with pytest.raises(GeometricPole):
-        jackson_monomial(-1, 1)  # q^2 = 1
+def test_jackson_row_pole():
+    with pytest.raises(GeometricPole,
+                       match=r"^q\^1 = 1 makes the geometric sum diverge$"):
+        _jackson_row(1, 1, 4)
+    with pytest.raises(GeometricPole,
+                       match=r"^q\^2 = 1 makes the geometric sum diverge$"):
+        _jackson_row(-1, 1, 2)
 
 
 # ----------------------------------------------------------------- measures
@@ -140,6 +235,20 @@ def test_discrete_measure_moments():
     assert discrete_moment(mu, 1) == 5
     assert discrete_moment(mu, 4) == 97
     assert discrete_moment(DiscreteMeasure(()), 3) == 0
+
+
+@pytest.mark.parametrize("atoms", [
+    ((F(2, 3), F(1)), (F(5, 4), F(3)), (F(-7, 2), F(2, 5))),
+    ((2, 1), (3, 4)), ((2, F(3)), (-1, 4)), ((Q, 1), (1 + Q, F(1, 2))),
+    ((Q, 2),), ()], ids=str)
+def test_discrete_moment_is_the_sum_written_out(atoms):
+    mu = DiscreteMeasure(atoms)
+    for k in range(-3, 9):
+        want = 0
+        for x, w in atoms:
+            want = want + w * (x ** k if k >= 0 else sdiv(1, x ** -k))
+        got = discrete_moment(mu, k)
+        assert got == want and type(got) is type(want), k
 
 
 def test_discrete_measure_rejects_repeats():

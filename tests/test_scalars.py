@@ -300,6 +300,22 @@ def test_unipoly_evaluate():
     assert p.evaluate(Fraction(1, 2)) == Fraction(1, 8) - 1 + 5
 
 
+@pytest.mark.parametrize("var", ["a", "s"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("c", [1, -2, Fraction(3, 5)], ids=str)
+def test_unipoly_evaluate_at_a_monomial_is_the_composition(c, k, var):
+    a = poly_gen("a")
+    x = c * poly_gen(var) ** k
+    for p in (a ** 3 - 2 * a + 5, Fraction(3, 2) - a ** 4 / 7,
+              unipoly("a", [0, Fraction(-1, 3)]),
+              unipoly("a", [1, 6, 6, 1])):
+        # the Horner composition over the int numerators, divided once
+        want = poly.horner(p.nums, x)
+        want = want / p.den if p.den != 1 else want
+        got = p.evaluate(x)
+        assert got == want and type(got) is type(want), p
+
+
 # --------------------------------------------- integer coefficient paths
 
 def _rand_coeffs(rng, length):
