@@ -10,7 +10,7 @@ from ..qcalc import (DiscreteMeasure, debruijn_kernel,
                      debruijn_ordered_integral, delta_product,
                      discrete_cube_integral, discrete_moment, q_pochhammer)
 from ..scalars import q_gamma_int, sdiv
-from ..scalars.poly import horner, num_den
+from ..scalars.poly import horner, num_den, scale_to_ints
 from ..tensors import BlockArray
 from .common import (Outcome, hankel_pf, outcome_all, outcome_eq,
                      rand_measure, rand_points, rand_q)
@@ -102,12 +102,9 @@ def _cube_over_ints(mu, n, e, degree, pairs):
     over their common denominators L and W, so `pairs` runs on int
     points and the sum divides once by L^(C(n, 2) degree) W^n.
     """
-    atoms = [(x, w * x ** e) for x, w in mu.atoms]
-    L = math.lcm(*[x.denominator for x, _ in atoms])
-    W = math.lcm(*[w.denominator for _, w in atoms])
-    ints = DiscreteMeasure(tuple(
-        (x.numerator * (L // x.denominator),
-         w.numerator * (W // w.denominator)) for x, w in atoms))
+    (xs,), L = scale_to_ints([[x for x, _ in mu.atoms]])
+    (ws,), W = scale_to_ints([[w * x ** e for x, w in mu.atoms]])
+    ints = DiscreteMeasure(tuple(zip(xs, ws)))
     return sdiv(discrete_cube_integral(ints, n, pairs),
                 L ** (math.comb(n, 2) * degree) * W ** n)
 
