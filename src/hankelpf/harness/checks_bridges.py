@@ -12,18 +12,18 @@ from ..qcalc import (DiscreteMeasure, debruijn_kernel,
 from ..scalars import q_gamma_int, sdiv
 from ..scalars.poly import horner, num_den, scale_to_ints
 from ..tensors import BlockArray
-from .common import (Outcome, hankel_pf, outcome_all, outcome_eq,
-                     rand_measure, rand_points, rand_q)
+from .common import (Outcome, factorial_tower, hankel_pf, outcome_all,
+                     outcome_eq, rand_measure, rand_points, rand_q)
 
 
 def _poly_family(rng, rows, l):
-    """rows x l random polynomials of degree <= 2 with Fraction
+    """rows x l random polynomials of degree <= 2 with int
     coefficients in [-2, 2], each a function of one point."""
     fam = []
     for _ in range(rows):
         row = []
         for _ in range(l):
-            cs = [Fraction(rng.randint(-2, 2)) for _ in range(3)]
+            cs = [rng.randint(-2, 2) for _ in range(3)]
             row.append(functools.partial(horner, cs))
         fam.append(row)
     return fam
@@ -109,6 +109,22 @@ def _cube_over_ints(mu, n, e, degree, pairs):
                 L ** (math.comb(n, 2) * degree) * W ** n)
 
 
+def _gap_pairs(n, power, shifts=()):
+    """xs -> prod_{i<j} (x_j - x_i)^power, times
+    ((dv x_j - av x_i)(av x_j - dv x_i))^e for each (dv, av, e) in
+    shifts."""
+    def pairs(xs):
+        t = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                t *= (xs[j] - xs[i]) ** power
+                for dv, av, e in shifts:
+                    t *= ((dv * xs[j] - av * xs[i])
+                          * (av * xs[j] - dv * xs[i])) ** e
+        return t
+    return pairs
+
+
 def check_q_hankel(params, rng, opts):
     """Hyperpfaffian of q-difference-weighted moments against the cube
     integral of the cancelled pair product."""
@@ -125,18 +141,8 @@ def check_q_hankel(params, rng, opts):
     # (D^v x_j - a^v x_i)(a^v x_j - D^v x_i) over (a D)^v
     a, D = num_den(q)
     shifts = [(D ** v, a ** v, l - v) for v in range(1, l)]
-
-    def pairs(xs):
-        t = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                t *= (xs[j] - xs[i]) ** l
-                for dv, av, e in shifts:
-                    t *= ((dv * xs[j] - av * xs[i])
-                          * (av * xs[j] - dv * xs[i])) ** e
-        return t
-
-    cube = _cube_over_ints(mu, n, u + math.comb(l, 2), l * l, pairs)
+    cube = _cube_over_ints(mu, n, u + math.comb(l, 2), l * l,
+                           _gap_pairs(n, l, shifts))
     rhs = sdiv(scale * cube, math.factorial(n) * (a * D) ** (
         math.comb(n, 2) * math.comb(l + 1, 3)))
     return outcome_eq(lhs, rhs, terms=len(mu.atoms) ** n)
@@ -161,19 +167,9 @@ def check_hankel_classical(params, rng, opts):
     else:
         mu = rand_measure(rng, max(n, 2) + 1)
     lhs = hankel_pf(l, n, lambda d: discrete_moment(mu, d), u - l)
-    scale = Fraction(1)
-    for k in range(1, l + 1):
-        scale *= Fraction(math.factorial(k - 1)) ** n
-
-    def pairs(xs):
-        t = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                t *= (xs[j] - xs[i]) ** (l * l)
-        return t
-
-    rhs = sdiv(scale * _cube_over_ints(mu, n, u + math.comb(l, 2), l * l,
-                                       pairs), math.factorial(n))
+    cube = _cube_over_ints(mu, n, u + math.comb(l, 2), l * l,
+                           _gap_pairs(n, l * l))
+    rhs = sdiv(factorial_tower(l, n) * cube, math.factorial(n))
     return outcome_eq(lhs, rhs, terms=len(mu.atoms) ** n)
 
 
@@ -193,11 +189,10 @@ def check_delta_relations(params, rng, opts):
                 for j in range(n):
                     if i != j:
                         prod *= q_pochhammer(xs[i] / xs[j], q, k)
-            pairs.append((dsym, sdiv(q_gamma_int(n, q ** k),
-                                     math.factorial(n)) * prod))
+            ratio = sdiv(q_gamma_int(n, q ** k), math.factorial(n))
+            pairs.append((dsym, ratio * prod))
             pref = (Fraction(-1) ** (k * math.comb(n, 2))
-                    * q ** (math.comb(k, 2) * math.comb(n, 2))
-                    * sdiv(q_gamma_int(n, q ** k), math.factorial(n)))
+                    * q ** (math.comb(k, 2) * math.comb(n, 2)) * ratio)
             for xi in xs:
                 pref *= xi ** (-k * (n - 1))
             pairs.append((dsym, pref * delta_product(xs, q, k, "D1")))
@@ -210,17 +205,6 @@ def check_delta_relations(params, rng, opts):
     return outcome_all(pairs)
 
 
-def _delta_times_power(q, k, variant, r):
-    """The integrand xs -> delta_product(xs, q, k, variant) times
-    prod_i x_i^(r+1)."""
-    def f(xs):
-        t = delta_product(xs, q, k, variant)
-        for x in xs:
-            t *= x ** (r + 1)
-        return t
-    return f
-
-
 def check_delta_integral(params, rng, opts):
     """Cube integrals of the two double products differ by the factor
     n! over the q^k-integer factorial of n, measure-independently."""
@@ -229,8 +213,8 @@ def check_delta_integral(params, rng, opts):
     mu = rand_measure(rng, params["atoms"])
     q = rand_q(rng)
     r = rng.randint(0, 2)
-    lhs = discrete_cube_integral(mu, n, _delta_times_power(q, k, "D1", r))
-    rhs = discrete_cube_integral(mu, n, _delta_times_power(q, k, "D2", r))
+    lhs, rhs = (_cube_over_ints(mu, n, r + 1, 2 * k, functools.partial(
+        delta_product, q=q, k=k, variant=variant)) for variant in ("D1", "D2"))
     return outcome_eq(lhs,
                       sdiv(math.factorial(n), q_gamma_int(n, q ** k)) * rhs,
                       terms=len(mu.atoms) ** n)
@@ -243,7 +227,8 @@ def check_pf_delta2(params, rng, opts):
     mu = rand_measure(rng, max(2, n))
     q = rand_q(rng)
     lhs = hankel_pf(2, n, lambda d: discrete_moment(mu, d), r - 2, q)
-    cube = discrete_cube_integral(mu, n, _delta_times_power(q, 2, "D2", r))
+    cube = _cube_over_ints(mu, n, r + 1, 4, functools.partial(
+        delta_product, q=q, k=2, variant="D2"))
     rhs = (q ** (n * (n - 1)) * (1 - q) ** n
            * sdiv(cube, q_gamma_int(n, q ** 2)))
     return outcome_eq(lhs, rhs, terms=len(mu.atoms) ** n)

@@ -17,8 +17,9 @@ them delta_product's D0, rogers_szego and ftilde) multiply ints over one
 denominator (`_q_product`) and divide once, and discrete_moment adds
 its terms as ints over one denominator. q_powers is the one table
 of q^v, v of either sign, that delta_product and its fast float loops
-share. The de Bruijn kernel (debruijn_kernel) is the minor summation
-kernel of its atom weights, built by the same engines.contract_slots as
+share, and delta_product's D1 and D2 are one pair loop over it. The
+de Bruijn kernel (debruijn_kernel) is the minor summation kernel of its
+atom weights, built by the same engines.contract_slots as
 engines.msf_build_Q.
 """
 
@@ -49,13 +50,6 @@ __all__ = [
     "QJacobiParams", "lqj_moment",
     "debruijn_kernel", "debruijn_ordered_integral",
 ]
-
-
-def _signed_power(base, e: int):
-    """base**e allowing negative e by exact division."""
-    if e >= 0:
-        return base ** e
-    return sdiv(1, base ** (-e))
 
 
 # --------------------------------------------------------------------------
@@ -220,7 +214,7 @@ def discrete_ordered_integral(mu: DiscreteMeasure, n: int, f):
 
 def q_powers(q, lo: int, hi: int) -> dict:
     """The table {v: q^v} for lo <= v < hi; negative powers divide exactly."""
-    return {v: _signed_power(q, v) for v in range(lo, hi)}
+    return {v: q ** v if v >= 0 else sdiv(1, q ** -v) for v in range(lo, hi)}
 
 
 def _delta0(xs, q, k):
@@ -240,6 +234,9 @@ def delta_product(x, q, k: int, variant: str):
     D0:   prod_{i<j} (x_i/x_j;q)_k (q x_j/x_i;q)_k
     D2:   prod_{i<j} prod_{v=-k+1..k} (x_i - q^v x_j)
     Dsym: the symmetrization (1/n!) sum over permutations of D0
+
+    D1 and D2 are one pair loop over one `q_powers` table, multiplying
+    each pair's factors in the order written above.
     """
     xs = list(x)
     n = len(xs)
@@ -256,23 +253,18 @@ def delta_product(x, q, k: int, variant: str):
             total = total + _delta0(perm, q, k)
         return sdiv(total, math.factorial(n))
     if variant == "D1":
-        total = 1
-        powers = q_powers(q, -k + 1, k)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for v in range(k):
-                    total = total * (xs[j] - powers[v] * xs[i])
-                    total = total * (xs[j] - powers[-v] * xs[i])
-        return total
-    if variant == "D2":
-        total = 1
-        powers = q_powers(q, -k + 1, k + 1)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for v in range(-k + 1, k + 1):
-                    total = total * (xs[i] - powers[v] * xs[j])
-        return total
-    raise UnsupportedArgument(f"unknown variant {variant!r}")
+        vs = [s * v for v in range(k) for s in (1, -1)]
+    elif variant == "D2":
+        vs = range(-k + 1, k + 1)
+    else:
+        raise UnsupportedArgument(f"unknown variant {variant!r}")
+    powers = q_powers(q, -k + 1, k + 1)
+    total = 1
+    for i, j in itertools.combinations(range(n), 2):
+        s, t = (xs[j], xs[i]) if variant == "D1" else (xs[i], xs[j])
+        for v in vs:
+            total = total * (s - powers[v] * t)
+    return total
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 from ..errors import DivisionByZero, IncompatibleTags
-from .gammas import HalfGamma, gamma_exact, q_gamma_int, q_gamma_table
+from .gammas import HalfGamma, gamma_exact, q_gamma_int
 from .grammar import QuadContext, format_scalar, parse_scalar
 from .poly import (RATIONAL_TYPES, RatFunc, UniPoly, poly_at, poly_gen,
                    ratfunc, unipoly)
@@ -24,7 +24,7 @@ __all__ = [
     "UniPoly", "RatFunc", "unipoly", "ratfunc", "poly_gen", "poly_at",
     "QuadExt", "quadext", "omega", "sqrt2",
     "TruncSeries", "series_sqrt", "series_div",
-    "HalfGamma", "gamma_exact", "q_gamma_int", "q_gamma_table",
+    "HalfGamma", "gamma_exact", "q_gamma_int",
     "QuadContext", "format_scalar", "parse_scalar",
     "derive_rng",
     "sdiv", "check_combinable",

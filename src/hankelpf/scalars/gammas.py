@@ -116,20 +116,10 @@ def scaled_q_factorials(n: int, a, D) -> list:
     return row
 
 
-def q_gamma_table(n: int, q):
-    """[Gamma_q(1), ..., Gamma_q(n+1)]: entry k is q_gamma_int(k, q).
-
-    Entry k is `scaled_q_factorials(n, a, D)[k]` at q = a/D, divided by
-    D^(k(k-1)/2) when it is an int; a polynomial q has D = 1 and divides
-    nothing. The running product has no division in its loop, so it
-    works for polynomial q as well as rational q.
-    """
-    a, D = num_den(q)
-    return [Fraction(t, D ** math.comb(k, 2)) if isinstance(t, int) else t
-            for k, t in enumerate(scaled_q_factorials(n, a, D))]
-
-
 def q_gamma_int(n: int, q):
-    """Gamma_q(n+1) = (q;q)_n / (1-q)^n, computed division-free: the
-    last entry of `q_gamma_table(n, q)`."""
-    return q_gamma_table(n, q)[n]
+    """Gamma_q(n+1) = (q;q)_n / (1-q)^n: at q = a/D the division-free
+    `scaled_q_factorials(n, a, D)[n]`, divided by D^(n(n-1)/2) when it is
+    an int; a polynomial q has D = 1 and divides nothing."""
+    a, D = num_den(q)
+    t = scaled_q_factorials(n, a, D)[n]
+    return Fraction(t, D ** math.comb(n, 2)) if isinstance(t, int) else t

@@ -28,12 +28,14 @@ from hankelpf.harness import (CheckParams, all_identities,
 from hankelpf import engines
 from hankelpf.harness import checks_bridges, checks_qpoly, suite
 from hankelpf.harness.cli import coerce_param, main
-from hankelpf.harness.common import gap_nodes, hankel_pf, outcome_all
+from hankelpf.harness.common import (gap_nodes, hankel_pf, outcome_all,
+                                    rand_measure, rand_q)
 from hankelpf.harness.registry import GATING_STATUSES, STATUSES
-from hankelpf.harness.reports import REPORT_KEYS, dump_reports
+from hankelpf.harness.reports import (REPORT_KEYS, canonical_params,
+                                     dump_reports)
 from hankelpf.qcalc import (DiscreteMeasure, delta_product,
                             discrete_cube_integral)
-from hankelpf.scalars import derive_rng, poly, poly_gen
+from hankelpf.scalars import derive_rng, poly, poly_gen, q_gamma_int
 from hankelpf.tensors import BlockArray, Tensor
 
 # the ids the battery must cover, grouped the way the layers stack
@@ -349,6 +351,42 @@ def test_cube_over_ints_is_the_cube_integral_written_out(e):
             mu, n, lambda xs: math.prod(x ** e for x in xs) * pairs(xs))
         got = checks_bridges._cube_over_ints(mu, n, e, 4, pairs)
         assert got == want and type(got) is Fraction, n
+
+
+def _literal_delta_cube(mu, n, q, k, variant, r):
+    # the Fraction cube integral of delta_product times prod x^(r+1)
+    return discrete_cube_integral(mu, n, lambda xs: delta_product(
+        xs, q, k, variant) * math.prod(x ** (r + 1) for x in xs))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_delta_cube_checks_match_the_literal_integrals(seed):
+    # each check runs on the suite's rng, and a second copy of that rng
+    # replays its draws for the integrals written out
+    for ident in ("delta-integral", "pf-delta2"):
+        spec = get_identity(ident)
+        for params in spec.full:
+            key = (ident, canonical_params(params), seed)
+            out = spec.check(dict(params), derive_rng(*key), None)
+            rng = derive_rng(*key)
+            if ident == "delta-integral":
+                n, k = params["n"], params["k"]
+                mu = rand_measure(rng, params["atoms"])
+                q, r = rand_q(rng), rng.randint(0, 2)
+                lhs = _literal_delta_cube(mu, n, q, k, "D1", r)
+                rhs = (math.factorial(n) / q_gamma_int(n, q ** k)
+                       * _literal_delta_cube(mu, n, q, k, "D2", r))
+            else:
+                n, r = params["n"], params["r"]
+                mu = rand_measure(rng, max(2, n))
+                q = rand_q(rng)
+                lhs = rhs = (q ** (n * (n - 1)) * (1 - q) ** n
+                             * _literal_delta_cube(mu, n, q, 2, "D2", r)
+                             / q_gamma_int(n, q ** 2))
+            assert out.status == "verified", (ident, params)
+            for got, want in ((out.lhs, lhs), (out.rhs, rhs)):
+                assert got == want and type(got) is type(want), (
+                    ident, params)
 
 
 def _planted_fault(params, rng, opts):

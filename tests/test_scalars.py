@@ -13,9 +13,8 @@ from hankelpf.errors import (ConstantTermNotOne, DivisionByZero,
 from hankelpf.scalars import (HalfGamma, QuadExt, RatFunc, TruncSeries,
                               UniPoly, check_combinable, derive_rng,
                               format_scalar, gamma_exact, omega, parse_scalar,
-                              poly_gen, q_gamma_int, q_gamma_table, quadext,
-                              ratfunc, sdiv, series_div, series_sqrt, sqrt2,
-                              unipoly)
+                              poly_gen, q_gamma_int, quadext, ratfunc, sdiv,
+                              series_div, series_sqrt, sqrt2, unipoly)
 from hankelpf.scalars import poly
 
 
@@ -709,7 +708,7 @@ def test_q_gamma_int_errors():
 
 def _q_gamma_loop(n, q):
     # the bracket product written out for one n: the reference for
-    # q_gamma_table's running product
+    # q_gamma_int's running product
     total, bracket, power = Fraction(1), Fraction(0), Fraction(1)
     for _ in range(n):
         bracket = bracket + power
@@ -722,16 +721,14 @@ def _q_gamma_loop(n, q):
                                poly_gen("q"), 1 + poly_gen("q") ** -1],
                          ids=str)
 def test_q_gamma_table_matches_q_gamma_int_at_every_index(q):
-    table = q_gamma_table(12, q)
-    assert len(table) == 13
-    for k, v in enumerate(table):
-        for want in (q_gamma_int(k, q), _q_gamma_loop(k, q)):
-            assert v == want and type(v) is type(want), k
-    assert q_gamma_table(0, q) == [1]
+    # the table Gamma_q(1), ..., Gamma_q(13), one q_gamma_int call each
+    for k in range(13):
+        got, want = q_gamma_int(k, q), _q_gamma_loop(k, q)
+        assert got == want and type(got) is type(want), k
     with pytest.raises(UnsupportedArgument):
-        q_gamma_table(-1, q)
+        q_gamma_int(-1, q)
     with pytest.raises(PoleAtQEqualsOne):
-        q_gamma_table(4, Fraction(1))
+        q_gamma_int(4, Fraction(1))
 
 
 def test_half_gamma_arithmetic():
